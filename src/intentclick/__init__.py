@@ -35,7 +35,7 @@ from .models import (
     session_log_likelihood,
     session_prob,
 )
-from .inference import EmConfig, FitReport, alternating_fit, em_fit, pbm_posteriors
+from .inference import EmConfig, FitReport, alternating_fit, em_fit
 from .simulate import GroundTruth, SimConfig, click_behavior_preset, generate_ground_truth, simulate_sessions
 from .evaluate import (
     EvalReport,
@@ -85,7 +85,6 @@ __all__ = [
     "FitReport",
     "em_fit",
     "alternating_fit",
-    "pbm_posteriors",
     "SimConfig",
     "GroundTruth",
     "generate_ground_truth",

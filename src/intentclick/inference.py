@@ -2,9 +2,15 @@
 
 Every Bernoulli parameter is updated as a smoothed posterior mean:
 (alpha + expected successes) / (alpha + beta + expected trials). The
-E-step is vectorized over flattened (session, position) events; DBN uses
-a forward-backward pass over the examination chain, batched across
-sessions of equal length. Intent-aware fits partition sessions by their
+E-step is vectorized over flattened (session, position) events.
+
+PBM and UBM share one E/M step through the exam-cell factorisation
+P(C=1) = exam[cell] * rel[(query, doc)]: they differ only in which
+examination cell an event uses, its position for PBM or its (last click,
+position) cell for UBM. DBN uses a forward-backward pass over the
+examination chain, batched across sessions of equal length; it must agree
+with the scalar forward pass in ``DbnParams.conditional_click_probs``,
+which evaluation uses. Intent-aware fits partition sessions by their
 intent label into independent estimation problems, so the ascent property
 of EM holds for the summed log-likelihood.
 
@@ -37,6 +43,7 @@ from .models import (
     PbmParams,
     UbmParams,
     resolve_params,
+    ubm_cells,
 )
 from .sessions import Intent, KNOWN_INTENTS, Session
 
@@ -64,7 +71,7 @@ class EmConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
@@ -97,28 +104,55 @@ class FitReport:
         }
 
 
-def pbm_posteriors(gamma: float, r: float, clicked: bool) -> tuple[float, float]:
-    """Posterior examination and relevance probabilities for one position.
+def factor_posterior(x, y, clicked):
+    """P(X=1 | C) for one factor of a click C = X*Y with independent
+    X ~ Bernoulli(x), Y ~ Bernoulli(y); elementwise over scalars or arrays.
 
-    A click pins both to 1; otherwise Bayes over the three unclicked latent
-    outcomes, with the denominator 1 - gamma*r clamped away from zero.
+    Under the examination hypothesis (exam, rel) gives the examination
+    posterior and (rel, exam) the relevance posterior. A click pins it to 1;
+    otherwise Bayes over the three unclicked outcomes gives x(1-y) / (1-xy),
+    with the denominator clamped away from zero. ``clicked`` is a boolean
+    mask or an index array of the clicked events.
     """
-    if clicked:
-        return 1.0, 1.0
-    denom = max(1.0 - gamma * r, PROB_CLAMP)
-    return gamma * (1.0 - r) / denom, r * (1.0 - gamma) / denom
+    post = np.asarray(x * (1.0 - y) / np.maximum(1.0 - x * y, PROB_CLAMP))
+    post[clicked] = 1.0
+    return post
 
 
-def _posterior_mean(succ, trials, alpha: float, beta: float):
-    denom = np.asarray(alpha + beta + trials, dtype=np.float64)
-    num = alpha + succ
+def _posterior_mean(succ, trials, cfg: EmConfig):
+    denom = np.asarray(cfg.prior_alpha + cfg.prior_beta + trials, dtype=np.float64)
+    num = cfg.prior_alpha + succ
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(denom > 0.0, num / np.maximum(denom, PROB_CLAMP), INIT_PROB)
     return np.clip(out, 0.0, 1.0)
 
 
-def _clamped_log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
+def _smoothed_mean(index: np.ndarray, weights: np.ndarray, trials: np.ndarray, cfg: EmConfig):
+    """M-step for a table indexed per event: expected successes over trials."""
+    succ = np.bincount(index, weights=weights, minlength=len(trials))
+    return _posterior_mean(succ, trials, cfg)
+
+
+def _store(state: dict, key: str, new) -> float:
+    """Replace state[key] by its M-step update; return the largest change."""
+    delta = float(np.max(np.abs(new - state[key]), initial=0.0))
+    state[key] = new
+    return delta
+
+
+def _init_table(n: int, rng: np.random.Generator, jitter: float) -> np.ndarray:
+    table = np.full(n, INIT_PROB)
+    if jitter > 0.0:
+        table = np.clip(table + rng.uniform(-jitter, jitter, table.shape), 0.01, 0.99)
+    return table
+
+
+def _observed_log(p: np.ndarray, clicked: np.ndarray) -> np.ndarray:
+    """Clamped log-probability of each event's outcome, given its click
+    probability p and the indices of the clicked events."""
+    q = 1.0 - p
+    q[clicked] = p[clicked]
+    return np.log(np.clip(q, PROB_CLAMP, 1.0 - PROB_CLAMP))
 
 
 def _sum_ll(terms: np.ndarray) -> float:
@@ -151,31 +185,55 @@ class _PairVocab:
     def __len__(self) -> int:
         return len(self.index)
 
-    def pairs(self) -> list[tuple[str, str]]:
-        return list(self.index)
+    def table(self, values: np.ndarray) -> dict[tuple[str, str], float]:
+        return {key: float(values[idx]) for key, idx in self.index.items()}
+
+    def seed(self, values: np.ndarray, table: dict) -> None:
+        for key, idx in self.index.items():
+            values[idx] = table.get(key, INIT_PROB)
 
 
-class _PbmFitter:
-    """Flattened-event E/M steps for PBM (and, with cells, UBM)."""
+class _ExamRelFitter:
+    """The one E/M step for the exam-cell factorisation
+    P(C=1) = exam[cell] * rel[(query, doc)], shared by PBM and UBM.
+
+    A subclass supplies only its examination-cell layout: ``cells_for(n)``
+    lists the table keys in order, ``cell_key(last, pos)`` names the cell
+    of an event at 1-based ``pos`` after a last click at ``last`` (0 for
+    none), and ``params_cls``/``exam_field`` name the table it fills. The
+    observed click history fixes each event's cell, so cells are looked up
+    once, at build time, in a (last click, position) table.
+    """
 
     families = ALL_FAMILIES
+    params_cls: type
+    exam_field: str
 
     def __init__(self, sessions: Sequence[Session], max_positions: int):
         self.max_positions = max_positions
+        self.cells = self.cells_for(max_positions)
+        index = {key: k for k, key in enumerate(self.cells)}
+        lookup = [
+            [index.get(self.cell_key(last, pos), -1) for pos in range(max_positions + 1)]
+            for last in range(max_positions + 1)
+        ]
         self.vocab = _PairVocab()
-        pos, pair, clicks = [], [], []
+        cell, pair, clicks = [], [], []
         for s in sessions:
-            for i, (doc, c) in enumerate(zip(s.docs, s.clicks)):
-                pos.append(i)
+            row = lookup[0]
+            for pos, (doc, c) in enumerate(zip(s.docs, s.clicks), start=1):
+                cell.append(row[pos])
                 pair.append(self.vocab.get((s.query_id, doc)))
                 clicks.append(c)
-        self.pos = np.asarray(pos, dtype=np.int64)
+                if c:
+                    row = lookup[pos]
+        self.cell = np.asarray(cell, dtype=np.int64)
         self.pair = np.asarray(pair, dtype=np.int64)
-        self.clicks = np.asarray(clicks, dtype=np.float64)
-        self.clicked = self.clicks > 0.5
-        self.exam_trials = np.bincount(self.pos, minlength=max_positions).astype(np.float64)
+        self.clicked = np.flatnonzero(clicks)
+        self.exam_trials = np.bincount(self.cell, minlength=len(self.cells)).astype(np.float64)
         self.rel_trials = np.bincount(self.pair, minlength=len(self.vocab)).astype(np.float64)
-        uncovered = [p + 1 for p in range(max_positions) if self.exam_trials[p] == 0]
+        deepest = max(map(len, sessions), default=0)
+        uncovered = list(range(deepest + 1, max_positions + 1))
         if uncovered:
             logger.warning(
                 "no sessions cover positions %s; their examination stays at the prior mean",
@@ -183,143 +241,71 @@ class _PbmFitter:
             )
 
     def init_state(self, rng: np.random.Generator, jitter: float) -> dict:
-        exam = np.full(self.max_positions, INIT_PROB)
-        rel = np.full(len(self.vocab), INIT_PROB)
-        if jitter > 0.0:
-            exam = np.clip(exam + rng.uniform(-jitter, jitter, exam.shape), 0.01, 0.99)
-            rel = np.clip(rel + rng.uniform(-jitter, jitter, rel.shape), 0.01, 0.99)
-        return {"exam": exam, "rel": rel}
+        return {
+            "exam": _init_table(len(self.cells), rng, jitter),
+            "rel": _init_table(len(self.vocab), rng, jitter),
+        }
 
     def seed_state(self, state: dict, params: BaseParams) -> None:
-        for p in range(self.max_positions):
-            state["exam"][p] = params.exam.get(p + 1, INIT_PROB)
-        for key, idx in self.vocab.index.items():
-            state["rel"][idx] = params.rel.get(key, INIT_PROB)
+        table = getattr(params, self.exam_field)
+        for k, key in enumerate(self.cells):
+            state["exam"][k] = table.get(key, INIT_PROB)
+        self.vocab.seed(state["rel"], params.rel)
 
     def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
-        g = state["exam"][self.pos]
+        g = state["exam"][self.cell]
         r = state["rel"][self.pair]
         p = g * r
-        ll = _sum_ll(_clamped_log(np.where(self.clicked, p, 1.0 - p)))
+        ll = _sum_ll(_observed_log(p, self.clicked))
         ll += _prior_bonus(cfg, (state["exam"], state["rel"]))
-        denom = np.maximum(1.0 - p, PROB_CLAMP)
         delta = 0.0
         if REL_SIDE in families:
-            p_rel = np.where(self.clicked, 1.0, r * (1.0 - g) / denom)
-            new_rel = _posterior_mean(
-                np.bincount(self.pair, weights=p_rel, minlength=len(self.vocab)),
-                self.rel_trials, cfg.prior_alpha, cfg.prior_beta,
-            )
-            delta = max(delta, float(np.max(np.abs(new_rel - state["rel"]), initial=0.0)))
-            state["rel"] = new_rel
+            p_rel = factor_posterior(r, g, self.clicked)
+            new_rel = _smoothed_mean(self.pair, p_rel, self.rel_trials, cfg)
+            delta = max(delta, _store(state, "rel", new_rel))
         if EXAM_SIDE in families:
-            p_exam = np.where(self.clicked, 1.0, g * (1.0 - r) / denom)
-            new_exam = _posterior_mean(
-                np.bincount(self.pos, weights=p_exam, minlength=self.max_positions),
-                self.exam_trials, cfg.prior_alpha, cfg.prior_beta,
-            )
-            delta = max(delta, float(np.max(np.abs(new_exam - state["exam"]), initial=0.0)))
-            state["exam"] = new_exam
+            p_exam = factor_posterior(g, r, self.clicked)
+            new_exam = _smoothed_mean(self.cell, p_exam, self.exam_trials, cfg)
+            delta = max(delta, _store(state, "exam", new_exam))
         return ll, delta
 
-    def make_params(self, state: dict) -> PbmParams:
-        exam = {p + 1: float(state["exam"][p]) for p in range(self.max_positions)}
-        rel = {key: float(state["rel"][idx]) for key, idx in self.vocab.index.items()}
-        return PbmParams(exam=exam, rel=rel, max_positions=self.max_positions)
-
-    @staticmethod
-    def empty_params(max_positions: int) -> PbmParams:
-        return PbmParams(
-            exam={p: INIT_PROB for p in range(1, max_positions + 1)},
-            rel={},
-            max_positions=max_positions,
+    def make_params(self, state: dict) -> BaseParams:
+        exam = {key: float(v) for key, v in zip(self.cells, state["exam"])}
+        return self.params_cls(
+            **{self.exam_field: exam},
+            rel=self.vocab.table(state["rel"]),
+            max_positions=self.max_positions,
         )
 
+    @classmethod
+    def empty_params(cls, max_positions: int) -> BaseParams:
+        exam = dict.fromkeys(cls.cells_for(max_positions), INIT_PROB)
+        return cls.params_cls(**{cls.exam_field: exam}, rel={}, max_positions=max_positions)
 
-class _UbmFitter:
-    """UBM E/M steps; the (prev click, position) cell of each event is
-    fixed by the observed click history, so cells are precomputed."""
 
-    families = ALL_FAMILIES
+class _PbmLayout(_ExamRelFitter):
+    """PBM: one examination cell per position, whatever was clicked before."""
 
-    def __init__(self, sessions: Sequence[Session], max_positions: int):
-        self.max_positions = max_positions
-        self.cells = [
-            (l, i)
-            for l in range(0, max_positions)
-            for i in range(l + 1, max_positions + 1)
-        ]
-        self.cell_index = {cell: k for k, cell in enumerate(self.cells)}
-        self.vocab = _PairVocab()
-        cell, pair, clicks = [], [], []
-        for s in sessions:
-            last = 0
-            for i, (doc, c) in enumerate(zip(s.docs, s.clicks), start=1):
-                cell.append(self.cell_index[(last, i)])
-                pair.append(self.vocab.get((s.query_id, doc)))
-                clicks.append(c)
-                if c:
-                    last = i
-        self.cell = np.asarray(cell, dtype=np.int64)
-        self.pair = np.asarray(pair, dtype=np.int64)
-        self.clicks = np.asarray(clicks, dtype=np.float64)
-        self.clicked = self.clicks > 0.5
-        self.beta_trials = np.bincount(self.cell, minlength=len(self.cells)).astype(np.float64)
-        self.rel_trials = np.bincount(self.pair, minlength=len(self.vocab)).astype(np.float64)
-
-    def init_state(self, rng: np.random.Generator, jitter: float) -> dict:
-        beta = np.full(len(self.cells), INIT_PROB)
-        rel = np.full(len(self.vocab), INIT_PROB)
-        if jitter > 0.0:
-            beta = np.clip(beta + rng.uniform(-jitter, jitter, beta.shape), 0.01, 0.99)
-            rel = np.clip(rel + rng.uniform(-jitter, jitter, rel.shape), 0.01, 0.99)
-        return {"beta": beta, "rel": rel}
-
-    def seed_state(self, state: dict, params: BaseParams) -> None:
-        for k, cell in enumerate(self.cells):
-            state["beta"][k] = params.beta.get(cell, INIT_PROB)
-        for key, idx in self.vocab.index.items():
-            state["rel"][idx] = params.rel.get(key, INIT_PROB)
-
-    def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
-        b = state["beta"][self.cell]
-        r = state["rel"][self.pair]
-        p = b * r
-        ll = _sum_ll(_clamped_log(np.where(self.clicked, p, 1.0 - p)))
-        ll += _prior_bonus(cfg, (state["beta"], state["rel"]))
-        denom = np.maximum(1.0 - p, PROB_CLAMP)
-        delta = 0.0
-        if REL_SIDE in families:
-            p_rel = np.where(self.clicked, 1.0, r * (1.0 - b) / denom)
-            new_rel = _posterior_mean(
-                np.bincount(self.pair, weights=p_rel, minlength=len(self.vocab)),
-                self.rel_trials, cfg.prior_alpha, cfg.prior_beta,
-            )
-            delta = max(delta, float(np.max(np.abs(new_rel - state["rel"]), initial=0.0)))
-            state["rel"] = new_rel
-        if EXAM_SIDE in families:
-            p_exam = np.where(self.clicked, 1.0, b * (1.0 - r) / denom)
-            new_beta = _posterior_mean(
-                np.bincount(self.cell, weights=p_exam, minlength=len(self.cells)),
-                self.beta_trials, cfg.prior_alpha, cfg.prior_beta,
-            )
-            delta = max(delta, float(np.max(np.abs(new_beta - state["beta"]), initial=0.0)))
-            state["beta"] = new_beta
-        return ll, delta
-
-    def make_params(self, state: dict) -> UbmParams:
-        beta = {cell: float(state["beta"][k]) for k, cell in enumerate(self.cells)}
-        rel = {key: float(state["rel"][idx]) for key, idx in self.vocab.index.items()}
-        return UbmParams(beta=beta, rel=rel, max_positions=self.max_positions)
+    params_cls, exam_field = PbmParams, "exam"
 
     @staticmethod
-    def empty_params(max_positions: int) -> UbmParams:
-        beta = {
-            (l, i): INIT_PROB
-            for l in range(0, max_positions)
-            for i in range(l + 1, max_positions + 1)
-        }
-        return UbmParams(beta=beta, rel={}, max_positions=max_positions)
+    def cells_for(max_positions: int) -> list[int]:
+        return list(range(1, max_positions + 1))
+
+    @staticmethod
+    def cell_key(last: int, pos: int) -> int:
+        return pos
+
+
+class _UbmLayout(_ExamRelFitter):
+    """UBM: one examination cell per (last click, position) pair."""
+
+    params_cls, exam_field = UbmParams, "beta"
+    cells_for = staticmethod(ubm_cells)
+
+    @staticmethod
+    def cell_key(last: int, pos: int) -> tuple[int, int]:
+        return (last, pos)
 
 
 class _CascadeFitter:
@@ -348,7 +334,7 @@ class _CascadeFitter:
                     break
         self.pair = np.asarray(pair, dtype=np.int64)
         self.clicks = np.asarray(clicks, dtype=np.float64)
-        self.clicked = self.clicks > 0.5
+        self.clicked = np.flatnonzero(self.clicks)
         self.rel_trials = np.bincount(self.pair, minlength=len(self.vocab)).astype(np.float64)
         if self.n_impossible:
             logger.warning(
@@ -358,33 +344,24 @@ class _CascadeFitter:
             )
 
     def init_state(self, rng: np.random.Generator, jitter: float) -> dict:
-        rel = np.full(len(self.vocab), INIT_PROB)
-        if jitter > 0.0:
-            rel = np.clip(rel + rng.uniform(-jitter, jitter, rel.shape), 0.01, 0.99)
-        return {"rel": rel}
+        return {"rel": _init_table(len(self.vocab), rng, jitter)}
 
     def seed_state(self, state: dict, params: BaseParams) -> None:
-        for key, idx in self.vocab.index.items():
-            state["rel"][idx] = params.rel.get(key, INIT_PROB)
+        self.vocab.seed(state["rel"], params.rel)
 
     def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
         r = state["rel"][self.pair]
-        ll_terms = _clamped_log(np.where(self.clicked, r, 1.0 - r))
-        ll = _sum_ll(ll_terms) + self.n_impossible * float(np.log(PROB_CLAMP))
+        ll = _sum_ll(_observed_log(r, self.clicked))
+        ll += self.n_impossible * float(np.log(PROB_CLAMP))
         ll += _prior_bonus(cfg, (state["rel"],))
         delta = 0.0
         if REL_SIDE in families:
-            new_rel = _posterior_mean(
-                np.bincount(self.pair, weights=self.clicks, minlength=len(self.vocab)),
-                self.rel_trials, cfg.prior_alpha, cfg.prior_beta,
-            )
-            delta = float(np.max(np.abs(new_rel - state["rel"]), initial=0.0))
-            state["rel"] = new_rel
+            new_rel = _smoothed_mean(self.pair, self.clicks, self.rel_trials, cfg)
+            delta = _store(state, "rel", new_rel)
         return ll, delta
 
     def make_params(self, state: dict) -> CascadeParams:
-        rel = {key: float(state["rel"][idx]) for key, idx in self.vocab.index.items()}
-        return CascadeParams(rel=rel)
+        return CascadeParams(rel=self.vocab.table(state["rel"]))
 
     @staticmethod
     def empty_params(max_positions: int) -> CascadeParams:
@@ -415,30 +392,29 @@ class _DbnFitter:
                     clicks[row, t] = c
             self.groups.append((pair, clicks))
         n_pairs = len(self.vocab)
-        self.rel_succ_const = np.zeros(n_pairs)
-        self.sat_trials_const = np.zeros(n_pairs)
+        # Clicks imply examination, so click counts are fixed statistics:
+        # the relevance successes and the satisfaction trials.
+        self.click_counts = np.zeros(n_pairs)
         for pair, clicks in self.groups:
-            flat_pair = pair.ravel()
-            flat_clicks = clicks.ravel()
-            # Clicks imply examination, so click counts are fixed statistics.
-            self.rel_succ_const += np.bincount(flat_pair, weights=flat_clicks, minlength=n_pairs)
-            self.sat_trials_const += np.bincount(flat_pair, weights=flat_clicks, minlength=n_pairs)
+            self.click_counts += np.bincount(
+                pair.ravel(), weights=clicks.ravel(), minlength=n_pairs
+            )
 
     def init_state(self, rng: np.random.Generator, jitter: float) -> dict:
         n = len(self.vocab)
-        rel = np.full(n, INIT_PROB)
-        sat = np.full(n, INIT_PROB)
-        gamma = DBN_GAMMA_INIT
+        state = {
+            "rel": _init_table(n, rng, jitter),
+            "sat": _init_table(n, rng, jitter),
+            "gamma": DBN_GAMMA_INIT,
+        }
         if jitter > 0.0:
-            rel = np.clip(rel + rng.uniform(-jitter, jitter, rel.shape), 0.01, 0.99)
-            sat = np.clip(sat + rng.uniform(-jitter, jitter, sat.shape), 0.01, 0.99)
-            gamma = float(np.clip(gamma + rng.uniform(-jitter, jitter), 0.01, 0.99))
-        return {"rel": rel, "sat": sat, "gamma": gamma}
+            gamma = DBN_GAMMA_INIT + rng.uniform(-jitter, jitter)
+            state["gamma"] = float(np.clip(gamma, 0.01, 0.99))
+        return state
 
     def seed_state(self, state: dict, params: BaseParams) -> None:
-        for key, idx in self.vocab.index.items():
-            state["rel"][idx] = params.rel.get(key, INIT_PROB)
-            state["sat"][idx] = params.sat.get(key, INIT_PROB)
+        self.vocab.seed(state["rel"], params.rel)
+        self.vocab.seed(state["sat"], params.sat)
         state["gamma"] = params.gamma_cont
 
     def _forward_backward(self, pair, clicks, state):
@@ -505,35 +481,27 @@ class _DbnFitter:
 
         delta = 0.0
         if REL_SIDE in families:
-            new_rel = _posterior_mean(
-                self.rel_succ_const, rel_trials, cfg.prior_alpha, cfg.prior_beta
-            )
-            new_sat = _posterior_mean(
-                sat_succ, self.sat_trials_const, cfg.prior_alpha, cfg.prior_beta
-            )
-            delta = max(delta, float(np.max(np.abs(new_rel - state["rel"]), initial=0.0)))
-            delta = max(delta, float(np.max(np.abs(new_sat - state["sat"]), initial=0.0)))
-            state["rel"] = new_rel
-            state["sat"] = new_sat
+            new_rel = _posterior_mean(self.click_counts, rel_trials, cfg)
+            new_sat = _posterior_mean(sat_succ, self.click_counts, cfg)
+            delta = max(_store(state, "rel", new_rel), _store(state, "sat", new_sat))
         if EXAM_SIDE in families:
-            new_gamma = float(
-                _posterior_mean(gamma_succ, gamma_trials, cfg.prior_alpha, cfg.prior_beta)
-            )
-            delta = max(delta, abs(new_gamma - state["gamma"]))
-            state["gamma"] = new_gamma
+            new_gamma = float(_posterior_mean(gamma_succ, gamma_trials, cfg))
+            delta = max(delta, _store(state, "gamma", new_gamma))
         return ll, delta
 
     def make_params(self, state: dict) -> DbnParams:
-        rel = {key: float(state["rel"][idx]) for key, idx in self.vocab.index.items()}
-        sat = {key: float(state["sat"][idx]) for key, idx in self.vocab.index.items()}
-        return DbnParams(rel=rel, sat=sat, gamma_cont=float(state["gamma"]))
+        return DbnParams(
+            rel=self.vocab.table(state["rel"]),
+            sat=self.vocab.table(state["sat"]),
+            gamma_cont=float(state["gamma"]),
+        )
 
     @staticmethod
     def empty_params(max_positions: int) -> DbnParams:
         return DbnParams(rel={}, sat={}, gamma_cont=DBN_GAMMA_INIT)
 
 
-_FITTERS = {PBM: _PbmFitter, CASCADE: _CascadeFitter, UBM: _UbmFitter, DBN: _DbnFitter}
+_FITTERS = {PBM: _PbmLayout, CASCADE: _CascadeFitter, UBM: _UbmLayout, DBN: _DbnFitter}
 
 
 class _FitProblem:

@@ -2,10 +2,11 @@
 
 Four model families are parameterized here: the position-based model (PBM),
 the cascade model, the user browsing model (UBM), and the dynamic Bayesian
-network model (DBN). Each exposes the per-position click probability
-conditioned on the clicks observed earlier in the session; session
-probabilities and log-likelihoods follow by the chain rule. Intent-aware
-variants replicate a base parameter set per intent label.
+network model (DBN). Each exposes one routine, ``conditional_click_probs``,
+for the per-position click probability conditioned on the clicks observed
+earlier in the session; session probabilities, log-likelihoods and
+perplexity all follow from it by the chain rule. Intent-aware variants
+replicate a base parameter set per intent label.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ class PositionRangeError(ValueError):
     """A position falls outside the parameterized range."""
 
 
-class CascadeStructureError(ValueError):
-    """A session has a click pattern the cascade model cannot generate."""
-
-
 def clamp_probability(p: float) -> float:
     """Clamp into [PROB_CLAMP, 1 - PROB_CLAMP] before taking logs."""
     if p < PROB_CLAMP:
@@ -49,6 +46,11 @@ def clamp_probability(p: float) -> float:
     if p > 1.0 - PROB_CLAMP:
         return 1.0 - PROB_CLAMP
     return p
+
+
+def ubm_cells(max_positions: int) -> list[tuple[int, int]]:
+    """UBM examination cells (l, i) in table order; l=0 means no earlier click."""
+    return [(l, i) for l in range(max_positions) for i in range(l + 1, max_positions + 1)]
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -130,10 +132,9 @@ class UbmParams:
     kind = UBM
 
     def __post_init__(self):
-        for l in range(0, self.max_positions):
-            for i in range(l + 1, self.max_positions + 1):
-                if (l, i) not in self.beta:
-                    raise ValueError(f"beta table missing cell (l={l}, i={i})")
+        for l, i in ubm_cells(self.max_positions):
+            if (l, i) not in self.beta:
+                raise ValueError(f"beta table missing cell (l={l}, i={i})")
         for cell, b in self.beta.items():
             _check_unit(f"beta[{cell}]", b)
         for key, r in self.rel.items():
@@ -244,62 +245,6 @@ def resolve_params(params: AnyParams, intent: Intent = Intent.UNKNOWN) -> BasePa
     if isinstance(params, IntentAwareParams):
         return ia_dispatch(params, intent)
     return params
-
-
-def pbm_click_prob(params: PbmParams, query_id: str, doc_id: str, position: int) -> float:
-    """Marginal PBM click probability exam[position] * rel[(query, doc)]."""
-    if not 1 <= position <= params.max_positions:
-        raise PositionRangeError(
-            f"position {position} outside 1..{params.max_positions}"
-        )
-    return params.exam[position] * params.relevance(query_id, doc_id)
-
-
-def ubm_click_prob(
-    params: UbmParams, query_id: str, doc_id: str, position: int, prev_click_pos: int
-) -> float:
-    """UBM click probability beta[(l, i)] * rel; l=0 means no earlier click."""
-    if prev_click_pos >= position:
-        raise ValueError(
-            f"previous click position {prev_click_pos} must precede position {position}"
-        )
-    if not 1 <= position <= params.max_positions:
-        raise PositionRangeError(
-            f"position {position} outside 1..{params.max_positions}"
-        )
-    return params.beta[(prev_click_pos, position)] * params.relevance(query_id, doc_id)
-
-
-def cascade_session_prob(params: CascadeParams, session: Session) -> float:
-    """Probability of a whole session under the cascade model.
-
-    Sessions with more than one click are structurally impossible and raise.
-    """
-    if session.total_clicks > 1:
-        raise CascadeStructureError(
-            f"cascade model cannot generate {session.total_clicks} clicks"
-        )
-    prob = 1.0
-    for doc, c in zip(session.docs, session.clicks):
-        r = params.relevance(session.query_id, doc)
-        if c:
-            return prob * r
-        prob *= 1.0 - r
-    return prob
-
-
-def dbn_session_prob(params: DbnParams, session: Session) -> float:
-    """Probability of the observed click vector under the DBN forward chain."""
-    f0, f1 = 0.0, 1.0
-    gamma = params.gamma_cont
-    for doc, c in zip(session.docs, session.clicks):
-        r = params.relevance(session.query_id, doc)
-        s = params.satisfaction(session.query_id, doc)
-        if c:
-            f0, f1 = f1 * r * (s + (1.0 - s) * (1.0 - gamma)), f1 * r * (1.0 - s) * gamma
-        else:
-            f0, f1 = f0 + f1 * (1.0 - r) * (1.0 - gamma), f1 * (1.0 - r) * gamma
-    return f0 + f1
 
 
 def session_prob(params: AnyParams, session: Session) -> float:

@@ -33,6 +33,7 @@ from .models import (
     PbmParams,
     UbmParams,
     resolve_params,
+    ubm_cells,
 )
 from .sessions import Intent, KNOWN_INTENTS, RelevanceJudgment, Session
 
@@ -128,11 +129,7 @@ def _base_truth(
     if config.model_kind == UBM:
         curve = _exam_curve(rng, n, *_DECAY_RANGES[intent])
         # Examination decays with distance from the last click.
-        beta = {
-            (l, i): float(curve[i - l - 1])
-            for l in range(0, n)
-            for i in range(l + 1, n + 1)
-        }
+        beta = {(l, i): float(curve[i - l - 1]) for l, i in ubm_cells(n)}
         return UbmParams(beta=beta, rel=rel, max_positions=n)
     if config.model_kind == DBN:
         sat = {key: float(rng.uniform(REL_LOW, REL_HIGH)) for key in rel}
@@ -206,9 +203,8 @@ def _sample_ubm(rng, params: UbmParams, r_mat: np.ndarray, s_mat) -> np.ndarray:
     n, length = r_mat.shape
     # Dense (prev click, position) lookup for vectorized row gathers.
     beta = np.zeros((length + 1, length + 1))
-    for l in range(0, length):
-        for i in range(l + 1, length + 1):
-            beta[l, i] = params.beta[(l, i)]
+    for l, i in ubm_cells(length):
+        beta[l, i] = params.beta[(l, i)]
     clicks = np.zeros((n, length), dtype=np.int8)
     last = np.zeros(n, dtype=np.int64)
     for i in range(1, length + 1):

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from intentclick.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run
 from intentclick.evaluate import load_report
 from intentclick.models import IntentAwareParams, load_params
@@ -183,6 +185,15 @@ class TestFitEvalCompare:
         code = run(["fit", "--model", "pbm", "--sessions", str(empty),
                     "--out", str(tmp_path / "p.json")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_non_positive_tol_is_a_data_error(self, tmp_path, tol):
+        sim = _simulate(tmp_path)
+        params = tmp_path / "p.json"
+        code = run(["fit", "--model", "pbm", "--sessions", str(sim / "sessions.jsonl"),
+                    "--out", str(params), "--tol", tol])
+        assert code == EXIT_DATA
+        assert not params.exists()
 
     def test_eval_with_undersized_params_is_a_data_error(self, tmp_path):
         sim = _simulate(tmp_path)  # 4 positions

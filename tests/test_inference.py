@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 import oracles
-from intentclick.inference import EmConfig, alternating_fit, em_fit, pbm_posteriors
-from intentclick.models import IntentAwareParams, resolve_params
+from intentclick.inference import EmConfig, alternating_fit, em_fit, factor_posterior
+from intentclick.models import (
+    CascadeParams,
+    DbnParams,
+    IntentAwareParams,
+    PbmParams,
+    UbmParams,
+    resolve_params,
+    session_log_likelihood,
+    ubm_cells,
+)
 from intentclick.sessions import Intent, Session
 from intentclick.simulate import SimConfig, generate_ground_truth, simulate_sessions
 
@@ -15,28 +24,34 @@ def _assert_monotone(trace, slack=1e-9):
     assert np.all(diffs >= -slack), f"trace decreased by {diffs.min()}"
 
 
+def _posteriors(gamma, r, clicked):
+    """(P(E=1 | C), P(R=1 | C)) at examination gamma and relevance r."""
+    return factor_posterior(gamma, r, clicked), factor_posterior(r, gamma, clicked)
+
+
 class TestPbmPosteriors:
     def test_click_pins_both_to_one(self):
-        assert pbm_posteriors(0.3, 0.8, True) == (1.0, 1.0)
+        assert _posteriors(0.3, 0.8, True) == (1.0, 1.0)
 
     def test_half_half_unclicked(self):
-        p_exam, p_rel = pbm_posteriors(0.5, 0.5, False)
+        p_exam, p_rel = _posteriors(0.5, 0.5, False)
         assert p_exam == pytest.approx(1 / 3)
         assert p_rel == pytest.approx(1 / 3)
 
     def test_certain_examination_means_irrelevant(self):
-        p_exam, p_rel = pbm_posteriors(1.0, 0.4, False)
+        p_exam, p_rel = _posteriors(1.0, 0.4, False)
         assert p_exam == pytest.approx(1.0)
         assert p_rel == pytest.approx(0.0)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            gamma, r = rng.uniform(0.01, 0.99, 2)
-            expected = oracles.pbm_unclicked_posteriors(gamma, r)
-            got = pbm_posteriors(gamma, r, False)
-            assert got == pytest.approx(expected, abs=1e-12)
-            assert 0.0 <= got[0] <= 1.0 and 0.0 <= got[1] <= 1.0
+        gammas, rels = rng.uniform(0.01, 0.99, (200, 2)).T
+        p_exam, p_rel = _posteriors(gammas, rels, np.zeros(200, dtype=bool))
+        for k in range(200):
+            expected = oracles.pbm_unclicked_posteriors(gammas[k], rels[k])
+            assert (p_exam[k], p_rel[k]) == pytest.approx(expected, abs=1e-12)
+        assert np.all((0.0 <= p_exam) & (p_exam <= 1.0))
+        assert np.all((0.0 <= p_rel) & (p_rel <= 1.0))
 
     def test_no_click_probability_identity(self):
         rng = np.random.default_rng(1)
@@ -48,7 +63,7 @@ class TestPbmPosteriors:
             )
 
     def test_degenerate_product_is_clamped(self):
-        p_exam, p_rel = pbm_posteriors(1.0, 1.0, False)
+        p_exam, p_rel = _posteriors(1.0, 1.0, False)
         assert np.isfinite(p_exam) and np.isfinite(p_rel)
 
 
@@ -121,7 +136,7 @@ class TestPbmSingleIteration:
         ]
         params, _ = em_fit("pbm", sessions, EmConfig(max_iters=1, tol=1e-15))
 
-        p_exam_u, p_rel_u = pbm_posteriors(0.5, 0.5, False)
+        p_exam_u, p_rel_u = map(float, _posteriors(0.5, 0.5, False))
         exam1 = (1.0 + 1.0 + p_exam_u) / (2.0 + 2.0)
         exam2 = (1.0 + 2.0 * p_exam_u) / (2.0 + 2.0)
         rel_a = (1.0 + 1.0 + p_rel_u) / (2.0 + 2.0)
@@ -375,10 +390,57 @@ class TestFitReportShape:
         assert not report.converged
         assert report.final_delta > 0
 
-    def test_uncovered_positions_stay_at_prior_mean(self, caplog):
+    @pytest.mark.parametrize("kind", ["pbm", "ubm"])
+    def test_uncovered_positions_stay_at_prior_mean(self, caplog, kind):
         sessions = [Session("s", "q", Intent.UNKNOWN, ("a", "b"), (1, 0))] * 30
         with caplog.at_level("WARNING"):
-            params, _ = em_fit("pbm", sessions, EmConfig(max_iters=40), max_positions=4)
-        assert params.exam[3] == 0.5
-        assert params.exam[4] == 0.5
+            params, _ = em_fit(kind, sessions, EmConfig(max_iters=40), max_positions=4)
+        if kind == "pbm":
+            uncovered = [params.exam[3], params.exam[4]]
+        else:
+            uncovered = [b for (l, i), b in params.beta.items() if i in (3, 4)]
+            assert len(uncovered) == 7
+        assert all(v == 0.5 for v in uncovered)
+        assert "no sessions cover positions [3, 4]" in caplog.text
         assert "prior mean" in caplog.text
+
+
+def _initial_params(kind, max_positions):
+    """The parameters EM starts from: every table at 0.5, DBN continuation 0.9."""
+    if kind == "pbm":
+        exam = dict.fromkeys(range(1, max_positions + 1), 0.5)
+        return PbmParams(exam=exam, rel={}, max_positions=max_positions)
+    if kind == "ubm":
+        beta = dict.fromkeys(ubm_cells(max_positions), 0.5)
+        return UbmParams(beta=beta, rel={}, max_positions=max_positions)
+    if kind == "dbn":
+        return DbnParams(rel={}, sat={}, gamma_cont=0.9)
+    return CascadeParams(rel={})
+
+
+def _no_prior(max_iters):
+    return EmConfig(max_iters=max_iters, tol=1e-15, prior_alpha=0.0, prior_beta=0.0)
+
+
+@pytest.mark.parametrize("kind", ["pbm", "ubm", "dbn", "cascade"])
+def test_loglik_trace_matches_per_session_log_likelihood(kind):
+    # The batched E-step and the per-session chain rule in models.py are
+    # separate routes to the same likelihood: for DBN, the batched
+    # forward-backward pass and the scalar forward pass. The second trace
+    # value, at the parameters after one M-step, also checks which
+    # examination cell each event uses.
+    _, simulated, _ = _simulate(kind, seed=33, queries=8, sessions_per_query=40, positions=5)
+    rng = np.random.default_rng(3)
+    sessions = []
+    for s in simulated:
+        n = int(rng.integers(1, len(s) + 1))
+        sessions.append(Session(s.session_id, s.query_id, s.intent, s.docs[:n], s.clicks[:n]))
+    if kind == "cascade":
+        sessions = [s for s in sessions if s.total_clicks <= 1]
+    one_step, _ = em_fit(kind, sessions, _no_prior(max_iters=1), max_positions=5)
+    _, report = em_fit(kind, sessions, _no_prior(max_iters=2), max_positions=5)
+    assert len(report.loglik_trace) == 2
+    for params, ll in zip((_initial_params(kind, 5), one_step), report.loglik_trace):
+        expected = sum(session_log_likelihood(kind, params, s) for s in sessions)
+        assert ll == pytest.approx(expected, abs=1e-9)
+

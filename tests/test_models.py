@@ -9,29 +9,30 @@ import pytest
 import oracles
 from intentclick.models import (
     CascadeParams,
-    CascadeStructureError,
     DbnParams,
     IntentAwareParams,
     ModelKindError,
     PbmParams,
     PositionRangeError,
     UbmParams,
-    cascade_session_prob,
-    dbn_session_prob,
     ia_dispatch,
     load_params,
-    pbm_click_prob,
     save_params,
     session_log_likelihood,
     session_prob,
-    ubm_click_prob,
 )
 from intentclick.sessions import Intent, KNOWN_INTENTS, Session
 
 
-def _session(clicks, query="q1", intent=Intent.UNKNOWN):
-    docs = tuple(f"d{i}" for i in range(1, len(clicks) + 1))
+def _session(clicks, query="q1", intent=Intent.UNKNOWN, docs=None):
+    if docs is None:
+        docs = tuple(f"d{i}" for i in range(1, len(clicks) + 1))
     return Session("s", query, intent, docs, tuple(clicks))
+
+
+def _click_prob(params, doc="d1"):
+    """P(C_1 = 1): the probability of a one-position session with a click."""
+    return session_prob(params, _session((1,), docs=(doc,)))
 
 
 def _pbm(gammas, rels, query="q1"):
@@ -70,30 +71,26 @@ def _random_beta(rng, n):
 class TestPbm:
     def test_click_prob_is_exam_times_relevance(self):
         params = _pbm([0.5], [0.4])
-        assert pbm_click_prob(params, "q1", "d1", 1) == pytest.approx(0.2)
+        assert _click_prob(params) == pytest.approx(0.2)
 
     def test_full_examination(self):
         params = _pbm([1.0], [0.73])
-        assert pbm_click_prob(params, "q1", "d1", 1) == pytest.approx(0.73)
+        assert _click_prob(params) == pytest.approx(0.73)
 
     def test_irrelevant_doc_never_clicked(self):
         params = _pbm([0.9], [0.0])
-        assert pbm_click_prob(params, "q1", "d1", 1) == 0.0
+        assert _click_prob(params) == 0.0
 
     def test_position_out_of_range(self):
         params = _pbm([0.9], [0.5])
         with pytest.raises(PositionRangeError):
-            pbm_click_prob(params, "q1", "d1", 2)
+            session_prob(params, _session((0, 1)))
 
     def test_monotone_in_relevance_and_examination(self):
         for r1, r2 in [(0.1, 0.2), (0.4, 0.9)]:
-            assert pbm_click_prob(_pbm([0.7], [r1]), "q1", "d1", 1) < pbm_click_prob(
-                _pbm([0.7], [r2]), "q1", "d1", 1
-            )
+            assert _click_prob(_pbm([0.7], [r1])) < _click_prob(_pbm([0.7], [r2]))
         for g1, g2 in [(0.1, 0.3), (0.5, 0.96)]:
-            assert pbm_click_prob(_pbm([g1], [0.5]), "q1", "d1", 1) < pbm_click_prob(
-                _pbm([g2], [0.5]), "q1", "d1", 1
-            )
+            assert _click_prob(_pbm([g1], [0.5])) < _click_prob(_pbm([g2], [0.5]))
 
     def test_session_prob_matches_latent_enumeration(self):
         rng = np.random.default_rng(0)
@@ -109,23 +106,22 @@ class TestPbm:
 
     def test_unseen_pair_defaults_to_half(self):
         params = _pbm([0.8], [0.3])
-        assert pbm_click_prob(params, "q1", "new-doc", 1) == pytest.approx(0.4)
+        assert _click_prob(params, "new-doc") == pytest.approx(0.4)
 
 
 class TestCascade:
     def test_single_click_product(self):
         params = _cascade([0.2, 0.3, 0.5])
-        prob = cascade_session_prob(params, _session((0, 0, 1)))
+        prob = session_prob(params, _session((0, 0, 1)))
         assert prob == pytest.approx(0.8 * 0.7 * 0.5)
 
     def test_no_click_product(self):
         params = _cascade([0.2, 0.3])
-        assert cascade_session_prob(params, _session((0, 0))) == pytest.approx(0.8 * 0.7)
+        assert session_prob(params, _session((0, 0))) == pytest.approx(0.8 * 0.7)
 
     def test_multiple_clicks_are_structurally_impossible(self):
         params = _cascade([0.2, 0.3, 0.5])
-        with pytest.raises(CascadeStructureError):
-            cascade_session_prob(params, _session((1, 1, 0)))
+        assert session_prob(params, _session((1, 1, 0))) == 0.0
 
     def test_session_prob_matches_chain_enumeration(self):
         rng = np.random.default_rng(1)
@@ -143,17 +139,10 @@ class TestUbm:
     def test_click_prob_uses_transition_cell(self):
         beta = _random_beta(np.random.default_rng(2), 4)
         params = _ubm(beta, [0.5, 0.5, 0.5, 0.7])
-        assert ubm_click_prob(params, "q1", "d1", 1, 0) == pytest.approx(
-            beta[(0, 1)] * 0.5
-        )
-        assert ubm_click_prob(params, "q1", "d4", 4, 2) == pytest.approx(
-            beta[(2, 4)] * 0.7
-        )
-
-    def test_prev_click_must_precede_position(self):
-        params = _ubm(_random_beta(np.random.default_rng(3), 2), [0.5, 0.5])
-        with pytest.raises(ValueError):
-            ubm_click_prob(params, "q1", "d1", 1, 1)
+        no_clicks = params.conditional_click_probs(_session((0, 0, 0, 0)))
+        assert no_clicks[0] == pytest.approx(beta[(0, 1)] * 0.5)
+        after_second = params.conditional_click_probs(_session((0, 1, 0, 0)))
+        assert after_second[3] == pytest.approx(beta[(2, 4)] * 0.7)
 
     def test_zero_relevance_pins_all_mass_on_no_clicks(self):
         beta = _random_beta(np.random.default_rng(4), 3)
@@ -176,12 +165,12 @@ class TestUbm:
 class TestDbn:
     def test_certain_click_then_certain_satisfaction(self):
         params = _dbn([1.0, 0.5, 0.5], [1.0, 0.5, 0.5], gamma=0.7)
-        assert dbn_session_prob(params, _session((1, 0, 0))) == pytest.approx(1.0)
+        assert session_prob(params, _session((1, 0, 0))) == pytest.approx(1.0)
 
     def test_zero_continuation_kills_later_clicks(self):
         params = _dbn([0.5, 0.5, 0.5], [0.5, 0.5, 0.5], gamma=0.0)
-        assert dbn_session_prob(params, _session((0, 1, 0))) == 0.0
-        assert dbn_session_prob(params, _session((1, 0, 1))) == 0.0
+        assert session_prob(params, _session((0, 1, 0))) == 0.0
+        assert session_prob(params, _session((1, 0, 1))) == 0.0
 
     def test_all_click_vectors_sum_to_one(self):
         rng = np.random.default_rng(6)
@@ -189,7 +178,7 @@ class TestDbn:
         sats = rng.uniform(0.05, 0.95, 3)
         params = _dbn(rels, sats, gamma=0.83)
         total = sum(
-            dbn_session_prob(params, _session(clicks))
+            session_prob(params, _session(clicks))
             for clicks in itertools.product((0, 1), repeat=3)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -203,7 +192,7 @@ class TestDbn:
             params = _dbn(rels, sats, gamma)
             for clicks in itertools.product((0, 1), repeat=3):
                 expected = oracles.dbn_session_prob(rels, sats, gamma, clicks)
-                assert dbn_session_prob(params, _session(clicks)) == pytest.approx(
+                assert session_prob(params, _session(clicks)) == pytest.approx(
                     expected, abs=1e-12
                 )
 
@@ -297,7 +286,7 @@ class TestExaminationHypothesis:
     def test_conditional_click_given_exam_equals_relevance(self):
         # PBM with certain examination reduces to the bare relevance.
         params = _pbm([1.0], [0.37])
-        assert pbm_click_prob(params, "q1", "d1", 1) == pytest.approx(0.37)
+        assert _click_prob(params) == pytest.approx(0.37)
 
 
 class TestIntentAware:
