@@ -15,19 +15,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DataError
-from .models import AnyParams, PROB_CLAMP, resolve_params
-from .sessions import Intent, RelevanceJudgment, Session
+from .models import AnyParams, PROB_CLAMP, clamp_probability, click_probs, resolve_params
+from .sessions import Intent, RelevanceJudgment, Session, encode_sessions
 
 DEFAULT_K_LIST = (1, 3, 5, 7, 10)
 
 
 class ComparabilityError(DataError):
     """Two reports were not evaluated on the same data, so cells don't align."""
-
-
-def _clamp(q: float) -> float:
-    return min(max(q, PROB_CLAMP), 1.0 - PROB_CLAMP)
 
 
 def position_perplexity(predictions: Sequence[float], clicks: Sequence[int]) -> float:
@@ -42,7 +40,7 @@ def position_perplexity(predictions: Sequence[float], clicks: Sequence[int]) -> 
         raise ValueError("no sessions cover this position")
     total = 0.0
     for q, c in zip(predictions, clicks):
-        q = _clamp(q)
+        q = clamp_probability(q)
         total += math.log2(q) if c else math.log2(1.0 - q)
     return 2.0 ** (-total / len(predictions))
 
@@ -141,28 +139,22 @@ def perplexity_report(
     """
     if not sessions:
         raise ValueError("no sessions to evaluate")
-    max_len = max(len(s) for s in sessions)
-    sums = [0.0] * max_len
-    counts = [0] * max_len
-    queries = set()
-    for s in sessions:
-        queries.add(s.query_id)
-        probs = resolve_params(params, s.intent).conditional_click_probs(s)
-        for j, (q, c) in enumerate(zip(probs, s.clicks)):
-            q = _clamp(q)
-            sums[j] += math.log2(q) if c else math.log2(1.0 - q)
-            counts[j] += 1
-    per_position = [
-        2.0 ** (-sums[j] / counts[j]) for j in range(max_len) if counts[j] > 0
-    ]
-    position_counts = [c for c in counts if c > 0]
-    overall = sum(per_position) / len(per_position)
+    batch = encode_sessions(sessions)
+    if batch.width == 0:
+        raise DataError("no session shows any document, so there is nothing to evaluate")
+    q = np.clip(click_probs(params, batch), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    log_loss = np.where(batch.clicks > 0, np.log2(q), np.log2(1.0 - q))
+    valid = batch.valid
+    # Column sums add the sessions in order, one position at a time.
+    sums = np.where(valid, log_loss, 0.0).sum(axis=0).tolist()
+    position_counts = valid.sum(axis=0).tolist()
+    per_position = [2.0 ** (-s / n) for s, n in zip(sums, position_counts)]
     return EvalReport(
         per_position=per_position,
         position_counts=position_counts,
-        overall=overall,
+        overall=sum(per_position) / len(per_position),
         n_sessions=len(sessions),
-        n_queries=len(queries),
+        n_queries=len({s.query_id for s in sessions}),
         label=label,
     )
 
@@ -246,22 +238,6 @@ def ndcg_for_scores(
     return {k: totals[k] / counted for k in k_list}, counted
 
 
-def ndcg_report(
-    params: AnyParams,
-    judgments: Sequence[RelevanceJudgment],
-    k_list: Sequence[int] = DEFAULT_K_LIST,
-    query_intents: Mapping[str, Intent] | None = None,
-) -> tuple[dict[int, float], int]:
-    """Mean NDCG@K of ranking by a fitted model's relevance estimates."""
-    intents = query_intents or {}
-
-    def score(query_id: str, doc_id: str) -> float:
-        base = resolve_params(params, intents.get(query_id, Intent.UNKNOWN))
-        return base.relevance_estimate(query_id, doc_id)
-
-    return ndcg_for_scores(score, judgments, k_list)
-
-
 def evaluate_model(
     params: AnyParams,
     sessions: Sequence[Session],
@@ -279,6 +255,8 @@ def evaluate_model(
     if judgments:
         score = mixture_relevance_scorer(params, sessions)
         report.ndcg, report.ndcg_queries = ndcg_for_scores(score, judgments, k_list)
+        if report.ndcg_queries == 0:
+            raise DataError("every judged query has only zero grades, so NDCG is undefined")
     return report
 
 
@@ -316,24 +294,6 @@ def mixture_relevance_scorer(
         )
 
     return score
-
-
-def query_intents_from_sessions(sessions: Iterable[Session]) -> dict[str, Intent]:
-    """Majority intent per query (first-seen wins ties)."""
-    votes: dict[str, dict[Intent, int]] = {}
-    order: dict[str, list[Intent]] = {}
-    for s in sessions:
-        votes.setdefault(s.query_id, {})
-        votes[s.query_id][s.intent] = votes[s.query_id].get(s.intent, 0) + 1
-        order.setdefault(s.query_id, []).append(s.intent)
-    out = {}
-    for query_id, counts in votes.items():
-        best = max(counts.values())
-        for intent in order[query_id]:
-            if counts[intent] == best:
-                out[query_id] = intent
-                break
-    return out
 
 
 @dataclass

@@ -1,18 +1,18 @@
 """EM parameter estimation for click models from session logs.
 
 Every Bernoulli parameter is updated as a smoothed posterior mean:
-(alpha + expected successes) / (alpha + beta + expected trials). The
-E-step is vectorized over flattened (session, position) events.
+(alpha + expected successes) / (alpha + beta + expected trials). Sessions
+are encoded once into a SessionBatch; the E-step is vectorized over its
+(session, position) events.
 
 PBM and UBM share one E/M step through the exam-cell factorisation
 P(C=1) = exam[cell] * rel[(query, doc)]: they differ only in which
-examination cell an event uses, its position for PBM or its (last click,
-position) cell for UBM. DBN uses a forward-backward pass over the
-examination chain, batched across sessions of equal length; it must agree
-with the scalar forward pass in ``DbnParams.conditional_click_probs``,
-which evaluation uses. Intent-aware fits partition sessions by their
-intent label into independent estimation problems, so the ascent property
-of EM holds for the summed log-likelihood.
+examination cell an event uses, which their params class defines. DBN uses
+a forward-backward pass over the examination chain, batched across
+sessions of equal length; its forward half is ``models.dbn_forward``, the
+same recursion evaluation runs. Intent-aware fits partition sessions by
+their intent label into independent estimation problems, so the ascent
+property of EM holds for the summed log-likelihood.
 
 The alternating fit mirrors the two-phase scheme for intent-aware models:
 Phase A updates relevance-side parameters with the examination tables
@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DataError, NumericError
 from .models import (
     CASCADE,
     DBN,
@@ -42,10 +42,12 @@ from .models import (
     IntentAwareParams,
     PbmParams,
     UbmParams,
+    dbn_forward,
+    last_click,
     resolve_params,
-    ubm_cells,
+    table_values,
 )
-from .sessions import Intent, KNOWN_INTENTS, Session
+from .sessions import Intent, KNOWN_INTENTS, Session, SessionBatch, encode_sessions
 
 logger = logging.getLogger(__name__)
 
@@ -173,67 +175,43 @@ def _prior_bonus(cfg: EmConfig, arrays) -> float:
     return total
 
 
-class _PairVocab:
-    """First-seen indexing of (query_id, doc_id) pairs."""
+def _first_seen(keys: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
+    """Renumber pair codes 0..k-1 in the order the events first show them.
 
-    def __init__(self):
-        self.index: dict[tuple[str, str], int] = {}
+    Returns the fitter's own key list and its event codes. Tables keep this
+    order, and the prior terms of the objective are summed in it.
+    """
+    uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return [keys[k] for k in uniq[order]], np.argsort(order)[inverse]
 
-    def get(self, key: tuple[str, str]) -> int:
-        return self.index.setdefault(key, len(self.index))
 
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def table(self, values: np.ndarray) -> dict[tuple[str, str], float]:
-        return {key: float(values[idx]) for key, idx in self.index.items()}
-
-    def seed(self, values: np.ndarray, table: dict) -> None:
-        for key, idx in self.index.items():
-            values[idx] = table.get(key, INIT_PROB)
+def _table(keys: list, values: np.ndarray) -> dict:
+    return dict(zip(keys, values.tolist()))
 
 
 class _ExamRelFitter:
     """The one E/M step for the exam-cell factorisation
     P(C=1) = exam[cell] * rel[(query, doc)], shared by PBM and UBM.
 
-    A subclass supplies only its examination-cell layout: ``cells_for(n)``
-    lists the table keys in order, ``cell_key(last, pos)`` names the cell
-    of an event at 1-based ``pos`` after a last click at ``last`` (0 for
-    none), and ``params_cls``/``exam_field`` name the table it fills. The
-    observed click history fixes each event's cell, so cells are looked up
-    once, at build time, in a (last click, position) table.
+    A subclass names only ``params_cls``, whose ``cells_for``, ``cell_index``
+    and ``exam_field`` give the examination-cell layout and the table it
+    fills.
     """
 
     families = ALL_FAMILIES
     params_cls: type
-    exam_field: str
 
-    def __init__(self, sessions: Sequence[Session], max_positions: int):
+    def __init__(self, batch: SessionBatch, max_positions: int):
         self.max_positions = max_positions
-        self.cells = self.cells_for(max_positions)
-        index = {key: k for k, key in enumerate(self.cells)}
-        lookup = [
-            [index.get(self.cell_key(last, pos), -1) for pos in range(max_positions + 1)]
-            for last in range(max_positions + 1)
-        ]
-        self.vocab = _PairVocab()
-        cell, pair, clicks = [], [], []
-        for s in sessions:
-            row = lookup[0]
-            for pos, (doc, c) in enumerate(zip(s.docs, s.clicks), start=1):
-                cell.append(row[pos])
-                pair.append(self.vocab.get((s.query_id, doc)))
-                clicks.append(c)
-                if c:
-                    row = lookup[pos]
-        self.cell = np.asarray(cell, dtype=np.int64)
-        self.pair = np.asarray(pair, dtype=np.int64)
-        self.clicked = np.flatnonzero(clicks)
+        self.cells = self.params_cls.cells_for(max_positions)
+        valid = batch.valid
+        self.cell = self.params_cls.cell_index(batch, max_positions)[valid]
+        self.keys, self.pair = _first_seen(batch.keys, batch.pair[valid])
+        self.clicked = np.flatnonzero(batch.clicks[valid])
         self.exam_trials = np.bincount(self.cell, minlength=len(self.cells)).astype(np.float64)
-        self.rel_trials = np.bincount(self.pair, minlength=len(self.vocab)).astype(np.float64)
-        deepest = max(map(len, sessions), default=0)
-        uncovered = list(range(deepest + 1, max_positions + 1))
+        self.rel_trials = np.bincount(self.pair, minlength=len(self.keys)).astype(np.float64)
+        uncovered = list(range(batch.width + 1, max_positions + 1))
         if uncovered:
             logger.warning(
                 "no sessions cover positions %s; their examination stays at the prior mean",
@@ -243,14 +221,13 @@ class _ExamRelFitter:
     def init_state(self, rng: np.random.Generator, jitter: float) -> dict:
         return {
             "exam": _init_table(len(self.cells), rng, jitter),
-            "rel": _init_table(len(self.vocab), rng, jitter),
+            "rel": _init_table(len(self.keys), rng, jitter),
         }
 
     def seed_state(self, state: dict, params: BaseParams) -> None:
-        table = getattr(params, self.exam_field)
-        for k, key in enumerate(self.cells):
-            state["exam"][k] = table.get(key, INIT_PROB)
-        self.vocab.seed(state["rel"], params.rel)
+        exam = getattr(params, self.params_cls.exam_field)
+        state["exam"] = table_values(exam, self.cells, INIT_PROB)
+        state["rel"] = table_values(params.rel, self.keys, INIT_PROB)
 
     def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
         g = state["exam"][self.cell]
@@ -270,42 +247,24 @@ class _ExamRelFitter:
         return ll, delta
 
     def make_params(self, state: dict) -> BaseParams:
-        exam = {key: float(v) for key, v in zip(self.cells, state["exam"])}
         return self.params_cls(
-            **{self.exam_field: exam},
-            rel=self.vocab.table(state["rel"]),
+            _table(self.cells, state["exam"]),
+            rel=_table(self.keys, state["rel"]),
             max_positions=self.max_positions,
         )
 
     @classmethod
     def empty_params(cls, max_positions: int) -> BaseParams:
-        exam = dict.fromkeys(cls.cells_for(max_positions), INIT_PROB)
-        return cls.params_cls(**{cls.exam_field: exam}, rel={}, max_positions=max_positions)
+        exam = dict.fromkeys(cls.params_cls.cells_for(max_positions), INIT_PROB)
+        return cls.params_cls(exam, rel={}, max_positions=max_positions)
 
 
 class _PbmLayout(_ExamRelFitter):
-    """PBM: one examination cell per position, whatever was clicked before."""
-
-    params_cls, exam_field = PbmParams, "exam"
-
-    @staticmethod
-    def cells_for(max_positions: int) -> list[int]:
-        return list(range(1, max_positions + 1))
-
-    @staticmethod
-    def cell_key(last: int, pos: int) -> int:
-        return pos
+    params_cls = PbmParams
 
 
 class _UbmLayout(_ExamRelFitter):
-    """UBM: one examination cell per (last click, position) pair."""
-
-    params_cls, exam_field = UbmParams, "beta"
-    cells_for = staticmethod(ubm_cells)
-
-    @staticmethod
-    def cell_key(last: int, pos: int) -> tuple[int, int]:
-        return (last, pos)
+    params_cls = UbmParams
 
 
 class _CascadeFitter:
@@ -319,23 +278,15 @@ class _CascadeFitter:
 
     families = frozenset((REL_SIDE,))
 
-    def __init__(self, sessions: Sequence[Session], max_positions: int):
-        self.vocab = _PairVocab()
-        pair, clicks = [], []
-        self.n_impossible = 0
-        for s in sessions:
-            if s.total_clicks > 1:
-                self.n_impossible += 1
-                continue
-            for doc, c in zip(s.docs, s.clicks):
-                pair.append(self.vocab.get((s.query_id, doc)))
-                clicks.append(c)
-                if c:
-                    break
-        self.pair = np.asarray(pair, dtype=np.int64)
-        self.clicks = np.asarray(clicks, dtype=np.float64)
+    def __init__(self, batch: SessionBatch, max_positions: int):
+        possible = batch.clicks.sum(axis=1) <= 1
+        self.n_impossible = int(np.count_nonzero(~possible))
+        # A doc is examined up to and including the session's first click.
+        events = batch.valid & (last_click(batch.clicks) == 0) & possible[:, None]
+        self.keys, self.pair = _first_seen(batch.keys, batch.pair[events])
+        self.clicks = batch.clicks[events].astype(np.float64)
         self.clicked = np.flatnonzero(self.clicks)
-        self.rel_trials = np.bincount(self.pair, minlength=len(self.vocab)).astype(np.float64)
+        self.rel_trials = np.bincount(self.pair, minlength=len(self.keys)).astype(np.float64)
         if self.n_impossible:
             logger.warning(
                 "%d sessions have multiple clicks and are impossible under the "
@@ -344,10 +295,10 @@ class _CascadeFitter:
             )
 
     def init_state(self, rng: np.random.Generator, jitter: float) -> dict:
-        return {"rel": _init_table(len(self.vocab), rng, jitter)}
+        return {"rel": _init_table(len(self.keys), rng, jitter)}
 
     def seed_state(self, state: dict, params: BaseParams) -> None:
-        self.vocab.seed(state["rel"], params.rel)
+        state["rel"] = table_values(params.rel, self.keys, INIT_PROB)
 
     def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
         r = state["rel"][self.pair]
@@ -361,7 +312,7 @@ class _CascadeFitter:
         return ll, delta
 
     def make_params(self, state: dict) -> CascadeParams:
-        return CascadeParams(rel=self.vocab.table(state["rel"]))
+        return CascadeParams(rel=_table(self.keys, state["rel"]))
 
     @staticmethod
     def empty_params(max_positions: int) -> CascadeParams:
@@ -374,34 +325,25 @@ class _DbnFitter:
 
     families = ALL_FAMILIES
 
-    def __init__(self, sessions: Sequence[Session], max_positions: int):
-        self.vocab = _PairVocab()
-        by_length: dict[int, list[Session]] = {}
-        for s in sessions:
-            if len(s) == 0:
-                continue
-            by_length.setdefault(len(s), []).append(s)
-        self.groups = []
-        for length in sorted(by_length):
-            members = by_length[length]
-            pair = np.empty((len(members), length), dtype=np.int64)
-            clicks = np.empty((len(members), length), dtype=np.float64)
-            for row, s in enumerate(members):
-                for t, (doc, c) in enumerate(zip(s.docs, s.clicks)):
-                    pair[row, t] = self.vocab.get((s.query_id, doc))
-                    clicks[row, t] = c
-            self.groups.append((pair, clicks))
-        n_pairs = len(self.vocab)
+    def __init__(self, batch: SessionBatch, max_positions: int):
+        # Groups run shortest first; the pair tables follow their event order.
+        by_length = np.argsort(batch.lengths, kind="stable")
+        batch = batch.take(by_length[batch.lengths[by_length] > 0])
+        valid = batch.valid
+        self.keys, codes = _first_seen(batch.keys, batch.pair[valid])
+        pair = np.zeros_like(batch.pair)
+        pair[valid] = codes
+        clicked = batch.clicks > 0
+        self.groups = [
+            (pair[batch.lengths == n, :n], clicked[batch.lengths == n, :n])
+            for n in np.unique(batch.lengths).tolist()
+        ]
         # Clicks imply examination, so click counts are fixed statistics:
         # the relevance successes and the satisfaction trials.
-        self.click_counts = np.zeros(n_pairs)
-        for pair, clicks in self.groups:
-            self.click_counts += np.bincount(
-                pair.ravel(), weights=clicks.ravel(), minlength=n_pairs
-            )
+        self.click_counts = np.bincount(codes, weights=clicked[valid], minlength=len(self.keys))
 
     def init_state(self, rng: np.random.Generator, jitter: float) -> dict:
-        n = len(self.vocab)
+        n = len(self.keys)
         state = {
             "rel": _init_table(n, rng, jitter),
             "sat": _init_table(n, rng, jitter),
@@ -413,31 +355,16 @@ class _DbnFitter:
         return state
 
     def seed_state(self, state: dict, params: BaseParams) -> None:
-        self.vocab.seed(state["rel"], params.rel)
-        self.vocab.seed(state["sat"], params.sat)
+        state["rel"] = table_values(params.rel, self.keys, INIT_PROB)
+        state["sat"] = table_values(params.sat, self.keys, INIT_PROB)
         state["gamma"] = params.gamma_cont
 
-    def _forward_backward(self, pair, clicks, state):
-        n, length = pair.shape
+    def _forward_backward(self, pair, c, state):
         r = state["rel"][pair]
         s = state["sat"][pair]
-        g = state["gamma"]
-        c = clicks > 0.5
-
-        # stay[t] = P(E_{t+1}=1 | E_t=1, c_t); halt is the complement mass
-        # that lands on E_{t+1}=0 while still emitting c_t from E_t=1.
+        a0, a1, stay, halt = dbn_forward(r, s, c, state["gamma"])
         emit1 = np.where(c, r, 1.0 - r)
-        stay = np.where(c, r * (1.0 - s) * g, (1.0 - r) * g)
-        halt = np.where(c, r * (s + (1.0 - s) * (1.0 - g)), (1.0 - r) * (1.0 - g))
-
-        a0 = np.zeros((n, length))
-        a1 = np.zeros((n, length))
-        a1[:, 0] = 1.0
-        for t in range(length - 1):
-            # E=0 emits only non-clicks; clicks zero out the E=0 branch.
-            a0[:, t + 1] = np.where(c[:, t], 0.0, a0[:, t]) + a1[:, t] * halt[:, t]
-            a1[:, t + 1] = a1[:, t] * stay[:, t]
-
+        n, length = pair.shape
         b0 = np.zeros((n, length))
         b1 = np.zeros((n, length))
         b1[:, -1] = emit1[:, -1]
@@ -447,18 +374,18 @@ class _DbnFitter:
             b0[:, t] = np.where(c[:, t], 0.0, b0[:, t + 1])
 
         evidence = np.maximum(b1[:, 0], PROB_CLAMP)
-        return r, s, c, a0, a1, b0, b1, evidence
+        return r, s, a0, a1, b0, b1, evidence
 
     def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
-        n_pairs = len(self.vocab)
+        n_pairs = len(self.keys)
         rel_trials = np.zeros(n_pairs)
         sat_succ = np.zeros(n_pairs)
         gamma_succ = 0.0
         gamma_trials = 0.0
         ll = _prior_bonus(cfg, (state["rel"], state["sat"], state["gamma"]))
         g = state["gamma"]
-        for pair, clicks in self.groups:
-            r, s, c, a0, a1, b0, b1, evidence = self._forward_backward(pair, clicks, state)
+        for pair, c in self.groups:
+            r, s, a0, a1, b0, b1, evidence = self._forward_backward(pair, c, state)
             ll += _sum_ll(np.log(evidence))
             length = pair.shape[1]
 
@@ -491,8 +418,8 @@ class _DbnFitter:
 
     def make_params(self, state: dict) -> DbnParams:
         return DbnParams(
-            rel=self.vocab.table(state["rel"]),
-            sat=self.vocab.table(state["sat"]),
+            rel=_table(self.keys, state["rel"]),
+            sat=_table(self.keys, state["sat"]),
             gamma_cont=float(state["gamma"]),
         )
 
@@ -521,38 +448,30 @@ class _FitProblem:
         sessions = list(sessions)
         if not sessions:
             raise ValueError("cannot fit on an empty session set")
-        observed = max((len(s) for s in sessions), default=0)
-        self.max_positions = max_positions if max_positions is not None else observed
-        if observed > self.max_positions:
+        batch = encode_sessions(sessions)
+        if batch.width == 0:
+            raise DataError("no session shows any document, so there is nothing to fit")
+        self.max_positions = max_positions if max_positions is not None else batch.width
+        if batch.width > self.max_positions:
             raise ValueError(
-                f"sessions reach position {observed} > max_positions {self.max_positions}"
+                f"sessions reach position {batch.width} > max_positions {self.max_positions}"
             )
-        self.model_kind = model_kind
         self.intent_aware = intent_aware
         self.config = config
         fitter_cls = _FITTERS[model_kind]
         rng = np.random.default_rng(config.seed)
 
-        self.partitions: dict[Intent | None, tuple] = {}
         if intent_aware:
-            buckets: dict[Intent, list[Session]] = {}
-            for s in sessions:
-                buckets.setdefault(s.intent, []).append(s)
-            for intent in (*KNOWN_INTENTS, Intent.UNKNOWN):
-                members = buckets.get(intent, [])
-                if not members:
-                    continue
-                fitter = fitter_cls(members, self.max_positions)
-                state = fitter.init_state(rng, config.init_jitter)
-                if init_params is not None:
-                    fitter.seed_state(state, resolve_params(init_params, intent))
-                self.partitions[intent] = (fitter, state)
+            parts = [(intent, batch.take(rows)) for intent, rows in batch.by_intent()]
         else:
-            fitter = fitter_cls(sessions, self.max_positions)
+            parts = [(None, batch)]
+        self.partitions: dict[Intent | None, tuple] = {}
+        for intent, part in parts:
+            fitter = fitter_cls(part, self.max_positions)
             state = fitter.init_state(rng, config.init_jitter)
             if init_params is not None:
-                fitter.seed_state(state, resolve_params(init_params))
-            self.partitions[None] = (fitter, state)
+                fitter.seed_state(state, resolve_params(init_params, intent or Intent.UNKNOWN))
+            self.partitions[intent] = (fitter, state)
         self.fitter_cls = fitter_cls
 
     @property

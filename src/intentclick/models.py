@@ -2,11 +2,12 @@
 
 Four model families are parameterized here: the position-based model (PBM),
 the cascade model, the user browsing model (UBM), and the dynamic Bayesian
-network model (DBN). Each exposes one routine, ``conditional_click_probs``,
-for the per-position click probability conditioned on the clicks observed
-earlier in the session; session probabilities, log-likelihoods and
-perplexity all follow from it by the chain rule. Intent-aware variants
-replicate a base parameter set per intent label.
+network model (DBN). Each defines one routine, ``click_probs``, for
+P(C_i = 1 | earlier clicks) in every cell of a SessionBatch; session
+probabilities, log-likelihoods and perplexity follow from it by the chain
+rule. PBM and UBM share it and differ only in their examination cells.
+``dbn_forward`` is the one DBN recursion; the EM fitter runs it too.
+Intent-aware variants replicate a base parameter set per intent label.
 """
 
 from __future__ import annotations
@@ -14,10 +15,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from functools import lru_cache
+from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import DataError
-from .sessions import Intent, KNOWN_INTENTS, Session
+from .sessions import Intent, KNOWN_INTENTS, Session, SessionBatch, encode_sessions
 
 PROB_CLAMP = 1e-12
 DEFAULT_REL = 0.5  # uninformative prior mean for unseen (query, doc) pairs
@@ -53,13 +57,112 @@ def ubm_cells(max_positions: int) -> list[tuple[int, int]]:
     return [(l, i) for l in range(max_positions) for i in range(l + 1, max_positions + 1)]
 
 
+def table_values(table: Mapping, keys: Sequence, default: float = DEFAULT_REL) -> np.ndarray:
+    """The table's value for each key, in key order; missing keys read default."""
+    return np.array([table.get(key, default) for key in keys], dtype=np.float64)
+
+
+def last_click(clicks: np.ndarray) -> np.ndarray:
+    """1-based position of the last click before each cell of a (session,
+    position) click matrix; 0 where no earlier click."""
+    clicked_at = np.where(clicks > 0, np.arange(1, clicks.shape[1] + 1), 0)
+    last = np.zeros_like(clicked_at)
+    last[:, 1:] = np.maximum.accumulate(clicked_at, axis=1)[:, :-1]
+    return last
+
+
+def dbn_forward(r: np.ndarray, s: np.ndarray, clicked: np.ndarray, gamma: float):
+    """Forward pass of the DBN examination chain given observed clicks.
+
+    r, s and clicked are (session, position) arrays of relevance,
+    satisfaction and click outcomes. Returns (a0, a1, stay, halt):
+    a0[:, t] and a1[:, t] are P(clicks before t, E_t = 0 / 1), with the
+    first position always examined; stay[:, t] is the mass that moves from
+    E_t=1 to E_{t+1}=1 while emitting c_t, and halt the mass that lands on
+    E_{t+1}=0 instead.
+    """
+    stay = np.where(clicked, r * (1.0 - s) * gamma, (1.0 - r) * gamma)
+    halt = np.where(clicked, r * (s + (1.0 - s) * (1.0 - gamma)), (1.0 - r) * (1.0 - gamma))
+    a0 = np.zeros(r.shape)
+    a1 = np.zeros(r.shape)
+    a1[:, :1] = 1.0
+    for t in range(r.shape[1] - 1):
+        # E=0 emits only non-clicks; clicks zero out the E=0 branch.
+        a0[:, t + 1] = np.where(clicked[:, t], 0.0, a0[:, t]) + a1[:, t] * halt[:, t]
+        a1[:, t + 1] = a1[:, t] * stay[:, t]
+    return a0, a1, stay, halt
+
+
 def _check_unit(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _check_table(name: str, table: Mapping) -> None:
+    for key, value in table.items():
+        _check_unit(f"{name}[{key}]", value)
+
+
+class _TableParams:
+    """What every base parameter set shares: a relevance table over
+    (query, doc) pairs and the one-session view of ``click_probs``."""
+
+    def relevance(self, query_id: str, doc_id: str) -> float:
+        return self.rel.get((query_id, doc_id), DEFAULT_REL)
+
+    relevance_estimate = relevance
+
+    def conditional_click_probs(self, session: Session) -> list[float]:
+        """P(C_i = 1 | earlier clicks) per position of one session."""
+        return self.click_probs(encode_sessions([session]))[0].tolist()
+
+
+@lru_cache(maxsize=None)
+def _cell_lookup(params_cls: type, max_positions: int) -> np.ndarray:
+    """(last click, position) -> index into cells_for(max_positions); cached, so read-only."""
+    index = {key: k for k, key in enumerate(params_cls.cells_for(max_positions))}
+    span = range(max_positions + 1)
+    lookup = np.array([[index.get(params_cls.cell_key(l, i), -1) for i in span] for l in span])
+    lookup.flags.writeable = False
+    return lookup
+
+
+class _ExamRelParams(_TableParams):
+    """PBM and UBM: P(C_i = 1 | earlier clicks) = exam[cell] * rel[(query, doc)].
+
+    A subclass names its examination cells: ``cells_for(n)`` lists the table
+    keys in order, ``cell_key(last, pos)`` is the cell of 1-based position
+    ``pos`` after a last click at ``last`` (0 for none), and ``exam_field``
+    is the attribute that holds the table.
+    """
+
+    def __post_init__(self):
+        exam = getattr(self, self.exam_field)
+        for key in self.cells_for(self.max_positions):
+            if key not in exam:
+                raise ValueError(f"{self.exam_field} table missing cell {key}")
+        _check_table(self.exam_field, exam)
+        _check_table("rel", self.rel)
+
+    @classmethod
+    def cell_index(cls, batch: SessionBatch, max_positions: int) -> np.ndarray:
+        """Each cell's index into cells_for(max_positions); the observed click
+        history fixes it."""
+        positions = np.arange(1, batch.width + 1)
+        return _cell_lookup(cls, max_positions)[last_click(batch.clicks), positions]
+
+    def click_probs(self, batch: SessionBatch) -> np.ndarray:
+        if batch.width > self.max_positions:
+            raise PositionRangeError(
+                f"session length {batch.width} exceeds max_positions {self.max_positions}"
+            )
+        exam = table_values(getattr(self, self.exam_field), self.cells_for(self.max_positions))
+        rel = table_values(self.rel, batch.keys)
+        return exam[self.cell_index(batch, self.max_positions)] * rel[batch.pair]
+
+
 @dataclass
-class PbmParams:
+class PbmParams(_ExamRelParams):
     """Position-based model: click prob = exam[position] * rel[(query, doc)]."""
 
     exam: dict[int, float]
@@ -67,62 +170,19 @@ class PbmParams:
     max_positions: int = 10
 
     kind = PBM
+    exam_field = "exam"
 
-    def __post_init__(self):
-        for pos in range(1, self.max_positions + 1):
-            if pos not in self.exam:
-                raise ValueError(f"exam table missing position {pos}")
-        for pos, g in self.exam.items():
-            _check_unit(f"exam[{pos}]", g)
-        for key, r in self.rel.items():
-            _check_unit(f"rel[{key}]", r)
+    @staticmethod
+    def cells_for(max_positions: int) -> list[int]:
+        return list(range(1, max_positions + 1))
 
-    def relevance(self, query_id: str, doc_id: str) -> float:
-        return self.rel.get((query_id, doc_id), DEFAULT_REL)
-
-    relevance_estimate = relevance
-
-    def conditional_click_probs(self, session: Session) -> list[float]:
-        """P(C_i = 1) per position; PBM clicks are independent of history."""
-        if len(session) > self.max_positions:
-            raise PositionRangeError(
-                f"session length {len(session)} exceeds max_positions {self.max_positions}"
-            )
-        return [
-            self.exam[i + 1] * self.relevance(session.query_id, doc)
-            for i, doc in enumerate(session.docs)
-        ]
+    @staticmethod
+    def cell_key(last: int, pos: int) -> int:
+        return pos
 
 
 @dataclass
-class CascadeParams:
-    """Cascade model: sequential examination, stops at the first click."""
-
-    rel: dict[tuple[str, str], float]
-
-    kind = CASCADE
-
-    def __post_init__(self):
-        for key, r in self.rel.items():
-            _check_unit(f"rel[{key}]", r)
-
-    def relevance(self, query_id: str, doc_id: str) -> float:
-        return self.rel.get((query_id, doc_id), DEFAULT_REL)
-
-    relevance_estimate = relevance
-
-    def conditional_click_probs(self, session: Session) -> list[float]:
-        """P(C_i = 1 | earlier clicks); zero once any earlier click occurred."""
-        probs = []
-        seen_click = False
-        for doc, c in zip(session.docs, session.clicks):
-            probs.append(0.0 if seen_click else self.relevance(session.query_id, doc))
-            seen_click = seen_click or bool(c)
-        return probs
-
-
-@dataclass
-class UbmParams:
+class UbmParams(_ExamRelParams):
     """User browsing model: examination depends on (previous click, position)."""
 
     beta: dict[tuple[int, int], float]
@@ -130,37 +190,33 @@ class UbmParams:
     max_positions: int = 10
 
     kind = UBM
+    exam_field = "beta"
+    cells_for = staticmethod(ubm_cells)
 
-    def __post_init__(self):
-        for l, i in ubm_cells(self.max_positions):
-            if (l, i) not in self.beta:
-                raise ValueError(f"beta table missing cell (l={l}, i={i})")
-        for cell, b in self.beta.items():
-            _check_unit(f"beta[{cell}]", b)
-        for key, r in self.rel.items():
-            _check_unit(f"rel[{key}]", r)
-
-    def relevance(self, query_id: str, doc_id: str) -> float:
-        return self.rel.get((query_id, doc_id), DEFAULT_REL)
-
-    relevance_estimate = relevance
-
-    def conditional_click_probs(self, session: Session) -> list[float]:
-        if len(session) > self.max_positions:
-            raise PositionRangeError(
-                f"session length {len(session)} exceeds max_positions {self.max_positions}"
-            )
-        probs = []
-        last_click = 0
-        for i, (doc, c) in enumerate(zip(session.docs, session.clicks), start=1):
-            probs.append(self.beta[(last_click, i)] * self.relevance(session.query_id, doc))
-            if c:
-                last_click = i
-        return probs
+    @staticmethod
+    def cell_key(last: int, pos: int) -> tuple[int, int]:
+        return (last, pos)
 
 
 @dataclass
-class DbnParams:
+class CascadeParams(_TableParams):
+    """Cascade model: sequential examination, stops at the first click."""
+
+    rel: dict[tuple[str, str], float]
+
+    kind = CASCADE
+
+    def __post_init__(self):
+        _check_table("rel", self.rel)
+
+    def click_probs(self, batch: SessionBatch) -> np.ndarray:
+        """Relevance up to the first click, zero after it."""
+        rel = table_values(self.rel, batch.keys)[batch.pair]
+        return np.where(last_click(batch.clicks) == 0, rel, 0.0)
+
+
+@dataclass
+class DbnParams(_TableParams):
     """DBN: click-given-exam rel, per-doc satisfaction, continuation gamma."""
 
     rel: dict[tuple[str, str], float]
@@ -171,13 +227,8 @@ class DbnParams:
 
     def __post_init__(self):
         _check_unit("gamma_cont", self.gamma_cont)
-        for key, r in self.rel.items():
-            _check_unit(f"rel[{key}]", r)
-        for key, s in self.sat.items():
-            _check_unit(f"sat[{key}]", s)
-
-    def relevance(self, query_id: str, doc_id: str) -> float:
-        return self.rel.get((query_id, doc_id), DEFAULT_REL)
+        _check_table("rel", self.rel)
+        _check_table("sat", self.sat)
 
     def satisfaction(self, query_id: str, doc_id: str) -> float:
         return self.sat.get((query_id, doc_id), DEFAULT_REL)
@@ -186,26 +237,14 @@ class DbnParams:
         """Unbiased relevance is the chance of a click that satisfies."""
         return self.relevance(query_id, doc_id) * self.satisfaction(query_id, doc_id)
 
-    def conditional_click_probs(self, session: Session) -> list[float]:
-        """Forward pass over the examination chain given observed clicks.
-
-        State is the unnormalized pair (P(prefix, E_i=0), P(prefix, E_i=1));
-        the first position is always examined.
-        """
-        f0, f1 = 0.0, 1.0
-        gamma = self.gamma_cont
-        probs = []
-        for doc, c in zip(session.docs, session.clicks):
-            r = self.relevance(session.query_id, doc)
-            s = self.satisfaction(session.query_id, doc)
-            total = f0 + f1
-            probs.append(f1 * r / total if total > 0.0 else 0.0)
-            if c:
-                # Click requires examination; the satisfied branch halts.
-                f0, f1 = f1 * r * (s + (1.0 - s) * (1.0 - gamma)), f1 * r * (1.0 - s) * gamma
-            else:
-                f0, f1 = f0 + f1 * (1.0 - r) * (1.0 - gamma), f1 * (1.0 - r) * gamma
-        return probs
+    def click_probs(self, batch: SessionBatch) -> np.ndarray:
+        """P(E_i = 1 | earlier clicks) * rel, from the forward pass."""
+        r = table_values(self.rel, batch.keys)[batch.pair]
+        s = table_values(self.sat, batch.keys)[batch.pair]
+        a0, a1, _, _ = dbn_forward(r, s, batch.clicks > 0, self.gamma_cont)
+        total = a0 + a1
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(total > 0.0, a1 * r / total, 0.0)
 
 
 BaseParams = Union[PbmParams, CascadeParams, UbmParams, DbnParams]
@@ -247,13 +286,22 @@ def resolve_params(params: AnyParams, intent: Intent = Intent.UNKNOWN) -> BasePa
     return params
 
 
+def click_probs(params: AnyParams, batch: SessionBatch) -> np.ndarray:
+    """P(C_i = 1 | earlier clicks) for every cell of the batch, each session
+    scored by its intent's table; padding cells hold no meaning."""
+    if not isinstance(params, IntentAwareParams):
+        return params.click_probs(batch)
+    out = np.zeros(batch.pair.shape)
+    for intent, rows in batch.by_intent():
+        part = batch.take(rows)
+        out[rows, : part.width] = ia_dispatch(params, intent).click_probs(part)
+    return out
+
+
 def session_prob(params: AnyParams, session: Session) -> float:
     """Exact probability of the observed click vector (chain rule)."""
-    base = resolve_params(params, session.intent)
-    prob = 1.0
-    for q, c in zip(base.conditional_click_probs(session), session.clicks):
-        prob *= q if c else 1.0 - q
-    return prob
+    q = resolve_params(params, session.intent).conditional_click_probs(session)
+    return math.prod(p if c else 1.0 - p for p, c in zip(q, session.clicks))
 
 
 def session_log_likelihood(model_kind: str, params: AnyParams, session: Session) -> float:

@@ -3,7 +3,8 @@
 Raw search logs (AOL-style five-field TSV) are parsed into LogEvents,
 grouped into per-query Sessions, and written out as line-delimited JSON
 records. Editorial relevance judgments and query intent labels travel as
-plain TSV sidecars.
+plain TSV sidecars. Inside the program, models and fitters compute on a
+SessionBatch, the columnar form ``encode_sessions`` builds from Sessions.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -34,6 +37,7 @@ class Intent(str, Enum):
 # Fixed class order used everywhere a deterministic ordering is needed
 # (classifier outputs, tie-breaking, serialization).
 KNOWN_INTENTS = (Intent.INFORMATIONAL, Intent.NAVIGATIONAL, Intent.TRANSACTIONAL)
+ALL_INTENTS = (*KNOWN_INTENTS, Intent.UNKNOWN)
 
 
 class MalformedRecordError(DataError):
@@ -142,6 +146,59 @@ class Session:
     def clicked_positions(self) -> tuple[int, ...]:
         """1-based positions that were clicked."""
         return tuple(i + 1 for i, c in enumerate(self.clicks) if c)
+
+
+@dataclass(frozen=True)
+class SessionBatch:
+    """Sessions as padded (session, position) arrays.
+
+    ``pair`` holds codes into ``keys``, the (query_id, doc_id) pairs in
+    first-seen order, and ``clicks`` the 0/1 outcomes (int8). Cells at or
+    beyond a row's entry in ``lengths`` are padding, with pair code 0 and
+    no click. ``intent`` indexes ALL_INTENTS. The width is the longest
+    session's length.
+    """
+
+    keys: list[tuple[str, str]]
+    pair: np.ndarray
+    clicks: np.ndarray
+    lengths: np.ndarray
+    intent: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.pair.shape[1]
+
+    @property
+    def valid(self) -> np.ndarray:
+        """Mask of the cells that hold an event, not padding."""
+        return np.arange(self.width) < self.lengths[:, None]
+
+    def take(self, rows: np.ndarray) -> "SessionBatch":
+        """The given rows, trimmed to their longest session; keys are shared."""
+        lengths = self.lengths[rows]
+        width = int(lengths.max(initial=0))
+        pair, clicks = self.pair[rows, :width], self.clicks[rows, :width]
+        return SessionBatch(self.keys, pair, clicks, lengths, self.intent[rows])
+
+    def by_intent(self) -> list[tuple[Intent, np.ndarray]]:
+        """(intent, row indices) for each intent present, in ALL_INTENTS order."""
+        groups = [(t, np.flatnonzero(self.intent == k)) for k, t in enumerate(ALL_INTENTS)]
+        return [(t, rows) for t, rows in groups if rows.size]
+
+
+def encode_sessions(sessions: Sequence[Session]) -> SessionBatch:
+    """The one conversion of Session records into a SessionBatch."""
+    n = len(sessions)
+    lengths = np.fromiter(map(len, sessions), dtype=np.int64, count=n)
+    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    index: dict[tuple[str, str], int] = {}
+    pair = np.zeros(valid.shape, dtype=np.int64)
+    pair[valid] = [index.setdefault((s.query_id, d), len(index)) for s in sessions for d in s.docs]
+    clicks = np.zeros(valid.shape, dtype=np.int8)
+    clicks[valid] = [c for s in sessions for c in s.clicks]
+    intent = np.fromiter((ALL_INTENTS.index(s.intent) for s in sessions), dtype=np.int8, count=n)
+    return SessionBatch(list(index), pair, clicks, lengths, intent)
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,41 @@ class TestFitEvalCompare:
         assert code == EXIT_DATA
         assert not params.exists()
 
+    @pytest.mark.parametrize("subcommand", ["fit", "eval"])
+    def test_sessions_without_positions_are_a_data_error(self, tmp_path, subcommand):
+        # ingest writes such sessions for query-only log lines
+        empty = tmp_path / "query_only.jsonl"
+        empty.write_text(
+            '{"clicks": [], "docs": [], "intent": "unk", "query_id": "q", "session_id": "u:0"}\n'
+        )
+        sim = _simulate(tmp_path)
+        params = tmp_path / "p.json"
+        run(["fit", "--model", "pbm", "--sessions", str(sim / "sessions.jsonl"),
+             "--out", str(params), "--max-iters", "5"])
+        out = tmp_path / f"{subcommand}.json"
+        argv = {
+            "fit": ["fit", "--model", "pbm", "--sessions", str(empty), "--out", str(out)],
+            "eval": ["eval", "--params", str(params), "--sessions", str(empty), "--out", str(out)],
+        }[subcommand]
+        assert run(argv) == EXIT_DATA
+        assert not out.exists()
+
+    def test_eval_with_only_zero_grades_is_a_data_error(self, tmp_path):
+        sim = _simulate(tmp_path)
+        params = tmp_path / "p.json"
+        run(["fit", "--model", "pbm", "--sessions", str(sim / "sessions.jsonl"),
+             "--out", str(params), "--max-iters", "5"])
+        zero = tmp_path / "zero.tsv"
+        zero.write_text("".join(
+            line.rsplit("\t", 1)[0] + "\t0\n"
+            for line in (sim / "judgments.tsv").read_text().splitlines()
+        ))
+        out = tmp_path / "r.json"
+        code = run(["eval", "--params", str(params), "--sessions", str(sim / "sessions.jsonl"),
+                    "--out", str(out), "--judgments", str(zero)])
+        assert code == EXIT_DATA
+        assert not out.exists()
+
     def test_eval_with_undersized_params_is_a_data_error(self, tmp_path):
         sim = _simulate(tmp_path)  # 4 positions
         params = tmp_path / "short.json"

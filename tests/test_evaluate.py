@@ -23,7 +23,6 @@ from intentclick.evaluate import (
     perplexity_improvement,
     perplexity_report,
     position_perplexity,
-    query_intents_from_sessions,
     rank_by_relevance,
     save_report,
 )
@@ -242,30 +241,12 @@ class TestCtrAndScorers:
         score = mixture_relevance_scorer(ia, sessions)
         assert score("q1", "d1") == pytest.approx(0.5 * 0.8 + 0.5 * 0.2)
 
-    def test_ndcg_report_with_pinned_query_intents(self):
-        from intentclick.evaluate import ndcg_report
-
-        per_intent = {
-            Intent.INFORMATIONAL: _pbm([0.9, 0.9], [0.9, 0.1]),
-            Intent.NAVIGATIONAL: _pbm([0.9, 0.9], [0.1, 0.9]),
-            Intent.TRANSACTIONAL: _pbm([0.9, 0.9], [0.5, 0.5]),
-        }
-        ia = IntentAwareParams(per_intent=per_intent, fallback=_pbm([0.9, 0.9], [0.5, 0.5]))
-        judgments = [RelevanceJudgment("q1", "d1", 3), RelevanceJudgment("q1", "d2", 0)]
-        # informational table ranks d1 first (matches judgments); the
-        # navigational table inverts it
-        inf_values, _ = ndcg_report(ia, judgments, (1,), {"q1": Intent.INFORMATIONAL})
-        nav_values, _ = ndcg_report(ia, judgments, (1,), {"q1": Intent.NAVIGATIONAL})
-        assert inf_values[1] == 1.0
-        assert nav_values[1] == 0.0
-
     def test_intent_helpers(self):
         sessions = [
             _session((0,), intent=Intent.NAVIGATIONAL, sid="a"),
             _session((0,), intent=Intent.NAVIGATIONAL, sid="b"),
             _session((0,), intent=Intent.INFORMATIONAL, sid="c"),
         ]
-        assert query_intents_from_sessions(sessions)["q1"] is Intent.NAVIGATIONAL
         shares = intent_distributions(sessions)["q1"]
         assert shares[Intent.NAVIGATIONAL] == pytest.approx(2 / 3)
 

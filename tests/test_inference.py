@@ -425,10 +425,10 @@ def _no_prior(max_iters):
 @pytest.mark.parametrize("kind", ["pbm", "ubm", "dbn", "cascade"])
 def test_loglik_trace_matches_per_session_log_likelihood(kind):
     # The batched E-step and the per-session chain rule in models.py are
-    # separate routes to the same likelihood: for DBN, the batched
-    # forward-backward pass and the scalar forward pass. The second trace
-    # value, at the parameters after one M-step, also checks which
-    # examination cell each event uses.
+    # separate routes to the same likelihood: for DBN, the evidence of the
+    # backward pass and the click probabilities of the forward pass. The
+    # second trace value, at the parameters after one M-step, also checks
+    # which examination cell each event uses.
     _, simulated, _ = _simulate(kind, seed=33, queries=8, sessions_per_query=40, positions=5)
     rng = np.random.default_rng(3)
     sessions = []

@@ -2,7 +2,7 @@
 intent-aware, against the brute-force enumeration oracles."""
 
 import itertools
-from functools import partial
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +15,13 @@ from intentclick.models import (
     IntentAwareParams,
     PbmParams,
     UbmParams,
+    click_probs,
     session_prob,
     ubm_cells,
 )
-from intentclick.sessions import Intent, KNOWN_INTENTS, Session
+from intentclick.sessions import ALL_INTENTS, Intent, KNOWN_INTENTS, Session, encode_sessions
 
 KINDS = ["pbm", "cascade", "ubm", "dbn"]
-ALL_INTENTS = (*KNOWN_INTENTS, Intent.UNKNOWN)
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 unit = st.floats(0.0, 1.0)
@@ -33,23 +33,24 @@ def _units(n):
 
 @st.composite
 def tables(draw, kind, n):
-    """A random parameter set over docs d1..dn, with its oracle for a click vector."""
+    """A random parameter set over docs d1..dn, with its oracle for the
+    click vector of a session showing d1..dm, m <= n."""
     rels = draw(_units(n))
     rel = {("q", f"d{i + 1}"): r for i, r in enumerate(rels)}
     if kind == "pbm":
         gammas = draw(_units(n))
         params = PbmParams(exam={i + 1: g for i, g in enumerate(gammas)}, rel=rel, max_positions=n)
-        return params, partial(oracles.pbm_session_prob, gammas, rels)
+        return params, lambda c: oracles.pbm_session_prob(gammas, rels, c)
     if kind == "cascade":
-        return CascadeParams(rel=rel), partial(oracles.cascade_session_prob, rels)
+        return CascadeParams(rel=rel), lambda c: oracles.cascade_session_prob(rels[: len(c)], c)
     if kind == "ubm":
         beta = {cell: draw(unit) for cell in ubm_cells(n)}
         params = UbmParams(beta=beta, rel=rel, max_positions=n)
-        return params, partial(oracles.ubm_session_prob, beta, rels)
+        return params, lambda c: oracles.ubm_session_prob(beta, rels, c)
     sats = draw(_units(n))
     gamma = draw(unit)
     params = DbnParams(rel=rel, sat={k: s for k, s in zip(rel, sats)}, gamma_cont=gamma)
-    return params, partial(oracles.dbn_session_prob, rels, sats, gamma)
+    return params, lambda c: oracles.dbn_session_prob(rels[: len(c)], sats[: len(c)], gamma, c)
 
 
 @st.composite
@@ -96,3 +97,29 @@ def test_click_vector_probabilities_sum_to_one(kind, intent_aware, data):
         for clicks in itertools.product((0, 1), repeat=n)
     )
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("intent_aware", [False, True], ids=["base", "ia"])
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_batch_rows_match_enumeration(kind, intent_aware, data):
+    # One batch of sessions of mixed lengths and intents: each row's chain
+    # rule over its own positions, read past the padding and through the
+    # per-intent routing, matches the enumeration for that row's table.
+    if intent_aware:
+        drawn = {intent: data.draw(tables(kind, 4)) for intent in ALL_INTENTS}
+        params = IntentAwareParams(
+            per_intent={t: drawn[t][0] for t in KNOWN_INTENTS}, fallback=drawn[Intent.UNKNOWN][0]
+        )
+        oracle_for = {t: drawn[t][1] for t in ALL_INTENTS}
+    else:
+        params, oracle = data.draw(tables(kind, 4))
+        oracle_for = dict.fromkeys(ALL_INTENTS, oracle)
+    clicks = st.lists(st.integers(0, 1), min_size=1, max_size=4)
+    rows = st.tuples(clicks, st.sampled_from(ALL_INTENTS))
+    sessions = [_session(c, t) for c, t in data.draw(st.lists(rows, min_size=1, max_size=5))]
+    probs = click_probs(params, encode_sessions(sessions))
+    for q, s in zip(probs, sessions):
+        chain = math.prod(p if c else 1.0 - p for p, c in zip(q[: len(s)], s.clicks))
+        assert chain == pytest.approx(oracle_for[s.intent](s.clicks), abs=1e-12)
