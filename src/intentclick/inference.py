@@ -2,17 +2,30 @@
 
 Every Bernoulli parameter is updated as a smoothed posterior mean:
 (alpha + expected successes) / (alpha + beta + expected trials). Sessions
-are encoded once into a SessionBatch; the E-step is vectorized over its
-(session, position) events.
+are encoded once into a SessionBatch and each fitter reduces it to counts
+at build time.
 
 PBM and UBM share one E/M step through the exam-cell factorisation
 P(C=1) = exam[cell] * rel[(query, doc)]: they differ only in which
-examination cell an event uses, which their params class defines. DBN uses
-a forward-backward pass over the examination chain, batched across
-sessions of equal length; its forward half is ``models.dbn_forward``, the
-same recursion evaluation runs. Intent-aware fits partition sessions by
-their intent label into independent estimation problems, so the ascent
-property of EM holds for the summed log-likelihood.
+examination cell an event uses, which their params class defines. Their
+E-step runs once per distinct (pair, cell) combination, weighted by its
+click and skip counts. DBN uses a forward-backward pass over the
+examination chain, batched across distinct sessions of equal length and
+weighted by how often each occurs; its forward half is
+``models.dbn_forward``, the same recursion evaluation runs. Every fitter
+keeps its tables in sorted key order and its counts in sorted order, so a
+fit is bit-identical under any order of the input sessions.
+Intent-aware fits partition sessions by their intent label into
+independent estimation problems, so the ascent property of EM holds for
+the summed log-likelihood.
+
+One loop, ``_FitProblem.ascend``, runs every fit and phase. It
+accelerates EM by monotone SQUAREM (Varadhan & Roland, Scand. J. Statist.
+35, 2008), separately in each partition: two plain EM steps, an
+extrapolated point, and one EM step from that point, kept only if the
+objective there is at least the partition's last recorded value;
+otherwise the partition takes a plain step instead. A partition stops
+once a step moves none of its parameters by tol or more.
 
 The alternating fit mirrors the two-phase scheme for intent-aware models:
 Phase A updates relevance-side parameters with the examination tables
@@ -22,9 +35,11 @@ repeating until the parameters jointly converge.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +74,12 @@ ALTERNATING_MAX_ROUNDS = 50
 DBN_GAMMA_INIT = 0.9
 INIT_PROB = 0.5
 
+# How a recorded step started: from the EM iterate, from a SQUAREM point,
+# or from the EM iterate after the SQUAREM point lowered the objective.
+PLAIN = "plain"
+EXTRAPOLATED = "extrapolated"
+REJECTED = "rejected"
+
 
 @dataclass
 class EmConfig:
@@ -73,8 +94,8 @@ class EmConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.prior_alpha < 0 or self.prior_beta < 0:
@@ -85,17 +106,27 @@ class EmConfig:
 class FitReport:
     """Fit diagnostics.
 
-    loglik_trace[k] is the objective EM ascends, evaluated at the
-    parameters entering iteration k: the data log-likelihood plus the
+    An iteration is one recorded step: every partition that has not yet
+    stopped takes one EM step, from its current parameters or from a
+    SQUAREM point. loglik_trace[k] is the objective EM ascends, evaluated
+    at the parameters entering step k: the data log-likelihood plus the
     Bernoulli pseudo-count terms alpha*ln(theta) + beta*ln(1-theta) per
-    parameter. With zero priors it is the plain data log-likelihood. EM
-    makes the trace non-decreasing either way.
+    parameter. With zero priors it is the plain data log-likelihood. A
+    stopped partition adds its objective at its final tables. EM and the
+    monotone acceptance rule make the trace non-decreasing.
+
+    extrapolated counts partition steps taken from a SQUAREM point;
+    rejected counts SQUAREM points dropped because their objective was
+    lower than the partition's last recorded value. Rejected points are
+    not recorded, so iterations == len(loglik_trace).
     """
 
     iterations: int
     final_delta: float
     loglik_trace: list[float] = field(default_factory=list)
     converged: bool = False
+    extrapolated: int = 0
+    rejected: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -103,6 +134,8 @@ class FitReport:
             "final_delta": self.final_delta,
             "loglik_trace": self.loglik_trace,
             "converged": self.converged,
+            "extrapolated": self.extrapolated,
+            "rejected": self.rejected,
         }
 
 
@@ -114,7 +147,8 @@ def factor_posterior(x, y, clicked):
     posterior and (rel, exam) the relevance posterior. A click pins it to 1;
     otherwise Bayes over the three unclicked outcomes gives x(1-y) / (1-xy),
     with the denominator clamped away from zero. ``clicked`` is a boolean
-    mask or an index array of the clicked events.
+    mask or an index array of the clicked events, or False for the
+    unclicked posterior alone.
     """
     post = np.asarray(x * (1.0 - y) / np.maximum(1.0 - x * y, PROB_CLAMP))
     post[clicked] = 1.0
@@ -130,7 +164,7 @@ def _posterior_mean(succ, trials, cfg: EmConfig):
 
 
 def _smoothed_mean(index: np.ndarray, weights: np.ndarray, trials: np.ndarray, cfg: EmConfig):
-    """M-step for a table indexed per event: expected successes over trials."""
+    """M-step for a table indexed per row: expected successes over trials."""
     succ = np.bincount(index, weights=weights, minlength=len(trials))
     return _posterior_mean(succ, trials, cfg)
 
@@ -149,18 +183,18 @@ def _init_table(n: int, rng: np.random.Generator, jitter: float) -> np.ndarray:
     return table
 
 
-def _observed_log(p: np.ndarray, clicked: np.ndarray) -> np.ndarray:
-    """Clamped log-probability of each event's outcome, given its click
-    probability p and the indices of the clicked events."""
-    q = 1.0 - p
-    q[clicked] = p[clicked]
-    return np.log(np.clip(q, PROB_CLAMP, 1.0 - PROB_CLAMP))
-
-
 def _sum_ll(terms: np.ndarray) -> float:
     # Extended precision keeps the trace monotone beyond float64 rounding
     # on million-term sums.
     return float(np.sum(terms, dtype=np.longdouble))
+
+
+def _binomial_ll(p: np.ndarray, clicks: np.ndarray, skips: np.ndarray) -> float:
+    """Log-likelihood of click and skip counts at click probabilities p,
+    each outcome's probability clamped before the log."""
+    log_click = np.log(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
+    log_skip = np.log(np.clip(1.0 - p, PROB_CLAMP, 1.0 - PROB_CLAMP))
+    return _sum_ll(clicks * log_click + skips * log_skip)
 
 
 def _prior_bonus(cfg: EmConfig, arrays) -> float:
@@ -175,15 +209,65 @@ def _prior_bonus(cfg: EmConfig, arrays) -> float:
     return total
 
 
-def _first_seen(keys: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
-    """Renumber pair codes 0..k-1 in the order the events first show them.
+def _sorted_keys(keys: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
+    """The keys the codes use, in sorted order, and the codes renumbered
+    into that list.
 
-    Returns the fitter's own key list and its event codes. Tables keep this
-    order, and the prior terms of the objective are summed in it.
+    Tables keep this order, so the prior terms of the objective and the
+    SQUAREM step length are summed in an order no session order changes.
     """
-    uniq, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return [keys[k] for k in uniq[order]], np.argsort(order)[inverse]
+    used = np.flatnonzero(np.bincount(codes, minlength=len(keys)))
+    order = sorted(used.tolist(), key=keys.__getitem__)
+    rank = np.zeros(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return [keys[k] for k in order], rank[codes]
+
+
+def _extrapolate(start: dict, mid: dict, end: dict) -> dict:
+    """The SQUAREM point from two EM steps start -> mid -> end.
+
+    With r = mid - start and v = end - 2 mid + start over all updated
+    tables, the point is start - 2a r + a^2 v for the step length
+    a = -|r| / |v| (Varadhan & Roland's SqS3), capped at -1, where the
+    point is ``end`` itself. Values are clipped into the open unit
+    interval. Tables the step did not update keep their object in ``end``
+    and are carried over untouched.
+    """
+    moved = [k for k in end if end[k] is not start[k]]
+    r = {k: np.subtract(mid[k], start[k]) for k in moved}
+    v = {k: np.subtract(end[k], mid[k]) - r[k] for k in moved}
+    rr = sum(float(np.sum(np.square(r[k]))) for k in moved)
+    vv = sum(float(np.sum(np.square(v[k]))) for k in moved)
+    alpha = min(-math.sqrt(rr / vv), -1.0) if vv > 0.0 else -1.0
+    point = dict(end)
+    for k in moved:
+        value = start[k] - 2.0 * alpha * r[k] + alpha * alpha * v[k]
+        point[k] = np.clip(value, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return point
+
+
+def _squarem(fitter, state: dict, families: frozenset, cfg: EmConfig) -> Iterator[tuple]:
+    """Monotone SQUAREM on one partition, without end.
+
+    Yields (objective entering the step, largest change, how the step
+    started) for each recorded step and leaves ``state`` at the step's
+    result. A cycle is two plain EM steps, then one EM step from the
+    extrapolated point, kept only if its objective is at least the last
+    recorded one; otherwise a plain step from where the second step ended.
+    """
+    while True:
+        start = dict(state)
+        yield (*fitter.iterate(state, families, cfg), PLAIN)
+        mid = dict(state)
+        ll_mid, delta = fitter.iterate(state, families, cfg)
+        yield ll_mid, delta, PLAIN
+        point = _extrapolate(start, mid, state)
+        ll, delta = fitter.iterate(point, families, cfg)
+        if ll >= ll_mid:
+            state.update(point)
+            yield ll, delta, EXTRAPOLATED
+        else:
+            yield (*fitter.iterate(state, families, cfg), REJECTED)
 
 
 def _table(keys: list, values: np.ndarray) -> dict:
@@ -196,7 +280,9 @@ class _ExamRelFitter:
 
     A subclass names only ``params_cls``, whose ``cells_for``, ``cell_index``
     and ``exam_field`` give the examination-cell layout and the table it
-    fills.
+    fills. Events that share a (pair, cell) combination share their
+    posteriors, so the E-step runs once per combination, weighted by its
+    click and skip counts; combinations are in (pair, cell) order.
     """
 
     families = ALL_FAMILIES
@@ -205,12 +291,23 @@ class _ExamRelFitter:
     def __init__(self, batch: SessionBatch, max_positions: int):
         self.max_positions = max_positions
         self.cells = self.params_cls.cells_for(max_positions)
+        n_cells = len(self.cells)
         valid = batch.valid
-        self.cell = self.params_cls.cell_index(batch, max_positions)[valid]
-        self.keys, self.pair = _first_seen(batch.keys, batch.pair[valid])
-        self.clicked = np.flatnonzero(batch.clicks[valid])
-        self.exam_trials = np.bincount(self.cell, minlength=len(self.cells)).astype(np.float64)
-        self.rel_trials = np.bincount(self.pair, minlength=len(self.keys)).astype(np.float64)
+        self.keys, code = _sorted_keys(batch.keys, batch.pair[valid])
+        code *= n_cells
+        code += self.params_cls.cell_index(batch, max_positions)[valid]
+        code *= 2
+        code += batch.clicks[valid]
+        code, count = np.unique(code, return_counts=True)
+        # Sorted codes put a combination's skip and click rows side by side.
+        combo = code // 2
+        first = np.flatnonzero(np.diff(combo, prepend=-1))
+        self.pair, self.cell = np.divmod(combo[first], n_cells)
+        self.clicks = np.add.reduceat(count * (code % 2), first).astype(np.float64)
+        trials = np.add.reduceat(count, first).astype(np.float64)
+        self.skips = trials - self.clicks
+        self.exam_trials = np.bincount(self.cell, weights=trials, minlength=n_cells)
+        self.rel_trials = np.bincount(self.pair, weights=trials, minlength=len(self.keys))
         uncovered = list(range(batch.width + 1, max_positions + 1))
         if uncovered:
             logger.warning(
@@ -232,16 +329,15 @@ class _ExamRelFitter:
     def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
         g = state["exam"][self.cell]
         r = state["rel"][self.pair]
-        p = g * r
-        ll = _sum_ll(_observed_log(p, self.clicked))
+        ll = _binomial_ll(g * r, self.clicks, self.skips)
         ll += _prior_bonus(cfg, (state["exam"], state["rel"]))
         delta = 0.0
         if REL_SIDE in families:
-            p_rel = factor_posterior(r, g, self.clicked)
+            p_rel = self.clicks + self.skips * factor_posterior(r, g, False)
             new_rel = _smoothed_mean(self.pair, p_rel, self.rel_trials, cfg)
             delta = max(delta, _store(state, "rel", new_rel))
         if EXAM_SIDE in families:
-            p_exam = factor_posterior(g, r, self.clicked)
+            p_exam = self.clicks + self.skips * factor_posterior(g, r, False)
             new_exam = _smoothed_mean(self.cell, p_exam, self.exam_trials, cfg)
             delta = max(delta, _store(state, "exam", new_exam))
         return ll, delta
@@ -283,10 +379,9 @@ class _CascadeFitter:
         self.n_impossible = int(np.count_nonzero(~possible))
         # A doc is examined up to and including the session's first click.
         events = batch.valid & (last_click(batch.clicks) == 0) & possible[:, None]
-        self.keys, self.pair = _first_seen(batch.keys, batch.pair[events])
-        self.clicks = batch.clicks[events].astype(np.float64)
-        self.clicked = np.flatnonzero(self.clicks)
-        self.rel_trials = np.bincount(self.pair, minlength=len(self.keys)).astype(np.float64)
+        self.keys, pair = _sorted_keys(batch.keys, batch.pair[events])
+        self.clicks = np.bincount(pair, weights=batch.clicks[events], minlength=len(self.keys))
+        self.trials = np.bincount(pair, minlength=len(self.keys)).astype(np.float64)
         if self.n_impossible:
             logger.warning(
                 "%d sessions have multiple clicks and are impossible under the "
@@ -301,14 +396,12 @@ class _CascadeFitter:
         state["rel"] = table_values(params.rel, self.keys, INIT_PROB)
 
     def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
-        r = state["rel"][self.pair]
-        ll = _sum_ll(_observed_log(r, self.clicked))
+        ll = _binomial_ll(state["rel"], self.clicks, self.trials - self.clicks)
         ll += self.n_impossible * float(np.log(PROB_CLAMP))
         ll += _prior_bonus(cfg, (state["rel"],))
         delta = 0.0
         if REL_SIDE in families:
-            new_rel = _smoothed_mean(self.pair, self.clicks, self.rel_trials, cfg)
-            delta = _store(state, "rel", new_rel)
+            delta = _store(state, "rel", _posterior_mean(self.clicks, self.trials, cfg))
         return ll, delta
 
     def make_params(self, state: dict) -> CascadeParams:
@@ -321,26 +414,31 @@ class _CascadeFitter:
 
 class _DbnFitter:
     """Forward-backward E-step over the examination chain, batched across
-    sessions of equal length."""
+    sessions of equal length. Identical sessions are one row weighted by
+    their count; rows are in sorted order, shortest sessions first."""
 
     families = ALL_FAMILIES
 
     def __init__(self, batch: SessionBatch, max_positions: int):
-        # Groups run shortest first; the pair tables follow their event order.
-        by_length = np.argsort(batch.lengths, kind="stable")
-        batch = batch.take(by_length[batch.lengths[by_length] > 0])
         valid = batch.valid
-        self.keys, codes = _first_seen(batch.keys, batch.pair[valid])
-        pair = np.zeros_like(batch.pair)
+        self.keys, codes = _sorted_keys(batch.keys, batch.pair[valid])
+        pair = np.zeros(batch.pair.shape, dtype=np.int32)
         pair[valid] = codes
-        clicked = batch.clicks > 0
-        self.groups = [
-            (pair[batch.lengths == n, :n], clicked[batch.lengths == n, :n])
-            for n in np.unique(batch.lengths).tolist()
-        ]
+        self.groups = []
+        for n in np.unique(batch.lengths[batch.lengths > 0]).tolist():
+            rows = batch.lengths == n
+            distinct = np.hstack([pair[rows, :n], batch.clicks[rows, :n]], dtype=np.int32)
+            distinct, count = np.unique(distinct, axis=0, return_counts=True)
+            pair_n = np.ascontiguousarray(distinct[:, :n], dtype=np.int64)
+            self.groups.append((pair_n, distinct[:, n:] > 0, count.astype(np.float64)))
         # Clicks imply examination, so click counts are fixed statistics:
         # the relevance successes and the satisfaction trials.
-        self.click_counts = np.bincount(codes, weights=clicked[valid], minlength=len(self.keys))
+        self.click_counts = np.zeros(len(self.keys))
+        for pair, c, count in self.groups:
+            weights = (c * count[:, None]).ravel()
+            self.click_counts += np.bincount(
+                pair.ravel(), weights=weights, minlength=len(self.keys)
+            )
 
     def init_state(self, rng: np.random.Generator, jitter: float) -> dict:
         n = len(self.keys)
@@ -384,25 +482,27 @@ class _DbnFitter:
         gamma_trials = 0.0
         ll = _prior_bonus(cfg, (state["rel"], state["sat"], state["gamma"]))
         g = state["gamma"]
-        for pair, c in self.groups:
+        for pair, c, count in self.groups:
             r, s, a0, a1, b0, b1, evidence = self._forward_backward(pair, c, state)
-            ll += _sum_ll(np.log(evidence))
+            ll += _sum_ll(count * np.log(evidence))
             length = pair.shape[1]
+            # Each row's posteriors count once per session it stands for.
+            weight = (count / evidence)[:, None]
 
-            p_exam = a1 * b1 / evidence[:, None]
+            p_exam = a1 * b1 * weight
             rel_trials += np.bincount(pair.ravel(), weights=p_exam.ravel(), minlength=n_pairs)
 
             # P(S_t=1 | obs): the satisfied branch forces E_{t+1}=0.
             future0 = np.concatenate([b0[:, 1:], np.ones((pair.shape[0], 1))], axis=1)
-            p_sat = np.where(c, a1 * r * s * future0 / evidence[:, None], 0.0)
+            p_sat = np.where(c, a1 * r * s * future0 * weight, 0.0)
             sat_succ += np.bincount(pair.ravel(), weights=p_sat.ravel(), minlength=n_pairs)
 
             if length > 1:
                 # Transition posteriors from (E_t=1, S_t=0), which are the
                 # trials of the continuation Bernoulli.
                 leave1 = np.where(c, r * (1.0 - s), 1.0 - r)[:, :-1]
-                w_cont = a1[:, :-1] * leave1 * g * b1[:, 1:] / evidence[:, None]
-                w_halt = a1[:, :-1] * leave1 * (1.0 - g) * b0[:, 1:] / evidence[:, None]
+                w_cont = a1[:, :-1] * leave1 * g * b1[:, 1:] * weight
+                w_halt = a1[:, :-1] * leave1 * (1.0 - g) * b0[:, 1:] * weight
                 gamma_succ += float(np.sum(w_cont, dtype=np.longdouble))
                 gamma_trials += float(np.sum(w_cont + w_halt, dtype=np.longdouble))
 
@@ -473,21 +573,47 @@ class _FitProblem:
                 fitter.seed_state(state, resolve_params(init_params, intent or Intent.UNKNOWN))
             self.partitions[intent] = (fitter, state)
         self.fitter_cls = fitter_cls
+        self.last_delta = dict.fromkeys(self.partitions, float("inf"))
 
     @property
     def model_families(self) -> frozenset:
         return self.fitter_cls.families
 
-    def step(self, families: frozenset) -> tuple[float, float]:
-        ll_total = 0.0
-        delta = 0.0
-        for fitter, state in self.partitions.values():
-            ll, d = fitter.iterate(state, families, self.config)
-            ll_total += ll
-            delta = max(delta, d)
-        if not np.isfinite(ll_total):
-            raise NumericError(f"log-likelihood became non-finite ({ll_total})")
-        return ll_total, delta
+    def ascend(self, families: frozenset) -> Iterator[tuple[float, float, list]]:
+        """Accelerated EM steps over every partition in lockstep.
+
+        Each partition runs its own monotone SQUAREM cycle (``_squarem``)
+        and stops after a step that moves none of its parameters by tol or
+        more; from then on it adds its objective at its final tables. Yields
+        per step the summed objective entering it, the largest change and
+        how each partition's step started; ends once every partition has
+        stopped. ``last_delta`` keeps each partition's latest change.
+        """
+        runs = {
+            key: _squarem(fitter, state, families, self.config)
+            for key, (fitter, state) in self.partitions.items()
+        }
+        # A stopped partition's objective, computed when a later step needs it.
+        stopped: dict = {}
+        while len(stopped) < len(runs):
+            ll_total, delta, kinds = 0.0, 0.0, []
+            for key, run in runs.items():
+                if key in stopped:
+                    if stopped[key] is None:
+                        fitter, state = self.partitions[key]
+                        stopped[key] = fitter.iterate(state, frozenset(), self.config)[0]
+                    ll_total += stopped[key]
+                    continue
+                ll, d, kind = next(run)
+                ll_total += ll
+                delta = max(delta, d)
+                kinds.append(kind)
+                self.last_delta[key] = d
+                if d < self.config.tol:
+                    stopped[key] = None
+            if not np.isfinite(ll_total):
+                raise NumericError(f"log-likelihood became non-finite ({ll_total})")
+            yield ll_total, delta, kinds
 
     def make_params(self) -> AnyParams:
         if not self.intent_aware:
@@ -506,6 +632,30 @@ class _FitProblem:
         else:
             fallback = self.fitter_cls.empty_params(self.max_positions)
         return IntentAwareParams(per_intent=per_intent, fallback=fallback)
+
+
+def _record_steps(
+    problem: _FitProblem, families: frozenset, report: FitReport, label: str
+) -> float:
+    """Run up to max_iters accelerated steps into the report; return the
+    largest change of any step."""
+    config = problem.config
+    largest = 0.0
+    for ll, delta, kinds in itertools.islice(problem.ascend(families), config.max_iters):
+        report.iterations += 1
+        report.loglik_trace.append(ll)
+        report.extrapolated += kinds.count(EXTRAPOLATED)
+        report.rejected += kinds.count(REJECTED)
+        largest = max(largest, delta)
+        if config.verbose:
+            marks = "".join(
+                f" {k}={kinds.count(k)}" for k in (EXTRAPOLATED, REJECTED) if k in kinds
+            )
+            logger.info(
+                "%siter %d loglik %.6f max_delta %.3e%s",
+                label, report.iterations, ll, delta, marks,
+            )
+    return largest
 
 
 def em_fit(
@@ -529,25 +679,15 @@ def em_fit(
         model_kind, sessions, config, intent_aware, max_positions, init_params
     )
     update = problem.model_families if families is None else frozenset(families) & problem.model_families
-    trace: list[float] = []
-    delta = float("inf")
-    iterations = 0
-    for iterations in range(1, config.max_iters + 1):
-        ll, delta = problem.step(update)
-        trace.append(ll)
-        if config.verbose:
-            logger.info("iter %d loglik %.6f max_delta %.3e", iterations, ll, delta)
-        if delta < config.tol:
-            break
-    converged = delta < config.tol
-    if not converged:
+    report = FitReport(iterations=0, final_delta=float("inf"))
+    _record_steps(problem, update, report, "")
+    report.final_delta = max(problem.last_delta.values())
+    report.converged = report.final_delta < config.tol
+    if not report.converged:
         logger.warning(
             "EM stopped at max_iters=%d with max delta %.3e >= tol %.1e",
-            config.max_iters, delta, config.tol,
+            config.max_iters, report.final_delta, config.tol,
         )
-    report = FitReport(
-        iterations=iterations, final_delta=delta, loglik_trace=trace, converged=converged
-    )
     return problem.make_params(), report
 
 
@@ -564,7 +704,9 @@ def alternating_fit(
     until all parameters jointly converge.
 
     Both phases ascend the same likelihood, so the trace stays
-    non-decreasing across phase boundaries.
+    non-decreasing across phase boundaries. Each phase takes up to
+    max_iters accelerated steps; a round's delta is the largest change of
+    any step in it.
     """
     config = config or EmConfig()
     problem = _FitProblem(
@@ -572,36 +714,18 @@ def alternating_fit(
     )
     phases = [f for f in (frozenset((REL_SIDE,)), frozenset((EXAM_SIDE,)))
               if f & problem.model_families]
-    trace: list[float] = []
-    total_iters = 0
-    round_delta = float("inf")
+    report = FitReport(iterations=0, final_delta=float("inf"))
     for round_no in range(1, ALTERNATING_MAX_ROUNDS + 1):
-        round_delta = 0.0
-        for phase in phases:
-            for _ in range(config.max_iters):
-                ll, delta = problem.step(phase)
-                trace.append(ll)
-                total_iters += 1
-                round_delta = max(round_delta, delta)
-                if config.verbose:
-                    logger.info(
-                        "round %d phase %s iter %d loglik %.6f max_delta %.3e",
-                        round_no, "/".join(sorted(phase)), total_iters, ll, delta,
-                    )
-                if delta < config.tol:
-                    break
-        if round_delta < config.tol:
+        report.final_delta = max(
+            _record_steps(problem, phase, report, f"round {round_no} phase {'/'.join(phase)} ")
+            for phase in phases
+        )
+        if report.final_delta < config.tol:
             break
-    converged = round_delta < config.tol
-    if not converged:
+    report.converged = report.final_delta < config.tol
+    if not report.converged:
         logger.warning(
             "alternating fit stopped after %d rounds with max delta %.3e >= tol %.1e",
-            ALTERNATING_MAX_ROUNDS, round_delta, config.tol,
+            ALTERNATING_MAX_ROUNDS, report.final_delta, config.tol,
         )
-    report = FitReport(
-        iterations=total_iters,
-        final_delta=round_delta,
-        loglik_trace=trace,
-        converged=converged,
-    )
     return problem.make_params(), report

@@ -152,11 +152,11 @@ class Session:
 class SessionBatch:
     """Sessions as padded (session, position) arrays.
 
-    ``pair`` holds codes into ``keys``, the (query_id, doc_id) pairs in
-    first-seen order, and ``clicks`` the 0/1 outcomes (int8). Cells at or
-    beyond a row's entry in ``lengths`` are padding, with pair code 0 and
-    no click. ``intent`` indexes ALL_INTENTS. The width is the longest
-    session's length.
+    ``pair`` holds codes into ``keys``, the (query_id, doc_id) pairs the
+    batch shows, in the order encode_sessions first saw them, and
+    ``clicks`` the 0/1 outcomes (int8). Cells at or beyond a row's entry in
+    ``lengths`` are padding, with pair code 0 and no click. ``intent``
+    indexes ALL_INTENTS. The width is the longest session's length.
     """
 
     keys: list[tuple[str, str]]
@@ -175,11 +175,18 @@ class SessionBatch:
         return np.arange(self.width) < self.lengths[:, None]
 
     def take(self, rows: np.ndarray) -> "SessionBatch":
-        """The given rows, trimmed to their longest session; keys are shared."""
+        """The given rows, trimmed to their longest session, with keys cut
+        to the pairs those rows show (in this batch's key order)."""
         lengths = self.lengths[rows]
         width = int(lengths.max(initial=0))
-        pair, clicks = self.pair[rows, :width], self.clicks[rows, :width]
-        return SessionBatch(self.keys, pair, clicks, lengths, self.intent[rows])
+        pair = self.pair[rows, :width]
+        shown = np.bincount(pair[np.arange(width) < lengths[:, None]], minlength=len(self.keys))
+        used = np.flatnonzero(shown)
+        # Padding keeps code 0: it maps to 0 whether or not key 0 is used.
+        code = np.zeros(len(self.keys), dtype=np.int64)
+        code[used] = np.arange(len(used))
+        keys = [self.keys[k] for k in used.tolist()]
+        return SessionBatch(keys, code[pair], self.clicks[rows, :width], lengths, self.intent[rows])
 
     def by_intent(self) -> list[tuple[Intent, np.ndarray]]:
         """(intent, row indices) for each intent present, in ALL_INTENTS order."""

@@ -116,6 +116,7 @@ class TestFitEvalCompare:
         report_doc = json.loads((tmp_path / "pbm.json.report.json").read_text())
         assert report_doc["iterations"] >= 1
         assert len(report_doc["loglik_trace"]) == report_doc["iterations"]
+        assert report_doc["extrapolated"] >= 0 and report_doc["rejected"] >= 0
 
         eval_path = tmp_path / "pbm.eval.json"
         code = run(
@@ -186,7 +187,7 @@ class TestFitEvalCompare:
                     "--out", str(tmp_path / "p.json")])
         assert code == EXIT_DATA
 
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_non_positive_tol_is_a_data_error(self, tmp_path, tol):
         sim = _simulate(tmp_path)
         params = tmp_path / "p.json"

@@ -1,5 +1,7 @@
 """EM fitting: posteriors, recovery against the simulator oracle, ascent."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,11 @@ class TestPbmFit:
     def test_loglik_trace_non_decreasing(self, fitted):
         _, _, _, report = fitted
         _assert_monotone(report.loglik_trace)
+
+    def test_converges_at_default_tol(self, fitted):
+        _, _, _, report = fitted
+        assert report.converged
+        assert report.final_delta < EmConfig().tol
 
     def test_smoothing_keeps_params_strictly_inside_unit_interval(self, fitted):
         _, _, params, _ = fitted
@@ -262,14 +269,15 @@ class TestIntentAwareFit:
             diffs.extend(abs(a - b) for a, b in zip(p_base, p_ia))
         assert np.mean(diffs) < 0.02
 
-    def test_intent_partition_isolation(self):
+    @staticmethod
+    def _isolation_fits(cfg):
+        """Intent-aware fits before and after flipping the clicks of the
+        informational sessions only; navigational tables must not move."""
         truth, sessions, _ = _simulate(
             "pbm", seed=27, queries=30, sessions_per_query=100, positions=4,
             intent_mix=(0.5, 0.5, 0.0), intent_aware=True,
         )
-        ia1, _ = em_fit("pbm", sessions, EmConfig(max_iters=50), intent_aware=True)
-        # Flip clicks only in informational sessions; navigational tables
-        # must not move.
+        ia1, report1 = em_fit("pbm", sessions, cfg, intent_aware=True)
         mutated = [
             Session(
                 s.session_id, s.query_id, s.intent, s.docs,
@@ -279,7 +287,7 @@ class TestIntentAwareFit:
             )
             for s in sessions
         ]
-        ia2, _ = em_fit("pbm", mutated, EmConfig(max_iters=50), intent_aware=True)
+        ia2, report2 = em_fit("pbm", mutated, cfg, intent_aware=True)
         nav1 = ia1.per_intent[Intent.NAVIGATIONAL]
         nav2 = ia2.per_intent[Intent.NAVIGATIONAL]
         assert nav1.exam == nav2.exam
@@ -287,6 +295,18 @@ class TestIntentAwareFit:
         inf1 = ia1.per_intent[Intent.INFORMATIONAL]
         inf2 = ia2.per_intent[Intent.INFORMATIONAL]
         assert inf1.rel != inf2.rel
+        return report1, report2
+
+    def test_intent_partition_isolation(self):
+        self._isolation_fits(EmConfig(max_iters=50))
+
+    def test_intent_partition_isolation_when_partitions_converge(self):
+        # At the default max_iters both partitions converge, and the two fits
+        # take different numbers of steps, so in at least one of them the
+        # navigational partition stops while the other still runs.
+        report1, report2 = self._isolation_fits(EmConfig())
+        assert report1.converged and report2.converged
+        assert report1.iterations != report2.iterations
 
     def test_unknown_sessions_feed_the_fallback(self):
         q = "q0"
@@ -380,6 +400,51 @@ class TestAlternatingFit:
         assert report.converged
 
 
+def _parameters(params):
+    """Every fitted value, keyed by (intent table, field, key)."""
+    if isinstance(params, IntentAwareParams):
+        parts = {i.value: p for i, p in params.per_intent.items()}
+        parts["fallback"] = params.fallback
+    else:
+        parts = {"": params}
+    values = {}
+    for name, part in parts.items():
+        for f in dataclasses.fields(part):
+            value = getattr(part, f.name)
+            if isinstance(value, dict):
+                values.update({(name, f.name, k): v for k, v in value.items()})
+            elif isinstance(value, float):
+                values[(name, f.name)] = value
+    return values
+
+
+@pytest.mark.parametrize(
+    "kind,mode",
+    [(k, m) for k in ("pbm", "ubm", "dbn") for m in ("base", "intent_aware")]
+    + [("pbm", "alternating")],
+)
+def test_accelerated_fit_lands_on_em_fixed_point(kind, mode):
+    # One plain EM step from the returned parameters must barely move them:
+    # SQUAREM changes how fast EM gets there, not where it stops.
+    _, sessions, _ = _simulate(
+        kind, seed=34, queries=15, sessions_per_query=80, positions=4,
+        intent_mix=(0.5, 0.5, 0.0), intent_aware=True, shuffle_serps=True,
+    )
+    cfg = EmConfig()
+    if mode == "alternating":
+        params, report = alternating_fit(kind, sessions, cfg)
+    else:
+        params, report = em_fit(kind, sessions, cfg, intent_aware=mode == "intent_aware")
+    assert report.converged
+    _assert_monotone(report.loglik_trace)
+    stepped, _ = em_fit(
+        kind, sessions, EmConfig(max_iters=1), intent_aware=mode != "base", init_params=params
+    )
+    before, after = _parameters(params), _parameters(stepped)
+    assert before.keys() == after.keys()
+    assert max(abs(after[k] - before[k]) for k in before) <= 10 * cfg.tol
+
+
 class TestFitReportShape:
     def test_one_trace_value_per_iteration(self):
         _, sessions, _ = _simulate("pbm", seed=30, queries=10, sessions_per_query=50,
@@ -389,6 +454,19 @@ class TestFitReportShape:
         assert len(report.loglik_trace) == 17
         assert not report.converged
         assert report.final_delta > 0
+
+    def test_verbose_logs_one_line_per_recorded_step(self, caplog):
+        _, sessions, _ = _simulate("pbm", seed=30, queries=10, sessions_per_query=50,
+                                   positions=3)
+        with caplog.at_level("INFO", logger="intentclick.inference"):
+            _, report = em_fit("pbm", sessions, EmConfig(verbose=True))
+        lines = [r.getMessage() for r in caplog.records if " loglik " in r.getMessage()]
+        assert len(lines) == report.iterations == len(report.loglik_trace)
+        assert report.extrapolated > 0
+        # One partition, so each marked line stands for one step.
+        assert sum("extrapolated=1" in line for line in lines) == report.extrapolated
+        assert sum("rejected=1" in line for line in lines) == report.rejected
+        assert report.to_json()["extrapolated"] == report.extrapolated
 
     @pytest.mark.parametrize("kind", ["pbm", "ubm"])
     def test_uncovered_positions_stay_at_prior_mean(self, caplog, kind):
