@@ -13,7 +13,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import timedelta
 from pathlib import Path
 
@@ -96,17 +96,8 @@ class RunManifest:
 
     def write(self, primary_output: Path) -> None:
         path = Path(str(primary_output) + ".manifest.json")
-        doc = {
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-            "seed": self.seed,
-            "version": self.version,
-            "duration_seconds": self.duration_seconds,
-        }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
+            json.dump(asdict(self), fh, sort_keys=True, indent=1)
             fh.write("\n")
 
 
@@ -181,7 +172,6 @@ def build_parser() -> _Parser:
     p.add_argument("--intents", help="intent labels (tsv) to attach before fitting")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-positions", type=int, default=None)
 
     p = sub.add_parser("eval", help="perplexity (and NDCG) of a fitted model")
@@ -236,7 +226,7 @@ def _cmd_simulate(args) -> tuple[Path, RunManifest]:
         config = SimConfig(
             model_kind=args.model,
             num_queries=args.queries,
-            sessions_per_query=args.sessions_per_query or 200,
+            sessions_per_query=200 if args.sessions_per_query is None else args.sessions_per_query,
             positions=args.positions,
             intent_mix=args.intent_mix,
             seed=args.seed,
@@ -337,9 +327,7 @@ def _cmd_fit(args) -> tuple[Path, RunManifest]:
     if args.intents:
         sessions = attach_intents(sessions, read_intent_labels(args.intents))
     intent_aware = args.intent_aware or args.alternating
-    config = EmConfig(
-        tol=args.tol, max_iters=args.max_iters, seed=args.seed, verbose=args.verbose
-    )
+    config = EmConfig(tol=args.tol, max_iters=args.max_iters, verbose=args.verbose)
     if args.alternating:
         params, report = alternating_fit(
             args.model, sessions, config, max_positions=args.max_positions
@@ -376,7 +364,6 @@ def _cmd_fit(args) -> tuple[Path, RunManifest]:
         },
         inputs=[args.sessions] + ([args.intents] if args.intents else []),
         outputs=[str(out), str(report_path)],
-        seed=args.seed,
     )
     return out, manifest
 

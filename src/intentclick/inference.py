@@ -15,6 +15,11 @@ weighted by how often each occurs; its forward half is
 ``models.dbn_forward``, the same recursion evaluation runs. Every fitter
 keeps its tables in sorted key order and its counts in sorted order, so a
 fit is bit-identical under any order of the input sessions.
+The params class owns the table layout: a fitter names only its table
+fields with their keys and its scalar fields, ``_Fitter`` reads the state
+from a params object and writes it back, and EM starts from the class's
+``prior`` (every table at 0.5, DBN continuation at its default), which is
+also the table of an intent partition without sessions.
 Intent-aware fits partition sessions by their intent label into
 independent estimation problems, so the ascent property of EM holds for
 the summed log-likelihood.
@@ -38,7 +43,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -50,13 +55,11 @@ from .models import (
     PBM,
     PROB_CLAMP,
     UBM,
+    DEFAULT_REL,
+    PARAMS_CLASSES,
     AnyParams,
     BaseParams,
-    CascadeParams,
-    DbnParams,
     IntentAwareParams,
-    PbmParams,
-    UbmParams,
     dbn_forward,
     last_click,
     resolve_params,
@@ -71,8 +74,6 @@ EXAM_SIDE = "exam"
 ALL_FAMILIES = frozenset((REL_SIDE, EXAM_SIDE))
 
 ALTERNATING_MAX_ROUNDS = 50
-DBN_GAMMA_INIT = 0.9
-INIT_PROB = 0.5
 
 # How a recorded step started: from the EM iterate, from a SQUAREM point,
 # or from the EM iterate after the SQUAREM point lowered the objective.
@@ -83,14 +84,13 @@ REJECTED = "rejected"
 
 @dataclass
 class EmConfig:
-    """Knobs for the EM loop; defaults favor determinism."""
+    """Knobs for the EM loop. EM starts from the params class's ``prior``
+    (or init_params) and has no random part, so it takes no seed."""
 
     tol: float = 1e-6
     max_iters: int = 200
     prior_alpha: float = 1.0
     prior_beta: float = 1.0
-    seed: int = 0
-    init_jitter: float = 0.0
     verbose: bool = False
 
     def __post_init__(self):
@@ -129,14 +129,7 @@ class FitReport:
     rejected: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_delta": self.final_delta,
-            "loglik_trace": self.loglik_trace,
-            "converged": self.converged,
-            "extrapolated": self.extrapolated,
-            "rejected": self.rejected,
-        }
+        return asdict(self)
 
 
 def factor_posterior(x, y, clicked):
@@ -159,7 +152,7 @@ def _posterior_mean(succ, trials, cfg: EmConfig):
     denom = np.asarray(cfg.prior_alpha + cfg.prior_beta + trials, dtype=np.float64)
     num = cfg.prior_alpha + succ
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(denom > 0.0, num / np.maximum(denom, PROB_CLAMP), INIT_PROB)
+        out = np.where(denom > 0.0, num / np.maximum(denom, PROB_CLAMP), DEFAULT_REL)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -174,13 +167,6 @@ def _store(state: dict, key: str, new) -> float:
     delta = float(np.max(np.abs(new - state[key]), initial=0.0))
     state[key] = new
     return delta
-
-
-def _init_table(n: int, rng: np.random.Generator, jitter: float) -> np.ndarray:
-    table = np.full(n, INIT_PROB)
-    if jitter > 0.0:
-        table = np.clip(table + rng.uniform(-jitter, jitter, table.shape), 0.01, 0.99)
-    return table
 
 
 def _sum_ll(terms: np.ndarray) -> float:
@@ -270,32 +256,52 @@ def _squarem(fitter, state: dict, families: frozenset, cfg: EmConfig) -> Iterato
             yield (*fitter.iterate(state, families, cfg), REJECTED)
 
 
-def _table(keys: list, values: np.ndarray) -> dict:
-    return dict(zip(keys, values.tolist()))
+class _Fitter:
+    """The one mapping between a params object and a fitter's state: an
+    array per table field over the keys in ``tables``, then the fields
+    named in ``scalars``. That is all a fitter says about the layout.
+
+    A fitter is built as ``fitter_cls(batch, params_cls, max_positions)``.
+    """
+
+    tables: dict[str, list]
+    scalars: tuple[str, ...] = ()
+
+    def state_from(self, params: BaseParams) -> dict:
+        """State arrays read from params; keys they lack read DEFAULT_REL."""
+        state = {name: table_values(getattr(params, name), keys)
+                 for name, keys in self.tables.items()}
+        state.update((name, getattr(params, name)) for name in self.scalars)
+        return state
+
+    def params_from(self, state: dict, prior: BaseParams) -> BaseParams:
+        """The prior with every fitted field replaced by the state's values."""
+        fitted = {name: dict(zip(keys, state[name].tolist()))
+                  for name, keys in self.tables.items()}
+        fitted.update((name, float(state[name])) for name in self.scalars)
+        return replace(prior, **fitted)
 
 
-class _ExamRelFitter:
+class _ExamRelFitter(_Fitter):
     """The one E/M step for the exam-cell factorisation
     P(C=1) = exam[cell] * rel[(query, doc)], shared by PBM and UBM.
 
-    A subclass names only ``params_cls``, whose ``cells_for``, ``cell_index``
-    and ``exam_field`` give the examination-cell layout and the table it
-    fills. Events that share a (pair, cell) combination share their
+    The params class (PbmParams or UbmParams) gives the examination-cell
+    layout and the table it fills through ``cells_for``, ``cell_index`` and
+    ``exam_field``. Events that share a (pair, cell) combination share their
     posteriors, so the E-step runs once per combination, weighted by its
     click and skip counts; combinations are in (pair, cell) order.
     """
 
     families = ALL_FAMILIES
-    params_cls: type
 
-    def __init__(self, batch: SessionBatch, max_positions: int):
-        self.max_positions = max_positions
-        self.cells = self.params_cls.cells_for(max_positions)
-        n_cells = len(self.cells)
+    def __init__(self, batch: SessionBatch, params_cls: type, max_positions: int):
+        cells = params_cls.cells_for(max_positions)
+        n_cells = len(cells)
         valid = batch.valid
         self.keys, code = _sorted_keys(batch.keys, batch.pair[valid])
         code *= n_cells
-        code += self.params_cls.cell_index(batch, max_positions)[valid]
+        code += params_cls.cell_index(batch, max_positions)[valid]
         code *= 2
         code += batch.clicks[valid]
         code, count = np.unique(code, return_counts=True)
@@ -308,6 +314,8 @@ class _ExamRelFitter:
         self.skips = trials - self.clicks
         self.exam_trials = np.bincount(self.cell, weights=trials, minlength=n_cells)
         self.rel_trials = np.bincount(self.pair, weights=trials, minlength=len(self.keys))
+        self.exam_field = params_cls.exam_field
+        self.tables = {self.exam_field: cells, "rel": self.keys}
         uncovered = list(range(batch.width + 1, max_positions + 1))
         if uncovered:
             logger.warning(
@@ -315,22 +323,12 @@ class _ExamRelFitter:
                 uncovered,
             )
 
-    def init_state(self, rng: np.random.Generator, jitter: float) -> dict:
-        return {
-            "exam": _init_table(len(self.cells), rng, jitter),
-            "rel": _init_table(len(self.keys), rng, jitter),
-        }
-
-    def seed_state(self, state: dict, params: BaseParams) -> None:
-        exam = getattr(params, self.params_cls.exam_field)
-        state["exam"] = table_values(exam, self.cells, INIT_PROB)
-        state["rel"] = table_values(params.rel, self.keys, INIT_PROB)
-
     def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
-        g = state["exam"][self.cell]
+        exam = state[self.exam_field]
+        g = exam[self.cell]
         r = state["rel"][self.pair]
         ll = _binomial_ll(g * r, self.clicks, self.skips)
-        ll += _prior_bonus(cfg, (state["exam"], state["rel"]))
+        ll += _prior_bonus(cfg, (exam, state["rel"]))
         delta = 0.0
         if REL_SIDE in families:
             p_rel = self.clicks + self.skips * factor_posterior(r, g, False)
@@ -339,31 +337,11 @@ class _ExamRelFitter:
         if EXAM_SIDE in families:
             p_exam = self.clicks + self.skips * factor_posterior(g, r, False)
             new_exam = _smoothed_mean(self.cell, p_exam, self.exam_trials, cfg)
-            delta = max(delta, _store(state, "exam", new_exam))
+            delta = max(delta, _store(state, self.exam_field, new_exam))
         return ll, delta
 
-    def make_params(self, state: dict) -> BaseParams:
-        return self.params_cls(
-            _table(self.cells, state["exam"]),
-            rel=_table(self.keys, state["rel"]),
-            max_positions=self.max_positions,
-        )
 
-    @classmethod
-    def empty_params(cls, max_positions: int) -> BaseParams:
-        exam = dict.fromkeys(cls.params_cls.cells_for(max_positions), INIT_PROB)
-        return cls.params_cls(exam, rel={}, max_positions=max_positions)
-
-
-class _PbmLayout(_ExamRelFitter):
-    params_cls = PbmParams
-
-
-class _UbmLayout(_ExamRelFitter):
-    params_cls = UbmParams
-
-
-class _CascadeFitter:
+class _CascadeFitter(_Fitter):
     """Closed-form MLE written as a (one-step) EM fixed point.
 
     Events after a session's first click are outside the cascade's
@@ -374,7 +352,7 @@ class _CascadeFitter:
 
     families = frozenset((REL_SIDE,))
 
-    def __init__(self, batch: SessionBatch, max_positions: int):
+    def __init__(self, batch: SessionBatch, params_cls: type, max_positions: int):
         possible = batch.clicks.sum(axis=1) <= 1
         self.n_impossible = int(np.count_nonzero(~possible))
         # A doc is examined up to and including the session's first click.
@@ -382,18 +360,13 @@ class _CascadeFitter:
         self.keys, pair = _sorted_keys(batch.keys, batch.pair[events])
         self.clicks = np.bincount(pair, weights=batch.clicks[events], minlength=len(self.keys))
         self.trials = np.bincount(pair, minlength=len(self.keys)).astype(np.float64)
+        self.tables = {"rel": self.keys}
         if self.n_impossible:
             logger.warning(
                 "%d sessions have multiple clicks and are impossible under the "
                 "cascade model; they contribute only a clamped likelihood floor",
                 self.n_impossible,
             )
-
-    def init_state(self, rng: np.random.Generator, jitter: float) -> dict:
-        return {"rel": _init_table(len(self.keys), rng, jitter)}
-
-    def seed_state(self, state: dict, params: BaseParams) -> None:
-        state["rel"] = table_values(params.rel, self.keys, INIT_PROB)
 
     def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
         ll = _binomial_ll(state["rel"], self.clicks, self.trials - self.clicks)
@@ -404,24 +377,19 @@ class _CascadeFitter:
             delta = _store(state, "rel", _posterior_mean(self.clicks, self.trials, cfg))
         return ll, delta
 
-    def make_params(self, state: dict) -> CascadeParams:
-        return CascadeParams(rel=_table(self.keys, state["rel"]))
 
-    @staticmethod
-    def empty_params(max_positions: int) -> CascadeParams:
-        return CascadeParams(rel={})
-
-
-class _DbnFitter:
+class _DbnFitter(_Fitter):
     """Forward-backward E-step over the examination chain, batched across
     sessions of equal length. Identical sessions are one row weighted by
     their count; rows are in sorted order, shortest sessions first."""
 
     families = ALL_FAMILIES
+    scalars = ("gamma_cont",)
 
-    def __init__(self, batch: SessionBatch, max_positions: int):
+    def __init__(self, batch: SessionBatch, params_cls: type, max_positions: int):
         valid = batch.valid
         self.keys, codes = _sorted_keys(batch.keys, batch.pair[valid])
+        self.tables = {"rel": self.keys, "sat": self.keys}
         pair = np.zeros(batch.pair.shape, dtype=np.int32)
         pair[valid] = codes
         self.groups = []
@@ -440,27 +408,10 @@ class _DbnFitter:
                 pair.ravel(), weights=weights, minlength=len(self.keys)
             )
 
-    def init_state(self, rng: np.random.Generator, jitter: float) -> dict:
-        n = len(self.keys)
-        state = {
-            "rel": _init_table(n, rng, jitter),
-            "sat": _init_table(n, rng, jitter),
-            "gamma": DBN_GAMMA_INIT,
-        }
-        if jitter > 0.0:
-            gamma = DBN_GAMMA_INIT + rng.uniform(-jitter, jitter)
-            state["gamma"] = float(np.clip(gamma, 0.01, 0.99))
-        return state
-
-    def seed_state(self, state: dict, params: BaseParams) -> None:
-        state["rel"] = table_values(params.rel, self.keys, INIT_PROB)
-        state["sat"] = table_values(params.sat, self.keys, INIT_PROB)
-        state["gamma"] = params.gamma_cont
-
     def _forward_backward(self, pair, c, state):
         r = state["rel"][pair]
         s = state["sat"][pair]
-        a0, a1, stay, halt = dbn_forward(r, s, c, state["gamma"])
+        a0, a1, stay, halt = dbn_forward(r, s, c, state["gamma_cont"])
         emit1 = np.where(c, r, 1.0 - r)
         n, length = pair.shape
         b0 = np.zeros((n, length))
@@ -480,8 +431,8 @@ class _DbnFitter:
         sat_succ = np.zeros(n_pairs)
         gamma_succ = 0.0
         gamma_trials = 0.0
-        ll = _prior_bonus(cfg, (state["rel"], state["sat"], state["gamma"]))
-        g = state["gamma"]
+        ll = _prior_bonus(cfg, (state["rel"], state["sat"], state["gamma_cont"]))
+        g = state["gamma_cont"]
         for pair, c, count in self.groups:
             r, s, a0, a1, b0, b1, evidence = self._forward_backward(pair, c, state)
             ll += _sum_ll(count * np.log(evidence))
@@ -513,22 +464,11 @@ class _DbnFitter:
             delta = max(_store(state, "rel", new_rel), _store(state, "sat", new_sat))
         if EXAM_SIDE in families:
             new_gamma = float(_posterior_mean(gamma_succ, gamma_trials, cfg))
-            delta = max(delta, _store(state, "gamma", new_gamma))
+            delta = max(delta, _store(state, "gamma_cont", new_gamma))
         return ll, delta
 
-    def make_params(self, state: dict) -> DbnParams:
-        return DbnParams(
-            rel=_table(self.keys, state["rel"]),
-            sat=_table(self.keys, state["sat"]),
-            gamma_cont=float(state["gamma"]),
-        )
 
-    @staticmethod
-    def empty_params(max_positions: int) -> DbnParams:
-        return DbnParams(rel={}, sat={}, gamma_cont=DBN_GAMMA_INIT)
-
-
-_FITTERS = {PBM: _PbmLayout, CASCADE: _CascadeFitter, UBM: _UbmLayout, DBN: _DbnFitter}
+_FITTERS = {PBM: _ExamRelFitter, CASCADE: _CascadeFitter, UBM: _ExamRelFitter, DBN: _DbnFitter}
 
 
 class _FitProblem:
@@ -559,7 +499,9 @@ class _FitProblem:
         self.intent_aware = intent_aware
         self.config = config
         fitter_cls = _FITTERS[model_kind]
-        rng = np.random.default_rng(config.seed)
+        self.params_cls = PARAMS_CLASSES[model_kind]
+        if init_params is None:
+            init_params = self.params_cls.prior(self.max_positions)
 
         if intent_aware:
             parts = [(intent, batch.take(rows)) for intent, rows in batch.by_intent()]
@@ -567,11 +509,9 @@ class _FitProblem:
             parts = [(None, batch)]
         self.partitions: dict[Intent | None, tuple] = {}
         for intent, part in parts:
-            fitter = fitter_cls(part, self.max_positions)
-            state = fitter.init_state(rng, config.init_jitter)
-            if init_params is not None:
-                fitter.seed_state(state, resolve_params(init_params, intent or Intent.UNKNOWN))
-            self.partitions[intent] = (fitter, state)
+            fitter = fitter_cls(part, self.params_cls, self.max_positions)
+            start = resolve_params(init_params, intent or Intent.UNKNOWN)
+            self.partitions[intent] = (fitter, fitter.state_from(start))
         self.fitter_cls = fitter_cls
         self.last_delta = dict.fromkeys(self.partitions, float("inf"))
 
@@ -616,22 +556,20 @@ class _FitProblem:
             yield ll_total, delta, kinds
 
     def make_params(self) -> AnyParams:
+        def fitted(key):
+            # A fresh prior per slot, so no two slots share a table.
+            prior = self.params_cls.prior(self.max_positions)
+            if key not in self.partitions:
+                return prior
+            fitter, state = self.partitions[key]
+            return fitter.params_from(state, prior)
+
         if not self.intent_aware:
-            fitter, state = self.partitions[None]
-            return fitter.make_params(state)
-        per_intent = {}
-        for intent in KNOWN_INTENTS:
-            if intent in self.partitions:
-                fitter, state = self.partitions[intent]
-                per_intent[intent] = fitter.make_params(state)
-            else:
-                per_intent[intent] = self.fitter_cls.empty_params(self.max_positions)
-        if Intent.UNKNOWN in self.partitions:
-            fitter, state = self.partitions[Intent.UNKNOWN]
-            fallback = fitter.make_params(state)
-        else:
-            fallback = self.fitter_cls.empty_params(self.max_positions)
-        return IntentAwareParams(per_intent=per_intent, fallback=fallback)
+            return fitted(None)
+        return IntentAwareParams(
+            per_intent={intent: fitted(intent) for intent in KNOWN_INTENTS},
+            fallback=fitted(Intent.UNKNOWN),
+        )
 
 
 def _record_steps(

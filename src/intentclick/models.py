@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
@@ -24,7 +24,7 @@ from .errors import DataError
 from .sessions import Intent, KNOWN_INTENTS, Session, SessionBatch, encode_sessions
 
 PROB_CLAMP = 1e-12
-DEFAULT_REL = 0.5  # uninformative prior mean for unseen (query, doc) pairs
+DEFAULT_REL = 0.5  # uninformative prior mean: unseen pairs, prior examination cells
 
 PBM = "pbm"
 CASCADE = "cascade"
@@ -103,9 +103,51 @@ def _check_table(name: str, table: Mapping) -> None:
         _check_unit(f"{name}[{key}]", value)
 
 
+def _pair_from_json(text: str) -> tuple[str, str]:
+    query_id, _, doc_id = text.partition("\t")
+    return query_id, doc_id
+
+
+def _cell_from_json(text: str) -> tuple[int, int]:
+    last, _, pos = text.partition(":")
+    return int(last), int(pos)
+
+
+# How a table's keys are written in a parameter document and read back.
+_POSITION_KEY = (str, int)
+_CELL_KEY = (lambda cell: f"{cell[0]}:{cell[1]}", _cell_from_json)
+_PAIR_KEY = ("\t".join, _pair_from_json)
+
+
+def _table(json_key):
+    """A table field: probabilities keyed as ``json_key`` says in JSON."""
+    return field(metadata={"json_key": json_key})
+
+
+def _is_table(f) -> bool:
+    return "json_key" in f.metadata
+
+
 class _TableParams:
-    """What every base parameter set shares: a relevance table over
-    (query, doc) pairs and the one-session view of ``click_probs``."""
+    """What every base parameter set shares: its fields are its layout.
+
+    Fields declared with ``_table`` are probability tables; the others are
+    scalars with a default. Validation, the prior and the JSON codec read
+    the layout from ``dataclasses.fields``; the EM fitters fill the same
+    fields by name. Also here: the relevance lookups and the one-session
+    view of ``click_probs``.
+    """
+
+    def __post_init__(self):
+        for f in fields(self):
+            if _is_table(f):
+                _check_table(f.name, getattr(self, f.name))
+
+    @classmethod
+    def prior(cls, max_positions: int):
+        """EM's starting point and the table of an intent without sessions:
+        no pairs, every scalar at its default."""
+        return cls(**{f.name: {} for f in fields(cls) if _is_table(f)})
 
     def relevance(self, query_id: str, doc_id: str) -> float:
         return self.rel.get((query_id, doc_id), DEFAULT_REL)
@@ -141,8 +183,13 @@ class _ExamRelParams(_TableParams):
         for key in self.cells_for(self.max_positions):
             if key not in exam:
                 raise ValueError(f"{self.exam_field} table missing cell {key}")
-        _check_table(self.exam_field, exam)
-        _check_table("rel", self.rel)
+        super().__post_init__()
+
+    @classmethod
+    def prior(cls, max_positions: int):
+        """Every examination cell at DEFAULT_REL, no pairs."""
+        exam = dict.fromkeys(cls.cells_for(max_positions), DEFAULT_REL)
+        return cls(**{cls.exam_field: exam}, rel={}, max_positions=max_positions)
 
     @classmethod
     def cell_index(cls, batch: SessionBatch, max_positions: int) -> np.ndarray:
@@ -165,8 +212,8 @@ class _ExamRelParams(_TableParams):
 class PbmParams(_ExamRelParams):
     """Position-based model: click prob = exam[position] * rel[(query, doc)]."""
 
-    exam: dict[int, float]
-    rel: dict[tuple[str, str], float]
+    exam: dict[int, float] = _table(_POSITION_KEY)
+    rel: dict[tuple[str, str], float] = _table(_PAIR_KEY)
     max_positions: int = 10
 
     kind = PBM
@@ -185,8 +232,8 @@ class PbmParams(_ExamRelParams):
 class UbmParams(_ExamRelParams):
     """User browsing model: examination depends on (previous click, position)."""
 
-    beta: dict[tuple[int, int], float]
-    rel: dict[tuple[str, str], float]
+    beta: dict[tuple[int, int], float] = _table(_CELL_KEY)
+    rel: dict[tuple[str, str], float] = _table(_PAIR_KEY)
     max_positions: int = 10
 
     kind = UBM
@@ -202,12 +249,9 @@ class UbmParams(_ExamRelParams):
 class CascadeParams(_TableParams):
     """Cascade model: sequential examination, stops at the first click."""
 
-    rel: dict[tuple[str, str], float]
+    rel: dict[tuple[str, str], float] = _table(_PAIR_KEY)
 
     kind = CASCADE
-
-    def __post_init__(self):
-        _check_table("rel", self.rel)
 
     def click_probs(self, batch: SessionBatch) -> np.ndarray:
         """Relevance up to the first click, zero after it."""
@@ -219,16 +263,15 @@ class CascadeParams(_TableParams):
 class DbnParams(_TableParams):
     """DBN: click-given-exam rel, per-doc satisfaction, continuation gamma."""
 
-    rel: dict[tuple[str, str], float]
-    sat: dict[tuple[str, str], float]
+    rel: dict[tuple[str, str], float] = _table(_PAIR_KEY)
+    sat: dict[tuple[str, str], float] = _table(_PAIR_KEY)
     gamma_cont: float = 0.9
 
     kind = DBN
 
     def __post_init__(self):
         _check_unit("gamma_cont", self.gamma_cont)
-        _check_table("rel", self.rel)
-        _check_table("sat", self.sat)
+        super().__post_init__()
 
     def satisfaction(self, query_id: str, doc_id: str) -> float:
         return self.sat.get((query_id, doc_id), DEFAULT_REL)
@@ -248,6 +291,7 @@ class DbnParams(_TableParams):
 
 
 BaseParams = Union[PbmParams, CascadeParams, UbmParams, DbnParams]
+PARAMS_CLASSES = {cls.kind: cls for cls in (PbmParams, CascadeParams, UbmParams, DbnParams)}
 
 
 @dataclass
@@ -315,71 +359,28 @@ def session_log_likelihood(model_kind: str, params: AnyParams, session: Session)
     return math.log(clamp_probability(session_prob(params, session)))
 
 
-def _rel_to_json(rel: Mapping[tuple[str, str], float]) -> dict[str, float]:
-    return {f"{q}\t{d}": v for (q, d), v in rel.items()}
-
-
-def _rel_from_json(obj: Mapping[str, float]) -> dict[tuple[str, str], float]:
-    out = {}
-    for key, v in obj.items():
-        q, _, d = key.partition("\t")
-        out[(q, d)] = float(v)
-    return out
-
-
 def _base_to_json(params: BaseParams) -> dict:
-    if isinstance(params, PbmParams):
-        return {
-            "exam": {str(pos): g for pos, g in sorted(params.exam.items())},
-            "rel": _rel_to_json(params.rel),
-            "max_positions": params.max_positions,
-        }
-    if isinstance(params, CascadeParams):
-        return {"rel": _rel_to_json(params.rel)}
-    if isinstance(params, UbmParams):
-        return {
-            "beta": {f"{l}:{i}": b for (l, i), b in sorted(params.beta.items())},
-            "rel": _rel_to_json(params.rel),
-            "max_positions": params.max_positions,
-        }
-    if isinstance(params, DbnParams):
-        return {
-            "rel": _rel_to_json(params.rel),
-            "sat": _rel_to_json(params.sat),
-            "gamma_cont": params.gamma_cont,
-        }
-    raise TypeError(f"unsupported params type {type(params)!r}")
+    doc = {}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if _is_table(f):
+            to_json = f.metadata["json_key"][0]
+            value = {to_json(key): v for key, v in value.items()}
+        doc[f.name] = value
+    return doc
 
 
-def _base_from_json(kind: str, obj: Mapping) -> BaseParams:
-    try:
-        if kind == PBM:
-            return PbmParams(
-                exam={int(pos): float(g) for pos, g in obj["exam"].items()},
-                rel=_rel_from_json(obj["rel"]),
-                max_positions=int(obj["max_positions"]),
-            )
-        if kind == CASCADE:
-            return CascadeParams(rel=_rel_from_json(obj["rel"]))
-        if kind == UBM:
-            beta = {}
-            for key, b in obj["beta"].items():
-                l, _, i = key.partition(":")
-                beta[(int(l), int(i))] = float(b)
-            return UbmParams(
-                beta=beta,
-                rel=_rel_from_json(obj["rel"]),
-                max_positions=int(obj["max_positions"]),
-            )
-        if kind == DBN:
-            return DbnParams(
-                rel=_rel_from_json(obj["rel"]),
-                sat=_rel_from_json(obj["sat"]),
-                gamma_cont=float(obj["gamma_cont"]),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad {kind} parameter document: {exc}") from None
-    raise DataError(f"unknown model kind {kind!r}")
+def _base_from_json(params_cls: type, obj: Mapping) -> BaseParams:
+    values = {}
+    for f in fields(params_cls):
+        if _is_table(f):
+            table = obj[f.name]
+            keys = map(f.metadata["json_key"][1], table)
+            values[f.name] = dict(zip(keys, map(float, table.values())))
+        else:
+            # A scalar is read as the type of its default.
+            values[f.name] = type(f.default)(obj[f.name])
+    return params_cls(**values)
 
 
 def save_params(path, params: AnyParams) -> None:
@@ -401,21 +402,32 @@ def save_params(path, params: AnyParams) -> None:
 
 
 def load_params(path) -> AnyParams:
+    """Read a parameter document; any malformed one is a DataError."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid parameter document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError("a parameter document must be a JSON object")
     version = doc.get("version")
     if version != PARAMS_FORMAT_VERSION:
         raise DataError(f"unsupported parameter document version {version!r}")
     kind = doc.get("kind")
-    if doc.get("intent_aware"):
+    if kind not in MODEL_KINDS:
+        raise DataError(f"unknown model kind {kind!r}")
+    params_cls = PARAMS_CLASSES[kind]
+    try:
+        if not doc.get("intent_aware"):
+            return _base_from_json(params_cls, doc["params"])
         per_intent = {
-            intent: _base_from_json(kind, doc["per_intent"][intent.value])
+            intent: _base_from_json(params_cls, doc["per_intent"][intent.value])
             for intent in KNOWN_INTENTS
         }
         return IntentAwareParams(
-            per_intent=per_intent, fallback=_base_from_json(kind, doc["fallback"])
+            per_intent=per_intent, fallback=_base_from_json(params_cls, doc["fallback"])
         )
-    return _base_from_json(kind, doc["params"])
+    except KeyError as exc:
+        raise DataError(f"bad {kind} parameter document: missing {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"bad {kind} parameter document: {exc}") from None

@@ -100,6 +100,13 @@ class TestSimulate:
         labels = read_intent_labels(out_dir / "intents.tsv")
         assert len(labels) == 18
 
+    @pytest.mark.parametrize("extra", [[], ["--behavior-preset"]], ids=["plain", "preset"])
+    def test_zero_sessions_per_query_is_a_data_error(self, tmp_path, extra):
+        out_dir = tmp_path / "zero"
+        code = run(["simulate", "--out-dir", str(out_dir), "--sessions-per-query", "0", *extra])
+        assert code == EXIT_DATA
+        assert not (out_dir / "sessions.jsonl").exists()
+
 
 class TestFitEvalCompare:
     def test_full_pipeline(self, tmp_path, capsys):
@@ -148,7 +155,7 @@ class TestFitEvalCompare:
         for name in ("p1.json", "p2.json"):
             path = tmp_path / name
             code = run(["fit", "--model", "pbm", "--sessions", str(sessions_path),
-                        "--out", str(path), "--max-iters", "25", "--seed", "3"])
+                        "--out", str(path), "--max-iters", "25"])
             assert code == EXIT_OK
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
@@ -241,6 +248,17 @@ class TestFitEvalCompare:
                     "--sessions", str(deep / "sessions.jsonl"),
                     "--out", str(tmp_path / "r.json")])
         assert code == EXIT_DATA
+
+    def test_eval_with_malformed_params_is_a_data_error(self, tmp_path, capsys):
+        sim = _simulate(tmp_path)
+        params = tmp_path / "bad.json"
+        params.write_text('{"version": 1, "kind": "pbm", "intent_aware": false}')
+        out = tmp_path / "r.json"
+        code = run(["eval", "--params", str(params), "--sessions", str(sim / "sessions.jsonl"),
+                    "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "missing 'params'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestClassify:

@@ -336,7 +336,7 @@ class TestIntentAwareFit:
         with pytest.raises(ValueError):
             em_fit("pbm", [session], EmConfig(), max_positions=2)
 
-    @pytest.mark.parametrize("kind", ["ubm", "dbn"])
+    @pytest.mark.parametrize("kind", ["pbm", "ubm", "dbn", "cascade"])
     def test_other_kinds_support_intent_aware_fits(self, kind):
         _, sessions, _ = _simulate(
             kind, seed=31, queries=20, sessions_per_query=80, positions=4,
@@ -346,6 +346,12 @@ class TestIntentAwareFit:
         assert isinstance(params, IntentAwareParams)
         assert params.kind == kind
         _assert_monotone(report.loglik_trace)
+        # No transactional or unknown sessions: both slots hold the starting
+        # tables, each its own object.
+        empty = params.per_intent[Intent.TRANSACTIONAL]
+        assert empty == _initial_params(kind, 4)
+        assert params.fallback == _initial_params(kind, 4)
+        assert empty is not params.fallback and empty.rel is not params.fallback.rel
 
 
 @pytest.fixture(scope="module")

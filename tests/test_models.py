@@ -1,12 +1,14 @@
 """Click-model probabilities checked against brute-force latent enumeration."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+from intentclick.errors import DataError
 from intentclick.models import (
     CascadeParams,
     DbnParams,
@@ -350,11 +352,52 @@ class TestPersistence:
         save_params(path, ia)
         assert load_params(path) == ia
 
-    def test_unsupported_version(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99, "kind": "pbm"}')
-        from intentclick.errors import DataError
+    @pytest.mark.parametrize(
+        "params, doc",
+        [
+            (
+                PbmParams(exam={1: 0.9, 2: 0.5}, rel={("q1", "d1"): 0.25}, max_positions=2),
+                {"exam": {"1": 0.9, "2": 0.5}, "rel": {"q1\td1": 0.25}, "max_positions": 2},
+            ),
+            (
+                UbmParams(beta={(0, 1): 0.9, (0, 2): 0.6, (1, 2): 0.7},
+                          rel={("q1", "d2"): 0.3}, max_positions=2),
+                {"beta": {"0:1": 0.9, "0:2": 0.6, "1:2": 0.7}, "rel": {"q1\td2": 0.3},
+                 "max_positions": 2},
+            ),
+            (CascadeParams(rel={("q2", "d1"): 0.4}), {"rel": {"q2\td1": 0.4}}),
+            (
+                DbnParams(rel={("q1", "d1"): 0.6}, sat={("q1", "d1"): 0.2}, gamma_cont=0.85),
+                {"rel": {"q1\td1": 0.6}, "sat": {"q1\td1": 0.2}, "gamma_cont": 0.85},
+            ),
+        ],
+        ids=["pbm", "ubm", "cascade", "dbn"],
+    )
+    def test_golden_format(self, tmp_path, params, doc):
+        # Files written by earlier versions must keep loading, so the
+        # document is pinned byte for byte, not only round-tripped.
+        path = tmp_path / "p.json"
+        save_params(path, params)
+        expected = {"version": 1, "kind": params.kind, "intent_aware": False, "params": doc}
+        assert path.read_text() == json.dumps(expected, sort_keys=True, indent=1) + "\n"
+        assert load_params(path) == params
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"version": 99, "kind": "pbm"}',
+            '{"version": 1, "kind": "pbm", "intent_aware": false}',
+            '{"version": 1, "kind": ["pbm"], "intent_aware": false, "params": {}}',
+            "[1, 2]",
+            '{"version": 1, "kind": "cascade", "intent_aware": false, "params": {"rel": []}}',
+            '{"version": 1, "kind": "cascade", "intent_aware": true, '
+            '"per_intent": {"inf": {"rel": {}}, "nav": {"rel": {}}}, "fallback": {"rel": {}}}',
+        ],
+        ids=["version-99", "no-params", "kind-list", "array", "rel-list", "missing-intent"],
+    )
+    def test_bad_document_is_a_data_error(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
         with pytest.raises(DataError):
             load_params(path)
 

@@ -206,13 +206,28 @@ class TestSessionIo:
         write_sessions(path, sessions)
         assert read_sessions(path) == sessions
 
-    def test_length_mismatch_is_a_parse_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "docs, clicks",
+        [
+            ('["a", "b"]', "[1]"),
+            ('"xy"', "[0, 1]"),
+            ('["x", "y"]', '"01"'),
+            ('["x", "y"]', "[0, 0.9]"),
+            ('["x", "y"]', '[0, "1"]'),
+            ('["x", "y"]', "[true, 0]"),
+        ],
+        ids=["length-mismatch", "docs-string", "clicks-string", "click-float",
+             "click-string", "click-bool"],
+    )
+    def test_malformed_record_is_a_parse_error(self, tmp_path, docs, clicks):
         path = tmp_path / "s.jsonl"
+        good = '{"session_id": "s0", "query_id": "q", "intent": "unk", "docs": [], "clicks": []}'
         path.write_text(
-            '{"session_id": "s", "query_id": "q", "intent": "unk", '
-            '"docs": ["a", "b"], "clicks": [1]}\n'
+            good + "\n"
+            + f'{{"session_id": "s", "query_id": "q", "intent": "unk", '
+            f'"docs": {docs}, "clicks": {clicks}}}\n'
         )
-        with pytest.raises(SessionFormatError, match="line 1"):
+        with pytest.raises(SessionFormatError, match="line 2"):
             read_sessions(path)
 
     def test_invalid_json_line(self, tmp_path):
