@@ -9,10 +9,10 @@ PBM and UBM share one E/M step through the exam-cell factorisation
 P(C=1) = exam[cell] * rel[(query, doc)]: they differ only in which
 examination cell an event uses, which their params class defines. Their
 E-step runs once per distinct (pair, cell) combination, weighted by its
-click and skip counts. DBN uses a forward-backward pass over the
-examination chain, batched across distinct sessions of equal length and
-weighted by how often each occurs; its forward half is
-``models.dbn_forward``, the same recursion evaluation runs. Every fitter
+click and skip counts. DBN's E-step works from each session's last
+click: the positions up to it give fixed counts, and the posterior over
+how far the user examined the unclicked tail is a cumulative product,
+run once per distinct (last-click pair, tail pairs) row. Every fitter
 keeps its tables in sorted key order and its counts in sorted order, so a
 fit is bit-identical under any order of the input sessions.
 The params class owns the table layout: a fitter names only its table
@@ -60,7 +60,6 @@ from .models import (
     AnyParams,
     BaseParams,
     IntentAwareParams,
-    dbn_forward,
     last_click,
     resolve_params,
     table_values,
@@ -114,6 +113,14 @@ class FitReport:
     parameter. With zero priors it is the plain data log-likelihood. A
     stopped partition adds its objective at its final tables. EM and the
     monotone acceptance rule make the trace non-decreasing.
+
+    Each probability factor is clamped at PROB_CLAMP before its log, so
+    the trace is exactly the objective the E-step ascends. For DBN the
+    factors are the per-position terms up to a session's last click and
+    the total weight Z of its unclicked tail, whose posteriors divide by
+    the same clamped Z. Summing ``session_log_likelihood``, which clamps
+    each whole session's probability instead, gives the same value unless
+    a session's probability falls below PROB_CLAMP.
 
     extrapolated counts partition steps taken from a SQUAREM point;
     rejected counts SQUAREM points dropped because their objective was
@@ -379,9 +386,20 @@ class _CascadeFitter(_Fitter):
 
 
 class _DbnFitter(_Fitter):
-    """Forward-backward E-step over the examination chain, batched across
-    sessions of equal length. Identical sessions are one row weighted by
-    their count; rows are in sorted order, shortest sessions first."""
+    """DBN EM over each session's last click L (Chapelle & Zhang, WWW 2009).
+
+    Every position up to L is examined and every click before L was not
+    satisfying, so those positions give fixed counts at build time: the
+    relevance trials, the click counts (relevance successes and
+    satisfaction trials) and L - 1 continuation trials that all succeed.
+    Only the examination depth D in {L .. n} is latent, D = L meaning the
+    user stopped at L, satisfied or not. Its weights are a cumulative
+    product over the unclicked tail; their suffix sums give P(E_t = 1)
+    past L, and the satisfied share of D = L gives P(S_L = 1). Latent rows
+    (last-click pair, tail pairs) are grouped by (has a click, tail length)
+    into dense arrays; equal rows are one row weighted by their count, in
+    sorted order.
+    """
 
     families = ALL_FAMILIES
     scalars = ("gamma_cont",)
@@ -390,80 +408,85 @@ class _DbnFitter(_Fitter):
         valid = batch.valid
         self.keys, codes = _sorted_keys(batch.keys, batch.pair[valid])
         self.tables = {"rel": self.keys, "sat": self.keys}
-        pair = np.zeros(batch.pair.shape, dtype=np.int32)
+        pair = np.zeros(batch.pair.shape, dtype=np.int64)
         pair[valid] = codes
+        clicked = batch.clicks > 0
+        positions = np.arange(1, batch.width + 1)
+        last = np.max(np.where(clicked, positions, 0), axis=1, initial=0)
+        prefix = positions < last[:, None]
+
+        def per_pair(mask):
+            return np.bincount(pair[mask], minlength=len(self.keys)).astype(np.float64)
+
+        self.clicks = per_pair(clicked)
+        self.prefix_clicks = per_pair(prefix & clicked)
+        self.prefix_skips = per_pair(prefix & ~clicked)
+        self.prefix_cont = float(np.sum(np.maximum(last - 1, 0)))
+        # Group key: 2 * tail length + has a click; empty sessions drop out.
+        group = 2 * (batch.lengths - last) + (last > 0)
+        group[batch.lengths == 0] = -1
         self.groups = []
-        for n in np.unique(batch.lengths[batch.lengths > 0]).tolist():
-            rows = batch.lengths == n
-            distinct = np.hstack([pair[rows, :n], batch.clicks[rows, :n]], dtype=np.int32)
-            distinct, count = np.unique(distinct, axis=0, return_counts=True)
-            pair_n = np.ascontiguousarray(distinct[:, :n], dtype=np.int64)
-            self.groups.append((pair_n, distinct[:, n:] > 0, count.astype(np.float64)))
-        # Clicks imply examination, so click counts are fixed statistics:
-        # the relevance successes and the satisfaction trials.
-        self.click_counts = np.zeros(len(self.keys))
-        for pair, c, count in self.groups:
-            weights = (c * count[:, None]).ravel()
-            self.click_counts += np.bincount(
-                pair.ravel(), weights=weights, minlength=len(self.keys)
-            )
-
-    def _forward_backward(self, pair, c, state):
-        r = state["rel"][pair]
-        s = state["sat"][pair]
-        a0, a1, stay, halt = dbn_forward(r, s, c, state["gamma_cont"])
-        emit1 = np.where(c, r, 1.0 - r)
-        n, length = pair.shape
-        b0 = np.zeros((n, length))
-        b1 = np.zeros((n, length))
-        b1[:, -1] = emit1[:, -1]
-        b0[:, -1] = np.where(c[:, -1], 0.0, 1.0)
-        for t in range(length - 2, -1, -1):
-            b1[:, t] = stay[:, t] * b1[:, t + 1] + halt[:, t] * b0[:, t + 1]
-            b0[:, t] = np.where(c[:, t], 0.0, b0[:, t + 1])
-
-        evidence = np.maximum(b1[:, 0], PROB_CLAMP)
-        return r, s, a0, a1, b0, b1, evidence
+        for key in np.flatnonzero(np.bincount(group[group >= 0])).tolist():
+            rows = np.flatnonzero(group == key)
+            tail, has_click = divmod(key, 2)
+            start = last[rows] - has_click
+            cells = pair[rows[:, None], start[:, None] + np.arange(tail + has_click)]
+            cells = cells[np.lexsort(cells.T[::-1])]
+            first = np.flatnonzero(np.any(np.diff(cells, axis=0, prepend=-1) != 0, axis=1))
+            count = np.diff(first, append=len(cells)).astype(np.float64)
+            cells = cells[first]
+            self.groups.append((cells[:, 0] if has_click else None, cells[:, has_click:], count))
 
     def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
         n_pairs = len(self.keys)
-        rel_trials = np.zeros(n_pairs)
+        rel, sat, g = state["rel"], state["sat"], state["gamma_cont"]
+
+        def log(p):
+            return np.log(np.maximum(p, PROB_CLAMP))
+
+        ll = _sum_ll(self.clicks * log(rel) + self.prefix_skips * log(1.0 - rel)
+                     + self.prefix_clicks * log(1.0 - sat))
+        ll += self.prefix_cont * float(log(g)) + _prior_bonus(cfg, (rel, sat, g))
+        rel_trials = self.clicks + self.prefix_skips
         sat_succ = np.zeros(n_pairs)
-        gamma_succ = 0.0
-        gamma_trials = 0.0
-        ll = _prior_bonus(cfg, (state["rel"], state["sat"], state["gamma_cont"]))
-        g = state["gamma_cont"]
-        for pair, c, count in self.groups:
-            r, s, a0, a1, b0, b1, evidence = self._forward_backward(pair, c, state)
-            ll += _sum_ll(count * np.log(evidence))
-            length = pair.shape[1]
-            # Each row's posteriors count once per session it stands for.
-            weight = (count / evidence)[:, None]
-
-            p_exam = a1 * b1 * weight
-            rel_trials += np.bincount(pair.ravel(), weights=p_exam.ravel(), minlength=n_pairs)
-
-            # P(S_t=1 | obs): the satisfied branch forces E_{t+1}=0.
-            future0 = np.concatenate([b0[:, 1:], np.ones((pair.shape[0], 1))], axis=1)
-            p_sat = np.where(c, a1 * r * s * future0 * weight, 0.0)
-            sat_succ += np.bincount(pair.ravel(), weights=p_sat.ravel(), minlength=n_pairs)
-
-            if length > 1:
-                # Transition posteriors from (E_t=1, S_t=0), which are the
-                # trials of the continuation Bernoulli.
-                leave1 = np.where(c, r * (1.0 - s), 1.0 - r)[:, :-1]
-                w_cont = a1[:, :-1] * leave1 * g * b1[:, 1:] * weight
-                w_halt = a1[:, :-1] * leave1 * (1.0 - g) * b0[:, 1:] * weight
-                gamma_succ += float(np.sum(w_cont, dtype=np.longdouble))
-                gamma_trials += float(np.sum(w_cont + w_halt, dtype=np.longdouble))
+        cont_succ = cont_trials = self.prefix_cont
+        for last, tail, count in self.groups:
+            # w[:, j]: the user examined the tail through its position j, then stopped.
+            step = 1.0 - rel[tail]
+            if last is None:
+                # No click: the first position is examined for sure.
+                step[:, 1:] *= g
+                w, stop = np.cumprod(step, axis=1), 0.0
+            else:
+                s = sat[last]
+                step *= g
+                w = (1.0 - s)[:, None] * np.cumprod(step, axis=1)
+                # Stopping at L: satisfied, or not and not going on.
+                stop = s + (1.0 - s) * (1.0 - g) if tail.shape[1] else 1.0
+            w[:, :-1] *= 1.0 - g
+            z = np.maximum(stop + w.sum(axis=1), PROB_CLAMP)
+            ll += _sum_ll(count * np.log(z))
+            weight = count / z
+            exam = np.cumsum(w[:, ::-1], axis=1)[:, ::-1] * weight[:, None]
+            rel_trials += np.bincount(tail.ravel(), weights=exam.ravel(), minlength=n_pairs)
+            # A continuation trial leaves each examined, unsatisfied position
+            # but the last; it succeeds if the next position is examined.
+            cont_trials += float(exam[:, :-1].sum())
+            cont_succ += float(exam[:, 1:].sum())
+            if last is not None:
+                sat_post = s * weight
+                sat_succ += np.bincount(last, weights=sat_post, minlength=n_pairs)
+                if tail.shape[1]:
+                    cont_trials += float(np.sum(count - sat_post))
+                    cont_succ += float(exam[:, 0].sum())
 
         delta = 0.0
         if REL_SIDE in families:
-            new_rel = _posterior_mean(self.click_counts, rel_trials, cfg)
-            new_sat = _posterior_mean(sat_succ, self.click_counts, cfg)
+            new_rel = _posterior_mean(self.clicks, rel_trials, cfg)
+            new_sat = _posterior_mean(sat_succ, self.clicks, cfg)
             delta = max(_store(state, "rel", new_rel), _store(state, "sat", new_sat))
         if EXAM_SIDE in families:
-            new_gamma = float(_posterior_mean(gamma_succ, gamma_trials, cfg))
+            new_gamma = float(_posterior_mean(cont_succ, cont_trials, cfg))
             delta = max(delta, _store(state, "gamma_cont", new_gamma))
         return ll, delta
 

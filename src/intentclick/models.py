@@ -6,7 +6,8 @@ network model (DBN). Each defines one routine, ``click_probs``, for
 P(C_i = 1 | earlier clicks) in every cell of a SessionBatch; session
 probabilities, log-likelihoods and perplexity follow from it by the chain
 rule. PBM and UBM share it and differ only in their examination cells.
-``dbn_forward`` is the one DBN recursion; the EM fitter runs it too.
+``dbn_forward`` is the one DBN recursion; the EM fitter needs none, since
+it works from each session's last click in closed form.
 Intent-aware variants replicate a base parameter set per intent label.
 """
 
@@ -370,16 +371,27 @@ def _base_to_json(params: BaseParams) -> dict:
     return doc
 
 
+# JSON numbers; bool is excluded because type(True) is bool, not int.
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _base_from_json(params_cls: type, obj: Mapping) -> BaseParams:
+    """Fields checked, not cast: table values and float scalars must be
+    JSON numbers and int scalars JSON integers."""
     values = {}
     for f in fields(params_cls):
+        value = obj[f.name]
         if _is_table(f):
-            table = obj[f.name]
-            keys = map(f.metadata["json_key"][1], table)
-            values[f.name] = dict(zip(keys, map(float, table.values())))
+            # One pass over the value types, then the conversion.
+            if not set(map(type, value.values())) <= _NUMBER_TYPES:
+                raise TypeError(f"{f.name} values must be numbers")
+            keys = map(f.metadata["json_key"][1], value)
+            values[f.name] = dict(zip(keys, map(float, value.values())))
         else:
-            # A scalar is read as the type of its default.
-            values[f.name] = type(f.default)(obj[f.name])
+            kind = type(f.default)
+            if type(value) not in (_NUMBER_TYPES if kind is float else {kind}):
+                raise TypeError(f"{f.name} must be a JSON {kind.__name__}, got {value!r}")
+            values[f.name] = kind(value)
     return params_cls(**values)
 
 

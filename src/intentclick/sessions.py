@@ -372,7 +372,8 @@ def write_sessions(path, sessions: Iterable[Session]) -> None:
 
 def read_sessions(path) -> list[Session]:
     """Read line-delimited session records, enforcing session invariants:
-    docs and clicks are JSON arrays and every click is the integer 0 or 1."""
+    docs and clicks are JSON arrays, every doc id is a string and every
+    click is the integer 0 or 1."""
     sessions = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -387,13 +388,16 @@ def read_sessions(path) -> list[Session]:
                 docs, clicks = record["docs"], record["clicks"]
                 # Session checks clicks are 0/1, which true and 1.0 also pass.
                 if not (type(docs) is list and type(clicks) is list
+                        and all(type(d) is str for d in docs)
                         and all(type(c) is int for c in clicks)):
-                    raise SessionFormatError("docs and clicks must be arrays, clicks of 0/1 ints")
+                    raise SessionFormatError(
+                        "docs and clicks must be arrays, docs of strings, clicks of 0/1 ints"
+                    )
                 session = Session(
                     session_id=str(record["session_id"]),
                     query_id=str(record["query_id"]),
                     intent=intent,
-                    docs=tuple(str(d) for d in docs),
+                    docs=tuple(docs),
                     clicks=tuple(clicks),
                 )
             except SessionFormatError as exc:

@@ -88,6 +88,68 @@ def dbn_session_prob(rels, sats, gamma, clicks):
     return total
 
 
+def dbn_em_step(rels, sats, gamma, sessions):
+    """One EM step of DBN with zero priors, by enumerating every (E, S)
+    chain of each session as dbn_session_prob does.
+
+    rels and sats map (query_id, doc_id) to probabilities; sessions have
+    query_id, docs and clicks. Returns the M-step (rel, sat, gamma): each
+    pair's expected clicks over expected examinations, expected
+    satisfactions over clicks, and expected continuations over expected
+    (examined, unsatisfied) positions that have a next position. Pairs
+    whose denominator is zero are left out.
+    """
+    succ = {"rel": {}, "sat": {}}
+    trials = {"rel": {}, "sat": {}}
+    cont = [0.0, 0.0]
+
+    def add(table, key, num, den):
+        succ[table][key] = succ[table].get(key, 0.0) + num
+        trials[table][key] = trials[table].get(key, 0.0) + den
+
+    for session in sessions:
+        keys = [(session.query_id, d) for d in session.docs]
+        clicks = session.clicks
+        n = len(keys)
+        chains = []
+        for e in itertools.product((0, 1), repeat=n):
+            if e[0] != 1:
+                continue
+            for s in itertools.product((0, 1), repeat=n):
+                p = 1.0
+                for i in range(n):
+                    r, sat = rels[keys[i]], sats[keys[i]]
+                    if e[i]:
+                        p *= r if clicks[i] else 1.0 - r
+                    elif clicks[i]:
+                        p = 0.0
+                    if clicks[i]:
+                        p *= sat if s[i] else 1.0 - sat
+                    elif s[i]:
+                        p = 0.0
+                    if i + 1 < n:
+                        if e[i] and not s[i]:
+                            p *= gamma if e[i + 1] else 1.0 - gamma
+                        elif e[i + 1]:
+                            p = 0.0
+                if p > 0.0:
+                    chains.append((p, e, s))
+        total = sum(p for p, _, _ in chains)
+        for p, e, s in chains:
+            w = p / total
+            for i in range(n):
+                add("rel", keys[i], w * clicks[i], w * e[i])
+                add("sat", keys[i], w * s[i], w * clicks[i])
+                if i + 1 < n and e[i] and not s[i]:
+                    cont[0] += w * e[i + 1]
+                    cont[1] += w
+    step = {
+        table: {k: succ[table][k] / d for k, d in trials[table].items() if d > 0.0}
+        for table in succ
+    }
+    return step["rel"], step["sat"], cont[0] / cont[1]
+
+
 def longest_query_substring_in_url(query, url):
     """All substrings of the query, checked for containment in the url."""
     q = query.lower()

@@ -1,6 +1,7 @@
 """EM fitting: posteriors, recovery against the simulator oracle, ascent."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -207,6 +208,33 @@ class TestDbnFit:
         for key in a.rel:
             assert abs(a.rel[key] - b.rel[key]) < 1e-9
             assert abs(a.sat[key] - b.sat[key]) < 1e-9
+
+    def test_one_step_matches_enumeration_oracle(self):
+        # Every click pattern of lengths 1-5 (no click, a click at the last
+        # position, several clicks) in one fit, some sessions repeated,
+        # against one EM step computed by enumerating the latent chains.
+        rng = np.random.default_rng(12)
+        docs = "abcdefg"
+        sessions = []
+        for n in range(1, 6):
+            for clicks in itertools.product((0, 1), repeat=n):
+                for q in ("q0", "q1"):
+                    shown = tuple(docs[k] for k in rng.permutation(len(docs))[:n])
+                    sessions.append(Session(f"s{len(sessions)}", q, Intent.UNKNOWN, shown, clicks))
+        sessions += sessions[::7]
+        keys = sorted({(s.query_id, d) for s in sessions for d in s.docs})
+        rels = dict(zip(keys, rng.uniform(0.05, 0.95, len(keys)).tolist()))
+        sats = dict(zip(keys, rng.uniform(0.05, 0.95, len(keys)).tolist()))
+        start = DbnParams(rel=rels, sat=sats, gamma_cont=0.7)
+        cfg = EmConfig(max_iters=1, prior_alpha=0.0, prior_beta=0.0)
+        params, report = em_fit("dbn", sessions, cfg, init_params=start)
+        assert report.iterations == 1
+        rel, sat, gamma = oracles.dbn_em_step(rels, sats, 0.7, sessions)
+        assert rel.keys() == params.rel.keys() and sat.keys() == params.sat.keys()
+        for key in keys:
+            assert params.rel[key] == pytest.approx(rel[key], abs=1e-12)
+            assert params.sat[key] == pytest.approx(sat[key], abs=1e-12)
+        assert params.gamma_cont == pytest.approx(gamma, abs=1e-12)
 
     def test_satisfaction_posteriors_respect_click_structure(self):
         # A session with a later click forces unsatisfied earlier clicks, so
@@ -451,6 +479,29 @@ def test_accelerated_fit_lands_on_em_fixed_point(kind, mode):
     assert max(abs(after[k] - before[k]) for k in before) <= 10 * cfg.tol
 
 
+@pytest.mark.parametrize("mode", ["base", "intent_aware"])
+@pytest.mark.parametrize("kind", ["pbm", "ubm", "dbn", "cascade"])
+def test_fit_is_independent_of_session_order(kind, mode):
+    # fit writes the same bytes for any session order, so every fitted value
+    # and the report must be exactly equal, not merely close.
+    _, simulated, _ = _simulate(
+        kind, seed=35, queries=12, sessions_per_query=50, positions=4,
+        intent_mix=(0.5, 0.5, 0.0), intent_aware=True, shuffle_serps=True,
+    )
+    rng = np.random.default_rng(6)
+    sessions = []
+    for s in simulated:
+        n = int(rng.integers(1, len(s) + 1))
+        sessions.append(Session(s.session_id, s.query_id, s.intent, s.docs[:n], s.clicks[:n]))
+    shuffled = list(sessions)
+    rng.shuffle(shuffled)
+    cfg = EmConfig(max_iters=30)
+    a, report_a = em_fit(kind, sessions, cfg, intent_aware=mode == "intent_aware")
+    b, report_b = em_fit(kind, shuffled, cfg, intent_aware=mode == "intent_aware")
+    assert _parameters(a) == _parameters(b)
+    assert report_a.to_json() == report_b.to_json()
+
+
 class TestFitReportShape:
     def test_one_trace_value_per_iteration(self):
         _, sessions, _ = _simulate("pbm", seed=30, queries=10, sessions_per_query=50,
@@ -509,8 +560,9 @@ def _no_prior(max_iters):
 @pytest.mark.parametrize("kind", ["pbm", "ubm", "dbn", "cascade"])
 def test_loglik_trace_matches_per_session_log_likelihood(kind):
     # The batched E-step and the per-session chain rule in models.py are
-    # separate routes to the same likelihood: for DBN, the evidence of the
-    # backward pass and the click probabilities of the forward pass. The
+    # separate routes to the same likelihood: for DBN, the last-click
+    # factors and tail weights of the E-step and the click probabilities of
+    # the forward pass. The
     # second trace value, at the parameters after one M-step, also checks
     # which examination cell each event uses.
     _, simulated, _ = _simulate(kind, seed=33, queries=8, sessions_per_query=40, positions=5)

@@ -332,6 +332,15 @@ class TestIntentAware:
         assert session_prob(ia, s_inf) != session_prob(ia, s_nav)
 
 
+def _doc(kind, params):
+    """A base parameter document around the raw JSON text of its params."""
+    return f'{{"version": 1, "kind": "{kind}", "intent_aware": false, "params": {params}}}'
+
+
+_PBM_EXAM = '"exam": {"1": 0.25, "2": 0.5}'
+_PAIR = '{"q\\td": 0.75}'
+
+
 class TestPersistence:
     def test_roundtrip_all_kinds(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -392,14 +401,39 @@ class TestPersistence:
             '{"version": 1, "kind": "cascade", "intent_aware": false, "params": {"rel": []}}',
             '{"version": 1, "kind": "cascade", "intent_aware": true, '
             '"per_intent": {"inf": {"rel": {}}, "nav": {"rel": {}}}, "fallback": {"rel": {}}}',
+            _doc("pbm", f'{{{_PBM_EXAM}, "rel": {{}}, "max_positions": 2.9}}'),
+            _doc("pbm", f'{{{_PBM_EXAM}, "rel": {{}}, "max_positions": true}}'),
+            _doc("pbm", f'{{{_PBM_EXAM}, "rel": {{}}, "max_positions": "2"}}'),
+            _doc("pbm", '{"exam": {"1": true, "2": 0.5}, "rel": {}, "max_positions": 2}'),
+            _doc("pbm", f'{{{_PBM_EXAM}, "rel": {{"q\\td": "0.5"}}, "max_positions": 2}}'),
+            _doc("pbm", f'{{{_PBM_EXAM}, "rel": {{"q\\td": null}}, "max_positions": 2}}'),
+            _doc("dbn", f'{{"rel": {_PAIR}, "sat": {_PAIR}, "gamma_cont": "0.5"}}'),
+            _doc("dbn", f'{{"rel": {_PAIR}, "sat": {_PAIR}, "gamma_cont": true}}'),
+            _doc("dbn", f'{{"rel": {_PAIR}, "sat": {_PAIR}, "gamma_cont": null}}'),
         ],
-        ids=["version-99", "no-params", "kind-list", "array", "rel-list", "missing-intent"],
+        ids=["version-99", "no-params", "kind-list", "array", "rel-list", "missing-intent",
+             "max-positions-float", "max-positions-bool", "max-positions-string",
+             "exam-bool", "rel-string", "rel-null", "gamma-string", "gamma-bool",
+             "gamma-null"],
     )
     def test_bad_document_is_a_data_error(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
         with pytest.raises(DataError):
             load_params(path)
+
+    def test_json_integers_load_as_probabilities(self, tmp_path):
+        # The bad cases above differ from these valid documents in one
+        # value; an integer probability reads as a float.
+        path = tmp_path / "p.json"
+        path.write_text(_doc("pbm", f'{{{_PBM_EXAM}, "rel": {_PAIR}, "max_positions": 2}}'))
+        assert load_params(path) == PbmParams(
+            exam={1: 0.25, 2: 0.5}, rel={("q", "d"): 0.75}, max_positions=2
+        )
+        path.write_text(_doc("dbn", '{"rel": {"q\\td": 0.75}, "sat": {"q\\td": 1}, "gamma_cont": 1}'))
+        params = load_params(path)
+        assert params == DbnParams(rel={("q", "d"): 0.75}, sat={("q", "d"): 1.0}, gamma_cont=1.0)
+        assert type(params.gamma_cont) is float and type(params.sat[("q", "d")]) is float
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):

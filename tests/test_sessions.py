@@ -215,9 +215,16 @@ class TestSessionIo:
             ('["x", "y"]', "[0, 0.9]"),
             ('["x", "y"]', '[0, "1"]'),
             ('["x", "y"]', "[true, 0]"),
+            ('[1, null, [2]]', "[0, 0, 0]"),
+            ('["x", 1]', "[0, 0]"),
+            ('["x", null]', "[0, 0]"),
+            ('["x", ["y"]]', "[0, 0]"),
+            ('["x", {"d": "y"}]', "[0, 0]"),
+            ('["x", true]', "[0, 0]"),
         ],
         ids=["length-mismatch", "docs-string", "clicks-string", "click-float",
-             "click-string", "click-bool"],
+             "click-string", "click-bool", "docs-mixed", "doc-int", "doc-null",
+             "doc-array", "doc-object", "doc-bool"],
     )
     def test_malformed_record_is_a_parse_error(self, tmp_path, docs, clicks):
         path = tmp_path / "s.jsonl"
