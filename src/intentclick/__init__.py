@@ -29,7 +29,6 @@ from .models import (
     IntentAwareParams,
     PbmParams,
     UbmParams,
-    ia_dispatch,
     load_params,
     save_params,
     session_log_likelihood,
@@ -44,7 +43,6 @@ from .evaluate import (
     ndcg_at_k,
     perplexity_improvement,
     position_perplexity,
-    rank_by_relevance,
 )
 from .intent import (
     ClassifierModel,
@@ -76,7 +74,6 @@ __all__ = [
     "UbmParams",
     "DbnParams",
     "IntentAwareParams",
-    "ia_dispatch",
     "session_prob",
     "session_log_likelihood",
     "save_params",
@@ -94,7 +91,6 @@ __all__ = [
     "position_perplexity",
     "perplexity_improvement",
     "ndcg_at_k",
-    "rank_by_relevance",
     "evaluate_model",
     "compare_models",
     "FeatureVector",

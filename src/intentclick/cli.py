@@ -9,7 +9,6 @@ error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 import time
@@ -32,13 +31,10 @@ from .inference import EmConfig, alternating_fit, em_fit
 from .intent import (
     DEFAULT_NCS_N,
     DEFAULT_NRS_N,
-    ClassifierConfig,
     classify,
     clicked_url_counts,
     extract_features,
     load_lexicon,
-    n_clicks_satisfied,
-    n_results_satisfied,
     rule_label_transactional,
     save_classifier,
     train_classifier,
@@ -55,6 +51,7 @@ from .sessions import (
     read_sessions,
     sessionize,
     write_intent_labels,
+    write_json,
     write_judgments,
     write_sessions,
 )
@@ -95,10 +92,7 @@ class RunManifest:
     duration_seconds: float = 0.0
 
     def write(self, primary_output: Path) -> None:
-        path = Path(str(primary_output) + ".manifest.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(Path(str(primary_output) + ".manifest.json"), asdict(self))
 
 
 def _intent_mix(text: str) -> tuple[float, float, float]:
@@ -125,7 +119,8 @@ def _k_list(text: str) -> tuple[int, ...]:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="intentclick", description=__doc__)
-    parser.add_argument("--verbose", action="store_true", help="per-iteration diagnostics")
+    parser.add_argument("--verbose", action="store_true",
+                        help="log at INFO level: one line per EM step")
     sub = parser.add_subparsers(dest="subcommand")
 
     p = sub.add_parser("ingest", help="parse an AOL-style TSV log into sessions")
@@ -160,7 +155,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lexicon", help="transactional cue-word lexicon file")
     p.add_argument("--ncs-n", type=int, default=DEFAULT_NCS_N)
     p.add_argument("--nrs-n", type=int, default=DEFAULT_NRS_N)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("fit", help="estimate click-model parameters by EM")
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
@@ -284,7 +278,6 @@ def _cmd_classify(args) -> tuple[Path, RunManifest]:
         model = train_classifier(
             [features[q] for q in train_queries],
             [seed_labels[q] for q in train_queries],
-            ClassifierConfig(seed=args.seed),
         )
         for q, fv in features.items():
             labels[q], _ = classify(model, fv)
@@ -292,13 +285,10 @@ def _cmd_classify(args) -> tuple[Path, RunManifest]:
             model_path = Path(args.model_out)
             save_classifier(model_path, model)
     else:
-        for q, members in by_query.items():
+        for q, fv in features.items():
             if rule_label_transactional(q, lexicon):
                 labels[q] = Intent.TRANSACTIONAL
-            elif (
-                n_clicks_satisfied(members, args.ncs_n) >= RULE_NCS_THRESHOLD
-                and n_results_satisfied(members, args.nrs_n) >= RULE_NRS_THRESHOLD
-            ):
+            elif fv.ncs >= RULE_NCS_THRESHOLD and fv.nrs >= RULE_NRS_THRESHOLD:
                 labels[q] = Intent.NAVIGATIONAL
             else:
                 labels[q] = Intent.INFORMATIONAL
@@ -315,7 +305,6 @@ def _cmd_classify(args) -> tuple[Path, RunManifest]:
         },
         inputs=[args.sessions] + ([args.train_labels] if args.train_labels else []),
         outputs=[str(out)] + ([str(model_path)] if model_path else []),
-        seed=args.seed,
     )
     return out, manifest
 
@@ -327,7 +316,7 @@ def _cmd_fit(args) -> tuple[Path, RunManifest]:
     if args.intents:
         sessions = attach_intents(sessions, read_intent_labels(args.intents))
     intent_aware = args.intent_aware or args.alternating
-    config = EmConfig(tol=args.tol, max_iters=args.max_iters, verbose=args.verbose)
+    config = EmConfig(tol=args.tol, max_iters=args.max_iters)
     if args.alternating:
         params, report = alternating_fit(
             args.model, sessions, config, max_positions=args.max_positions
@@ -343,9 +332,7 @@ def _cmd_fit(args) -> tuple[Path, RunManifest]:
     out = Path(args.out)
     save_params(out, params)
     report_path = Path(str(out) + ".report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(report_path, report.to_json())
     status = "converged" if report.converged else "stopped at max iterations"
     print(
         f"fit {args.model} on {len(sessions)} sessions: {status} after "
@@ -405,9 +392,7 @@ def _cmd_compare(args) -> tuple[Path, RunManifest]:
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     json_path = Path(str(out) + ".json")
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(comparison.to_json(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(json_path, comparison.to_json())
     manifest = RunManifest(
         subcommand="compare",
         config={},
@@ -437,10 +422,10 @@ def run(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig does nothing once the root logger has a handler, so the
+    # level is set on the package logger on every run.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("intentclick").setLevel(logging.INFO if args.verbose else logging.WARNING)
     started = time.monotonic()
     try:
         primary_output, manifest = _COMMANDS[args.subcommand](args)

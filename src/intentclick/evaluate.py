@@ -10,7 +10,6 @@ an improvement row computed as (p2 - p1) / (p2 - 1) * 100%.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -19,7 +18,8 @@ import numpy as np
 
 from .errors import DataError
 from .models import AnyParams, PROB_CLAMP, clamp_probability, click_probs, resolve_params
-from .sessions import Intent, RelevanceJudgment, Session, encode_sessions
+from .sessions import (JSON_NUMBER_TYPES, Intent, RelevanceJudgment, Session,
+                       encode_sessions, read_json, write_json)
 
 DEFAULT_K_LIST = (1, 3, 5, 7, 10)
 
@@ -79,19 +79,37 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "EvalReport":
+        """Fields checked, not cast: perplexities and NDCG values must be
+        JSON numbers, counts JSON integers and the label a string."""
         try:
+            per_position, counts = doc["per_position"], doc["position_counts"]
+            ndcg, label = doc.get("ndcg", {}), doc.get("label", "")
+            numbers = [*per_position, doc["overall"], *ndcg.values()]
+            integers = [*counts, doc["n_sessions"], doc["n_queries"], doc.get("ndcg_queries", 0)]
+            # One pass over the value types, then the conversion.
+            if not (type(per_position) is list and type(counts) is list and type(label) is str
+                    and set(map(type, numbers)) <= JSON_NUMBER_TYPES
+                    and set(map(type, integers)) <= {int}):
+                raise TypeError("per_position and position_counts must be arrays, perplexities "
+                                "and NDCG values numbers, counts integers and label a string")
             return cls(
-                per_position=[float(x) for x in doc["per_position"]],
-                position_counts=[int(x) for x in doc["position_counts"]],
+                per_position=[float(x) for x in per_position],
+                position_counts=counts,
                 overall=float(doc["overall"]),
-                n_sessions=int(doc["n_sessions"]),
-                n_queries=int(doc["n_queries"]),
-                ndcg={int(k): float(v) for k, v in doc.get("ndcg", {}).items()},
-                ndcg_queries=int(doc.get("ndcg_queries", 0)),
-                label=str(doc.get("label", "")),
+                n_sessions=doc["n_sessions"],
+                n_queries=doc["n_queries"],
+                ndcg={int(k): float(v) for k, v in ndcg.items()},
+                ndcg_queries=doc.get("ndcg_queries", 0),
+                label=label,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad evaluation report: {exc}") from None
+
+
+def _render(rows: list[list[str]]) -> str:
+    """Rows of cells, left-aligned in columns of one width; [] is a blank line."""
+    width = max(len(cell) for row in rows for cell in row) + 2
+    return "\n".join("".join(cell.ljust(width) for cell in row).rstrip() for row in rows)
 
 
 def format_report(report: EvalReport) -> str:
@@ -109,24 +127,15 @@ def format_report(report: EvalReport) -> str:
         lines.append([])
         lines.append(["NDCG"] + [f"@{k}" for k in ks])
         lines.append([report.label or "model"] + [f"{report.ndcg[k]:.4f}" for k in ks])
-    width = max(len(cell) for line in lines for cell in line) + 2
-    return "\n".join(
-        "".join(cell.ljust(width) for cell in line).rstrip() for line in lines
-    )
+    return _render(lines)
 
 
 def save_report(path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, report.to_json())
 
 
 def load_report(path) -> EvalReport:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return EvalReport.from_json(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid report document: {exc}") from None
+    return EvalReport.from_json(read_json(path, "report document"))
 
 
 def perplexity_report(
@@ -183,16 +192,6 @@ def ndcg_at_k(
     if ideal == 0.0:
         return None
     return dcg(ranked_grades, k) / ideal
-
-
-def rank_by_relevance(
-    params: AnyParams, query_id: str, intent: Intent, docs: Sequence[str]
-) -> list[str]:
-    """Candidate docs ordered by estimated relevance, ties by ascending id."""
-    if not docs:
-        raise ValueError("no candidate docs to rank")
-    base = resolve_params(params, intent)
-    return sorted(docs, key=lambda d: (-base.relevance_estimate(query_id, d), d))
 
 
 def empirical_ctr(sessions: Iterable[Session]) -> dict[tuple[str, str], float]:
@@ -372,8 +371,4 @@ def format_comparison_table(cmp: ModelComparison) -> str:
         rows.append(
             ["delta"] + [f"{cmp.ndcg_deltas[k]:+.4f}" for k in sorted(cmp.ndcg_deltas)]
         )
-    width = max(len(cell) for row in [headers] + rows for cell in row) + 2
-    lines = ["".join(cell.ljust(width) for cell in headers)]
-    for row in rows:
-        lines.append("".join(cell.ljust(width) for cell in row))
-    return "\n".join(line.rstrip() for line in lines)
+    return _render([headers] + rows)

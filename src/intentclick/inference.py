@@ -90,7 +90,6 @@ class EmConfig:
     max_iters: int = 200
     prior_alpha: float = 1.0
     prior_beta: float = 1.0
-    verbose: bool = False
 
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
@@ -139,20 +138,17 @@ class FitReport:
         return asdict(self)
 
 
-def factor_posterior(x, y, clicked):
-    """P(X=1 | C) for one factor of a click C = X*Y with independent
-    X ~ Bernoulli(x), Y ~ Bernoulli(y); elementwise over scalars or arrays.
+def factor_posterior(x, y):
+    """P(X=1 | C=0) for one factor of an unclicked event C = X*Y with
+    independent X ~ Bernoulli(x), Y ~ Bernoulli(y); elementwise over
+    scalars or arrays.
 
     Under the examination hypothesis (exam, rel) gives the examination
-    posterior and (rel, exam) the relevance posterior. A click pins it to 1;
-    otherwise Bayes over the three unclicked outcomes gives x(1-y) / (1-xy),
-    with the denominator clamped away from zero. ``clicked`` is a boolean
-    mask or an index array of the clicked events, or False for the
-    unclicked posterior alone.
+    posterior and (rel, exam) the relevance posterior. Bayes over the three
+    unclicked outcomes gives x(1-y) / (1-xy), with the denominator clamped
+    away from zero. A click pins both posteriors to 1.
     """
-    post = np.asarray(x * (1.0 - y) / np.maximum(1.0 - x * y, PROB_CLAMP))
-    post[clicked] = 1.0
-    return post
+    return x * (1.0 - y) / np.maximum(1.0 - x * y, PROB_CLAMP)
 
 
 def _posterior_mean(succ, trials, cfg: EmConfig):
@@ -338,11 +334,11 @@ class _ExamRelFitter(_Fitter):
         ll += _prior_bonus(cfg, (exam, state["rel"]))
         delta = 0.0
         if REL_SIDE in families:
-            p_rel = self.clicks + self.skips * factor_posterior(r, g, False)
+            p_rel = self.clicks + self.skips * factor_posterior(r, g)
             new_rel = _smoothed_mean(self.pair, p_rel, self.rel_trials, cfg)
             delta = max(delta, _store(state, "rel", new_rel))
         if EXAM_SIDE in families:
-            p_exam = self.clicks + self.skips * factor_posterior(g, r, False)
+            p_exam = self.clicks + self.skips * factor_posterior(g, r)
             new_exam = _smoothed_mean(self.cell, p_exam, self.exam_trials, cfg)
             delta = max(delta, _store(state, self.exam_field, new_exam))
         return ll, delta
@@ -598,8 +594,8 @@ class _FitProblem:
 def _record_steps(
     problem: _FitProblem, families: frozenset, report: FitReport, label: str
 ) -> float:
-    """Run up to max_iters accelerated steps into the report; return the
-    largest change of any step."""
+    """Run up to max_iters accelerated steps into the report, logging each
+    at INFO level; return the largest change of any step."""
     config = problem.config
     largest = 0.0
     for ll, delta, kinds in itertools.islice(problem.ascend(families), config.max_iters):
@@ -608,7 +604,7 @@ def _record_steps(
         report.extrapolated += kinds.count(EXTRAPOLATED)
         report.rejected += kinds.count(REJECTED)
         largest = max(largest, delta)
-        if config.verbose:
+        if logger.isEnabledFor(logging.INFO):
             marks = "".join(
                 f" {k}={kinds.count(k)}" for k in (EXTRAPOLATED, REJECTED) if k in kinds
             )
@@ -658,7 +654,6 @@ def alternating_fit(
     config: EmConfig | None = None,
     *,
     max_positions: int | None = None,
-    init_params: AnyParams | None = None,
 ) -> tuple[AnyParams, FitReport]:
     """Two-phase intent-aware fit: Phase A updates relevance-side parameters
     with examination tables held fixed, Phase B the reverse, alternating
@@ -670,9 +665,7 @@ def alternating_fit(
     any step in it.
     """
     config = config or EmConfig()
-    problem = _FitProblem(
-        model_kind, sessions, config, True, max_positions, init_params
-    )
+    problem = _FitProblem(model_kind, sessions, config, True, max_positions, None)
     phases = [f for f in (frozenset((REL_SIDE,)), frozenset((EXAM_SIDE,)))
               if f & problem.model_families]
     report = FitReport(iterations=0, final_delta=float("inf"))

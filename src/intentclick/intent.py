@@ -17,9 +17,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .sessions import Intent, KNOWN_INTENTS, Session
+from .sessions import Intent, KNOWN_INTENTS, Session, read_json
 
-DEFAULT_BOW_DIM = 1024
+BOW_DIM = 1024
 DEFAULT_NCS_N = 2
 DEFAULT_NRS_N = 3
 
@@ -146,14 +146,13 @@ def extract_features(
     clicked_urls: Mapping[str, int],
     ncs_n: int = DEFAULT_NCS_N,
     nrs_n: int = DEFAULT_NRS_N,
-    bow_dim: int = DEFAULT_BOW_DIM,
 ) -> FeatureVector:
     """Feature vector for one query; missing click data degrades to zeros
     with the missing-data flag set."""
     tokens = query.split()
-    bow = np.zeros(bow_dim)
+    bow = np.zeros(BOW_DIM)
     for token in tokens:
-        bow[hash_token(token, bow_dim)] += 1.0
+        bow[hash_token(token, BOW_DIM)] += 1.0
     missing = False
     if clicked_urls and sum(clicked_urls.values()) > 0:
         urlmr = max(url_match_ratio(query, url) for url in clicked_urls)
@@ -186,13 +185,12 @@ def clicked_url_counts(sessions_of_query: Iterable[Session]) -> dict[str, int]:
     return counts
 
 
-@dataclass
-class ClassifierConfig:
-    learning_rate: float = 0.5
-    max_iters: int = 500
-    l2: float = 1e-4
-    tol: float = 1e-7
-    seed: int = 0
+# Gradient-descent settings of train_classifier. Training starts from zero
+# weights and has no random part, so it takes no seed.
+LEARNING_RATE = 0.5
+MAX_ITERS = 500
+L2_PENALTY = 1e-4
+TOL = 1e-7
 
 
 @dataclass
@@ -206,7 +204,6 @@ class ClassifierModel:
     classes: tuple[Intent, ...]
     bow_dim: int
     iterations: int
-    seed: int
 
     @property
     def n_features(self) -> int:
@@ -226,7 +223,6 @@ def save_classifier(path, model: ClassifierModel) -> None:
         "feature_scale": model.feature_scale.tolist(),
         "bow_dim": model.bow_dim,
         "iterations": model.iterations,
-        "seed": model.seed,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -234,11 +230,7 @@ def save_classifier(path, model: ClassifierModel) -> None:
 
 
 def load_classifier(path) -> ClassifierModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid classifier document: {exc}") from None
+    doc = read_json(path, "classifier document")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported classifier version {doc.get('version')!r}")
     try:
@@ -250,7 +242,6 @@ def load_classifier(path) -> ClassifierModel:
             classes=tuple(Intent(c) for c in doc["classes"]),
             bow_dim=int(doc["bow_dim"]),
             iterations=int(doc["iterations"]),
-            seed=int(doc["seed"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad classifier document: {exc}") from None
@@ -265,14 +256,12 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def train_classifier(
     features: Sequence[FeatureVector],
     labels: Sequence[Intent],
-    config: ClassifierConfig | None = None,
 ) -> ClassifierModel:
     """Fit multinomial logistic regression by full-batch gradient descent.
 
     Deterministic (zero init, fixed iteration order); raises on fewer than
     two distinct classes or Unknown labels.
     """
-    config = config or ClassifierConfig()
     if len(features) != len(labels):
         raise ValueError(f"{len(features)} features vs {len(labels)} labels")
     if not features:
@@ -296,15 +285,15 @@ def train_classifier(
     w = np.zeros((k, d))
     b = np.zeros(k)
     iterations = 0
-    for iterations in range(1, config.max_iters + 1):
+    for iterations in range(1, MAX_ITERS + 1):
         probs = _softmax(x @ w.T + b)
         err = probs - onehot
-        grad_w = err.T @ x / n + config.l2 * w
+        grad_w = err.T @ x / n + L2_PENALTY * w
         grad_b = err.mean(axis=0)
-        w -= config.learning_rate * grad_w
-        b -= config.learning_rate * grad_b
+        w -= LEARNING_RATE * grad_w
+        b -= LEARNING_RATE * grad_b
         step = max(float(np.max(np.abs(grad_w))), float(np.max(np.abs(grad_b))))
-        if config.learning_rate * step < config.tol:
+        if LEARNING_RATE * step < TOL:
             break
     return ClassifierModel(
         weights=w,
@@ -314,7 +303,6 @@ def train_classifier(
         classes=KNOWN_INTENTS,
         bow_dim=int(features[0].bow.shape[0]),
         iterations=iterations,
-        seed=config.seed,
     )
 
 

@@ -6,14 +6,14 @@ network model (DBN). Each defines one routine, ``click_probs``, for
 P(C_i = 1 | earlier clicks) in every cell of a SessionBatch; session
 probabilities, log-likelihoods and perplexity follow from it by the chain
 rule. PBM and UBM share it and differ only in their examination cells.
-``dbn_forward`` is the one DBN recursion; the EM fitter needs none, since
-it works from each session's last click in closed form.
+DBN's forward recursion over the examination chain lives in
+``DbnParams.click_probs`` and is written once; the EM fitter needs none,
+since it works from each session's last click in closed form.
 Intent-aware variants replicate a base parameter set per intent label.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -22,7 +22,8 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import DataError
-from .sessions import Intent, KNOWN_INTENTS, Session, SessionBatch, encode_sessions
+from .sessions import (JSON_NUMBER_TYPES, KNOWN_INTENTS, Intent, Session, SessionBatch,
+                       encode_sessions, read_json, write_json)
 
 PROB_CLAMP = 1e-12
 DEFAULT_REL = 0.5  # uninformative prior mean: unseen pairs, prior examination cells
@@ -70,28 +71,6 @@ def last_click(clicks: np.ndarray) -> np.ndarray:
     last = np.zeros_like(clicked_at)
     last[:, 1:] = np.maximum.accumulate(clicked_at, axis=1)[:, :-1]
     return last
-
-
-def dbn_forward(r: np.ndarray, s: np.ndarray, clicked: np.ndarray, gamma: float):
-    """Forward pass of the DBN examination chain given observed clicks.
-
-    r, s and clicked are (session, position) arrays of relevance,
-    satisfaction and click outcomes. Returns (a0, a1, stay, halt):
-    a0[:, t] and a1[:, t] are P(clicks before t, E_t = 0 / 1), with the
-    first position always examined; stay[:, t] is the mass that moves from
-    E_t=1 to E_{t+1}=1 while emitting c_t, and halt the mass that lands on
-    E_{t+1}=0 instead.
-    """
-    stay = np.where(clicked, r * (1.0 - s) * gamma, (1.0 - r) * gamma)
-    halt = np.where(clicked, r * (s + (1.0 - s) * (1.0 - gamma)), (1.0 - r) * (1.0 - gamma))
-    a0 = np.zeros(r.shape)
-    a1 = np.zeros(r.shape)
-    a1[:, :1] = 1.0
-    for t in range(r.shape[1] - 1):
-        # E=0 emits only non-clicks; clicks zero out the E=0 branch.
-        a0[:, t + 1] = np.where(clicked[:, t], 0.0, a0[:, t]) + a1[:, t] * halt[:, t]
-        a1[:, t + 1] = a1[:, t] * stay[:, t]
-    return a0, a1, stay, halt
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -282,10 +261,23 @@ class DbnParams(_TableParams):
         return self.relevance(query_id, doc_id) * self.satisfaction(query_id, doc_id)
 
     def click_probs(self, batch: SessionBatch) -> np.ndarray:
-        """P(E_i = 1 | earlier clicks) * rel, from the forward pass."""
+        """P(E_i = 1 | earlier clicks) * rel, from the forward pass of the
+        examination chain: a0[:, t] and a1[:, t] are P(clicks before t,
+        E_t = 0 / 1), and stay / halt the mass that moves from E_t=1 to
+        E_{t+1}=1 / 0 while emitting c_t."""
         r = table_values(self.rel, batch.keys)[batch.pair]
         s = table_values(self.sat, batch.keys)[batch.pair]
-        a0, a1, _, _ = dbn_forward(r, s, batch.clicks > 0, self.gamma_cont)
+        gamma = self.gamma_cont
+        clicked = batch.clicks > 0
+        stay = np.where(clicked, r * (1.0 - s) * gamma, (1.0 - r) * gamma)
+        halt = np.where(clicked, r * (s + (1.0 - s) * (1.0 - gamma)), (1.0 - r) * (1.0 - gamma))
+        a0 = np.zeros(r.shape)
+        a1 = np.zeros(r.shape)
+        a1[:, :1] = 1.0
+        for t in range(r.shape[1] - 1):
+            # E=0 emits only non-clicks; clicks zero out the E=0 branch.
+            a0[:, t + 1] = np.where(clicked[:, t], 0.0, a0[:, t]) + a1[:, t] * halt[:, t]
+            a1[:, t + 1] = a1[:, t] * stay[:, t]
         total = a0 + a1
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(total > 0.0, a1 * r / total, 0.0)
@@ -318,17 +310,13 @@ class IntentAwareParams:
 AnyParams = Union[BaseParams, IntentAwareParams]
 
 
-def ia_dispatch(ia_params: IntentAwareParams, intent: Intent) -> BaseParams:
-    """Parameter table for the given intent; Unknown routes to the fallback."""
-    if intent is Intent.UNKNOWN:
-        return ia_params.fallback
-    return ia_params.per_intent[intent]
-
-
 def resolve_params(params: AnyParams, intent: Intent = Intent.UNKNOWN) -> BaseParams:
-    if isinstance(params, IntentAwareParams):
-        return ia_dispatch(params, intent)
-    return params
+    """The base params for sessions of the given intent; Unknown routes to the fallback."""
+    if not isinstance(params, IntentAwareParams):
+        return params
+    if intent is Intent.UNKNOWN:
+        return params.fallback
+    return params.per_intent[intent]
 
 
 def click_probs(params: AnyParams, batch: SessionBatch) -> np.ndarray:
@@ -339,7 +327,7 @@ def click_probs(params: AnyParams, batch: SessionBatch) -> np.ndarray:
     out = np.zeros(batch.pair.shape)
     for intent, rows in batch.by_intent():
         part = batch.take(rows)
-        out[rows, : part.width] = ia_dispatch(params, intent).click_probs(part)
+        out[rows, : part.width] = resolve_params(params, intent).click_probs(part)
     return out
 
 
@@ -371,10 +359,6 @@ def _base_to_json(params: BaseParams) -> dict:
     return doc
 
 
-# JSON numbers; bool is excluded because type(True) is bool, not int.
-_NUMBER_TYPES = frozenset((int, float))
-
-
 def _base_from_json(params_cls: type, obj: Mapping) -> BaseParams:
     """Fields checked, not cast: table values and float scalars must be
     JSON numbers and int scalars JSON integers."""
@@ -383,13 +367,13 @@ def _base_from_json(params_cls: type, obj: Mapping) -> BaseParams:
         value = obj[f.name]
         if _is_table(f):
             # One pass over the value types, then the conversion.
-            if not set(map(type, value.values())) <= _NUMBER_TYPES:
+            if not set(map(type, value.values())) <= JSON_NUMBER_TYPES:
                 raise TypeError(f"{f.name} values must be numbers")
             keys = map(f.metadata["json_key"][1], value)
             values[f.name] = dict(zip(keys, map(float, value.values())))
         else:
             kind = type(f.default)
-            if type(value) not in (_NUMBER_TYPES if kind is float else {kind}):
+            if type(value) not in (JSON_NUMBER_TYPES if kind is float else {kind}):
                 raise TypeError(f"{f.name} must be a JSON {kind.__name__}, got {value!r}")
             values[f.name] = kind(value)
     return params_cls(**values)
@@ -408,18 +392,12 @@ def save_params(path, params: AnyParams) -> None:
     else:
         doc["intent_aware"] = False
         doc["params"] = _base_to_json(params)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_params(path) -> AnyParams:
     """Read a parameter document; any malformed one is a DataError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid parameter document: {exc}") from None
+    doc = read_json(path, "parameter document")
     if not isinstance(doc, dict):
         raise DataError("a parameter document must be a JSON object")
     version = doc.get("version")

@@ -40,29 +40,28 @@ KNOWN_INTENTS = (Intent.INFORMATIONAL, Intent.NAVIGATIONAL, Intent.TRANSACTIONAL
 ALL_INTENTS = (*KNOWN_INTENTS, Intent.UNKNOWN)
 
 
-class MalformedRecordError(DataError):
-    """A raw log line does not have the expected field count."""
+class LineError(DataError):
+    """A malformed record of a line-oriented file, at 1-based line_no if given."""
 
     def __init__(self, message: str, line_no: int | None = None):
         self.line_no = line_no
         prefix = f"line {line_no}: " if line_no is not None else ""
         super().__init__(prefix + message)
+
+
+class MalformedRecordError(LineError):
+    """A raw log line does not have the expected field count."""
 
 
 class MalformedFieldError(MalformedRecordError):
     """A raw log line has the right shape but an unparseable field."""
 
 
-class SessionFormatError(DataError):
+class SessionFormatError(LineError):
     """A canonical session record violates the session schema."""
 
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        prefix = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(prefix + message)
 
-
-class JudgmentError(DataError):
+class JudgmentError(LineError):
     """A relevance judgment record is out of range or duplicated."""
 
 
@@ -356,6 +355,26 @@ def sessionize(
     return result
 
 
+# JSON numbers; bool is excluded because type(True) is bool, not int.
+JSON_NUMBER_TYPES = frozenset((int, float))
+
+
+def write_json(path, doc) -> None:
+    """The one JSON document layout: sorted keys, one-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def read_json(path, what: str):
+    """One JSON document; invalid JSON is a DataError naming ``what``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid {what}: {exc}") from None
+
+
 def write_sessions(path, sessions: Iterable[Session]) -> None:
     """Write sessions as line-delimited JSON records."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -372,8 +391,8 @@ def write_sessions(path, sessions: Iterable[Session]) -> None:
 
 def read_sessions(path) -> list[Session]:
     """Read line-delimited session records, enforcing session invariants:
-    docs and clicks are JSON arrays, every doc id is a string and every
-    click is the integer 0 or 1."""
+    session_id and query_id are JSON strings, docs and clicks are JSON
+    arrays, every doc id is a string and every click is the integer 0 or 1."""
     sessions = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -385,17 +404,20 @@ def read_sessions(path) -> list[Session]:
                 raise SessionFormatError(f"invalid JSON: {exc}", line_no) from None
             try:
                 intent = Intent(record["intent"])
+                session_id, query_id = record["session_id"], record["query_id"]
                 docs, clicks = record["docs"], record["clicks"]
                 # Session checks clicks are 0/1, which true and 1.0 also pass.
-                if not (type(docs) is list and type(clicks) is list
+                if not (type(session_id) is str and type(query_id) is str
+                        and type(docs) is list and type(clicks) is list
                         and all(type(d) is str for d in docs)
                         and all(type(c) is int for c in clicks)):
                     raise SessionFormatError(
-                        "docs and clicks must be arrays, docs of strings, clicks of 0/1 ints"
+                        "session_id and query_id must be strings, docs and clicks arrays, "
+                        "docs of strings, clicks of 0/1 ints"
                     )
                 session = Session(
-                    session_id=str(record["session_id"]),
-                    query_id=str(record["query_id"]),
+                    session_id=session_id,
+                    query_id=query_id,
                     intent=intent,
                     docs=tuple(docs),
                     clicks=tuple(clicks),
@@ -424,15 +446,15 @@ def read_judgments(path) -> list[RelevanceJudgment]:
                 continue
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 3:
-                raise JudgmentError(f"line {line_no}: expected 3 fields, got {len(fields)}")
+                raise JudgmentError(f"expected 3 fields, got {len(fields)}", line_no)
             query_id, doc_id, raw_grade = fields
             try:
                 grade = int(raw_grade)
             except ValueError:
-                raise JudgmentError(f"line {line_no}: bad grade {raw_grade!r}") from None
+                raise JudgmentError(f"bad grade {raw_grade!r}", line_no) from None
             key = (query_id, doc_id)
             if key in seen:
-                raise JudgmentError(f"line {line_no}: duplicate judgment for {key}")
+                raise JudgmentError(f"duplicate judgment for {key}", line_no)
             seen.add(key)
             judgments.append(RelevanceJudgment(query_id, doc_id, grade))
     return judgments
@@ -453,12 +475,12 @@ def read_intent_labels(path) -> dict[str, Intent]:
                 continue
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 2:
-                raise DataError(f"line {line_no}: expected 2 fields, got {len(fields)}")
+                raise LineError(f"expected 2 fields, got {len(fields)}", line_no)
             query_id, raw = fields
             try:
                 labels[query_id] = Intent(raw)
             except ValueError:
-                raise DataError(f"line {line_no}: unknown intent label {raw!r}") from None
+                raise LineError(f"unknown intent label {raw!r}", line_no) from None
     return labels
 
 

@@ -187,6 +187,35 @@ class TestFitEvalCompare:
                     "--out", str(tmp_path / "cmp.txt")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("per_position", ["1.5", 1.2]),
+            ("per_position", [1.5, True]),
+            ("position_counts", [2.0, 3]),
+            ("position_counts", [2, "3"]),
+            ("overall", "1.35"),
+            ("n_sessions", True),
+            ("label", 5),
+            ("ndcg", {"1": "0.5"}),
+        ],
+        ids=["per-position-string", "per-position-bool", "count-float", "count-string",
+             "overall-string", "n-sessions-bool", "label-int", "ndcg-string"],
+    )
+    def test_compare_malformed_report_is_a_data_error(self, tmp_path, field, value):
+        # Each bad value would cast to one that compares cleanly with the base.
+        good = {"label": "m", "per_position": [1.5, 1.2], "position_counts": [2, 3],
+                "overall": 1.35, "n_sessions": 1, "n_queries": 1, "ndcg": {"1": 0.5},
+                "ndcg_queries": 1}
+        base, treat = tmp_path / "base.json", tmp_path / "treat.json"
+        base.write_text(json.dumps(good))
+        argv = ["compare", "--base", str(base), "--treat", str(treat),
+                "--out", str(tmp_path / "cmp.txt")]
+        treat.write_text(json.dumps(good))
+        assert run(argv) == EXIT_OK
+        treat.write_text(json.dumps({**good, field: value}))
+        assert run(argv) == EXIT_DATA
+
     def test_fit_on_empty_sessions_is_a_data_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -291,7 +320,8 @@ class TestClassify:
                     "--out", str(labels_path), "--train-labels", str(seed_path),
                     "--model-out", str(model_path)])
         assert code == EXIT_OK
-        assert model_path.exists()
+        assert "seed" not in json.loads(model_path.read_text())
+        assert json.loads((tmp_path / "intents.tsv.manifest.json").read_text())["seed"] is None
         assert len(read_intent_labels(labels_path)) == 3
 
     def test_no_matching_training_labels_is_a_data_error(self, tmp_path):
@@ -301,3 +331,20 @@ class TestClassify:
         code = run(["classify", "--sessions", str(sessions_path),
                     "--out", str(tmp_path / "o.tsv"), "--train-labels", str(seed_path)])
         assert code == EXIT_DATA
+
+
+class TestLogging:
+    def test_verbose_applies_to_its_own_run_only(self, tmp_path, caplog):
+        # Three runs in one process: only the --verbose one logs its steps.
+        sim = _simulate(tmp_path)
+        params = tmp_path / "p.json"
+        step_lines = []
+        for flags in ([], ["--verbose"], []):
+            caplog.clear()
+            code = run([*flags, "fit", "--model", "pbm", "--sessions",
+                        str(sim / "sessions.jsonl"), "--out", str(params)])
+            assert code == EXIT_OK
+            step_lines.append(sum(" loglik " in r.getMessage() for r in caplog.records))
+        report = json.loads((tmp_path / "p.json.report.json").read_text())
+        assert report["iterations"] > 0
+        assert step_lines == [0, report["iterations"], 0]

@@ -23,11 +23,10 @@ from intentclick.evaluate import (
     perplexity_improvement,
     perplexity_report,
     position_perplexity,
-    rank_by_relevance,
     save_report,
 )
 from intentclick.errors import DataError
-from intentclick.models import IntentAwareParams, PbmParams
+from intentclick.models import IntentAwareParams, PbmParams, resolve_params
 from intentclick.sessions import Intent, RelevanceJudgment, Session
 
 
@@ -179,16 +178,33 @@ class TestNdcg:
         assert ndcg_at_k([2, 3, 1, 0], ideal, 2) < 1.0
 
 
+def _ndcg_of_order(score, grades, k_list=(1, 2, 3)):
+    """ndcg_for_scores over one query judged with ``grades`` (doc -> grade)."""
+    judgments = [RelevanceJudgment("q1", doc, grade) for doc, grade in grades.items()]
+    return ndcg_for_scores(score, judgments, k_list)[0]
+
+
+def _expected_ndcg(order, grades, k_list=(1, 2, 3)):
+    """NDCG@K of serving the docs in ``order``."""
+    ideal = sorted(grades.values(), reverse=True)
+    return {k: ndcg_at_k([grades[d] for d in order], ideal, k) for k in k_list}
+
+
 class TestRanking:
+    """ndcg_for_scores ranks each query's judged docs by score, ties by
+    ascending doc id. Distinct grades make NDCG@1..3 identify the order."""
+
     def test_orders_by_relevance(self):
         params = _pbm([0.9, 0.9, 0.9], [0.9, 0.1, 0.5])
-        ranked = rank_by_relevance(params, "q1", Intent.UNKNOWN, ["d1", "d2", "d3"])
-        assert ranked == ["d1", "d3", "d2"]
+        grades = {"d1": 0, "d2": 2, "d3": 1}
+        got = _ndcg_of_order(params.relevance_estimate, grades)
+        assert got == _expected_ndcg(["d1", "d3", "d2"], grades)
 
     def test_ties_break_lexicographically(self):
         params = PbmParams(exam={1: 0.9}, rel={}, max_positions=1)
-        ranked = rank_by_relevance(params, "q1", Intent.UNKNOWN, ["b", "a", "c"])
-        assert ranked == ["a", "b", "c"]
+        grades = {"b": 1, "a": 0, "c": 2}
+        got = _ndcg_of_order(params.relevance_estimate, grades)
+        assert got == _expected_ndcg(["a", "b", "c"], grades)
 
     def test_intent_aware_tables_can_disagree(self):
         per_intent = {
@@ -197,15 +213,13 @@ class TestRanking:
             Intent.TRANSACTIONAL: _pbm([0.9], [0.5]),
         }
         ia = IntentAwareParams(per_intent=per_intent, fallback=_pbm([0.9], [0.5]))
-        docs = ["d1", "zz"]
-        inf = rank_by_relevance(ia, "q1", Intent.INFORMATIONAL, docs)
-        nav = rank_by_relevance(ia, "q1", Intent.NAVIGATIONAL, docs)
-        assert inf == ["d1", "zz"]
-        assert nav == ["zz", "d1"]  # 0.1 below the 0.5 default of unseen zz
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            rank_by_relevance(_pbm([0.9], [0.5]), "q1", Intent.UNKNOWN, [])
+        grades = {"d1": 1, "zz": 0}
+        inf = _ndcg_of_order(resolve_params(ia, Intent.INFORMATIONAL).relevance_estimate,
+                             grades, (1,))
+        nav = _ndcg_of_order(resolve_params(ia, Intent.NAVIGATIONAL).relevance_estimate,
+                             grades, (1,))
+        assert inf == {1: 1.0}  # d1 first
+        assert nav == {1: 0.0}  # 0.1 below the 0.5 default of unseen zz
 
 
 class TestCtrAndScorers:

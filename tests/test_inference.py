@@ -27,29 +27,26 @@ def _assert_monotone(trace, slack=1e-9):
     assert np.all(diffs >= -slack), f"trace decreased by {diffs.min()}"
 
 
-def _posteriors(gamma, r, clicked):
-    """(P(E=1 | C), P(R=1 | C)) at examination gamma and relevance r."""
-    return factor_posterior(gamma, r, clicked), factor_posterior(r, gamma, clicked)
+def _posteriors(gamma, r):
+    """(P(E=1 | C=0), P(R=1 | C=0)) at examination gamma and relevance r."""
+    return factor_posterior(gamma, r), factor_posterior(r, gamma)
 
 
 class TestPbmPosteriors:
-    def test_click_pins_both_to_one(self):
-        assert _posteriors(0.3, 0.8, True) == (1.0, 1.0)
-
     def test_half_half_unclicked(self):
-        p_exam, p_rel = _posteriors(0.5, 0.5, False)
+        p_exam, p_rel = _posteriors(0.5, 0.5)
         assert p_exam == pytest.approx(1 / 3)
         assert p_rel == pytest.approx(1 / 3)
 
     def test_certain_examination_means_irrelevant(self):
-        p_exam, p_rel = _posteriors(1.0, 0.4, False)
+        p_exam, p_rel = _posteriors(1.0, 0.4)
         assert p_exam == pytest.approx(1.0)
         assert p_rel == pytest.approx(0.0)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(0)
         gammas, rels = rng.uniform(0.01, 0.99, (200, 2)).T
-        p_exam, p_rel = _posteriors(gammas, rels, np.zeros(200, dtype=bool))
+        p_exam, p_rel = _posteriors(gammas, rels)
         for k in range(200):
             expected = oracles.pbm_unclicked_posteriors(gammas[k], rels[k])
             assert (p_exam[k], p_rel[k]) == pytest.approx(expected, abs=1e-12)
@@ -66,7 +63,7 @@ class TestPbmPosteriors:
             )
 
     def test_degenerate_product_is_clamped(self):
-        p_exam, p_rel = _posteriors(1.0, 1.0, False)
+        p_exam, p_rel = _posteriors(1.0, 1.0)
         assert np.isfinite(p_exam) and np.isfinite(p_rel)
 
 
@@ -144,7 +141,7 @@ class TestPbmSingleIteration:
         ]
         params, _ = em_fit("pbm", sessions, EmConfig(max_iters=1, tol=1e-15))
 
-        p_exam_u, p_rel_u = map(float, _posteriors(0.5, 0.5, False))
+        p_exam_u, p_rel_u = map(float, _posteriors(0.5, 0.5))
         exam1 = (1.0 + 1.0 + p_exam_u) / (2.0 + 2.0)
         exam2 = (1.0 + 2.0 * p_exam_u) / (2.0 + 2.0)
         rel_a = (1.0 + 1.0 + p_rel_u) / (2.0 + 2.0)
@@ -516,7 +513,7 @@ class TestFitReportShape:
         _, sessions, _ = _simulate("pbm", seed=30, queries=10, sessions_per_query=50,
                                    positions=3)
         with caplog.at_level("INFO", logger="intentclick.inference"):
-            _, report = em_fit("pbm", sessions, EmConfig(verbose=True))
+            _, report = em_fit("pbm", sessions)
         lines = [r.getMessage() for r in caplog.records if " loglik " in r.getMessage()]
         assert len(lines) == report.iterations == len(report.loglik_trace)
         assert report.extrapolated > 0

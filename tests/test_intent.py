@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from intentclick.intent import (
-    ClassifierConfig,
+    BOW_DIM,
     DegenerateTrainingError,
     FeatureVector,
     classify,
@@ -172,9 +172,9 @@ class TestExtractFeatures:
         assert fv.query_length == 5
 
     def test_vector_layout_is_stable(self):
-        fv = extract_features("a b", [_session((1,))], {"d1": 2}, bow_dim=16)
+        fv = extract_features("a b", [_session((1,))], {"d1": 2})
         arr = fv.to_array()
-        assert arr.shape == (6 + 16,)
+        assert arr.shape == (6 + BOW_DIM,)
         assert arr[0] == fv.urlmr
         assert arr[4] == 2.0  # query length slot
 
@@ -247,8 +247,8 @@ class TestClassifier:
 
     def test_dimension_mismatch(self):
         features, labels = _separable_dataset(n_per_class=10)
-        model = train_classifier(features, labels)
-        other = extract_features("query", [], {}, bow_dim=8)
+        model = train_classifier(features, labels)  # trained on 32-dimension bags
+        other = extract_features("query", [], {})
         with pytest.raises(ValueError):
             classify(model, other)
 

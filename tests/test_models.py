@@ -17,8 +17,8 @@ from intentclick.models import (
     PbmParams,
     PositionRangeError,
     UbmParams,
-    ia_dispatch,
     load_params,
+    resolve_params,
     save_params,
     session_log_likelihood,
     session_prob,
@@ -303,8 +303,8 @@ class TestIntentAware:
 
     def test_dispatch_by_intent(self):
         ia = self._make_ia()
-        assert ia_dispatch(ia, Intent.NAVIGATIONAL) is ia.per_intent[Intent.NAVIGATIONAL]
-        assert ia_dispatch(ia, Intent.UNKNOWN) is ia.fallback
+        assert resolve_params(ia, Intent.NAVIGATIONAL) is ia.per_intent[Intent.NAVIGATIONAL]
+        assert resolve_params(ia, Intent.UNKNOWN) is ia.fallback
 
     def test_missing_intent_table_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Log parsing, sessionization, and canonical format round-trips."""
 
+import json
 from datetime import datetime, timedelta
 
 import pytest
@@ -207,33 +208,34 @@ class TestSessionIo:
         assert read_sessions(path) == sessions
 
     @pytest.mark.parametrize(
-        "docs, clicks",
+        "fields",
         [
-            ('["a", "b"]', "[1]"),
-            ('"xy"', "[0, 1]"),
-            ('["x", "y"]', '"01"'),
-            ('["x", "y"]', "[0, 0.9]"),
-            ('["x", "y"]', '[0, "1"]'),
-            ('["x", "y"]', "[true, 0]"),
-            ('[1, null, [2]]', "[0, 0, 0]"),
-            ('["x", 1]', "[0, 0]"),
-            ('["x", null]', "[0, 0]"),
-            ('["x", ["y"]]', "[0, 0]"),
-            ('["x", {"d": "y"}]', "[0, 0]"),
-            ('["x", true]', "[0, 0]"),
+            {"docs": ["a", "b"], "clicks": [1]},
+            {"docs": "xy", "clicks": [0, 1]},
+            {"docs": ["x", "y"], "clicks": "01"},
+            {"docs": ["x", "y"], "clicks": [0, 0.9]},
+            {"docs": ["x", "y"], "clicks": [0, "1"]},
+            {"docs": ["x", "y"], "clicks": [True, 0]},
+            {"docs": [1, None, [2]], "clicks": [0, 0, 0]},
+            {"docs": ["x", 1], "clicks": [0, 0]},
+            {"docs": ["x", None], "clicks": [0, 0]},
+            {"docs": ["x", ["y"]], "clicks": [0, 0]},
+            {"docs": ["x", {"d": "y"}], "clicks": [0, 0]},
+            {"docs": ["x", True], "clicks": [0, 0]},
+            {"session_id": None},
+            {"query_id": 5},
+            {"query_id": ["x"]},
         ],
         ids=["length-mismatch", "docs-string", "clicks-string", "click-float",
              "click-string", "click-bool", "docs-mixed", "doc-int", "doc-null",
-             "doc-array", "doc-object", "doc-bool"],
+             "doc-array", "doc-object", "doc-bool", "session-id-null", "query-id-int",
+             "query-id-array"],
     )
-    def test_malformed_record_is_a_parse_error(self, tmp_path, docs, clicks):
+    def test_malformed_record_is_a_parse_error(self, tmp_path, fields):
         path = tmp_path / "s.jsonl"
-        good = '{"session_id": "s0", "query_id": "q", "intent": "unk", "docs": [], "clicks": []}'
-        path.write_text(
-            good + "\n"
-            + f'{{"session_id": "s", "query_id": "q", "intent": "unk", '
-            f'"docs": {docs}, "clicks": {clicks}}}\n'
-        )
+        good = {"session_id": "s0", "query_id": "q", "intent": "unk", "docs": [], "clicks": []}
+        bad = {**good, "session_id": "s", "docs": ["x"], "clicks": [0], **fields}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(SessionFormatError, match="line 2"):
             read_sessions(path)
 
