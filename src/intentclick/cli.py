@@ -1,6 +1,6 @@
 """Command-line pipelines: ingest, simulate, classify, fit, eval, compare.
 
-Every run writes a manifest (flags, inputs, outputs, seed, version,
+Every run writes a manifest (the parsed flags, every output, seed, version,
 duration) beside its primary output so deterministic subcommands can be
 reproduced byte-for-byte. Exit codes: 0 success, 1 usage error, 2 data
 error, 3 numeric failure.
@@ -12,7 +12,7 @@ import argparse
 import logging
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
@@ -79,22 +79,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunManifest:
-    """Record of one CLI run, written beside the primary output."""
-
-    subcommand: str
-    config: dict
-    inputs: list[str] = field(default_factory=list)
-    outputs: list[str] = field(default_factory=list)
-    seed: int | None = None
-    version: str = __version__
-    duration_seconds: float = 0.0
-
-    def write(self, primary_output: Path) -> None:
-        write_json(Path(str(primary_output) + ".manifest.json"), asdict(self))
-
-
 def _intent_mix(text: str) -> tuple[float, float, float]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -103,7 +87,8 @@ def _intent_mix(text: str) -> tuple[float, float, float]:
         mix = tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad intent mix {text!r}") from None
-    if any(p < 0 for p in mix) or abs(sum(mix) - 1.0) > 1e-9:
+    # Written so that NaN fails both checks.
+    if any(not p >= 0 for p in mix) or not abs(sum(mix) - 1.0) <= 1e-9:
         raise argparse.ArgumentTypeError(
             f"intent mix must be non-negative and sum to 1, got {text!r}"
         )
@@ -112,9 +97,12 @@ def _intent_mix(text: str) -> tuple[float, float, float]:
 
 def _k_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
+        ks = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad K list {text!r}") from None
+    if min(ks) < 1:
+        raise argparse.ArgumentTypeError(f"every K must be at least 1, got {text!r}")
+    return ks
 
 
 def build_parser() -> _Parser:
@@ -183,7 +171,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_ingest(args) -> tuple[Path, RunManifest]:
+# Each command returns the files it wrote, primary first, and the seed it used.
+Outputs = tuple[list[Path], int | None]
+
+
+def _cmd_ingest(args) -> Outputs:
     events = sorted(
         read_aol_log(args.aol, on_error="skip"),
         key=lambda e: (e.user_id, e.query_time),
@@ -199,19 +191,10 @@ def _cmd_ingest(args) -> tuple[Path, RunManifest]:
         f"ingested {len(result.sessions)} sessions "
         f"({result.retained_clicks} clicks kept, {result.dropped_clicks} dropped)"
     )
-    manifest = RunManifest(
-        subcommand="ingest",
-        config={
-            "gap_minutes": args.gap_minutes,
-            "max_positions": args.max_positions,
-        },
-        inputs=[args.aol],
-        outputs=[str(out)],
-    )
-    return out, manifest
+    return [out], None
 
 
-def _cmd_simulate(args) -> tuple[Path, RunManifest]:
+def _cmd_simulate(args) -> Outputs:
     if args.behavior_preset:
         truth, config = click_behavior_preset()
         if args.sessions_per_query is not None:
@@ -232,33 +215,18 @@ def _cmd_simulate(args) -> tuple[Path, RunManifest]:
     sessions = simulate_sessions(truth, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sessions_path = out_dir / "sessions.jsonl"
-    write_sessions(sessions_path, sessions)
-    save_params(out_dir / "truth_params.json", truth.params)
-    write_judgments(out_dir / "judgments.tsv", truth.judgments)
+    outputs = [out_dir / "sessions.jsonl", out_dir / "truth_params.json", out_dir / "judgments.tsv"]
+    write_sessions(outputs[0], sessions)
+    save_params(outputs[1], truth.params)
+    write_judgments(outputs[2], truth.judgments)
     if truth.query_intents is not None:
-        write_intent_labels(out_dir / "intents.tsv", truth.query_intents)
+        outputs.append(out_dir / "intents.tsv")
+        write_intent_labels(outputs[3], truth.query_intents)
     print(f"simulated {len(sessions)} sessions into {out_dir}")
-    manifest = RunManifest(
-        subcommand="simulate",
-        config={
-            "model": config.model_kind,
-            "queries": config.num_queries,
-            "sessions_per_query": config.sessions_per_query,
-            "positions": config.positions,
-            "intent_mix": list(config.intent_mix),
-            "intent_aware": config.intent_aware,
-            "intents_per_query": config.intents_per_query,
-            "shuffle_serps": config.shuffle_serps,
-            "behavior_preset": bool(args.behavior_preset),
-        },
-        outputs=[str(sessions_path)],
-        seed=config.seed,
-    )
-    return sessions_path, manifest
+    return outputs, config.seed
 
 
-def _cmd_classify(args) -> tuple[Path, RunManifest]:
+def _cmd_classify(args) -> Outputs:
     sessions = read_sessions(args.sessions)
     by_query = group_by_query(sessions)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None
@@ -269,7 +237,7 @@ def _cmd_classify(args) -> tuple[Path, RunManifest]:
         for q, members in by_query.items()
     }
     labels: dict[str, Intent] = {}
-    model_path = None
+    outputs = [Path(args.out)]
     if args.train_labels:
         seed_labels = read_intent_labels(args.train_labels)
         train_queries = [q for q in features if q in seed_labels]
@@ -282,8 +250,8 @@ def _cmd_classify(args) -> tuple[Path, RunManifest]:
         for q, fv in features.items():
             labels[q], _ = classify(model, fv)
         if args.model_out:
-            model_path = Path(args.model_out)
-            save_classifier(model_path, model)
+            outputs.append(Path(args.model_out))
+            save_classifier(outputs[1], model)
     else:
         for q, fv in features.items():
             if rule_label_transactional(q, lexicon):
@@ -292,30 +260,17 @@ def _cmd_classify(args) -> tuple[Path, RunManifest]:
                 labels[q] = Intent.NAVIGATIONAL
             else:
                 labels[q] = Intent.INFORMATIONAL
-    out = Path(args.out)
-    write_intent_labels(out, labels)
+    write_intent_labels(outputs[0], labels)
     print(f"labeled {len(labels)} queries")
-    manifest = RunManifest(
-        subcommand="classify",
-        config={
-            "trained": bool(args.train_labels),
-            "ncs_n": args.ncs_n,
-            "nrs_n": args.nrs_n,
-            "lexicon": args.lexicon,
-        },
-        inputs=[args.sessions] + ([args.train_labels] if args.train_labels else []),
-        outputs=[str(out)] + ([str(model_path)] if model_path else []),
-    )
-    return out, manifest
+    return outputs, None
 
 
-def _cmd_fit(args) -> tuple[Path, RunManifest]:
+def _cmd_fit(args) -> Outputs:
     sessions = read_sessions(args.sessions)
     if not sessions:
         raise DataError(f"no sessions in {args.sessions}")
     if args.intents:
         sessions = attach_intents(sessions, read_intent_labels(args.intents))
-    intent_aware = args.intent_aware or args.alternating
     config = EmConfig(tol=args.tol, max_iters=args.max_iters)
     if args.alternating:
         params, report = alternating_fit(
@@ -326,7 +281,7 @@ def _cmd_fit(args) -> tuple[Path, RunManifest]:
             args.model,
             sessions,
             config,
-            intent_aware=intent_aware,
+            intent_aware=args.intent_aware,
             max_positions=args.max_positions,
         )
     out = Path(args.out)
@@ -338,24 +293,10 @@ def _cmd_fit(args) -> tuple[Path, RunManifest]:
         f"fit {args.model} on {len(sessions)} sessions: {status} after "
         f"{report.iterations} iterations (max delta {report.final_delta:.2e})"
     )
-    manifest = RunManifest(
-        subcommand="fit",
-        config={
-            "model": args.model,
-            "intent_aware": intent_aware,
-            "alternating": args.alternating,
-            "tol": args.tol,
-            "max_iters": args.max_iters,
-            "max_positions": args.max_positions,
-            "intents": args.intents,
-        },
-        inputs=[args.sessions] + ([args.intents] if args.intents else []),
-        outputs=[str(out), str(report_path)],
-    )
-    return out, manifest
+    return [out, report_path], None
 
 
-def _cmd_eval(args) -> tuple[Path, RunManifest]:
+def _cmd_eval(args) -> Outputs:
     params = load_params(args.params)
     sessions = read_sessions(args.sessions)
     if not sessions:
@@ -371,18 +312,10 @@ def _cmd_eval(args) -> tuple[Path, RunManifest]:
         f"evaluated {report.n_sessions} sessions over {report.n_queries} queries: "
         f"overall perplexity {report.overall:.4f}"
     )
-    manifest = RunManifest(
-        subcommand="eval",
-        config={"k_list": list(args.k_list), "label": args.label,
-                "judgments": args.judgments},
-        inputs=[args.params, args.sessions]
-        + ([args.judgments] if args.judgments else []),
-        outputs=[str(out)],
-    )
-    return out, manifest
+    return [out], None
 
 
-def _cmd_compare(args) -> tuple[Path, RunManifest]:
+def _cmd_compare(args) -> Outputs:
     base = load_report(args.base)
     treat = load_report(args.treat)
     comparison = compare_models(base, treat)
@@ -393,13 +326,7 @@ def _cmd_compare(args) -> tuple[Path, RunManifest]:
         fh.write(table + "\n")
     json_path = Path(str(out) + ".json")
     write_json(json_path, comparison.to_json())
-    manifest = RunManifest(
-        subcommand="compare",
-        config={},
-        inputs=[args.base, args.treat],
-        outputs=[str(out), str(json_path)],
-    )
-    return out, manifest
+    return [out, json_path], None
 
 
 _COMMANDS = {
@@ -428,7 +355,7 @@ def run(argv: list[str] | None = None) -> int:
     logging.getLogger("intentclick").setLevel(logging.INFO if args.verbose else logging.WARNING)
     started = time.monotonic()
     try:
-        primary_output, manifest = _COMMANDS[args.subcommand](args)
+        outputs, seed = _COMMANDS[args.subcommand](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -438,8 +365,15 @@ def run(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    manifest.duration_seconds = round(time.monotonic() - started, 6)
-    manifest.write(primary_output)
+    manifest = {
+        "subcommand": args.subcommand,
+        "config": {k: v for k, v in vars(args).items() if k not in ("subcommand", "verbose")},
+        "outputs": [str(p) for p in outputs],
+        "seed": seed,
+        "version": __version__,
+        "duration_seconds": round(time.monotonic() - started, 6),
+    }
+    write_json(Path(f"{outputs[0]}.manifest.json"), manifest)
     return EXIT_OK
 
 

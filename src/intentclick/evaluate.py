@@ -11,7 +11,7 @@ an improvement row computed as (p2 - p1) / (p2 - 1) * 100%.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -66,16 +66,7 @@ class EvalReport:
     label: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "per_position": self.per_position,
-            "position_counts": self.position_counts,
-            "overall": self.overall,
-            "n_sessions": self.n_sessions,
-            "n_queries": self.n_queries,
-            "ndcg": {str(k): v for k, v in self.ndcg.items()},
-            "ndcg_queries": self.ndcg_queries,
-        }
+        return {**asdict(self), "ndcg": {str(k): v for k, v in self.ndcg.items()}}
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "EvalReport":
@@ -112,22 +103,30 @@ def _render(rows: list[list[str]]) -> str:
     return "\n".join("".join(cell.ljust(width) for cell in row).rstrip() for row in rows)
 
 
+def _perplexity_rows(labeled: list[tuple[str, EvalReport]]) -> list[list[str]]:
+    """Header @1..@N and Overall, then one perplexity row per (label, report)."""
+    n = len(labeled[0][1].per_position)
+    rows = [[""] + [f"@{j}" for j in range(1, n + 1)] + ["Overall"]]
+    for label, report in labeled:
+        rows.append([label] + [f"{p:.3f}" for p in report.per_position] + [f"{report.overall:.3f}"])
+    return rows
+
+
+def _ndcg_rows(labeled: list[tuple[str, EvalReport]], ks: list[int]) -> list[list[str]]:
+    """A blank line, header NDCG @K..., then one NDCG row per (label, report)."""
+    rows = [[], ["NDCG"] + [f"@{k}" for k in ks]]
+    for label, report in labeled:
+        rows.append([label] + [f"{report.ndcg[k]:.4f}" for k in ks])
+    return rows
+
+
 def format_report(report: EvalReport) -> str:
     """Aligned text rendering of one report: positions, overall, NDCG."""
-    n = len(report.per_position)
-    headers = [""] + [f"@{j}" for j in range(1, n + 1)] + ["Overall"]
-    row = (
-        [report.label or "model"]
-        + [f"{p:.3f}" for p in report.per_position]
-        + [f"{report.overall:.3f}"]
-    )
-    lines = [headers, row]
+    labeled = [(report.label or "model", report)]
+    rows = _perplexity_rows(labeled)
     if report.ndcg:
-        ks = sorted(report.ndcg)
-        lines.append([])
-        lines.append(["NDCG"] + [f"@{k}" for k in ks])
-        lines.append([report.label or "model"] + [f"{report.ndcg[k]:.4f}" for k in ks])
-    return _render(lines)
+        rows += _ndcg_rows(labeled, sorted(report.ndcg))
+    return _render(rows)
 
 
 def save_report(path, report: EvalReport) -> None:
@@ -307,10 +306,9 @@ class ModelComparison:
 
     def to_json(self) -> dict:
         return {
+            **asdict(self),
             "base": self.base.to_json(),
             "treatment": self.treatment.to_json(),
-            "improvements": self.improvements,
-            "overall_improvement": self.overall_improvement,
             "ndcg_deltas": {str(k): v for k, v in self.ndcg_deltas.items()},
         }
 
@@ -343,32 +341,13 @@ def compare_models(base: EvalReport, treatment: EvalReport) -> ModelComparison:
 
 def format_comparison_table(cmp: ModelComparison) -> str:
     """Aligned text table: rows are models, columns @1..@N plus Overall."""
-    n = len(cmp.base.per_position)
-    headers = [""] + [f"@{j}" for j in range(1, n + 1)] + ["Overall"]
-    base_label = cmp.base.label or "base"
-    treat_label = cmp.treatment.label or "treatment"
-    rows = [
-        [base_label] + [f"{p:.3f}" for p in cmp.base.per_position] + [f"{cmp.base.overall:.3f}"],
-        [treat_label]
-        + [f"{p:.3f}" for p in cmp.treatment.per_position]
-        + [f"{cmp.treatment.overall:.3f}"],
-        ["Impr."]
-        + [f"{imp:.1f}%" for imp in cmp.improvements]
-        + [f"{cmp.overall_improvement:.1f}%"],
-    ]
+    labeled = [(cmp.base.label or "base", cmp.base),
+               (cmp.treatment.label or "treatment", cmp.treatment)]
+    rows = _perplexity_rows(labeled)
+    rows.append(["Impr."] + [f"{imp:.1f}%" for imp in cmp.improvements]
+                + [f"{cmp.overall_improvement:.1f}%"])
     if cmp.ndcg_deltas:
-        rows.append([])
-        rows.append(
-            ["NDCG"] + [f"@{k}" for k in sorted(cmp.ndcg_deltas)]
-        )
-        rows.append(
-            [base_label] + [f"{cmp.base.ndcg[k]:.4f}" for k in sorted(cmp.ndcg_deltas)]
-        )
-        rows.append(
-            [treat_label]
-            + [f"{cmp.treatment.ndcg[k]:.4f}" for k in sorted(cmp.ndcg_deltas)]
-        )
-        rows.append(
-            ["delta"] + [f"{cmp.ndcg_deltas[k]:+.4f}" for k in sorted(cmp.ndcg_deltas)]
-        )
-    return _render([headers] + rows)
+        ks = sorted(cmp.ndcg_deltas)
+        rows += _ndcg_rows(labeled, ks)
+        rows.append(["delta"] + [f"{cmp.ndcg_deltas[k]:+.4f}" for k in ks])
+    return _render(rows)

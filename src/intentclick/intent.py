@@ -9,7 +9,6 @@ linear, which is all the feature design needs.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -17,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .sessions import Intent, KNOWN_INTENTS, Session, read_json
+from .sessions import Intent, KNOWN_INTENTS, Session, read_json, write_json
 
 BOW_DIM = 1024
 DEFAULT_NCS_N = 2
@@ -224,9 +223,7 @@ def save_classifier(path, model: ClassifierModel) -> None:
         "bow_dim": model.bow_dim,
         "iterations": model.iterations,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_classifier(path) -> ClassifierModel:

@@ -84,7 +84,9 @@ def _check_table(name: str, table: Mapping) -> None:
 
 
 def _pair_from_json(text: str) -> tuple[str, str]:
-    query_id, _, doc_id = text.partition("\t")
+    query_id, tab, doc_id = text.partition("\t")
+    if not tab:
+        raise ValueError(f"pair key {text!r} has no tab between query and doc")
     return query_id, doc_id
 
 
@@ -160,9 +162,10 @@ class _ExamRelParams(_TableParams):
 
     def __post_init__(self):
         exam = getattr(self, self.exam_field)
-        for key in self.cells_for(self.max_positions):
-            if key not in exam:
-                raise ValueError(f"{self.exam_field} table missing cell {key}")
+        cells = set(self.cells_for(self.max_positions))
+        if exam.keys() != cells:
+            raise ValueError(f"{self.exam_field} table cells {sorted(exam.keys() ^ cells)} "
+                             f"missing or outside max_positions {self.max_positions}")
         super().__post_init__()
 
     @classmethod

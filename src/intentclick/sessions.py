@@ -456,7 +456,10 @@ def read_judgments(path) -> list[RelevanceJudgment]:
             if key in seen:
                 raise JudgmentError(f"duplicate judgment for {key}", line_no)
             seen.add(key)
-            judgments.append(RelevanceJudgment(query_id, doc_id, grade))
+            try:
+                judgments.append(RelevanceJudgment(query_id, doc_id, grade))
+            except JudgmentError as exc:
+                raise JudgmentError(str(exc), line_no) from None
     return judgments
 
 
@@ -467,7 +470,7 @@ def write_intent_labels(path, labels: Mapping[str, Intent]) -> None:
 
 
 def read_intent_labels(path) -> dict[str, Intent]:
-    """Read query_id<TAB>label records (inf|nav|tra)."""
+    """Read query_id<TAB>label records (inf|nav|tra); a repeated query is an error."""
     labels: dict[str, Intent] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -477,6 +480,8 @@ def read_intent_labels(path) -> dict[str, Intent]:
             if len(fields) != 2:
                 raise LineError(f"expected 2 fields, got {len(fields)}", line_no)
             query_id, raw = fields
+            if query_id in labels:
+                raise LineError(f"duplicate label for query {query_id!r}", line_no)
             try:
                 labels[query_id] = Intent(raw)
             except ValueError:

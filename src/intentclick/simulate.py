@@ -62,9 +62,10 @@ class SimConfig:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if self.num_queries < 1 or self.sessions_per_query < 1 or self.positions < 1:
             raise ValueError("num_queries, sessions_per_query and positions must be >= 1")
-        if len(self.intent_mix) != 3 or any(p < 0 for p in self.intent_mix):
+        # Written so that NaN fails both checks.
+        if len(self.intent_mix) != 3 or any(not p >= 0 for p in self.intent_mix):
             raise ValueError("intent_mix needs three non-negative proportions")
-        if abs(sum(self.intent_mix) - 1.0) > 1e-9:
+        if not abs(sum(self.intent_mix) - 1.0) <= 1e-9:
             raise ValueError(f"intent_mix must sum to 1, got {sum(self.intent_mix)}")
 
 

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from intentclick.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, run
+from intentclick.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, run
 from intentclick.evaluate import load_report
 from intentclick.models import IntentAwareParams, load_params
 from intentclick.sessions import Intent, read_intent_labels, read_sessions
+from intentclick.simulate import PRESET_SEED
 
 AOL_SAMPLE = (
     "AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n"
@@ -47,8 +48,16 @@ class TestUsageErrors:
         assert run(["fit", "--model", "dcm", "--sessions", "x", "--out", "y"]) == EXIT_USAGE
 
     def test_bad_intent_mix(self, tmp_path):
-        code = run(["simulate", "--out-dir", str(tmp_path / "s"),
-                    "--intent-mix", "0.5,0.2,0.2"])
+        # NaN fails both the sign and the sum check, as a usage error.
+        for mix in ["0.5,0.2,0.2", "nan,0.5,0.5", "0.5,0.5,nan", "inf,0,0"]:
+            code = run(["simulate", "--out-dir", str(tmp_path / "s"), "--intent-mix", mix])
+            assert code == EXIT_USAGE, mix
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("k_list", ["0", "1,0,3", "-2", "1,x"])
+    def test_bad_k_list(self, k_list):
+        code = run(["eval", "--params", "p.json", "--sessions", "s.jsonl", "--out", "r.json",
+                    "--k-list", k_list])
         assert code == EXIT_USAGE
 
 
@@ -99,6 +108,9 @@ class TestSimulate:
         assert len(sessions) == 18 * 20
         labels = read_intent_labels(out_dir / "intents.tsv")
         assert len(labels) == 18
+        manifest = json.loads((out_dir / "sessions.jsonl.manifest.json").read_text())
+        assert manifest["seed"] == PRESET_SEED
+        assert manifest["config"]["seed"] == 0
 
     @pytest.mark.parametrize("extra", [[], ["--behavior-preset"]], ids=["plain", "preset"])
     def test_zero_sessions_per_query_is_a_data_error(self, tmp_path, extra):
@@ -331,6 +343,62 @@ class TestClassify:
         code = run(["classify", "--sessions", str(sessions_path),
                     "--out", str(tmp_path / "o.tsv"), "--train-labels", str(seed_path)])
         assert code == EXIT_DATA
+
+
+@pytest.fixture(scope="module")
+def pipeline_inputs(tmp_path_factory):
+    """Inputs for one run of every subcommand."""
+    d = tmp_path_factory.mktemp("inputs")
+    (d / "raw.tsv").write_text(AOL_SAMPLE)
+    (d / "seed.tsv").write_text("mapquest\tnav\nweather\tinf\nfree music downloads\ttra\n")
+    assert run(["ingest", "--aol", str(d / "raw.tsv"), "--out", str(d / "aol.jsonl")]) == EXIT_OK
+    sim = _simulate(d, extra=["--intent-aware", "--intents-per-query"])
+    assert run(["fit", "--model", "pbm", "--sessions", str(sim / "sessions.jsonl"),
+                "--out", str(d / "p.json"), "--max-iters", "5"]) == EXIT_OK
+    assert run(["eval", "--params", str(d / "p.json"), "--sessions", str(sim / "sessions.jsonl"),
+                "--out", str(d / "r.json")]) == EXIT_OK
+    return d
+
+
+# argv per subcommand, reading from the inputs directory d and writing into o.
+MANIFEST_RUNS = {
+    "ingest": lambda d, o: ["ingest", "--aol", f"{d}/raw.tsv", "--out", f"{o}/s.jsonl",
+                            "--gap-minutes", "10"],
+    "simulate": lambda d, o: ["simulate", "--out-dir", f"{o}/sim", "--queries", "4",
+                              "--sessions-per-query", "5", "--intent-mix", "0.5,0.5,0",
+                              "--intent-aware", "--intents-per-query", "--seed", "8"],
+    "classify": lambda d, o: ["classify", "--sessions", f"{d}/aol.jsonl", "--out", f"{o}/l.tsv",
+                              "--train-labels", f"{d}/seed.tsv", "--model-out", f"{o}/clf.json"],
+    "fit": lambda d, o: ["fit", "--model", "ubm", "--alternating", "--sessions",
+                         f"{d}/sim/sessions.jsonl", "--intents", f"{d}/sim/intents.tsv",
+                         "--out", f"{o}/u.json", "--max-iters", "4"],
+    "eval": lambda d, o: ["eval", "--params", f"{d}/p.json", "--sessions",
+                          f"{d}/sim/sessions.jsonl", "--out", f"{o}/e.json", "--judgments",
+                          f"{d}/sim/judgments.tsv", "--k-list", "1,3", "--label", "pbm"],
+    "compare": lambda d, o: ["compare", "--base", f"{d}/r.json", "--treat", f"{d}/r.json",
+                             "--out", f"{o}/c.txt"],
+}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("subcommand", list(MANIFEST_RUNS))
+    def test_records_parsed_flags_and_every_output(self, pipeline_inputs, tmp_path, subcommand):
+        argv = MANIFEST_RUNS[subcommand](pipeline_inputs, tmp_path)
+        assert run(argv) == EXIT_OK
+        written = sorted(str(p) for p in tmp_path.rglob("*")
+                         if p.is_file() and not p.name.endswith(".manifest.json"))
+        [path] = tmp_path.rglob("*.manifest.json")
+        manifest = json.loads(path.read_text())
+        flags = vars(build_parser().parse_args(argv))
+        del flags["subcommand"], flags["verbose"]
+        assert set(manifest) == {"subcommand", "config", "outputs", "seed", "version",
+                                 "duration_seconds"}
+        assert manifest["subcommand"] == subcommand
+        # Tuples such as --k-list read back as JSON arrays.
+        assert manifest["config"] == json.loads(json.dumps(flags))
+        assert sorted(manifest["outputs"]) == written
+        assert str(path) == manifest["outputs"][0] + ".manifest.json"
+        assert manifest["seed"] == (8 if subcommand == "simulate" else None)
 
 
 class TestLogging:

@@ -1,5 +1,6 @@
 """Perplexity, improvement arithmetic, NDCG, and comparison tables."""
 
+import json
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from intentclick.evaluate import (
 )
 from intentclick.errors import DataError
 from intentclick.models import IntentAwareParams, PbmParams, resolve_params
-from intentclick.sessions import Intent, RelevanceJudgment, Session
+from intentclick.sessions import Intent, RelevanceJudgment, Session, write_json
 
 
 def _session(clicks, query="q1", intent=Intent.UNKNOWN, sid="s"):
@@ -354,3 +355,73 @@ class TestReportIo:
 
     def test_dcg_helper(self):
         assert dcg([2, 1], 2) == pytest.approx((2 ** 2 - 1) / 1.0 + 1.0 / math.log2(3))
+
+
+def _pinned_report(per_position, ndcg, label):
+    return EvalReport(per_position=per_position, position_counts=[8, 6],
+                      overall=sum(per_position) / len(per_position), n_sessions=8,
+                      n_queries=3, ndcg=ndcg, ndcg_queries=3 if ndcg else 0, label=label)
+
+
+class TestPinnedFormats:
+    """Exact text and bytes of the rendered tables and saved JSON reports.
+
+    Values are exact binary fractions, so every cell is pinned without
+    rounding noise; K=10 pins the string order of the NDCG keys."""
+
+    BASE = _pinned_report([1.5, 1.25], {1: 0.5, 3: 0.625, 10: 0.75}, "pbm")
+    TREAT = _pinned_report([1.25, 1.125], {1: 0.75, 3: 0.625, 10: 0.5}, "ia-pbm")
+    BASE_DOC = {"label": "pbm", "n_queries": 3, "n_sessions": 8,
+                "ndcg": {"1": 0.5, "3": 0.625, "10": 0.75}, "ndcg_queries": 3,
+                "overall": 1.375, "per_position": [1.5, 1.25], "position_counts": [8, 6]}
+    TREAT_DOC = {**BASE_DOC, "label": "ia-pbm", "ndcg": {"1": 0.75, "3": 0.625, "10": 0.5},
+                 "overall": 1.1875, "per_position": [1.25, 1.125]}
+
+    def test_report_text(self):
+        assert format_report(self.BASE) == (
+            "         @1       @2       Overall\n"
+            "pbm      1.500    1.250    1.375\n"
+            "\n"
+            "NDCG     @1       @3       @10\n"
+            "pbm      0.5000   0.6250   0.7500"
+        )
+        assert format_report(_pinned_report([1.5, 1.25], {}, "")) == (
+            "         @1       @2       Overall\n"
+            "model    1.500    1.250    1.375"
+        )
+
+    def test_comparison_text_with_ndcg(self):
+        assert format_comparison_table(compare_models(self.BASE, self.TREAT)) == (
+            "         @1       @2       Overall\n"
+            "pbm      1.500    1.250    1.375\n"
+            "ia-pbm   1.250    1.125    1.188\n"
+            "Impr.    50.0%    50.0%    50.0%\n"
+            "\n"
+            "NDCG     @1       @3       @10\n"
+            "pbm      0.5000   0.6250   0.7500\n"
+            "ia-pbm   0.7500   0.6250   0.5000\n"
+            "delta    +0.2500  +0.0000  -0.2500"
+        )
+
+    def test_comparison_text_without_ndcg(self):
+        base = _pinned_report([1.5, 1.25], {}, "")
+        treat = _pinned_report([1.25, 1.125], {}, "")
+        assert format_comparison_table(compare_models(base, treat)) == (
+            "           @1         @2         Overall\n"
+            "base       1.500      1.250      1.375\n"
+            "treatment  1.250      1.125      1.188\n"
+            "Impr.      50.0%      50.0%      50.0%"
+        )
+
+    def test_saved_report_bytes(self, tmp_path):
+        path = tmp_path / "report.json"
+        save_report(path, self.BASE)
+        assert path.read_text() == json.dumps(self.BASE_DOC, sort_keys=True, indent=1) + "\n"
+
+    def test_comparison_json_bytes(self, tmp_path):
+        path = tmp_path / "cmp.json"
+        write_json(path, compare_models(self.BASE, self.TREAT).to_json())
+        doc = {"base": self.BASE_DOC, "treatment": self.TREAT_DOC,
+               "improvements": [50.0, 50.0], "overall_improvement": 50.0,
+               "ndcg_deltas": {"1": 0.25, "3": 0.0, "10": -0.25}}
+        assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"

@@ -410,11 +410,17 @@ class TestPersistence:
             _doc("dbn", f'{{"rel": {_PAIR}, "sat": {_PAIR}, "gamma_cont": "0.5"}}'),
             _doc("dbn", f'{{"rel": {_PAIR}, "sat": {_PAIR}, "gamma_cont": true}}'),
             _doc("dbn", f'{{"rel": {_PAIR}, "sat": {_PAIR}, "gamma_cont": null}}'),
+            _doc("pbm", f'{{{_PBM_EXAM}, "rel": {{"q1d1": 0.5}}, "max_positions": 2}}'),
+            _doc("cascade", '{"rel": {"q1d1": 0.5}}'),
+            _doc("pbm", '{"exam": {"1": 0.25, "2": 0.5, "99": 0.5}, "rel": {}, "max_positions": 2}'),
+            _doc("ubm", '{"beta": {"0:1": 0.9, "0:2": 0.6, "1:2": 0.7, "2:1": 0.5}, "rel": {}, '
+                        '"max_positions": 2}'),
         ],
         ids=["version-99", "no-params", "kind-list", "array", "rel-list", "missing-intent",
              "max-positions-float", "max-positions-bool", "max-positions-string",
              "exam-bool", "rel-string", "rel-null", "gamma-string", "gamma-bool",
-             "gamma-null"],
+             "gamma-null", "pbm-pair-without-tab", "cascade-pair-without-tab",
+             "pbm-exam-beyond-max-positions", "ubm-cell-outside-table"],
     )
     def test_bad_document_is_a_data_error(self, tmp_path, text):
         path = tmp_path / "bad.json"
@@ -440,6 +446,8 @@ class TestPersistence:
             _pbm([1.5], [0.5])
         with pytest.raises(ValueError):
             PbmParams(exam={1: 0.5}, rel={}, max_positions=2)
+        with pytest.raises(ValueError):
+            PbmParams(exam={1: 0.5, 2: 0.5, 3: 0.5}, rel={}, max_positions=2)
         with pytest.raises(ValueError):
             UbmParams(beta={(0, 1): 0.5}, rel={}, max_positions=2)
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from intentclick.sessions import (
     Intent,
     JudgmentError,
+    LineError,
     LogEvent,
     MalformedFieldError,
     MalformedRecordError,
@@ -287,6 +288,12 @@ class TestJudgments:
         with pytest.raises(JudgmentError, match="duplicate"):
             read_judgments(path)
 
+    def test_grade_out_of_range_names_its_line(self, tmp_path):
+        path = tmp_path / "j.tsv"
+        path.write_text("q\td1\t1\nq\td2\t5\n")
+        with pytest.raises(JudgmentError, match="line 2: grade 5 out of range"):
+            read_judgments(path)
+
 
 class TestIntentLabels:
     def test_roundtrip_and_attach(self, tmp_path):
@@ -301,3 +308,9 @@ class TestIntentLabels:
         relabeled = attach_intents(sessions, labels)
         assert relabeled[0].intent is Intent.NAVIGATIONAL
         assert relabeled[1].intent is Intent.UNKNOWN
+
+    def test_repeated_query_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("q1\tnav\nq2\tinf\nq1\ttra\n")
+        with pytest.raises(LineError, match="line 3: duplicate label for query 'q1'"):
+            read_intent_labels(path)

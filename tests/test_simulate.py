@@ -1,6 +1,7 @@
 """Simulator determinism, distributional fidelity, and the calibrated preset."""
 
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -152,6 +153,11 @@ class TestSimConfigValidation:
     def test_mix_must_sum_to_one(self):
         with pytest.raises(ValueError):
             SimConfig(intent_mix=(0.5, 0.2, 0.2))
+
+    @pytest.mark.parametrize("mix", [(math.nan, 0.5, 0.5), (0.5, 0.5, math.nan)])
+    def test_nan_mix_rejected(self, mix):
+        with pytest.raises(ValueError):
+            SimConfig(intent_mix=mix)
 
     def test_counts_positive(self):
         with pytest.raises(ValueError):
