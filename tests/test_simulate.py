@@ -1,11 +1,13 @@
 """Simulator determinism, distributional fidelity, and the calibrated preset."""
 
+import hashlib
 import itertools
 import math
 from collections import Counter
 
 import pytest
 
+from intentclick.cli import EXIT_OK, run
 from intentclick.models import IntentAwareParams, session_prob
 from intentclick.sessions import Intent, KNOWN_INTENTS, Session
 from intentclick.simulate import (
@@ -128,6 +130,55 @@ class TestSimulateSessions:
         bad = SimConfig(model_kind="dbn", num_queries=2, sessions_per_query=2, seed=14)
         with pytest.raises(ValueError):
             simulate_sessions(truth, bad)
+
+
+# sha256 over the files `simulate` writes (name, then bytes, in name order;
+# the manifest excluded), per configuration. They pin the random stream:
+# any change to the order or shape of the draws, or to how sessions, truth
+# tables, judgments or intents are written, changes a digest. A numpy
+# upgrade that changes the streams of np.random.Generator also changes
+# them; then, and only then, refresh these digests.
+_STREAM_FLAGS = {
+    "shuffled": ["--shuffle-serps"],
+    "mixed": ["--intent-aware", "--intent-mix", "0.5,0.3,0.2"],
+    "pinned": ["--intent-aware", "--intents-per-query"],
+}
+STREAM_DIGESTS = {
+    "pbm-shuffled": "b5b0afe50ce3ec27f4a4b28ae1b732ca2ad937706e3d9389ff2fc18b10101e5b",
+    "pbm-mixed": "7af0cd08fecd218531777cd08bfdf14efab65b5286f6f159df64425df6e7b5af",
+    "pbm-pinned": "87ee3e247c189b7554fc8ccf4ac59eaf88efb1ebf39bf5ecdb5779509daa6896",
+    "cascade-shuffled": "cb80e4e83ee7448961c126b9044c889c5556f9fe2b1c7cab03800fbe85ea3454",
+    "cascade-mixed": "86f38295155d67f4cda97ada6a5f9736e309982e5d85bf215b54f18e22127343",
+    "cascade-pinned": "687598d044522fae915f9ec1592d2512f951007a3bc13bde3b9201e962b77e94",
+    "ubm-shuffled": "66a4cf0f4cbf5a481f0f25225bc13004420d591996fe305bb304f74d4e4b5a9e",
+    "ubm-mixed": "68720f341d64b58af7845657ddabb3bf9b190e8ab4cb187d86d464e2c7f4bc39",
+    "ubm-pinned": "d232e3593be9061d64970a0eaf68450e36ea8a0b33a07929dd2145955357eed2",
+    "dbn-shuffled": "1ad6f6cf8732427d675382662204a3c762f66d959076bd5de3e96a82a2728e71",
+    "dbn-mixed": "c0b7f2d0322451003b9138f86057fb5918213ab14fd23db971ce607deff349af",
+    "dbn-pinned": "322214ec0522ae75ff3240d346ae2e7a225822071799d66bda9ee165c866082c",
+    "preset": "ecd9d03c48e62535404a4c72f352bb9e5e38a14c4d4e98fb2d56cd69f60f18bb",
+}
+
+
+def _stream_argv(name: str, out_dir) -> list[str]:
+    if name == "preset":
+        return ["simulate", "--out-dir", str(out_dir), "--behavior-preset",
+                "--sessions-per-query", "30"]
+    kind, flags = name.split("-")
+    return ["simulate", "--out-dir", str(out_dir), "--model", kind, "--queries", "6",
+            "--sessions-per-query", "25", "--positions", "5", "--seed", "21",
+            *_STREAM_FLAGS[flags]]
+
+
+class TestStreamPin:
+    @pytest.mark.parametrize("name", list(STREAM_DIGESTS))
+    def test_outputs_match_pinned_digest(self, tmp_path, name):
+        assert run(_stream_argv(name, tmp_path)) == EXIT_OK
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            if not path.name.endswith(".manifest.json"):
+                digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == STREAM_DIGESTS[name]
 
 
 class TestDistributionalFidelity:
