@@ -95,14 +95,31 @@ def _intent_mix(text: str) -> tuple[float, float, float]:
     return mix
 
 
-def _k_list(text: str) -> tuple[int, ...]:
+def _positive_int(text: str) -> int:
     try:
-        ks = tuple(int(p) for p in text.split(","))
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad K list {text!r}") from None
-    if min(ks) < 1:
-        raise argparse.ArgumentTypeError(f"every K must be at least 1, got {text!r}")
-    return ks
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def _k_list(text: str) -> tuple[int, ...]:
+    return tuple(_positive_int(p) for p in text.split(","))
+
+
+def _gap_minutes(text: str) -> float:
+    """A session gap in minutes: a number >= 0 that a timedelta can hold."""
+    try:
+        gap = float(text)
+        timedelta(minutes=gap)
+    except (ValueError, OverflowError):
+        raise argparse.ArgumentTypeError(f"bad gap {text!r}") from None
+    if gap < 0:
+        raise argparse.ArgumentTypeError(f"gap must be at least 0 minutes, got {text!r}")
+    # A float, not the timedelta, so that the manifest stays JSON.
+    return gap
 
 
 def build_parser() -> _Parser:
@@ -114,8 +131,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ingest", help="parse an AOL-style TSV log into sessions")
     p.add_argument("--aol", required=True, help="raw five-field TSV log")
     p.add_argument("--out", required=True, help="canonical sessions output (jsonl)")
-    p.add_argument("--gap-minutes", type=float, default=30.0)
-    p.add_argument("--max-positions", type=int, default=DEFAULT_MAX_POSITIONS)
+    p.add_argument("--gap-minutes", type=_gap_minutes, default=30.0)
+    p.add_argument("--max-positions", type=_positive_int, default=DEFAULT_MAX_POSITIONS)
 
     p = sub.add_parser("simulate", help="generate a synthetic click log")
     p.add_argument("--out-dir", required=True)
@@ -141,8 +158,8 @@ def build_parser() -> _Parser:
     p.add_argument("--train-labels", help="seed labels (tsv) to train a classifier")
     p.add_argument("--model-out", help="where to persist the trained classifier")
     p.add_argument("--lexicon", help="transactional cue-word lexicon file")
-    p.add_argument("--ncs-n", type=int, default=DEFAULT_NCS_N)
-    p.add_argument("--nrs-n", type=int, default=DEFAULT_NRS_N)
+    p.add_argument("--ncs-n", type=_positive_int, default=DEFAULT_NCS_N)
+    p.add_argument("--nrs-n", type=_positive_int, default=DEFAULT_NRS_N)
 
     p = sub.add_parser("fit", help="estimate click-model parameters by EM")
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
@@ -227,6 +244,8 @@ def _cmd_simulate(args) -> Outputs:
 
 
 def _cmd_classify(args) -> Outputs:
+    if args.model_out and not args.train_labels:
+        raise UsageError("--model-out needs --train-labels: rule mode trains no classifier")
     sessions = read_sessions(args.sessions)
     by_query = group_by_query(sessions)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None

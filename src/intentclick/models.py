@@ -80,7 +80,9 @@ def _check_unit(name: str, value: float) -> None:
 
 def _check_table(name: str, table: Mapping) -> None:
     for key, value in table.items():
-        _check_unit(f"{name}[{key}]", value)
+        # The name is formatted only for a failing value.
+        if not 0.0 <= value <= 1.0:
+            _check_unit(f"{name}[{key}]", value)
 
 
 def _pair_from_json(text: str) -> tuple[str, str]:

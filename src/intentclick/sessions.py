@@ -130,7 +130,7 @@ class Session:
                 f"session {self.session_id}: {len(self.docs)} docs vs "
                 f"{len(self.clicks)} clicks"
             )
-        if any(c not in (0, 1) for c in self.clicks):
+        if not set(self.clicks) <= {0, 1}:
             raise SessionFormatError(f"session {self.session_id}: clicks must be 0/1")
         if len(set(self.docs)) != len(self.docs):
             raise SessionFormatError(f"session {self.session_id}: duplicate doc ids")

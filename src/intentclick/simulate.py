@@ -32,7 +32,7 @@ from .models import (
     IntentAwareParams,
     PbmParams,
     UbmParams,
-    resolve_params,
+    table_values,
     ubm_cells,
 )
 from .sessions import Intent, KNOWN_INTENTS, RelevanceJudgment, Session
@@ -92,12 +92,12 @@ def _doc_ids(query_id: str, positions: int) -> tuple[str, ...]:
     return tuple(f"{query_id}_d{j:02d}" for j in range(1, positions + 1))
 
 
-def _exam_curve(rng: np.random.Generator, positions: int, decay_lo: float, decay_hi: float) -> np.ndarray:
-    gamma = np.empty(positions)
-    gamma[0] = rng.uniform(0.92, 0.98)
-    for i in range(1, positions):
-        gamma[i] = gamma[i - 1] * rng.uniform(decay_lo, decay_hi)
-    return gamma
+def _exam_curve(rng: np.random.Generator, positions: int,
+                decay_lo: float, decay_hi: float) -> list[float]:
+    """First-position examination, then one random decay factor per position."""
+    first = rng.uniform(0.92, 0.98)
+    decays = rng.uniform(decay_lo, decay_hi, size=positions - 1)
+    return np.cumprod(np.append(first, decays)).tolist()
 
 # Informational examination dies off fastest; navigational persists;
 # transactional sits close to navigational.
@@ -109,33 +109,24 @@ _DECAY_RANGES = {
 }
 
 
-def _base_truth(
-    rng: np.random.Generator,
-    config: SimConfig,
-    serps: dict[str, tuple[str, ...]],
-    intent: Intent | None,
-) -> BaseParams:
+def _base_truth(rng: np.random.Generator, config: SimConfig, keys: list[tuple[str, str]],
+                intent: Intent | None) -> BaseParams:
+    """One truth table set; ``keys`` are the (query, doc) pairs in SERP order."""
     n = config.positions
-    rel = {
-        (q, d): float(rng.uniform(REL_LOW, REL_HIGH))
-        for q, docs in serps.items()
-        for d in docs
-    }
+    rel = dict(zip(keys, rng.uniform(REL_LOW, REL_HIGH, size=len(keys)).tolist()))
     if config.model_kind == PBM:
-        gamma = _exam_curve(rng, n, *_DECAY_RANGES[intent])
-        exam = {i + 1: float(gamma[i]) for i in range(n)}
+        exam = dict(zip(range(1, n + 1), _exam_curve(rng, n, *_DECAY_RANGES[intent])))
         return PbmParams(exam=exam, rel=rel, max_positions=n)
     if config.model_kind == CASCADE:
         return CascadeParams(rel=rel)
     if config.model_kind == UBM:
         curve = _exam_curve(rng, n, *_DECAY_RANGES[intent])
         # Examination decays with distance from the last click.
-        beta = {(l, i): float(curve[i - l - 1]) for l, i in ubm_cells(n)}
+        beta = {(l, i): curve[i - l - 1] for l, i in ubm_cells(n)}
         return UbmParams(beta=beta, rel=rel, max_positions=n)
-    if config.model_kind == DBN:
-        sat = {key: float(rng.uniform(REL_LOW, REL_HIGH)) for key in rel}
-        return DbnParams(rel=rel, sat=sat, gamma_cont=float(rng.uniform(0.85, 0.95)))
-    raise ValueError(f"unknown model kind {config.model_kind!r}")
+    # DBN: SimConfig admits no other kind.
+    sat = dict(zip(keys, rng.uniform(REL_LOW, REL_HIGH, size=len(keys)).tolist()))
+    return DbnParams(rel=rel, sat=sat, gamma_cont=float(rng.uniform(0.85, 0.95)))
 
 
 def generate_ground_truth(config: SimConfig) -> GroundTruth:
@@ -152,30 +143,30 @@ def generate_ground_truth(config: SimConfig) -> GroundTruth:
             q: KNOWN_INTENTS[codes[i]] for i, q in enumerate(serps)
         }
 
+    keys = [(q, d) for q, docs in serps.items() for d in docs]
     params: AnyParams
     if config.intent_aware:
         per_intent = {
-            intent: _base_truth(rng, config, serps, intent) for intent in KNOWN_INTENTS
+            intent: _base_truth(rng, config, keys, intent) for intent in KNOWN_INTENTS
         }
-        fallback = _base_truth(rng, config, serps, None)
+        fallback = _base_truth(rng, config, keys, None)
         params = IntentAwareParams(per_intent=per_intent, fallback=fallback)
     else:
-        params = _base_truth(rng, config, serps, None)
+        params = _base_truth(rng, config, keys, None)
 
     judgments = []
-    for q, docs in serps.items():
-        for d in docs:
-            if isinstance(params, IntentAwareParams):
-                if query_intents is not None:
-                    r = params.per_intent[query_intents[q]].relevance_estimate(q, d)
-                else:
-                    r = sum(
-                        mix * params.per_intent[t].relevance_estimate(q, d)
-                        for mix, t in zip(config.intent_mix, KNOWN_INTENTS)
-                    )
+    for q, d in keys:
+        if isinstance(params, IntentAwareParams):
+            if query_intents is not None:
+                r = params.per_intent[query_intents[q]].relevance_estimate(q, d)
             else:
-                r = params.relevance_estimate(q, d)
-            judgments.append(RelevanceJudgment(q, d, grade_from_relevance(r)))
+                r = sum(
+                    mix * params.per_intent[t].relevance_estimate(q, d)
+                    for mix, t in zip(config.intent_mix, KNOWN_INTENTS)
+                )
+        else:
+            r = params.relevance_estimate(q, d)
+        judgments.append(RelevanceJudgment(q, d, grade_from_relevance(r)))
     return GroundTruth(
         params=params,
         judgments=tuple(judgments),
@@ -185,15 +176,13 @@ def generate_ground_truth(config: SimConfig) -> GroundTruth:
 
 
 def _sample_pbm(rng, params: PbmParams, r_mat: np.ndarray, s_mat) -> np.ndarray:
-    n, length = r_mat.shape
-    exam = np.array([params.exam[i + 1] for i in range(length)])
-    return (rng.random((n, length)) < exam[None, :] * r_mat).astype(np.int8)
+    exam = table_values(params.exam, range(1, r_mat.shape[1] + 1))
+    return (rng.random(r_mat.shape) < exam * r_mat).astype(np.int8)
 
 
 def _sample_cascade(rng, params: CascadeParams, r_mat: np.ndarray, s_mat) -> np.ndarray:
-    n, length = r_mat.shape
-    relevant = rng.random((n, length)) < r_mat
-    clicks = np.zeros((n, length), dtype=np.int8)
+    relevant = rng.random(r_mat.shape) < r_mat
+    clicks = np.zeros(r_mat.shape, dtype=np.int8)
     any_rel = relevant.any(axis=1)
     first = relevant.argmax(axis=1)
     clicks[np.nonzero(any_rel)[0], first[any_rel]] = 1
@@ -250,27 +239,19 @@ def simulate_sessions(truth: GroundTruth, config: SimConfig) -> list[Session]:
     n = config.sessions_per_query
     for stream, (query, docs) in zip(streams, truth.serps.items()):
         rng = np.random.default_rng(stream)
-        length = len(docs)
+        # Intent codes index KNOWN_INTENTS.
         if truth.query_intents is not None:
-            intents = [truth.query_intents[query]] * n
+            codes = np.full(n, KNOWN_INTENTS.index(truth.query_intents[query]))
         else:
             codes = rng.choice(3, size=n, p=list(config.intent_mix))
-            intents = [KNOWN_INTENTS[c] for c in codes]
+        perms = np.tile(np.arange(len(docs)), (n, 1))
         if config.shuffle_serps:
-            perms = rng.permuted(np.tile(np.arange(length), (n, 1)), axis=1)
-        else:
-            perms = np.tile(np.arange(length), (n, 1))
-
-        def _rows_matrix(base: BaseParams, rows: np.ndarray, attr: str) -> np.ndarray:
-            table = getattr(base, attr)
-            vec = np.array([table(query, d) for d in docs])
-            return vec[perms[rows]]
-
-        clicks = np.zeros((n, length), dtype=np.int8)
-        intent_arr = np.array([KNOWN_INTENTS.index(t) for t in intents])
+            perms = rng.permuted(perms, axis=1)
+        keys = [(query, d) for d in docs]
+        clicks = np.zeros(perms.shape, dtype=np.int8)
         if isinstance(truth.params, IntentAwareParams):
             blocks = [
-                (np.nonzero(intent_arr == k)[0], resolve_params(truth.params, intent))
+                (np.flatnonzero(codes == k), truth.params.per_intent[intent])
                 for k, intent in enumerate(KNOWN_INTENTS)
             ]
         else:
@@ -278,19 +259,14 @@ def simulate_sessions(truth: GroundTruth, config: SimConfig) -> list[Session]:
         for rows, base in blocks:
             if rows.size == 0:
                 continue
-            r_mat = _rows_matrix(base, rows, "relevance")
-            s_mat = _rows_matrix(base, rows, "satisfaction") if config.model_kind == DBN else None
+            r_mat = table_values(base.rel, keys)[perms[rows]]
+            s_mat = table_values(base.sat, keys)[perms[rows]] if config.model_kind == DBN else None
             clicks[rows] = sampler(rng, base, r_mat, s_mat)
-        for k in range(n):
-            sessions.append(
-                Session(
-                    session_id=f"{query}:s{k:05d}",
-                    query_id=query,
-                    intent=intents[k],
-                    docs=tuple(docs[j] for j in perms[k]),
-                    clicks=tuple(int(c) for c in clicks[k]),
-                )
-            )
+        records = zip(np.array(docs, dtype=object)[perms].tolist(), clicks.tolist(), codes.tolist())
+        sessions.extend(
+            Session(f"{query}:s{k:05d}", query, KNOWN_INTENTS[code], tuple(d), tuple(c))
+            for k, (d, c, code) in enumerate(records)
+        )
     return sessions
 
 

@@ -61,6 +61,31 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
 
 
+class TestBadFlagValues:
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--gap-minutes", "-5"],
+        ["ingest", "--gap-minutes", "nan"],
+        ["ingest", "--gap-minutes", "inf"],
+        ["ingest", "--gap-minutes", "1e300"],
+        ["ingest", "--gap-minutes", "x"],
+        ["ingest", "--max-positions", "0"],
+        ["ingest", "--max-positions", "-1"],
+        ["classify", "--ncs-n", "0"],
+        ["classify", "--nrs-n", "-1"],
+    ], ids=lambda argv: "{}{}={}".format(*argv))
+    def test_usage_error_without_traceback_or_output(self, tmp_path, capsys, argv):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text(AOL_SAMPLE)
+        run(["ingest", "--aol", str(raw), "--out", str(tmp_path / "s.jsonl")])
+        inputs = {"ingest": ["--aol", str(raw)], "classify": ["--sessions", str(tmp_path / "s.jsonl")]}
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run([argv[0], *inputs[argv[0]], "--out", str(out), *argv[1:]])
+        assert code == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestIngest:
     def test_parses_and_writes_manifest(self, tmp_path, capsys):
         raw = tmp_path / "raw.tsv"
@@ -335,6 +360,14 @@ class TestClassify:
         assert "seed" not in json.loads(model_path.read_text())
         assert json.loads((tmp_path / "intents.tsv.manifest.json").read_text())["seed"] is None
         assert len(read_intent_labels(labels_path)) == 3
+
+    def test_model_out_without_train_labels_is_a_usage_error(self, tmp_path):
+        sessions_path = self._ingested(tmp_path)
+        code = run(["classify", "--sessions", str(sessions_path), "--out",
+                    str(tmp_path / "o.tsv"), "--model-out", str(tmp_path / "clf.json")])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "o.tsv").exists()
+        assert not (tmp_path / "clf.json").exists()
 
     def test_no_matching_training_labels_is_a_data_error(self, tmp_path):
         sessions_path = self._ingested(tmp_path)
