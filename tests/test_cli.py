@@ -73,11 +73,10 @@ class TestBadFlagValues:
         ["classify", "--ncs-n", "0"],
         ["classify", "--nrs-n", "-1"],
     ], ids=lambda argv: "{}{}={}".format(*argv))
-    def test_usage_error_without_traceback_or_output(self, tmp_path, capsys, argv):
-        raw = tmp_path / "raw.tsv"
-        raw.write_text(AOL_SAMPLE)
-        run(["ingest", "--aol", str(raw), "--out", str(tmp_path / "s.jsonl")])
-        inputs = {"ingest": ["--aol", str(raw)], "classify": ["--sessions", str(tmp_path / "s.jsonl")]}
+    def test_usage_error_without_traceback_or_output(self, pipeline_inputs, tmp_path, capsys,
+                                                     argv):
+        d = pipeline_inputs
+        inputs = {"ingest": ["--aol", f"{d}/raw.tsv"], "classify": ["--sessions", f"{d}/aol.jsonl"]}
         out = tmp_path / "out"
         capsys.readouterr()
         code = run([argv[0], *inputs[argv[0]], "--out", str(out), *argv[1:]])
