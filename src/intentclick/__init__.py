@@ -10,10 +10,13 @@ __version__ = "0.1.0"
 
 from .sessions import (
     Intent,
+    Judgments,
     KNOWN_INTENTS,
     LogEvent,
     RelevanceJudgment,
     Session,
+    SessionBatch,
+    encode_sessions,
     parse_aol_line,
     read_sessions,
     sessionize,
@@ -60,7 +63,10 @@ __all__ = [
     "KNOWN_INTENTS",
     "LogEvent",
     "Session",
+    "SessionBatch",
+    "encode_sessions",
     "RelevanceJudgment",
+    "Judgments",
     "parse_aol_line",
     "sessionize",
     "read_sessions",

@@ -246,8 +246,7 @@ def _cmd_simulate(args) -> Outputs:
 def _cmd_classify(args) -> Outputs:
     if args.model_out and not args.train_labels:
         raise UsageError("--model-out needs --train-labels: rule mode trains no classifier")
-    sessions = read_sessions(args.sessions)
-    by_query = group_by_query(sessions)
+    by_query = group_by_query(read_sessions(args.sessions))
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None
     features = {
         q: extract_features(

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import DataError
 from .models import AnyParams, PROB_CLAMP, clamp_probability, click_probs, resolve_params
-from .sessions import (JSON_NUMBER_TYPES, Intent, RelevanceJudgment, Session,
-                       encode_sessions, read_json, write_json)
+from .sessions import (ALL_INTENTS, JSON_NUMBER_TYPES, Intent, Judgments, Session, SessionBatch,
+                       read_json, write_json)
 
 DEFAULT_K_LIST = (1, 3, 5, 7, 10)
 
@@ -137,17 +137,14 @@ def load_report(path) -> EvalReport:
     return EvalReport.from_json(read_json(path, "report document"))
 
 
-def perplexity_report(
-    params: AnyParams, sessions: Sequence[Session], label: str = ""
-) -> EvalReport:
+def perplexity_report(params: AnyParams, batch: SessionBatch, label: str = "") -> EvalReport:
     """Evaluate a model's click predictions on held-out sessions.
 
     Sessions shorter than the deepest one contribute only to the positions
     they contain.
     """
-    if not sessions:
+    if not batch:
         raise ValueError("no sessions to evaluate")
-    batch = encode_sessions(sessions)
     if batch.width == 0:
         raise DataError("no session shows any document, so there is nothing to evaluate")
     q = np.clip(click_probs(params, batch), PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -161,8 +158,8 @@ def perplexity_report(
         per_position=per_position,
         position_counts=position_counts,
         overall=sum(per_position) / len(per_position),
-        n_sessions=len(sessions),
-        n_queries=len({s.query_id for s in sessions}),
+        n_sessions=len(batch),
+        n_queries=batch.n_queries,
         label=label,
     )
 
@@ -205,41 +202,63 @@ def empirical_ctr(sessions: Iterable[Session]) -> dict[tuple[str, str], float]:
     return {key: clicks[key] / shows[key] for key in shows}
 
 
+def _dcg_at_each_k(grades: np.ndarray, query: np.ndarray, width: int) -> np.ndarray:
+    """DCG@1..width per query (rows) of grades listed query by query, each
+    query's grades in ranked order; positions beyond a query's list add
+    nothing. Each row sums its terms in rank order, as ``dcg`` does."""
+    counts = np.bincount(query)
+    rank = np.arange(len(grades)) - np.repeat(np.cumsum(counts) - counts, counts)
+    shown = rank < width
+    discount = np.array([math.log2(i + 1.0) for i in range(1, width + 1)])
+    terms = np.zeros((len(counts), width))
+    terms[query[shown], rank[shown]] = (2.0 ** grades[shown] - 1.0) / discount[rank[shown]]
+    return np.cumsum(terms, axis=1)
+
+
 def ndcg_for_scores(
-    score: Callable[[str, str], float],
-    judgments: Sequence[RelevanceJudgment],
+    score: Callable[[Judgments], np.ndarray],
+    judgments: Judgments,
     k_list: Sequence[int] = DEFAULT_K_LIST,
 ) -> tuple[dict[int, float], int]:
-    """Mean NDCG@K over judged queries for an arbitrary (query, doc) scorer.
+    """Mean NDCG@K over judged queries; ``score(judgments)`` gives one
+    score per judgment.
 
-    Queries whose grades are all zero are excluded; returns the averages and
-    the number of queries that counted.
+    Each query's judged docs are ranked by descending score, ties by
+    ascending doc id. Queries whose grades are all zero are excluded, and
+    the others are averaged in the order the judgments first name them.
+    Returns the averages and the number of queries that counted.
     """
-    by_query: dict[str, list[RelevanceJudgment]] = {}
-    for j in judgments:
-        by_query.setdefault(j.query_id, []).append(j)
-    totals = {k: 0.0 for k in k_list}
-    counted = 0
-    for query_id, judged in by_query.items():
-        grades = {j.doc_id: j.grade for j in judged}
-        ranked_docs = sorted(grades, key=lambda d: (-score(query_id, d), d))
-        ranked = [grades[d] for d in ranked_docs]
-        ideal = sorted(grades.values(), reverse=True)
-        values = {k: ndcg_at_k(ranked, ideal, k) for k in k_list}
-        if any(v is None for v in values.values()):
-            continue
-        counted += 1
-        for k in k_list:
-            totals[k] += values[k]
-    if counted == 0:
+    if min(k_list) < 1:
+        raise ValueError(f"K must be >= 1, got {min(k_list)}")
+    keys = judgments.keys
+    first: dict[str, int] = {}
+    query = np.array([first.setdefault(q, len(first)) for q, _ in keys], dtype=np.int64)
+    doc_order = np.empty(len(keys), dtype=np.int64)
+    doc_order[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    scores = np.asarray(score(judgments), dtype=np.float64)
+    grades = np.asarray(judgments.grades, dtype=np.int64)
+    # Both orders list the queries in code order, so their rows align.
+    served = np.lexsort((doc_order, -scores, query))
+    ideal = np.lexsort((-grades, query))
+    width = min(int(np.bincount(query).max(initial=0)), max(k_list))
+    query_sorted = query[ideal]
+    served_dcg = _dcg_at_each_k(grades[served], query_sorted, width)
+    ideal_dcg = _dcg_at_each_k(grades[ideal], query_sorted, width)
+    counted = np.bincount(query, weights=grades, minlength=len(first)) > 0
+    n = int(np.count_nonzero(counted))
+    if n == 0:
         return {k: float("nan") for k in k_list}, 0
-    return {k: totals[k] / counted for k in k_list}, counted
+    cols = [min(k, width) - 1 for k in k_list]
+    ndcg = served_dcg[counted][:, cols] / ideal_dcg[counted][:, cols]
+    # A running sum adds the queries one at a time, in order.
+    totals = np.cumsum(ndcg, axis=0)[-1].tolist()
+    return {k: total / n for k, total in zip(k_list, totals)}, n
 
 
 def evaluate_model(
     params: AnyParams,
-    sessions: Sequence[Session],
-    judgments: Sequence[RelevanceJudgment] | None = None,
+    batch: SessionBatch,
+    judgments: Judgments | None = None,
     k_list: Sequence[int] = DEFAULT_K_LIST,
     label: str = "",
 ) -> EvalReport:
@@ -249,47 +268,64 @@ def evaluate_model(
     shares, which reduces to the plain per-intent table when every session
     of a query carries the same intent.
     """
-    report = perplexity_report(params, sessions, label=label)
+    report = perplexity_report(params, batch, label=label)
     if judgments:
-        score = mixture_relevance_scorer(params, sessions)
+        score = mixture_relevance_scorer(params, batch)
         report.ndcg, report.ndcg_queries = ndcg_for_scores(score, judgments, k_list)
         if report.ndcg_queries == 0:
             raise DataError("every judged query has only zero grades, so NDCG is undefined")
     return report
 
 
-def intent_distributions(sessions: Iterable[Session]) -> dict[str, dict[Intent, float]]:
-    """Empirical intent shares per query."""
-    counts: dict[str, dict[Intent, int]] = {}
-    for s in sessions:
-        per_query = counts.setdefault(s.query_id, {})
-        per_query[s.intent] = per_query.get(s.intent, 0) + 1
-    out = {}
-    for query_id, per_query in counts.items():
-        total = sum(per_query.values())
-        out[query_id] = {t: n / total for t, n in per_query.items()}
-    return out
+def intent_distributions(batch: SessionBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical intent shares per query, row q for batch.queries[q].
+
+    Returns (order, shares): shares[q, t] is the share of query q's
+    sessions with intent ALL_INTENTS[t], and order[q] lists the intent
+    codes in the order the query's sessions first show them, the intents
+    it never shows last.
+    """
+    n_intents = len(ALL_INTENTS)
+    cell = batch.query * n_intents + batch.intent
+    counts = np.bincount(cell, minlength=batch.n_queries * n_intents).reshape(-1, n_intents)
+    shares = counts / counts.sum(axis=1, keepdims=True)
+    seen, first_row = np.unique(cell, return_index=True)
+    first = np.full(counts.size, len(batch))
+    first[seen] = first_row
+    return np.argsort(first.reshape(-1, n_intents), axis=1, kind="stable"), shares
 
 
 def mixture_relevance_scorer(
-    params: AnyParams, sessions: Iterable[Session]
-) -> Callable[[str, str], float]:
+    params: AnyParams, batch: SessionBatch
+) -> Callable[[Judgments], np.ndarray]:
     """Relevance scorer marginalized over each query's observed intent mix.
 
     For intent-aware parameters this weights the per-intent relevance
     estimates by the query's empirical intent shares, which is the
-    predicted relevance of a query whose sessions carry mixed intents.
+    predicted relevance of a query whose sessions carry mixed intents. The
+    shares are added in the order the query's sessions first show their
+    intents. A query without sessions is scored by the Unknown table.
     """
-    weights = intent_distributions(sessions)
+    order, shares = intent_distributions(batch)
+    code = {q: i for i, q in enumerate(batch.queries)}
+    tables = [resolve_params(params, t) for t in ALL_INTENTS]
+    # One lookup per distinct table: a base model serves every intent.
+    distinct = {id(p): p for p in tables}
 
-    def score(query_id: str, doc_id: str) -> float:
-        shares = weights.get(query_id)
-        if not shares:
-            return resolve_params(params).relevance_estimate(query_id, doc_id)
-        return sum(
-            share * resolve_params(params, intent).relevance_estimate(query_id, doc_id)
-            for intent, share in shares.items()
-        )
+    def score(judgments: Judgments) -> np.ndarray:
+        keys = judgments.keys
+        lookups = {key: p.relevance_estimates(keys) for key, p in distinct.items()}
+        values = np.stack([lookups[id(p)] for p in tables])
+        query = np.array([code.get(q, -1) for q, _ in keys], dtype=np.int64)
+        out = values[ALL_INTENTS.index(Intent.UNKNOWN)].copy()
+        rows = np.flatnonzero(query >= 0)
+        mixed = np.zeros(len(rows))
+        for slot in range(len(ALL_INTENTS)):
+            # An intent the query never shows adds a share of 0.
+            intent = order[query[rows], slot]
+            mixed += shares[query[rows], intent] * values[intent, rows]
+        out[rows] = mixed
+        return out
 
     return score
 

@@ -2,8 +2,8 @@
 
 Every Bernoulli parameter is updated as a smoothed posterior mean:
 (alpha + expected successes) / (alpha + beta + expected trials). Sessions
-are encoded once into a SessionBatch and each fitter reduces it to counts
-at build time.
+arrive as one SessionBatch and each fitter reduces it to counts at build
+time.
 
 PBM and UBM share one E/M step through the exam-cell factorisation
 P(C=1) = exam[cell] * rel[(query, doc)]: they differ only in which
@@ -44,7 +44,7 @@ import itertools
 import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from .models import (
     resolve_params,
     table_values,
 )
-from .sessions import Intent, KNOWN_INTENTS, Session, SessionBatch, encode_sessions
+from .sessions import Intent, KNOWN_INTENTS, SessionBatch
 
 logger = logging.getLogger(__name__)
 
@@ -496,7 +496,7 @@ class _FitProblem:
     def __init__(
         self,
         model_kind: str,
-        sessions: Sequence[Session],
+        batch: SessionBatch,
         config: EmConfig,
         intent_aware: bool,
         max_positions: int | None,
@@ -504,10 +504,8 @@ class _FitProblem:
     ):
         if model_kind not in _FITTERS:
             raise ValueError(f"unknown model kind {model_kind!r}")
-        sessions = list(sessions)
-        if not sessions:
+        if not batch:
             raise ValueError("cannot fit on an empty session set")
-        batch = encode_sessions(sessions)
         if batch.width == 0:
             raise DataError("no session shows any document, so there is nothing to fit")
         self.max_positions = max_positions if max_positions is not None else batch.width
@@ -617,7 +615,7 @@ def _record_steps(
 
 def em_fit(
     model_kind: str,
-    sessions: Iterable[Session],
+    batch: SessionBatch,
     config: EmConfig | None = None,
     *,
     intent_aware: bool = False,
@@ -632,9 +630,7 @@ def em_fit(
     by default); init_params seeds the starting tables.
     """
     config = config or EmConfig()
-    problem = _FitProblem(
-        model_kind, sessions, config, intent_aware, max_positions, init_params
-    )
+    problem = _FitProblem(model_kind, batch, config, intent_aware, max_positions, init_params)
     update = problem.model_families if families is None else frozenset(families) & problem.model_families
     report = FitReport(iterations=0, final_delta=float("inf"))
     _record_steps(problem, update, report, "")
@@ -650,7 +646,7 @@ def em_fit(
 
 def alternating_fit(
     model_kind: str,
-    sessions: Iterable[Session],
+    batch: SessionBatch,
     config: EmConfig | None = None,
     *,
     max_positions: int | None = None,
@@ -665,7 +661,7 @@ def alternating_fit(
     any step in it.
     """
     config = config or EmConfig()
-    problem = _FitProblem(model_kind, sessions, config, True, max_positions, None)
+    problem = _FitProblem(model_kind, batch, config, True, max_positions, None)
     phases = [f for f in (frozenset((REL_SIDE,)), frozenset((EXAM_SIDE,)))
               if f & problem.model_families]
     report = FitReport(iterations=0, final_delta=float("inf"))

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .sessions import Intent, KNOWN_INTENTS, Session, read_json, write_json
+from .sessions import Intent, KNOWN_INTENTS, SessionBatch, read_json, write_json
 
 BOW_DIM = 1024
 DEFAULT_NCS_N = 2
@@ -64,17 +64,17 @@ def click_ratio(click_counts: Mapping[str, int]) -> dict[str, float]:
     return {url: count / total for url, count in click_counts.items()}
 
 
-def n_clicks_satisfied(sessions_of_query: Sequence[Session], n: int) -> float:
+def n_clicks_satisfied(sessions_of_query: SessionBatch, n: int) -> float:
     """Fraction of the query's sessions with fewer than n clicks."""
     if not sessions_of_query:
         raise ValueError("no sessions supplied")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    hits = sum(1 for s in sessions_of_query if s.total_clicks < n)
-    return hits / len(sessions_of_query)
+    hits = np.count_nonzero(sessions_of_query.clicks.sum(axis=1) < n)
+    return int(hits) / len(sessions_of_query)
 
 
-def n_results_satisfied(sessions_of_query: Sequence[Session], n: int) -> float:
+def n_results_satisfied(sessions_of_query: SessionBatch, n: int) -> float:
     """Fraction of sessions whose clicks all fall in the top n positions.
 
     Zero-click sessions count as satisfied (vacuously within the top n).
@@ -83,12 +83,9 @@ def n_results_satisfied(sessions_of_query: Sequence[Session], n: int) -> float:
         raise ValueError("no sessions supplied")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    hits = sum(
-        1
-        for s in sessions_of_query
-        if all(pos <= n for pos in s.clicked_positions())
-    )
-    return hits / len(sessions_of_query)
+    clicks = sessions_of_query.clicks
+    last = np.max(np.where(clicks > 0, np.arange(1, clicks.shape[1] + 1), 0), axis=1, initial=0)
+    return int(np.count_nonzero(last <= n)) / len(sessions_of_query)
 
 
 def load_lexicon(path) -> frozenset[str]:
@@ -141,7 +138,7 @@ class FeatureVector:
 
 def extract_features(
     query: str,
-    sessions_of_query: Sequence[Session],
+    sessions_of_query: SessionBatch,
     clicked_urls: Mapping[str, int],
     ncs_n: int = DEFAULT_NCS_N,
     nrs_n: int = DEFAULT_NRS_N,
@@ -174,14 +171,12 @@ def extract_features(
     )
 
 
-def clicked_url_counts(sessions_of_query: Iterable[Session]) -> dict[str, int]:
+def clicked_url_counts(sessions_of_query: SessionBatch) -> dict[str, int]:
     """Click counts per doc/url across a query's sessions."""
-    counts: dict[str, int] = {}
-    for s in sessions_of_query:
-        for doc, c in zip(s.docs, s.clicks):
-            if c:
-                counts[doc] = counts.get(doc, 0) + 1
-    return counts
+    pairs, counts = np.unique(sessions_of_query.pair[sessions_of_query.clicks > 0],
+                              return_counts=True)
+    keys = sessions_of_query.keys
+    return {keys[k][1]: c for k, c in zip(pairs.tolist(), counts.tolist())}
 
 
 # Gradient-descent settings of train_classifier. Training starts from zero

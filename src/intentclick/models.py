@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from itertools import repeat
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -61,7 +62,7 @@ def ubm_cells(max_positions: int) -> list[tuple[int, int]]:
 
 def table_values(table: Mapping, keys: Sequence, default: float = DEFAULT_REL) -> np.ndarray:
     """The table's value for each key, in key order; missing keys read default."""
-    return np.array([table.get(key, default) for key in keys], dtype=np.float64)
+    return np.fromiter(map(table.get, keys, repeat(default)), dtype=np.float64, count=len(keys))
 
 
 def last_click(clicks: np.ndarray) -> np.ndarray:
@@ -85,11 +86,23 @@ def _check_table(name: str, table: Mapping) -> None:
             _check_unit(f"{name}[{key}]", value)
 
 
-def _pair_from_json(text: str) -> tuple[str, str]:
-    query_id, tab, doc_id = text.partition("\t")
-    if not tab:
-        raise ValueError(f"pair key {text!r} has no tab between query and doc")
-    return query_id, doc_id
+def _pairs_to_json(pairs: list) -> list[str]:
+    """Pair keys as "query<TAB>doc"; load_params splits them at the first
+    tab, so a query id must not hold one."""
+    bad = next((pair for pair in pairs if "\t" in pair[0]), None)
+    if bad is not None:
+        raise DataError(f"query_id {bad[0]!r} contains a tab, so the pair {bad!r} "
+                        "cannot be written to a parameter file")
+    return list(map("\t".join, pairs))
+
+
+def _pairs_from_json(texts: list) -> list[tuple[str, str]]:
+    """Pair keys split at their first tab, in one pass."""
+    pairs = [(q, d) for q, tab, d in map(str.partition, texts, repeat("\t")) if tab]
+    if len(pairs) != len(texts):
+        bad = next(text for text in texts if "\t" not in text)
+        raise ValueError(f"pair key {bad!r} has no tab between query and doc")
+    return pairs
 
 
 def _cell_from_json(text: str) -> tuple[int, int]:
@@ -97,10 +110,11 @@ def _cell_from_json(text: str) -> tuple[int, int]:
     return int(last), int(pos)
 
 
-# How a table's keys are written in a parameter document and read back.
-_POSITION_KEY = (str, int)
-_CELL_KEY = (lambda cell: f"{cell[0]}:{cell[1]}", _cell_from_json)
-_PAIR_KEY = ("\t".join, _pair_from_json)
+# How a table's key list is written in a parameter document and read back.
+_POSITION_KEY = (lambda keys: list(map(str, keys)), lambda texts: list(map(int, texts)))
+_CELL_KEY = (lambda keys: [f"{l}:{i}" for l, i in keys],
+             lambda texts: list(map(_cell_from_json, texts)))
+_PAIR_KEY = (_pairs_to_json, _pairs_from_json)
 
 
 def _table(json_key):
@@ -137,6 +151,10 @@ class _TableParams:
         return self.rel.get((query_id, doc_id), DEFAULT_REL)
 
     relevance_estimate = relevance
+
+    def relevance_estimates(self, keys: Sequence[tuple[str, str]]) -> np.ndarray:
+        """relevance_estimate of every (query, doc) key, as one array."""
+        return table_values(self.rel, keys)
 
     def conditional_click_probs(self, session: Session) -> list[float]:
         """P(C_i = 1 | earlier clicks) per position of one session."""
@@ -265,6 +283,9 @@ class DbnParams(_TableParams):
         """Unbiased relevance is the chance of a click that satisfies."""
         return self.relevance(query_id, doc_id) * self.satisfaction(query_id, doc_id)
 
+    def relevance_estimates(self, keys: Sequence[tuple[str, str]]) -> np.ndarray:
+        return table_values(self.rel, keys) * table_values(self.sat, keys)
+
     def click_probs(self, batch: SessionBatch) -> np.ndarray:
         """P(E_i = 1 | earlier clicks) * rel, from the forward pass of the
         examination chain: a0[:, t] and a1[:, t] are P(clicks before t,
@@ -359,7 +380,7 @@ def _base_to_json(params: BaseParams) -> dict:
         value = getattr(params, f.name)
         if _is_table(f):
             to_json = f.metadata["json_key"][0]
-            value = {to_json(key): v for key, v in value.items()}
+            value = dict(zip(to_json(list(value)), value.values()))
         doc[f.name] = value
     return doc
 
@@ -368,14 +389,19 @@ def _base_from_json(params_cls: type, obj: Mapping) -> BaseParams:
     """Fields checked, not cast: table values and float scalars must be
     JSON numbers and int scalars JSON integers."""
     values = {}
+    # (codec, JSON keys, keys) of the last table read: DBN's rel and sat
+    # share their keys, which are then decoded once.
+    decoded = (None, None, None)
     for f in fields(params_cls):
         value = obj[f.name]
         if _is_table(f):
             # One pass over the value types, then the conversion.
             if not set(map(type, value.values())) <= JSON_NUMBER_TYPES:
                 raise TypeError(f"{f.name} values must be numbers")
-            keys = map(f.metadata["json_key"][1], value)
-            values[f.name] = dict(zip(keys, map(float, value.values())))
+            from_json, texts = f.metadata["json_key"][1], list(value)
+            if decoded[0] is not from_json or decoded[1] != texts:
+                decoded = (from_json, texts, from_json(texts))
+            values[f.name] = dict(zip(decoded[2], map(float, value.values())))
         else:
             kind = type(f.default)
             if type(value) not in (JSON_NUMBER_TYPES if kind is float else {kind}):

@@ -3,8 +3,10 @@
 Raw search logs (AOL-style five-field TSV) are parsed into LogEvents,
 grouped into per-query Sessions, and written out as line-delimited JSON
 records. Editorial relevance judgments and query intent labels travel as
-plain TSV sidecars. Inside the program, models and fitters compute on a
-SessionBatch, the columnar form ``encode_sessions`` builds from Sessions.
+plain TSV sidecars. Inside the program, models, fitters, evaluation and
+intent features compute on a SessionBatch, the columnar form that
+``read_sessions`` builds straight from JSONL and ``encode_sessions`` from
+in-memory Sessions; judgments are read into the columns of Judgments.
 """
 
 from __future__ import annotations
@@ -114,6 +116,18 @@ class LogEvent:
         return self.item_rank is not None
 
 
+def _session_fault(session_id: str, docs: Sequence, clicks: Sequence) -> str | None:
+    """What makes docs and clicks not one session's, or None: the two
+    must align, clicks be 0/1 and doc ids distinct."""
+    if len(docs) != len(clicks):
+        return f"session {session_id}: {len(docs)} docs vs {len(clicks)} clicks"
+    if not set(clicks) <= {0, 1}:
+        return f"session {session_id}: clicks must be 0/1"
+    if len(set(docs)) != len(docs):
+        return f"session {session_id}: duplicate doc ids"
+    return None
+
+
 @dataclass(frozen=True)
 class Session:
     """One query impression: ranked docs plus aligned binary clicks."""
@@ -125,15 +139,9 @@ class Session:
     clicks: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.docs) != len(self.clicks):
-            raise SessionFormatError(
-                f"session {self.session_id}: {len(self.docs)} docs vs "
-                f"{len(self.clicks)} clicks"
-            )
-        if not set(self.clicks) <= {0, 1}:
-            raise SessionFormatError(f"session {self.session_id}: clicks must be 0/1")
-        if len(set(self.docs)) != len(self.docs):
-            raise SessionFormatError(f"session {self.session_id}: duplicate doc ids")
+        fault = _session_fault(self.session_id, self.docs, self.clicks)
+        if fault:
+            raise SessionFormatError(fault)
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -147,15 +155,23 @@ class Session:
         return tuple(i + 1 for i, c in enumerate(self.clicks) if c)
 
 
+def _used(names: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
+    """The names that codes use, in names order, and the codes renumbered
+    into that list."""
+    used, renumbered = np.unique(codes, return_inverse=True)
+    return [names[k] for k in used.tolist()], renumbered
+
+
 @dataclass(frozen=True)
 class SessionBatch:
     """Sessions as padded (session, position) arrays.
 
     ``pair`` holds codes into ``keys``, the (query_id, doc_id) pairs the
-    batch shows, in the order encode_sessions first saw them, and
-    ``clicks`` the 0/1 outcomes (int8). Cells at or beyond a row's entry in
-    ``lengths`` are padding, with pair code 0 and no click. ``intent``
-    indexes ALL_INTENTS. The width is the longest session's length.
+    batch shows, in the order they were first read, and ``clicks`` the 0/1
+    outcomes (int8). Cells at or beyond a row's entry in ``lengths`` are
+    padding, with pair code 0 and no click. ``intent`` indexes ALL_INTENTS
+    and ``query`` indexes ``queries``, the query ids of the batch in the
+    order they were first read. The width is the longest session's length.
     """
 
     keys: list[tuple[str, str]]
@@ -163,10 +179,19 @@ class SessionBatch:
     clicks: np.ndarray
     lengths: np.ndarray
     intent: np.ndarray
+    queries: list[str]
+    query: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
 
     @property
     def width(self) -> int:
         return self.pair.shape[1]
+
+    @property
+    def n_queries(self) -> int:
+        return len(self.queries)
 
     @property
     def valid(self) -> np.ndarray:
@@ -174,18 +199,17 @@ class SessionBatch:
         return np.arange(self.width) < self.lengths[:, None]
 
     def take(self, rows: np.ndarray) -> "SessionBatch":
-        """The given rows, trimmed to their longest session, with keys cut
-        to the pairs those rows show (in this batch's key order)."""
+        """The given rows, trimmed to their longest session, with keys and
+        queries cut to those the rows show (in this batch's order)."""
         lengths = self.lengths[rows]
         width = int(lengths.max(initial=0))
-        pair = self.pair[rows, :width]
-        shown = np.bincount(pair[np.arange(width) < lengths[:, None]], minlength=len(self.keys))
-        used = np.flatnonzero(shown)
-        # Padding keeps code 0: it maps to 0 whether or not key 0 is used.
-        code = np.zeros(len(self.keys), dtype=np.int64)
-        code[used] = np.arange(len(used))
-        keys = [self.keys[k] for k in used.tolist()]
-        return SessionBatch(keys, code[pair], self.clicks[rows, :width], lengths, self.intent[rows])
+        valid = np.arange(width) < lengths[:, None]
+        keys, codes = _used(self.keys, self.pair[rows, :width][valid])
+        pair = np.zeros(valid.shape, dtype=np.int64)
+        pair[valid] = codes
+        queries, query = _used(self.queries, self.query[rows])
+        return SessionBatch(keys, pair, self.clicks[rows, :width], lengths, self.intent[rows],
+                            queries, query)
 
     def by_intent(self) -> list[tuple[Intent, np.ndarray]]:
         """(intent, row indices) for each intent present, in ALL_INTENTS order."""
@@ -193,18 +217,44 @@ class SessionBatch:
         return [(t, rows) for t, rows in groups if rows.size]
 
 
-def encode_sessions(sessions: Sequence[Session]) -> SessionBatch:
-    """The one conversion of Session records into a SessionBatch."""
-    n = len(sessions)
-    lengths = np.fromiter(map(len, sessions), dtype=np.int64, count=n)
-    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    index: dict[tuple[str, str], int] = {}
-    pair = np.zeros(valid.shape, dtype=np.int64)
-    pair[valid] = [index.setdefault((s.query_id, d), len(index)) for s in sessions for d in s.docs]
-    clicks = np.zeros(valid.shape, dtype=np.int8)
-    clicks[valid] = [c for s in sessions for c in s.clicks]
-    intent = np.fromiter((ALL_INTENTS.index(s.intent) for s in sessions), dtype=np.int8, count=n)
-    return SessionBatch(list(index), pair, clicks, lengths, intent)
+class _BatchColumns:
+    """Sessions added one at a time, as the columns of a SessionBatch."""
+
+    def __init__(self):
+        self.keys: dict[tuple[str, str], int] = {}
+        self.queries: dict[str, int] = {}
+        self.pair: list[int] = []
+        self.clicks: list[int] = []
+        self.lengths: list[int] = []
+        self.intent: list[int] = []
+        self.query: list[int] = []
+
+    def add(self, query_id: str, intent: int, docs: Sequence[str], clicks: Sequence[int]) -> None:
+        keys = self.keys
+        self.pair += [keys.setdefault((query_id, d), len(keys)) for d in docs]
+        self.clicks += clicks
+        self.lengths.append(len(docs))
+        self.intent.append(intent)
+        self.query.append(self.queries.setdefault(query_id, len(self.queries)))
+
+    def build(self) -> SessionBatch:
+        lengths = np.array(self.lengths, dtype=np.int64)
+        valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        pair = np.zeros(valid.shape, dtype=np.int64)
+        pair[valid] = self.pair
+        clicks = np.zeros(valid.shape, dtype=np.int8)
+        clicks[valid] = self.clicks
+        return SessionBatch(list(self.keys), pair, clicks, lengths,
+                            np.array(self.intent, dtype=np.int8), list(self.queries),
+                            np.array(self.query, dtype=np.int64))
+
+
+def encode_sessions(sessions: Iterable[Session]) -> SessionBatch:
+    """The one conversion of in-memory Session records into a SessionBatch."""
+    columns = _BatchColumns()
+    for s in sessions:
+        columns.add(s.query_id, ALL_INTENTS.index(s.intent), s.docs, s.clicks)
+    return columns.build()
 
 
 @dataclass(frozen=True)
@@ -216,11 +266,7 @@ class RelevanceJudgment:
     grade: int
 
     def __post_init__(self):
-        if not 0 <= self.grade <= 4:
-            raise JudgmentError(
-                f"grade {self.grade} out of range [0, 4] for "
-                f"({self.query_id}, {self.doc_id})"
-            )
+        _check_grade(self.query_id, self.doc_id, self.grade)
 
 
 def parse_aol_line(line: str, line_no: int | None = None) -> LogEvent:
@@ -389,45 +435,82 @@ def write_sessions(path, sessions: Iterable[Session]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_sessions(path) -> list[Session]:
-    """Read line-delimited session records, enforcing session invariants:
-    session_id and query_id are JSON strings, docs and clicks are JSON
-    arrays, every doc id is a string and every click is the integer 0 or 1."""
-    sessions = []
+_INTENT_CODES = {t.value: k for k, t in enumerate(ALL_INTENTS)}
+_STR = frozenset((str,))
+_INT = frozenset((int,))
+
+
+def _session_record(line: str) -> tuple[str, int, list, list]:
+    """(query_id, intent code, docs, clicks) of one session record; a
+    SessionFormatError without a line number says what is wrong."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SessionFormatError(f"invalid JSON: {exc}") from None
+    try:
+        value = record["intent"]
+        intent = _INTENT_CODES.get(value) if type(value) is str else None
+        if intent is None:
+            raise ValueError(f"{value!r} is not a valid Intent")
+        session_id, query_id = record["session_id"], record["query_id"]
+        docs, clicks = record["docs"], record["clicks"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SessionFormatError(f"bad session record: {exc}") from None
+    # session_fault checks clicks are 0/1, which true and 1.0 also pass.
+    if not (type(session_id) is str and type(query_id) is str
+            and type(docs) is list and type(clicks) is list
+            and set(map(type, docs)) <= _STR and set(map(type, clicks)) <= _INT):
+        raise SessionFormatError(
+            "session_id and query_id must be strings, docs and clicks arrays, "
+            "docs of strings, clicks of 0/1 ints"
+        )
+    if "\t" in query_id:
+        raise SessionFormatError(
+            f"query_id {query_id!r} contains a tab, which parameter files "
+            "use to separate a query from a doc"
+        )
+    fault = _session_fault(session_id, docs, clicks)
+    if fault:
+        raise SessionFormatError(fault)
+    return query_id, intent, docs, clicks
+
+
+def read_sessions(path) -> SessionBatch:
+    """Read line-delimited session records straight into a SessionBatch.
+
+    Every record must be a valid session: session_id and query_id are
+    JSON strings and query_id has no tab, intent is a known label, docs
+    and clicks are equally long JSON arrays, doc ids are distinct strings
+    and every click is the integer 0 or 1. The first record that is not
+    raises a SessionFormatError naming its line.
+    """
+    columns = _BatchColumns()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SessionFormatError(f"invalid JSON: {exc}", line_no) from None
-            try:
-                intent = Intent(record["intent"])
-                session_id, query_id = record["session_id"], record["query_id"]
-                docs, clicks = record["docs"], record["clicks"]
-                # Session checks clicks are 0/1, which true and 1.0 also pass.
-                if not (type(session_id) is str and type(query_id) is str
-                        and type(docs) is list and type(clicks) is list
-                        and all(type(d) is str for d in docs)
-                        and all(type(c) is int for c in clicks)):
-                    raise SessionFormatError(
-                        "session_id and query_id must be strings, docs and clicks arrays, "
-                        "docs of strings, clicks of 0/1 ints"
-                    )
-                session = Session(
-                    session_id=session_id,
-                    query_id=query_id,
-                    intent=intent,
-                    docs=tuple(docs),
-                    clicks=tuple(clicks),
-                )
+                columns.add(*_session_record(line))
             except SessionFormatError as exc:
                 raise SessionFormatError(str(exc), line_no) from None
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SessionFormatError(f"bad session record: {exc}", line_no) from None
-            sessions.append(session)
-    return sessions
+    return columns.build()
+
+
+def _check_grade(query_id: str, doc_id: str, grade: int) -> None:
+    if not 0 <= grade <= 4:
+        raise JudgmentError(f"grade {grade} out of range [0, 4] for ({query_id}, {doc_id})")
+
+
+@dataclass(frozen=True)
+class Judgments:
+    """Relevance judgments as columns: grades[i] (0..4) grades the
+    (query_id, doc_id) pair keys[i]. No pair is judged twice."""
+
+    keys: list[tuple[str, str]]
+    grades: list[int]
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 def write_judgments(path, judgments: Iterable[RelevanceJudgment]) -> None:
@@ -436,13 +519,13 @@ def write_judgments(path, judgments: Iterable[RelevanceJudgment]) -> None:
             fh.write(f"{j.query_id}\t{j.doc_id}\t{j.grade}\n")
 
 
-def read_judgments(path) -> list[RelevanceJudgment]:
+def read_judgments(path) -> Judgments:
     """Read query_id<TAB>doc_id<TAB>grade records; duplicates are errors."""
-    judgments = []
-    seen: set[tuple[str, str]] = set()
+    keys: dict[tuple[str, str], None] = {}
+    grades = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 3:
@@ -453,14 +536,15 @@ def read_judgments(path) -> list[RelevanceJudgment]:
             except ValueError:
                 raise JudgmentError(f"bad grade {raw_grade!r}", line_no) from None
             key = (query_id, doc_id)
-            if key in seen:
+            if key in keys:
                 raise JudgmentError(f"duplicate judgment for {key}", line_no)
-            seen.add(key)
             try:
-                judgments.append(RelevanceJudgment(query_id, doc_id, grade))
+                _check_grade(query_id, doc_id, grade)
             except JudgmentError as exc:
                 raise JudgmentError(str(exc), line_no) from None
-    return judgments
+            keys[key] = None
+            grades.append(grade)
+    return Judgments(list(keys), grades)
 
 
 def write_intent_labels(path, labels: Mapping[str, Intent]) -> None:
@@ -489,20 +573,16 @@ def read_intent_labels(path) -> dict[str, Intent]:
     return labels
 
 
-def attach_intents(
-    sessions: Sequence[Session], labels: Mapping[str, Intent]
-) -> list[Session]:
-    """Return sessions relabeled from a query->intent mapping.
-
-    Queries without a label keep (or fall back to) Unknown.
-    """
-    return [
-        replace(s, intent=labels.get(s.query_id, Intent.UNKNOWN)) for s in sessions
-    ]
+def attach_intents(batch: SessionBatch, labels: Mapping[str, Intent]) -> SessionBatch:
+    """The batch with each session's intent set from a query->intent
+    mapping; queries without a label get Unknown."""
+    codes = [ALL_INTENTS.index(labels.get(q, Intent.UNKNOWN)) for q in batch.queries]
+    return replace(batch, intent=np.array(codes, dtype=np.int8)[batch.query])
 
 
-def group_by_query(sessions: Iterable[Session]) -> dict[str, list[Session]]:
-    grouped: dict[str, list[Session]] = {}
-    for s in sessions:
-        grouped.setdefault(s.query_id, []).append(s)
-    return grouped
+def group_by_query(batch: SessionBatch) -> dict[str, SessionBatch]:
+    """Each query's sessions as a batch of their own, in the order of
+    batch.queries."""
+    rows = np.argsort(batch.query, kind="stable")
+    ends = np.cumsum(np.bincount(batch.query, minlength=batch.n_queries))
+    return {q: batch.take(r) for q, r in zip(batch.queries, np.split(rows, ends[:-1]))}

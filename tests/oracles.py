@@ -181,3 +181,38 @@ def pbm_unclicked_posteriors(gamma, r):
     p_exam = sum(p for (e, rho), p in joint.items() if e == 1 and e * rho == 0)
     p_rel = sum(p for (e, rho), p in joint.items() if rho == 1 and e * rho == 0)
     return p_exam / p_no_click, p_rel / p_no_click
+
+
+def mean_ndcg_per_query(judged, score, k_list):
+    """Mean NDCG@K by a loop over queries, for (query, doc, grade) triples.
+
+    Each query's docs are ranked by descending score(query, doc), ties by
+    ascending doc id, and compared with its grades sorted descending.
+    Queries whose grades are all zero are skipped. Terms and queries are
+    added one at a time, in rank order and in the order the triples first
+    name each query, with math.log2 discounts, so the result is exact to
+    the bit. Returns ({K: mean}, number of queries counted).
+    """
+    by_query = {}
+    for query, doc, grade in judged:
+        by_query.setdefault(query, []).append((doc, grade))
+
+    def dcg(grades, k):
+        total = 0.0
+        for i, g in enumerate(grades[:k], start=1):
+            total += (2.0 ** g - 1.0) / math.log2(i + 1.0)
+        return total
+
+    totals = dict.fromkeys(k_list, 0.0)
+    counted = 0
+    for query, docs in by_query.items():
+        ideal = sorted((g for _, g in docs), reverse=True)
+        if ideal[0] == 0:
+            continue
+        ranked = [g for _, g in sorted(docs, key=lambda dg: (-score(query, dg[0]), dg[0]))]
+        counted += 1
+        for k in k_list:
+            totals[k] += dcg(ranked, k) / dcg(ideal, k)
+    if not counted:
+        return {k: float("nan") for k in k_list}, 0
+    return {k: totals[k] / counted for k in k_list}, counted

@@ -37,7 +37,7 @@ from intentclick.models import (
     session_log_likelihood,
     session_prob,
 )
-from intentclick.sessions import Intent, KNOWN_INTENTS, Session
+from intentclick.sessions import Intent, Judgments, KNOWN_INTENTS, Session, encode_sessions
 from intentclick.simulate import (
     SimConfig,
     click_behavior_preset,
@@ -116,7 +116,7 @@ def _recovery_artifacts():
         )
         truth = generate_ground_truth(config)
         sessions = simulate_sessions(truth, config)
-        params, report = em_fit("pbm", sessions, EmConfig())
+        params, report = em_fit("pbm", encode_sessions(sessions), EmConfig())
         _CACHE["recovery"] = {
             "truth": truth,
             "params": params,
@@ -174,12 +174,14 @@ def _intent_bias_artifacts():
         holdout_from = int(config.sessions_per_query * 0.7)
         train = [s for s in sessions if int(s.session_id.rsplit(":s", 1)[1]) < holdout_from]
         test = [s for s in sessions if int(s.session_id.rsplit(":s", 1)[1]) >= holdout_from]
-        ia_params, ia_report = em_fit("pbm", train, EmConfig(), intent_aware=True)
-        base_params, base_report = em_fit("pbm", train, EmConfig())
+        train_batch = encode_sessions(train)
+        ia_params, ia_report = em_fit("pbm", train_batch, EmConfig(), intent_aware=True)
+        base_params, base_report = em_fit("pbm", train_batch, EmConfig())
         _CACHE["intent_bias"] = {
             "truth": truth,
             "train": train,
-            "test": test,
+            "train_batch": train_batch,
+            "test": encode_sessions(test),
             "ia_params": ia_params,
             "base_params": base_params,
             "ia_report": ia_report,
@@ -210,14 +212,15 @@ def test_criterion_5_debiasing_benefit():
     art = _intent_bias_artifacts()
     started = time.monotonic()
     k_list = (1, 3, 5, 7, 10)
-    judgments = art["truth"].judgments
+    truth = art["truth"].judgments
+    judgments = Judgments([(j.query_id, j.doc_id) for j in truth], [j.grade for j in truth])
     ctr = empirical_ctr(art["train"])
-    ndcg_ctr, _ = ndcg_for_scores(lambda q, d: ctr.get((q, d), 0.0), judgments, k_list)
-    base = art["base_params"]
-    ndcg_base, _ = ndcg_for_scores(
-        lambda q, d: base.relevance_estimate(q, d), judgments, k_list
+    ndcg_ctr, _ = ndcg_for_scores(
+        lambda j: np.array([ctr.get(key, 0.0) for key in j.keys]), judgments, k_list
     )
-    ia_score = mixture_relevance_scorer(art["ia_params"], art["train"])
+    base = art["base_params"]
+    ndcg_base, _ = ndcg_for_scores(lambda j: base.relevance_estimates(j.keys), judgments, k_list)
+    ia_score = mixture_relevance_scorer(art["ia_params"], art["train_batch"])
     ndcg_ia, _ = ndcg_for_scores(ia_score, judgments, k_list)
 
     avg_ctr = sum(ndcg_ctr.values()) / len(k_list)

@@ -287,6 +287,22 @@ class TestFitEvalCompare:
         assert run(argv) == EXIT_DATA
         assert not out.exists()
 
+    def test_tab_in_query_id_is_a_data_error_naming_its_line(self, tmp_path, capsys):
+        # Parameter files key pairs as query<TAB>doc, so such a query id
+        # would come back as another pair and be scored at the prior.
+        sessions = tmp_path / "tab.jsonl"
+        sessions.write_text(
+            '{"session_id": "s1", "query_id": "a", "intent": "unk", "docs": ["d1"], '
+            '"clicks": [1]}\n'
+            '{"session_id": "s2", "query_id": "a\\tb", "intent": "unk", "docs": ["d1"], '
+            '"clicks": [0]}\n'
+        )
+        out = tmp_path / "p.json"
+        code = run(["fit", "--model", "pbm", "--sessions", str(sessions), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "line 2: query_id 'a\\tb' contains a tab" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_with_only_zero_grades_is_a_data_error(self, tmp_path):
         sim = _simulate(tmp_path)
         params = tmp_path / "p.json"

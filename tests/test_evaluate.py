@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from intentclick.evaluate import (
@@ -28,7 +30,8 @@ from intentclick.evaluate import (
 )
 from intentclick.errors import DataError
 from intentclick.models import IntentAwareParams, PbmParams, resolve_params
-from intentclick.sessions import Intent, RelevanceJudgment, Session, write_json
+from intentclick.sessions import (ALL_INTENTS, KNOWN_INTENTS, Intent, Judgments,
+                                  Session, encode_sessions, write_json)
 
 
 def _session(clicks, query="q1", intent=Intent.UNKNOWN, sid="s"):
@@ -98,7 +101,7 @@ class TestPerplexityReport:
             _session((0, 1), sid="b"),
             _session((1,), sid="c"),
         ]
-        report = perplexity_report(params, sessions)
+        report = perplexity_report(params, encode_sessions(sessions))
         assert report.position_counts == [3, 2, 1]
         assert report.per_position == [2.0, 2.0, 2.0]
         assert report.overall == pytest.approx(2.0)
@@ -111,14 +114,14 @@ class TestPerplexityReport:
             _session(tuple(int(x) for x in rng.integers(0, 2, 2)), sid=f"s{i}")
             for i in range(40)
         ]
-        report = perplexity_report(params, sessions)
+        report = perplexity_report(params, encode_sessions(sessions))
         assert report.overall == pytest.approx(
             sum(report.per_position) / len(report.per_position)
         )
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            perplexity_report(_pbm([0.5], [0.5]), [])
+            perplexity_report(_pbm([0.5], [0.5]), encode_sessions([]))
 
 
 class TestNdcg:
@@ -179,10 +182,15 @@ class TestNdcg:
         assert ndcg_at_k([2, 3, 1, 0], ideal, 2) < 1.0
 
 
+def _scorer(score):
+    """A judgments scorer from a (query, doc) -> score function."""
+    return lambda judgments: np.array([score(q, d) for q, d in judgments.keys])
+
+
 def _ndcg_of_order(score, grades, k_list=(1, 2, 3)):
     """ndcg_for_scores over one query judged with ``grades`` (doc -> grade)."""
-    judgments = [RelevanceJudgment("q1", doc, grade) for doc, grade in grades.items()]
-    return ndcg_for_scores(score, judgments, k_list)[0]
+    judgments = Judgments([("q1", doc) for doc in grades], list(grades.values()))
+    return ndcg_for_scores(_scorer(score), judgments, k_list)[0]
 
 
 def _expected_ndcg(order, grades, k_list=(1, 2, 3)):
@@ -223,6 +231,77 @@ class TestRanking:
         assert nav == {1: 0.0}  # 0.1 below the 0.5 default of unseen zz
 
 
+_QUERIES = ("q0", "q1", "q2", "q3")
+
+
+@st.composite
+def _ndcg_cases(draw):
+    """Judgments interleaved across queries, some all-zero, over few doc
+    ids and few relevance values (so ties are common); per-intent PBM
+    tables; sessions with mixed intents for some queries and none for
+    others; and cut-offs up to past the longest judged list."""
+    judged = []
+    for query in _QUERIES[: draw(st.integers(1, len(_QUERIES)))]:
+        docs = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True))
+        zero = draw(st.booleans())
+        judged += [(query, d, 0 if zero else draw(st.integers(0, 4))) for d in docs]
+    judged = draw(st.permutations(judged))
+    tables = {
+        t: {(q, d): draw(st.sampled_from((0.1, 0.3, 0.5, 0.7)))
+            for q, d, _ in judged if draw(st.booleans())}
+        for t in ALL_INTENTS
+    }
+    shown = draw(st.permutations([
+        (q, t) for q in _QUERIES for t in draw(st.lists(st.sampled_from(ALL_INTENTS), max_size=6))
+    ]))
+    sessions = [Session(f"s{i}", q, t, ("a",), (0,)) for i, (q, t) in enumerate(shown)]
+    k_list = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True))
+    return judged, tables, sessions, k_list
+
+
+class TestArrayNdcgOracle:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_ndcg_cases())
+    def test_matches_per_query_loop_exactly(self, case):
+        judged, tables, sessions, k_list = case
+        pbm = {t: PbmParams(exam={1: 0.5}, rel=rel, max_positions=1) for t, rel in tables.items()}
+        params = IntentAwareParams(per_intent={t: pbm[t] for t in KNOWN_INTENTS},
+                                   fallback=pbm[Intent.UNKNOWN])
+
+        def mixture(query, doc):
+            counts = {}
+            for s in sessions:
+                if s.query_id == query:
+                    counts[s.intent] = counts.get(s.intent, 0) + 1
+            if not counts:
+                return tables[Intent.UNKNOWN].get((query, doc), 0.5)
+            n, total = sum(counts.values()), 0.0
+            for intent, count in counts.items():
+                total += count / n * tables[intent].get((query, doc), 0.5)
+            return total
+
+        judgments = Judgments([(q, d) for q, d, _ in judged], [g for _, _, g in judged])
+        scorer = mixture_relevance_scorer(params, encode_sessions(sessions))
+        assert scorer(judgments).tolist() == [mixture(q, d) for q, d, _ in judged]
+        got, counted = ndcg_for_scores(scorer, judgments, k_list)
+        want, want_counted = oracles.mean_ndcg_per_query(judged, mixture, k_list)
+        assert counted == want_counted
+        if counted:
+            assert got == want
+        else:
+            assert all(math.isnan(v) for v in got.values())
+
+
+    def test_query_mean_adds_queries_in_their_order(self):
+        # Forty queries, so a pairwise sum would round differently.
+        rng = np.random.default_rng(5)
+        judged = [(f"q{i}", f"d{j}", int(rng.integers(0, 5))) for i in range(40) for j in range(5)]
+        scores = {(q, d): float(rng.uniform()) for q, d, _ in judged}
+        judgments = Judgments([(q, d) for q, d, _ in judged], [g for _, _, g in judged])
+        got = ndcg_for_scores(_scorer(lambda q, d: scores[(q, d)]), judgments, (1, 3, 10))
+        assert got == oracles.mean_ndcg_per_query(judged, lambda q, d: scores[(q, d)], (1, 3, 10))
+
+
 class TestCtrAndScorers:
     def test_empirical_ctr(self):
         sessions = [_session((1, 0)), _session((1, 1)), _session((0, 0))]
@@ -231,13 +310,8 @@ class TestCtrAndScorers:
         assert ctr[("q1", "d2")] == pytest.approx(1 / 3)
 
     def test_ndcg_for_scores_excludes_zero_grade_queries(self):
-        judgments = [
-            RelevanceJudgment("q1", "a", 2),
-            RelevanceJudgment("q1", "b", 0),
-            RelevanceJudgment("q2", "a", 0),
-            RelevanceJudgment("q2", "b", 0),
-        ]
-        values, counted = ndcg_for_scores(lambda q, d: 1.0, judgments, (1, 2))
+        judgments = Judgments([("q1", "a"), ("q1", "b"), ("q2", "a"), ("q2", "b")], [2, 0, 0, 0])
+        values, counted = ndcg_for_scores(_scorer(lambda q, d: 1.0), judgments, (1, 2))
         assert counted == 1
 
     def test_mixture_scorer_weights_by_intent_shares(self):
@@ -253,8 +327,8 @@ class TestCtrAndScorers:
             _session((0,), intent=Intent.NAVIGATIONAL, sid="c"),
             _session((0,), intent=Intent.NAVIGATIONAL, sid="d"),
         ]
-        score = mixture_relevance_scorer(ia, sessions)
-        assert score("q1", "d1") == pytest.approx(0.5 * 0.8 + 0.5 * 0.2)
+        score = mixture_relevance_scorer(ia, encode_sessions(sessions))
+        assert score(Judgments([("q1", "d1")], [1]))[0] == pytest.approx(0.5 * 0.8 + 0.5 * 0.2)
 
     def test_intent_helpers(self):
         sessions = [
@@ -262,8 +336,10 @@ class TestCtrAndScorers:
             _session((0,), intent=Intent.NAVIGATIONAL, sid="b"),
             _session((0,), intent=Intent.INFORMATIONAL, sid="c"),
         ]
-        shares = intent_distributions(sessions)["q1"]
-        assert shares[Intent.NAVIGATIONAL] == pytest.approx(2 / 3)
+        order, shares = intent_distributions(encode_sessions(sessions))
+        nav, inf = ALL_INTENTS.index(Intent.NAVIGATIONAL), ALL_INTENTS.index(Intent.INFORMATIONAL)
+        assert shares[0, nav] == pytest.approx(2 / 3)
+        assert order[0, :2].tolist() == [nav, inf]
 
 
 class TestCompareModels:
@@ -347,8 +423,9 @@ class TestReportIo:
     def test_evaluate_model_attaches_ndcg(self):
         params = _pbm([0.9, 0.9], [0.8, 0.3])
         sessions = [_session((1, 0), sid=f"s{i}") for i in range(5)]
-        judgments = [RelevanceJudgment("q1", "d1", 3), RelevanceJudgment("q1", "d2", 1)]
-        report = evaluate_model(params, sessions, judgments=judgments, k_list=(1, 2))
+        judgments = Judgments([("q1", "d1"), ("q1", "d2")], [3, 1])
+        report = evaluate_model(params, encode_sessions(sessions), judgments=judgments,
+                                k_list=(1, 2))
         assert set(report.ndcg) == {1, 2}
         assert report.ndcg_queries == 1
         assert report.ndcg[1] == 1.0

@@ -18,7 +18,7 @@ from intentclick.models import (
     session_log_likelihood,
     ubm_cells,
 )
-from intentclick.sessions import Intent, Session
+from intentclick.sessions import Intent, Session, encode_sessions
 from intentclick.simulate import SimConfig, generate_ground_truth, simulate_sessions
 
 
@@ -83,7 +83,7 @@ def _simulate(kind, seed, *, queries=60, sessions_per_query=300, positions=6, **
 @pytest.fixture(scope="module")
 def fitted():
     truth, sessions, _ = _simulate("pbm", seed=21, shuffle_serps=True)
-    params, report = em_fit("pbm", sessions, EmConfig(max_iters=150))
+    params, report = em_fit("pbm", encode_sessions(sessions), EmConfig(max_iters=150))
     return truth, sessions, params, report
 
 
@@ -124,7 +124,7 @@ class TestPbmFit:
         rng = np.random.default_rng(5)
         shuffled = list(sessions)
         rng.shuffle(shuffled)
-        params2, _ = em_fit("pbm", shuffled, EmConfig(max_iters=150))
+        params2, _ = em_fit("pbm", encode_sessions(shuffled), EmConfig(max_iters=150))
         for pos in params.exam:
             assert abs(params.exam[pos] - params2.exam[pos]) < 1e-9
         for key in params.rel:
@@ -139,7 +139,7 @@ class TestPbmSingleIteration:
             Session("s1", "q", Intent.UNKNOWN, ("a", "b"), (1, 0)),
             Session("s2", "q", Intent.UNKNOWN, ("a", "b"), (0, 0)),
         ]
-        params, _ = em_fit("pbm", sessions, EmConfig(max_iters=1, tol=1e-15))
+        params, _ = em_fit("pbm", encode_sessions(sessions), EmConfig(max_iters=1, tol=1e-15))
 
         p_exam_u, p_rel_u = map(float, _posteriors(0.5, 0.5))
         exam1 = (1.0 + 1.0 + p_exam_u) / (2.0 + 2.0)
@@ -157,7 +157,7 @@ class TestUbmFit:
         truth, sessions, _ = _simulate(
             "ubm", seed=22, queries=50, sessions_per_query=400, positions=5
         )
-        params, report = em_fit("ubm", sessions, EmConfig(max_iters=120))
+        params, report = em_fit("ubm", encode_sessions(sessions), EmConfig(max_iters=120))
         _assert_monotone(report.loglik_trace)
         errors = []
         for key, r in truth.params.rel.items():
@@ -169,7 +169,7 @@ class TestUbmFit:
         truth, sessions, _ = _simulate(
             "ubm", seed=23, queries=40, sessions_per_query=300, positions=5
         )
-        params, _ = em_fit("ubm", sessions, EmConfig(max_iters=120))
+        params, _ = em_fit("ubm", encode_sessions(sessions), EmConfig(max_iters=120))
         diffs = []
         for s in sessions[:2000]:
             p_true = truth.params.conditional_click_probs(s)
@@ -183,7 +183,7 @@ class TestDbnFit:
         truth, sessions, _ = _simulate(
             "dbn", seed=24, queries=60, sessions_per_query=400, positions=5
         )
-        params, report = em_fit("dbn", sessions, EmConfig(max_iters=120))
+        params, report = em_fit("dbn", encode_sessions(sessions), EmConfig(max_iters=120))
         _assert_monotone(report.loglik_trace)
         assert abs(params.gamma_cont - truth.params.gamma_cont) < 0.05
         diffs = []
@@ -197,10 +197,10 @@ class TestDbnFit:
         _, sessions, _ = _simulate(
             "dbn", seed=32, queries=20, sessions_per_query=60, positions=4
         )
-        a, _ = em_fit("dbn", sessions, EmConfig(max_iters=40))
+        a, _ = em_fit("dbn", encode_sessions(sessions), EmConfig(max_iters=40))
         shuffled = list(sessions)
         np.random.default_rng(1).shuffle(shuffled)
-        b, _ = em_fit("dbn", shuffled, EmConfig(max_iters=40))
+        b, _ = em_fit("dbn", encode_sessions(shuffled), EmConfig(max_iters=40))
         assert abs(a.gamma_cont - b.gamma_cont) < 1e-9
         for key in a.rel:
             assert abs(a.rel[key] - b.rel[key]) < 1e-9
@@ -224,7 +224,7 @@ class TestDbnFit:
         sats = dict(zip(keys, rng.uniform(0.05, 0.95, len(keys)).tolist()))
         start = DbnParams(rel=rels, sat=sats, gamma_cont=0.7)
         cfg = EmConfig(max_iters=1, prior_alpha=0.0, prior_beta=0.0)
-        params, report = em_fit("dbn", sessions, cfg, init_params=start)
+        params, report = em_fit("dbn", encode_sessions(sessions), cfg, init_params=start)
         assert report.iterations == 1
         rel, sat, gamma = oracles.dbn_em_step(rels, sats, 0.7, sessions)
         assert rel.keys() == params.rel.keys() and sat.keys() == params.sat.keys()
@@ -241,7 +241,7 @@ class TestDbnFit:
         always_followed = [
             Session(f"s{i}", q, Intent.UNKNOWN, docs, (1, 1)) for i in range(200)
         ]
-        params, _ = em_fit("dbn", always_followed, EmConfig(max_iters=60))
+        params, _ = em_fit("dbn", encode_sessions(always_followed), EmConfig(max_iters=60))
         assert params.sat[(q, "a")] < 0.1
 
 
@@ -250,7 +250,7 @@ class TestCascadeFit:
         truth, sessions, _ = _simulate(
             "cascade", seed=25, queries=50, sessions_per_query=300, positions=5
         )
-        params, report = em_fit("cascade", sessions, EmConfig())
+        params, report = em_fit("cascade", encode_sessions(sessions), EmConfig())
         assert report.converged
         assert report.iterations <= 3
         _assert_monotone(report.loglik_trace)
@@ -285,8 +285,9 @@ class TestIntentAwareFit:
             "pbm", seed=26, queries=50, sessions_per_query=600, positions=5,
             intent_mix=(0.4, 0.4, 0.2),
         )
-        base_params, _ = em_fit("pbm", sessions, EmConfig(max_iters=120))
-        ia_params, _ = em_fit("pbm", sessions, EmConfig(max_iters=120), intent_aware=True)
+        base_params, _ = em_fit("pbm", encode_sessions(sessions), EmConfig(max_iters=120))
+        ia_params, _ = em_fit("pbm", encode_sessions(sessions), EmConfig(max_iters=120),
+                              intent_aware=True)
         diffs = []
         for s in sessions[:3000]:
             p_base = base_params.conditional_click_probs(s)
@@ -302,7 +303,7 @@ class TestIntentAwareFit:
             "pbm", seed=27, queries=30, sessions_per_query=100, positions=4,
             intent_mix=(0.5, 0.5, 0.0), intent_aware=True,
         )
-        ia1, report1 = em_fit("pbm", sessions, cfg, intent_aware=True)
+        ia1, report1 = em_fit("pbm", encode_sessions(sessions), cfg, intent_aware=True)
         mutated = [
             Session(
                 s.session_id, s.query_id, s.intent, s.docs,
@@ -312,7 +313,7 @@ class TestIntentAwareFit:
             )
             for s in sessions
         ]
-        ia2, report2 = em_fit("pbm", mutated, cfg, intent_aware=True)
+        ia2, report2 = em_fit("pbm", encode_sessions(mutated), cfg, intent_aware=True)
         nav1 = ia1.per_intent[Intent.NAVIGATIONAL]
         nav2 = ia2.per_intent[Intent.NAVIGATIONAL]
         assert nav1.exam == nav2.exam
@@ -341,7 +342,7 @@ class TestIntentAwareFit:
         ] + [
             Session(f"n{i}", q, Intent.NAVIGATIONAL, docs, (0, 1)) for i in range(50)
         ]
-        ia, _ = em_fit("pbm", sessions, EmConfig(max_iters=50), intent_aware=True)
+        ia, _ = em_fit("pbm", encode_sessions(sessions), EmConfig(max_iters=50), intent_aware=True)
         assert isinstance(ia, IntentAwareParams)
         # fallback learned from the Unknown sessions (doc a always clicked)
         assert ia.fallback.rel[(q, "a")] > 0.8
@@ -350,16 +351,17 @@ class TestIntentAwareFit:
 
     def test_empty_sessions_rejected(self):
         with pytest.raises(ValueError):
-            em_fit("pbm", [], EmConfig())
+            em_fit("pbm", encode_sessions([]), EmConfig())
 
     def test_unknown_model_kind_rejected(self):
         with pytest.raises(ValueError):
-            em_fit("dcm", [Session("s", "q", Intent.UNKNOWN, ("a",), (0,))], EmConfig())
+            em_fit("dcm", encode_sessions([Session("s", "q", Intent.UNKNOWN, ("a",), (0,))]),
+                   EmConfig())
 
     def test_sessions_deeper_than_max_positions_rejected(self):
         session = Session("s", "q", Intent.UNKNOWN, ("a", "b", "c"), (0, 1, 0))
         with pytest.raises(ValueError):
-            em_fit("pbm", [session], EmConfig(), max_positions=2)
+            em_fit("pbm", encode_sessions([session]), EmConfig(), max_positions=2)
 
     @pytest.mark.parametrize("kind", ["pbm", "ubm", "dbn", "cascade"])
     def test_other_kinds_support_intent_aware_fits(self, kind):
@@ -367,7 +369,8 @@ class TestIntentAwareFit:
             kind, seed=31, queries=20, sessions_per_query=80, positions=4,
             intent_mix=(0.5, 0.5, 0.0), intent_aware=True,
         )
-        params, report = em_fit(kind, sessions, EmConfig(max_iters=40), intent_aware=True)
+        params, report = em_fit(kind, encode_sessions(sessions), EmConfig(max_iters=40),
+                                intent_aware=True)
         assert isinstance(params, IntentAwareParams)
         assert params.kind == kind
         _assert_monotone(report.loglik_trace)
@@ -393,8 +396,8 @@ class TestAlternatingFit:
     def test_agrees_with_joint_em(self, data):
         _, sessions = data
         cfg = EmConfig(tol=1e-7, max_iters=400)
-        em_params, _ = em_fit("pbm", sessions, cfg, intent_aware=True)
-        alt_params, alt_report = alternating_fit("pbm", sessions, cfg)
+        em_params, _ = em_fit("pbm", encode_sessions(sessions), cfg, intent_aware=True)
+        alt_params, alt_report = alternating_fit("pbm", encode_sessions(sessions), cfg)
         _assert_monotone(alt_report.loglik_trace)
         diffs = []
         for intent in (Intent.INFORMATIONAL, Intent.NAVIGATIONAL):
@@ -414,7 +417,7 @@ class TestAlternatingFit:
         sessions = simulate_sessions(truth, config)
         params, report = em_fit(
             "pbm",
-            sessions,
+            encode_sessions(sessions),
             EmConfig(max_iters=200),
             families=frozenset(("rel",)),
             init_params=truth.params,
@@ -427,7 +430,8 @@ class TestAlternatingFit:
 
     def test_cascade_alternating_degenerates_to_relevance_phase(self, data):
         _, sessions = data
-        params, report = alternating_fit("cascade", sessions, EmConfig(max_iters=30))
+        params, report = alternating_fit("cascade", encode_sessions(sessions),
+                                         EmConfig(max_iters=30))
         assert report.converged
 
 
@@ -463,13 +467,15 @@ def test_accelerated_fit_lands_on_em_fixed_point(kind, mode):
     )
     cfg = EmConfig()
     if mode == "alternating":
-        params, report = alternating_fit(kind, sessions, cfg)
+        params, report = alternating_fit(kind, encode_sessions(sessions), cfg)
     else:
-        params, report = em_fit(kind, sessions, cfg, intent_aware=mode == "intent_aware")
+        params, report = em_fit(kind, encode_sessions(sessions), cfg,
+                                intent_aware=mode == "intent_aware")
     assert report.converged
     _assert_monotone(report.loglik_trace)
     stepped, _ = em_fit(
-        kind, sessions, EmConfig(max_iters=1), intent_aware=mode != "base", init_params=params
+        kind, encode_sessions(sessions), EmConfig(max_iters=1), intent_aware=mode != "base",
+        init_params=params,
     )
     before, after = _parameters(params), _parameters(stepped)
     assert before.keys() == after.keys()
@@ -493,8 +499,8 @@ def test_fit_is_independent_of_session_order(kind, mode):
     shuffled = list(sessions)
     rng.shuffle(shuffled)
     cfg = EmConfig(max_iters=30)
-    a, report_a = em_fit(kind, sessions, cfg, intent_aware=mode == "intent_aware")
-    b, report_b = em_fit(kind, shuffled, cfg, intent_aware=mode == "intent_aware")
+    a, report_a = em_fit(kind, encode_sessions(sessions), cfg, intent_aware=mode == "intent_aware")
+    b, report_b = em_fit(kind, encode_sessions(shuffled), cfg, intent_aware=mode == "intent_aware")
     assert _parameters(a) == _parameters(b)
     assert report_a.to_json() == report_b.to_json()
 
@@ -503,7 +509,7 @@ class TestFitReportShape:
     def test_one_trace_value_per_iteration(self):
         _, sessions, _ = _simulate("pbm", seed=30, queries=10, sessions_per_query=50,
                                    positions=3)
-        _, report = em_fit("pbm", sessions, EmConfig(max_iters=17, tol=1e-15))
+        _, report = em_fit("pbm", encode_sessions(sessions), EmConfig(max_iters=17, tol=1e-15))
         assert report.iterations == 17
         assert len(report.loglik_trace) == 17
         assert not report.converged
@@ -513,7 +519,7 @@ class TestFitReportShape:
         _, sessions, _ = _simulate("pbm", seed=30, queries=10, sessions_per_query=50,
                                    positions=3)
         with caplog.at_level("INFO", logger="intentclick.inference"):
-            _, report = em_fit("pbm", sessions)
+            _, report = em_fit("pbm", encode_sessions(sessions))
         lines = [r.getMessage() for r in caplog.records if " loglik " in r.getMessage()]
         assert len(lines) == report.iterations == len(report.loglik_trace)
         assert report.extrapolated > 0
@@ -526,7 +532,8 @@ class TestFitReportShape:
     def test_uncovered_positions_stay_at_prior_mean(self, caplog, kind):
         sessions = [Session("s", "q", Intent.UNKNOWN, ("a", "b"), (1, 0))] * 30
         with caplog.at_level("WARNING"):
-            params, _ = em_fit(kind, sessions, EmConfig(max_iters=40), max_positions=4)
+            params, _ = em_fit(kind, encode_sessions(sessions), EmConfig(max_iters=40),
+                               max_positions=4)
         if kind == "pbm":
             uncovered = [params.exam[3], params.exam[4]]
         else:
@@ -570,8 +577,8 @@ def test_loglik_trace_matches_per_session_log_likelihood(kind):
         sessions.append(Session(s.session_id, s.query_id, s.intent, s.docs[:n], s.clicks[:n]))
     if kind == "cascade":
         sessions = [s for s in sessions if s.total_clicks <= 1]
-    one_step, _ = em_fit(kind, sessions, _no_prior(max_iters=1), max_positions=5)
-    _, report = em_fit(kind, sessions, _no_prior(max_iters=2), max_positions=5)
+    one_step, _ = em_fit(kind, encode_sessions(sessions), _no_prior(max_iters=1), max_positions=5)
+    _, report = em_fit(kind, encode_sessions(sessions), _no_prior(max_iters=2), max_positions=5)
     assert len(report.loglik_trace) == 2
     for params, ll in zip((_initial_params(kind, 5), one_step), report.loglik_trace):
         expected = sum(session_log_likelihood(kind, params, s) for s in sessions)

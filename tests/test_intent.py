@@ -23,7 +23,7 @@ from intentclick.intent import (
     train_classifier,
     url_match_ratio,
 )
-from intentclick.sessions import Intent, KNOWN_INTENTS, Session
+from intentclick.sessions import Intent, KNOWN_INTENTS, Session, encode_sessions
 
 
 def _session(clicks, query="q1"):
@@ -91,43 +91,43 @@ class TestClickRatio:
 class TestClickSatisfaction:
     def test_ncs_counts_sessions_below_n(self):
         sessions = [_session((1,)), _session((1, 1, 1)), _session((0,))]
-        assert n_clicks_satisfied(sessions, 2) == pytest.approx(2 / 3)
+        assert n_clicks_satisfied(encode_sessions(sessions), 2) == pytest.approx(2 / 3)
 
     def test_ncs_zero_clicks_always_satisfy(self):
         sessions = [_session((0, 0)), _session((0,))]
-        assert n_clicks_satisfied(sessions, 1) == 1.0
+        assert n_clicks_satisfied(encode_sessions(sessions), 1) == 1.0
 
     def test_ncs_no_session_below_one(self):
         sessions = [_session((1,)), _session((0, 1))]
-        assert n_clicks_satisfied(sessions, 1) == 0.0
+        assert n_clicks_satisfied(encode_sessions(sessions), 1) == 0.0
 
     def test_nrs_top_n_containment(self):
         sessions = [_session((1, 1, 0, 0)), _session((0, 0, 0, 1)), _session((1, 0, 0, 0))]
-        assert n_results_satisfied(sessions, 3) == pytest.approx(2 / 3)
+        assert n_results_satisfied(encode_sessions(sessions), 3) == pytest.approx(2 / 3)
 
     def test_nrs_all_top_one(self):
         sessions = [_session((1, 0)), _session((1, 0, 0))]
-        assert n_results_satisfied(sessions, 1) == 1.0
+        assert n_results_satisfied(encode_sessions(sessions), 1) == 1.0
 
     def test_nrs_zero_click_sessions_satisfy(self):
         sessions = [_session((0, 0, 0, 0, 1)), _session((0, 0))]
-        assert n_results_satisfied(sessions, 3) == pytest.approx(1 / 2)
+        assert n_results_satisfied(encode_sessions(sessions), 3) == pytest.approx(1 / 2)
 
     def test_monotone_in_n(self):
         rng = np.random.default_rng(2)
         sessions = [
             _session(tuple(int(x) for x in rng.integers(0, 2, 6))) for _ in range(40)
         ]
-        ncs = [n_clicks_satisfied(sessions, n) for n in range(1, 8)]
-        nrs = [n_results_satisfied(sessions, n) for n in range(1, 8)]
+        ncs = [n_clicks_satisfied(encode_sessions(sessions), n) for n in range(1, 8)]
+        nrs = [n_results_satisfied(encode_sessions(sessions), n) for n in range(1, 8)]
         assert ncs == sorted(ncs)
         assert nrs == sorted(nrs)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            n_clicks_satisfied([], 2)
+            n_clicks_satisfied(encode_sessions([]), 2)
         with pytest.raises(ValueError):
-            n_results_satisfied([], 2)
+            n_results_satisfied(encode_sessions([]), 2)
 
 
 class TestTransactionalRule:
@@ -155,7 +155,7 @@ class TestTransactionalRule:
 
 class TestExtractFeatures:
     def test_missing_click_data_degrades_gracefully(self):
-        fv = extract_features("some query", [], {})
+        fv = extract_features("some query", encode_sessions([]), {})
         assert fv.urlmr == 0.0 and fv.max_click_ratio == 0.0
         assert fv.ncs == 0.0 and fv.nrs == 0.0
         assert fv.click_data_missing
@@ -163,16 +163,16 @@ class TestExtractFeatures:
     def test_deterministic(self):
         sessions = [_session((1, 0)), _session((0, 1))]
         counts = {"d1": 3, "d2": 1}
-        a = extract_features("some query", sessions, counts)
-        b = extract_features("some query", sessions, counts)
+        a = extract_features("some query", encode_sessions(sessions), counts)
+        b = extract_features("some query", encode_sessions(sessions), counts)
         assert a.to_array().tolist() == b.to_array().tolist()
 
     def test_query_length_token_count(self):
-        fv = extract_features("sorting algorithms for big data", [], {})
+        fv = extract_features("sorting algorithms for big data", encode_sessions([]), {})
         assert fv.query_length == 5
 
     def test_vector_layout_is_stable(self):
-        fv = extract_features("a b", [_session((1,))], {"d1": 2})
+        fv = extract_features("a b", encode_sessions([_session((1,))]), {"d1": 2})
         arr = fv.to_array()
         assert arr.shape == (6 + BOW_DIM,)
         assert arr[0] == fv.urlmr
@@ -180,7 +180,7 @@ class TestExtractFeatures:
 
     def test_clicked_url_counts(self):
         sessions = [_session((1, 0)), _session((1, 1))]
-        assert clicked_url_counts(sessions) == {"d1": 2, "d2": 1}
+        assert clicked_url_counts(encode_sessions(sessions)) == {"d1": 2, "d2": 1}
 
 
 def _separable_dataset(n_per_class=60, bow_dim=32, seed=11):
@@ -248,7 +248,7 @@ class TestClassifier:
     def test_dimension_mismatch(self):
         features, labels = _separable_dataset(n_per_class=10)
         model = train_classifier(features, labels)  # trained on 32-dimension bags
-        other = extract_features("query", [], {})
+        other = extract_features("query", encode_sessions([]), {})
         with pytest.raises(ValueError):
             classify(model, other)
 

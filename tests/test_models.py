@@ -415,18 +415,41 @@ class TestPersistence:
             _doc("pbm", '{"exam": {"1": 0.25, "2": 0.5, "99": 0.5}, "rel": {}, "max_positions": 2}'),
             _doc("ubm", '{"beta": {"0:1": 0.9, "0:2": 0.6, "1:2": 0.7, "2:1": 0.5}, "rel": {}, '
                         '"max_positions": 2}'),
+            _doc("dbn", f'{{"rel": {_PAIR}, "sat": {{"q1d1": 0.5}}, "gamma_cont": 0.5}}'),
+            _doc("pbm", f'{{{_PBM_EXAM}, "rel": {{"1": 0.5, "2": 0.5}}, "max_positions": 2}}'),
         ],
         ids=["version-99", "no-params", "kind-list", "array", "rel-list", "missing-intent",
              "max-positions-float", "max-positions-bool", "max-positions-string",
              "exam-bool", "rel-string", "rel-null", "gamma-string", "gamma-bool",
              "gamma-null", "pbm-pair-without-tab", "cascade-pair-without-tab",
-             "pbm-exam-beyond-max-positions", "ubm-cell-outside-table"],
+             "pbm-exam-beyond-max-positions", "ubm-cell-outside-table",
+             "dbn-sat-pair-without-tab", "pbm-rel-keyed-like-exam"],
     )
     def test_bad_document_is_a_data_error(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
         with pytest.raises(DataError):
             load_params(path)
+
+    def test_tables_over_different_keys_load_apart(self, tmp_path):
+        # DBN's rel and sat usually share their keys; here they do not.
+        path = tmp_path / "p.json"
+        path.write_text(_doc("dbn", '{"rel": {"q\\td": 0.75, "q\\te": 0.5}, '
+                                    '"sat": {"q\\te": 0.25}, "gamma_cont": 0.5}'))
+        assert load_params(path) == DbnParams(
+            rel={("q", "d"): 0.75, ("q", "e"): 0.5}, sat={("q", "e"): 0.25}, gamma_cont=0.5
+        )
+
+    def test_tab_in_query_id_is_refused(self, tmp_path):
+        # "a\tb" + "d1" would read back as the pair ("a", "b\td1").
+        path = tmp_path / "p.json"
+        with pytest.raises(DataError, match="query_id 'a\\\\tb' contains a tab"):
+            save_params(path, CascadeParams(rel={("q", "d1"): 0.5, ("a\tb", "d1"): 0.5}))
+        assert not path.exists()
+        # A tab in a doc id is fine: keys split at the first tab.
+        params = CascadeParams(rel={("q", "d\t1"): 0.5})
+        save_params(path, params)
+        assert load_params(path) == params
 
     def test_json_integers_load_as_probabilities(self, tmp_path):
         # The bad cases above differ from these valid documents in one

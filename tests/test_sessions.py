@@ -3,11 +3,14 @@
 import json
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
 from intentclick.sessions import (
+    ALL_INTENTS,
     Intent,
     JudgmentError,
+    Judgments,
     LineError,
     LogEvent,
     MalformedFieldError,
@@ -16,6 +19,8 @@ from intentclick.sessions import (
     Session,
     SessionFormatError,
     attach_intents,
+    encode_sessions,
+    group_by_query,
     normalize_query,
     parse_aol_line,
     read_aol_log,
@@ -192,21 +197,45 @@ class TestSessionize:
             assert all(len(s) <= 10 for s in result.sessions)
 
 
+def _assert_same_batch(got, want):
+    """Equal SessionBatches, array by array, dtypes and key order included."""
+    assert got.keys == want.keys
+    assert got.queries == want.queries
+    for name in ("pair", "clicks", "lengths", "intent", "query"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+# A key whose value is _MISSING is dropped from the record.
+_MISSING = object()
+
+
 class TestSessionIo:
     def test_empty_roundtrip(self, tmp_path):
         path = tmp_path / "s.jsonl"
         write_sessions(path, [])
-        assert read_sessions(path) == []
+        batch = read_sessions(path)
+        assert len(batch) == 0 and batch.width == 0
+        _assert_same_batch(batch, encode_sessions([]))
 
     def test_roundtrip_identity(self, tmp_path):
+        """read_sessions of a written log is encode_sessions of its sessions."""
         sessions = [
             Session("s1", "q1", Intent.NAVIGATIONAL, ("a", "b"), (1, 0)),
             Session("s2", "q2", Intent.UNKNOWN, (), ()),
             Session("s3", "q1", Intent.TRANSACTIONAL, ("x", "y", "z"), (0, 1, 1)),
+            Session("s4", "q3", Intent.INFORMATIONAL, ("b", "a"), (0, 0)),
+            Session("s5", "q2", Intent.NAVIGATIONAL, ("a",), (1,)),
         ]
         path = tmp_path / "s.jsonl"
         write_sessions(path, sessions)
-        assert read_sessions(path) == sessions
+        batch = read_sessions(path)
+        _assert_same_batch(batch, encode_sessions(sessions))
+        assert batch.keys == [("q1", "a"), ("q1", "b"), ("q1", "x"), ("q1", "y"), ("q1", "z"),
+                              ("q3", "b"), ("q3", "a"), ("q2", "a")]
+        assert batch.queries == ["q1", "q2", "q3"]
+        assert batch.query.tolist() == [0, 1, 0, 2, 1]
 
     @pytest.mark.parametrize(
         "fields",
@@ -226,18 +255,52 @@ class TestSessionIo:
             {"session_id": None},
             {"query_id": 5},
             {"query_id": ["x"]},
+            "{not json}",
+            "[1, 2]",
+            {"docs": _MISSING},
+            {"intent": "xxx"},
+            {"intent": ["inf"]},
+            {"docs": ["x", "y"], "clicks": [0, 1.0]},
+            {"docs": ["x", "y"], "clicks": [0, 2]},
+            {"docs": ["x", "y"], "clicks": [0, -1]},
+            {"docs": ["x", "x"], "clicks": [0, 1]},
+            {"query_id": "q\tr"},
         ],
         ids=["length-mismatch", "docs-string", "clicks-string", "click-float",
              "click-string", "click-bool", "docs-mixed", "doc-int", "doc-null",
              "doc-array", "doc-object", "doc-bool", "session-id-null", "query-id-int",
-             "query-id-array"],
+             "query-id-array", "invalid-json", "record-array", "missing-key",
+             "unknown-intent", "intent-array", "click-one-float", "click-two",
+             "click-negative", "duplicate-docs", "query-id-tab"],
     )
     def test_malformed_record_is_a_parse_error(self, tmp_path, fields):
+        """Each bad record names its line; blank lines count."""
         path = tmp_path / "s.jsonl"
         good = {"session_id": "s0", "query_id": "q", "intent": "unk", "docs": [], "clicks": []}
-        bad = {**good, "session_id": "s", "docs": ["x"], "clicks": [0], **fields}
-        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
-        with pytest.raises(SessionFormatError, match="line 2"):
+        if isinstance(fields, str):
+            bad = fields
+        else:
+            record = {**good, "session_id": "s", "docs": ["x"], "clicks": [0], **fields}
+            bad = json.dumps({k: v for k, v in record.items() if v is not _MISSING})
+        path.write_text(json.dumps(good) + "\n\n" + bad + "\n" + json.dumps(good) + "\n")
+        with pytest.raises(SessionFormatError, match="^line 3: "):
+            read_sessions(path)
+
+    def test_first_bad_line_is_reported(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        lines = ['{"session_id": "s", "query_id": "q", "intent": "unk", "docs": ["a"], '
+                 '"clicks": [2]}', "{not json}"]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SessionFormatError, match="^line 1: session s: clicks must be 0/1"):
+            read_sessions(path)
+
+    def test_tab_in_query_id_is_rejected(self, tmp_path):
+        """A query id with a tab would not survive the parameter file, whose
+        pair keys are query<TAB>doc split at the first tab."""
+        path = tmp_path / "s.jsonl"
+        write_sessions(path, [Session("s1", "a", Intent.UNKNOWN, ("d1",), (1,)),
+                              Session("s2", "a\tb", Intent.UNKNOWN, ("d1",), (0,))])
+        with pytest.raises(SessionFormatError, match=r"^line 2: query_id 'a\\tb' contains a tab"):
             read_sessions(path)
 
     def test_invalid_json_line(self, tmp_path):
@@ -254,6 +317,20 @@ class TestSessionIo:
         )
         with pytest.raises(SessionFormatError):
             read_sessions(path)
+
+
+class TestSessionBatch:
+    def test_group_by_query_gives_each_query_its_own_batch(self):
+        sessions = [
+            Session("s1", "q1", Intent.NAVIGATIONAL, ("a", "b", "c"), (1, 0, 0)),
+            Session("s2", "q2", Intent.UNKNOWN, ("b",), (1,)),
+            Session("s3", "q1", Intent.INFORMATIONAL, ("c", "d"), (0, 1)),
+            Session("s4", "q2", Intent.UNKNOWN, (), ()),
+        ]
+        groups = group_by_query(encode_sessions(sessions))
+        assert list(groups) == ["q1", "q2"]
+        for query, batch in groups.items():
+            _assert_same_batch(batch, encode_sessions([s for s in sessions if s.query_id == query]))
 
 
 class TestSessionInvariants:
@@ -276,7 +353,7 @@ class TestJudgments:
         judgments = [RelevanceJudgment("q1", "d1", 4), RelevanceJudgment("q1", "d2", 0)]
         path = tmp_path / "j.tsv"
         write_judgments(path, judgments)
-        assert read_judgments(path) == judgments
+        assert read_judgments(path) == Judgments([("q1", "d1"), ("q1", "d2")], [4, 0])
 
     def test_grade_out_of_range(self):
         with pytest.raises(JudgmentError):
@@ -305,9 +382,9 @@ class TestIntentLabels:
             Session("s1", "q1", Intent.UNKNOWN, ("a",), (0,)),
             Session("s2", "q3", Intent.UNKNOWN, ("b",), (1,)),
         ]
-        relabeled = attach_intents(sessions, labels)
-        assert relabeled[0].intent is Intent.NAVIGATIONAL
-        assert relabeled[1].intent is Intent.UNKNOWN
+        relabeled = attach_intents(encode_sessions(sessions), labels)
+        assert [ALL_INTENTS[k] for k in relabeled.intent.tolist()] == [
+            Intent.NAVIGATIONAL, Intent.UNKNOWN]
 
     def test_repeated_query_rejected_with_its_line(self, tmp_path):
         path = tmp_path / "labels.tsv"
