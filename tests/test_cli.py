@@ -1,6 +1,9 @@
 """End-to-end CLI pipelines, exit codes, and manifests."""
 
+import hashlib
 import json
+import random
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -18,6 +21,41 @@ AOL_SAMPLE = (
     "u2\tfree music downloads\t2006-03-02 10:00:00\t1\thttp://www.mp3.com\n"
     "u2\tfree music downloads\t2006-03-02 10:01:00\t3\thttp://www.emp3.com\n"
 )
+
+
+def _pinned_aol_log() -> str:
+    """An AOL log of fixed literals and random.Random(11) draws. It has a
+    gap that splits a session, clicks deeper than --max-positions 5, query-only
+    lines and a URL clicked at two ranks of one session."""
+    lines = [
+        "AnonID\tQuery\tQueryTime\tItemRank\tClickURL",
+        "a1\tWeather Today\t2006-03-01 07:00:00\t\t",
+        "a1\tweather today\t2006-03-01 07:02:00\t2\thttp://w.com",
+        "a1\tweather today\t2006-03-01 07:03:00\t4\thttp://w.com",
+        "a1\tweather today\t2006-03-01 07:04:00\t7\thttp://deep.com",
+        "a1\tweather today\t2006-03-01 08:30:00\t1\thttp://w.com",
+    ]
+    rng = random.Random(11)
+    queries = ["maps", "cheap flights", "news", "www.foo.com"]
+    for user in ("b1", "b2", "b3", "b4", "b5"):
+        when = datetime(2006, 3, 1, 9, 0)
+        for _ in range(rng.randint(4, 14)):
+            when += timedelta(minutes=rng.choice([0, 1, 5, 20, 29, 31, 45, 90]))
+            query = rng.choice(queries)
+            stamp = when.strftime("%Y-%m-%d %H:%M:%S")
+            if rng.random() < 0.3:
+                lines.append(f"{user}\t{query}\t{stamp}\t\t")
+            else:
+                rank = rng.randint(1, 8)
+                url = f"http://site{rng.randint(1, 4)}.com"
+                lines.append(f"{user}\t{query}\t{stamp}\t{rank}\t{url}")
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of the sessions.jsonl that `ingest --max-positions 5` writes from
+# _pinned_aol_log(): any change to sessionization, doc ids or the record
+# layout changes it.
+INGEST_DIGEST = "1bbb7fa3d44fce987f2a66e09b2a51034dc1da76cdc48a0f60a6e6a52580736b"
 
 
 def _simulate(tmp_path, subdir="sim", extra=()):
@@ -105,6 +143,14 @@ class TestIngest:
             ["ingest", "--aol", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "o")]
         )
         assert code == EXIT_DATA
+
+    def test_output_matches_pinned_digest(self, tmp_path, capsys):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text(_pinned_aol_log())
+        out = tmp_path / "sessions.jsonl"
+        assert run(["ingest", "--aol", str(raw), "--out", str(out), "--max-positions", "5"]) == EXIT_OK
+        assert "ingested 36 sessions (20 clicks kept, 9 dropped)" in capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == INGEST_DIGEST
 
 
 class TestSimulate:
