@@ -13,7 +13,6 @@ from .sessions import (
     Judgments,
     KNOWN_INTENTS,
     LogEvent,
-    RelevanceJudgment,
     Session,
     SessionBatch,
     encode_sessions,
@@ -65,7 +64,6 @@ __all__ = [
     "Session",
     "SessionBatch",
     "encode_sessions",
-    "RelevanceJudgment",
     "Judgments",
     "parse_aol_line",
     "sessionize",

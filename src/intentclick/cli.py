@@ -55,7 +55,8 @@ from .sessions import (
     write_judgments,
     write_sessions,
 )
-from .simulate import SimConfig, click_behavior_preset, generate_ground_truth, simulate_sessions
+from .simulate import (SimConfig, click_behavior_preset, generate_ground_truth, session_ids,
+                       simulate_sessions)
 
 logger = logging.getLogger(__name__)
 
@@ -203,7 +204,7 @@ def _cmd_ingest(args) -> Outputs:
         max_positions=args.max_positions,
     )
     out = Path(args.out)
-    write_sessions(out, result.sessions)
+    write_sessions(out, result.sessions, result.session_ids)
     print(
         f"ingested {len(result.sessions)} sessions "
         f"({result.retained_clicks} clicks kept, {result.dropped_clicks} dropped)"
@@ -233,7 +234,7 @@ def _cmd_simulate(args) -> Outputs:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [out_dir / "sessions.jsonl", out_dir / "truth_params.json", out_dir / "judgments.tsv"]
-    write_sessions(outputs[0], sessions)
+    write_sessions(outputs[0], sessions, session_ids(truth, config))
     save_params(outputs[1], truth.params)
     write_judgments(outputs[2], truth.judgments)
     if truth.query_intents is not None:

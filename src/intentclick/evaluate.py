@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .models import AnyParams, PROB_CLAMP, clamp_probability, click_probs, resolve_params
-from .sessions import (ALL_INTENTS, JSON_NUMBER_TYPES, Intent, Judgments, Session, SessionBatch,
-                       read_json, write_json)
+from .sessions import (ALL_INTENTS, JSON_NUMBER_TYPES, Intent, Judgments, SessionBatch, read_json,
+                       write_json)
 
 DEFAULT_K_LIST = (1, 3, 5, 7, 10)
 
@@ -188,18 +188,6 @@ def ndcg_at_k(
     if ideal == 0.0:
         return None
     return dcg(ranked_grades, k) / ideal
-
-
-def empirical_ctr(sessions: Iterable[Session]) -> dict[tuple[str, str], float]:
-    """Raw click-through rate per (query, doc): clicks over impressions."""
-    clicks: dict[tuple[str, str], int] = {}
-    shows: dict[tuple[str, str], int] = {}
-    for s in sessions:
-        for doc, c in zip(s.docs, s.clicks):
-            key = (s.query_id, doc)
-            shows[key] = shows.get(key, 0) + 1
-            clicks[key] = clicks.get(key, 0) + c
-    return {key: clicks[key] / shows[key] for key in shows}
 
 
 def _dcg_at_each_k(grades: np.ndarray, query: np.ndarray, width: int) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Query-log ingestion and the canonical session/judgment formats.
 
 Raw search logs (AOL-style five-field TSV) are parsed into LogEvents,
-grouped into per-query Sessions, and written out as line-delimited JSON
+grouped into per-query sessions, and written out as line-delimited JSON
 records. Editorial relevance judgments and query intent labels travel as
-plain TSV sidecars. Inside the program, models, fitters, evaluation and
-intent features compute on a SessionBatch, the columnar form that
-``read_sessions`` builds straight from JSONL and ``encode_sessions`` from
-in-memory Sessions; judgments are read into the columns of Judgments.
+plain TSV sidecars. Inside the program every session is a row of a
+SessionBatch, the columnar form that ``sessionize``, the simulator and
+``read_sessions`` build; ``encode_sessions`` builds one from hand-made
+Session records. Judgments travel as the columns of Judgments.
 """
 
 from __future__ import annotations
@@ -146,14 +146,6 @@ class Session:
     def __len__(self) -> int:
         return len(self.docs)
 
-    @property
-    def total_clicks(self) -> int:
-        return sum(self.clicks)
-
-    def clicked_positions(self) -> tuple[int, ...]:
-        """1-based positions that were clicked."""
-        return tuple(i + 1 for i, c in enumerate(self.clicks) if c)
-
 
 def _used(names: list, codes: np.ndarray) -> tuple[list, np.ndarray]:
     """The names that codes use, in names order, and the codes renumbered
@@ -167,7 +159,8 @@ class SessionBatch:
     """Sessions as padded (session, position) arrays.
 
     ``pair`` holds codes into ``keys``, the (query_id, doc_id) pairs the
-    batch shows, in the order they were first read, and ``clicks`` the 0/1
+    batch shows, in the order they were first read (a simulated batch lists
+    each query's pairs in SERP order), and ``clicks`` the 0/1
     outcomes (int8). Cells at or beyond a row's entry in ``lengths`` are
     padding, with pair code 0 and no click. ``intent`` indexes ALL_INTENTS
     and ``query`` indexes ``queries``, the query ids of the batch in the
@@ -216,6 +209,16 @@ class SessionBatch:
         groups = [(t, np.flatnonzero(self.intent == k)) for k, t in enumerate(ALL_INTENTS)]
         return [(t, rows) for t, rows in groups if rows.size]
 
+    def records(self) -> Iterator[tuple[str, Intent, list[str], list[int]]]:
+        """(query_id, intent, docs, clicks) of each row, in row order; rows
+        are decoded 8192 at a time, never the whole batch at once."""
+        docs = [d for _, d in self.keys]
+        for start in range(0, len(self), 8192):
+            block = [column[start:start + 8192].tolist()
+                     for column in (self.query, self.intent, self.lengths, self.pair, self.clicks)]
+            for q, t, n, pair, clicks in zip(*block):
+                yield self.queries[q], ALL_INTENTS[t], [docs[k] for k in pair[:n]], clicks[:n]
+
 
 class _BatchColumns:
     """Sessions added one at a time, as the columns of a SessionBatch."""
@@ -255,18 +258,6 @@ def encode_sessions(sessions: Iterable[Session]) -> SessionBatch:
     for s in sessions:
         columns.add(s.query_id, ALL_INTENTS.index(s.intent), s.docs, s.clicks)
     return columns.build()
-
-
-@dataclass(frozen=True)
-class RelevanceJudgment:
-    """Editorial relevance grade for a (query, doc) pair, 0..4."""
-
-    query_id: str
-    doc_id: str
-    grade: int
-
-    def __post_init__(self):
-        _check_grade(self.query_id, self.doc_id, self.grade)
 
 
 def parse_aol_line(line: str, line_no: int | None = None) -> LogEvent:
@@ -323,11 +314,27 @@ def read_aol_log(path, on_error: str = "raise") -> Iterator[LogEvent]:
 
 @dataclass
 class SessionizeResult:
-    """Sessions plus bookkeeping for click events kept vs dropped."""
+    """Sessions as a batch, the id of each row, and the click events kept
+    vs dropped."""
 
-    sessions: list[Session]
-    retained_clicks: int = 0
-    dropped_clicks: int = 0
+    sessions: SessionBatch
+    session_ids: list[str]
+    retained_clicks: int
+    dropped_clicks: int
+
+
+def _query_groups(events: Iterable[LogEvent], gap_timeout: timedelta) -> Iterator[list[LogEvent]]:
+    """Runs of consecutive events with the same user and query, each within
+    gap_timeout of the previous one."""
+    group: list[LogEvent] = []
+    for ev in events:
+        if group and ((ev.user_id, ev.query) != (group[-1].user_id, group[-1].query)
+                      or ev.query_time - group[-1].query_time > gap_timeout):
+            yield group
+            group = []
+        group.append(ev)
+    if group:
+        yield group
 
 
 def sessionize(
@@ -338,67 +345,41 @@ def sessionize(
     """Group events (sorted by user, then time) into per-query sessions.
 
     Consecutive events with the same user and the same normalized query,
-    each within gap_timeout of the previous one, form one session. Clicked
-    ranks set the click bit; unclicked positions up to the deepest observed
-    rank get synthetic placeholder doc ids. Click events beyond
-    max_positions are dropped and counted.
+    each within gap_timeout of the previous one, form one session, with id
+    ``user:n`` for the user's n-th session. Clicked ranks set the click bit
+    and take the clicked URL as doc id; unclicked positions up to the
+    deepest observed rank get placeholder ids ``q:<query>:pos<rank>``. An
+    id that an earlier position of the session already has gets ``#<rank>``
+    appended until it is new. Click events beyond max_positions are
+    dropped and counted.
     """
-    result = SessionizeResult(sessions=[])
-    group: list[LogEvent] = []
+    columns = _BatchColumns()
+    session_ids: list[str] = []
     user_session_counts: dict[str, int] = {}
-
-    def flush():
-        if not group:
-            return
-        user = group[0].user_id
-        query = group[0].query
-        seq = user_session_counts.get(user, 0)
-        user_session_counts[user] = seq + 1
-        clicked: dict[int, str] = {}
-        for ev in group:
-            if not ev.is_click:
-                continue
-            if ev.item_rank > max_positions:
-                result.dropped_clicks += 1
-                continue
-            result.retained_clicks += 1
-            clicked.setdefault(ev.item_rank, ev.click_url)
-        depth = max(clicked) if clicked else 0
+    retained = dropped = 0
+    for group in _query_groups(events, gap_timeout):
+        user, query = group[0].user_id, group[0].query
+        seq = user_session_counts[user] = user_session_counts.get(user, -1) + 1
+        kept = [ev for ev in group if ev.is_click and ev.item_rank <= max_positions]
+        retained += len(kept)
+        dropped += sum(ev.is_click for ev in group) - len(kept)
+        # The first click at a rank names its doc.
+        clicked = {ev.item_rank: ev.click_url for ev in reversed(kept)}
         docs: list[str] = []
         clicks: list[int] = []
-        for pos in range(1, depth + 1):
-            if pos in clicked:
-                doc = clicked[pos]
-                if doc in docs:
-                    doc = f"{doc}#{pos}"
-                docs.append(doc)
-                clicks.append(1)
-            else:
-                docs.append(f"q:{query}:pos{pos}")
-                clicks.append(0)
-        result.sessions.append(
-            Session(
-                session_id=f"{user}:{seq}",
-                query_id=query,
-                intent=Intent.UNKNOWN,
-                docs=tuple(docs),
-                clicks=tuple(clicks),
-            )
-        )
-        group.clear()
-
-    prev: LogEvent | None = None
-    for ev in events:
-        if prev is not None and (
-            ev.user_id != prev.user_id
-            or ev.query != prev.query
-            or ev.query_time - prev.query_time > gap_timeout
-        ):
-            flush()
-        group.append(ev)
-        prev = ev
-    flush()
-    return result
+        for pos in range(1, max(clicked, default=0) + 1):
+            doc = clicked.get(pos, f"q:{query}:pos{pos}")
+            while doc in docs:
+                doc = f"{doc}#{pos}"
+            docs.append(doc)
+            clicks.append(int(pos in clicked))
+        session_id = f"{user}:{seq}"
+        fault = _session_fault(session_id, docs, clicks)
+        if fault:
+            raise SessionFormatError(fault)
+        columns.add(query, ALL_INTENTS.index(Intent.UNKNOWN), docs, clicks)
+        session_ids.append(session_id)
+    return SessionizeResult(columns.build(), session_ids, retained, dropped)
 
 
 # JSON numbers; bool is excluded because type(True) is bool, not int.
@@ -421,17 +402,15 @@ def read_json(path, what: str):
             raise DataError(f"invalid {what}: {exc}") from None
 
 
-def write_sessions(path, sessions: Iterable[Session]) -> None:
-    """Write sessions as line-delimited JSON records."""
+def write_sessions(path, batch: SessionBatch, session_ids: Sequence[str]) -> None:
+    """Write the batch as line-delimited JSON records, one per row in row
+    order; session_ids[i] is the id of row i."""
+    if len(session_ids) != len(batch):
+        raise ValueError(f"{len(session_ids)} session ids for {len(batch)} sessions")
     with open(path, "w", encoding="utf-8") as fh:
-        for s in sessions:
-            record = {
-                "session_id": s.session_id,
-                "query_id": s.query_id,
-                "intent": s.intent.value,
-                "docs": list(s.docs),
-                "clicks": list(s.clicks),
-            }
+        for session_id, (query_id, intent, docs, clicks) in zip(session_ids, batch.records()):
+            record = {"session_id": session_id, "query_id": query_id, "intent": intent.value,
+                      "docs": docs, "clicks": clicks}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -513,10 +492,14 @@ class Judgments:
         return len(self.keys)
 
 
-def write_judgments(path, judgments: Iterable[RelevanceJudgment]) -> None:
+def write_judgments(path, judgments: Judgments) -> None:
+    """Write query_id<TAB>doc_id<TAB>grade records; a grade outside 0..4 is
+    a JudgmentError."""
+    for (query_id, doc_id), grade in zip(judgments.keys, judgments.grades):
+        _check_grade(query_id, doc_id, grade)
     with open(path, "w", encoding="utf-8") as fh:
-        for j in judgments:
-            fh.write(f"{j.query_id}\t{j.doc_id}\t{j.grade}\n")
+        for (query_id, doc_id), grade in zip(judgments.keys, judgments.grades):
+            fh.write(f"{query_id}\t{doc_id}\t{grade}\n")
 
 
 def read_judgments(path) -> Judgments:

@@ -35,7 +35,7 @@ from .models import (
     table_values,
     ubm_cells,
 )
-from .sessions import Intent, KNOWN_INTENTS, RelevanceJudgment, Session
+from .sessions import Intent, Judgments, KNOWN_INTENTS, SessionBatch
 
 REL_LOW, REL_HIGH = 0.05, 0.95
 
@@ -74,7 +74,7 @@ class GroundTruth:
     """Known parameters plus the artifacts needed to score against them."""
 
     params: AnyParams
-    judgments: tuple[RelevanceJudgment, ...]
+    judgments: Judgments
     serps: dict[str, tuple[str, ...]]
     query_intents: dict[str, Intent] | None = None
 
@@ -154,7 +154,7 @@ def generate_ground_truth(config: SimConfig) -> GroundTruth:
     else:
         params = _base_truth(rng, config, keys, None)
 
-    judgments = []
+    grades = []
     for q, d in keys:
         if isinstance(params, IntentAwareParams):
             if query_intents is not None:
@@ -166,10 +166,10 @@ def generate_ground_truth(config: SimConfig) -> GroundTruth:
                 )
         else:
             r = params.relevance_estimate(q, d)
-        judgments.append(RelevanceJudgment(q, d, grade_from_relevance(r)))
+        grades.append(grade_from_relevance(r))
     return GroundTruth(
         params=params,
-        judgments=tuple(judgments),
+        judgments=Judgments(keys, grades),
         serps=serps,
         query_intents=query_intents,
     )
@@ -222,9 +222,10 @@ def _sample_dbn(rng, params: DbnParams, r_mat: np.ndarray, s_mat: np.ndarray) ->
 _SAMPLERS = {PBM: _sample_pbm, CASCADE: _sample_cascade, UBM: _sample_ubm, DBN: _sample_dbn}
 
 
-def simulate_sessions(truth: GroundTruth, config: SimConfig) -> list[Session]:
+def simulate_sessions(truth: GroundTruth, config: SimConfig) -> SessionBatch:
     """Sample sessions from the model's generative process, one independent
-    seeded stream per query; output order is (query, session index)."""
+    seeded stream per query. Rows are in (query, session index) order and
+    the batch lists each query's (query, doc) pairs in SERP order."""
     if truth.params.kind != config.model_kind:
         raise ValueError(
             f"ground truth is {truth.params.kind!r} but config wants {config.model_kind!r}"
@@ -235,11 +236,16 @@ def simulate_sessions(truth: GroundTruth, config: SimConfig) -> list[Session]:
         )
     sampler = _SAMPLERS[config.model_kind]
     streams = np.random.SeedSequence(config.seed).spawn(len(truth.serps))
-    sessions: list[Session] = []
     n = config.sessions_per_query
-    for stream, (query, docs) in zip(streams, truth.serps.items()):
+    lengths = np.repeat(np.array([len(d) for d in truth.serps.values()], dtype=np.int64), n)
+    pair = np.zeros((len(lengths), lengths.max()), dtype=np.int64)
+    clicks = np.zeros(pair.shape, dtype=np.int8)
+    intents = np.zeros(len(lengths), dtype=np.int8)
+    batch_keys: list[tuple[str, str]] = []
+    for i, (stream, (query, docs)) in enumerate(zip(streams, truth.serps.items())):
         rng = np.random.default_rng(stream)
-        # Intent codes index KNOWN_INTENTS.
+        rows_of_query = slice(i * n, (i + 1) * n)
+        # Intent codes index KNOWN_INTENTS, the head of ALL_INTENTS.
         if truth.query_intents is not None:
             codes = np.full(n, KNOWN_INTENTS.index(truth.query_intents[query]))
         else:
@@ -248,7 +254,7 @@ def simulate_sessions(truth: GroundTruth, config: SimConfig) -> list[Session]:
         if config.shuffle_serps:
             perms = rng.permuted(perms, axis=1)
         keys = [(query, d) for d in docs]
-        clicks = np.zeros(perms.shape, dtype=np.int8)
+        query_clicks = clicks[rows_of_query, :len(docs)]
         if isinstance(truth.params, IntentAwareParams):
             blocks = [
                 (np.flatnonzero(codes == k), truth.params.per_intent[intent])
@@ -261,13 +267,18 @@ def simulate_sessions(truth: GroundTruth, config: SimConfig) -> list[Session]:
                 continue
             r_mat = table_values(base.rel, keys)[perms[rows]]
             s_mat = table_values(base.sat, keys)[perms[rows]] if config.model_kind == DBN else None
-            clicks[rows] = sampler(rng, base, r_mat, s_mat)
-        records = zip(np.array(docs, dtype=object)[perms].tolist(), clicks.tolist(), codes.tolist())
-        sessions.extend(
-            Session(f"{query}:s{k:05d}", query, KNOWN_INTENTS[code], tuple(d), tuple(c))
-            for k, (d, c, code) in enumerate(records)
-        )
-    return sessions
+            query_clicks[rows] = sampler(rng, base, r_mat, s_mat)
+        pair[rows_of_query, :len(docs)] = perms + len(batch_keys)
+        intents[rows_of_query] = codes
+        batch_keys += keys
+    query = np.repeat(np.arange(len(truth.serps), dtype=np.int64), n)
+    return SessionBatch(batch_keys, pair, clicks, lengths, intents, list(truth.serps), query)
+
+
+def session_ids(truth: GroundTruth, config: SimConfig) -> list[str]:
+    """The id of each row of ``simulate_sessions(truth, config)``:
+    ``<query>:s<session index>``."""
+    return [f"{q}:s{k:05d}" for q in truth.serps for k in range(config.sessions_per_query)]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +344,8 @@ def click_behavior_preset() -> tuple[GroundTruth, SimConfig]:
     serps: dict[str, tuple[str, ...]] = {}
     query_intents: dict[str, Intent] = {}
     rel_tables: dict[Intent, dict[tuple[str, str], float]] = {t: {} for t in KNOWN_INTENTS}
-    judgments: list[RelevanceJudgment] = []
+    judged: list[tuple[str, str]] = []
+    grades: list[int] = []
 
     for intent in KNOWN_INTENTS:
         exam = _PRESET_EXAM[intent]
@@ -349,7 +361,8 @@ def click_behavior_preset() -> tuple[GroundTruth, SimConfig]:
                         f"preset rate {rate} at position {i + 1} exceeds examination {exam[i]}"
                     )
                 rel_tables[intent][(query, doc)] = r
-                judgments.append(RelevanceJudgment(query, doc, grade_from_relevance(r)))
+                judged.append((query, doc))
+                grades.append(grade_from_relevance(r))
 
     per_intent = {
         intent: PbmParams(
@@ -366,7 +379,7 @@ def click_behavior_preset() -> tuple[GroundTruth, SimConfig]:
     )
     truth = GroundTruth(
         params=IntentAwareParams(per_intent=per_intent, fallback=fallback),
-        judgments=tuple(judgments),
+        judgments=Judgments(judged, grades),
         serps=serps,
         query_intents=query_intents,
     )

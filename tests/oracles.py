@@ -8,6 +8,8 @@ by the library code, so tests compare two genuinely different routes.
 import itertools
 import math
 
+import numpy as np
+
 
 def pbm_session_prob(gammas, rels, clicks):
     """Enumerate (E_i, R_i) jointly per position; click iff both are 1."""
@@ -148,6 +150,17 @@ def dbn_em_step(rels, sats, gamma, sessions):
         for table in succ
     }
     return step["rel"], step["sat"], cont[0] / cont[1]
+
+
+def empirical_ctr(batch):
+    """Raw click-through rate per (query, doc) pair of a SessionBatch:
+    clicks over impressions, counted with np.bincount over the pair codes.
+    It is the unweighted ranking baseline of acceptance criterion 5."""
+    shown = batch.pair[batch.valid]
+    impressions = np.bincount(shown, minlength=len(batch.keys))
+    clicks = np.bincount(shown, weights=batch.clicks[batch.valid], minlength=len(batch.keys))
+    return {key: c / n for key, c, n in zip(batch.keys, clicks.tolist(), impressions.tolist())
+            if n}
 
 
 def longest_query_substring_in_url(query, url):

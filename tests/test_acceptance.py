@@ -11,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from intentclick.evaluate import (
-    empirical_ctr,
     mixture_relevance_scorer,
     ndcg_at_k,
     ndcg_for_scores,
@@ -37,7 +37,7 @@ from intentclick.models import (
     session_log_likelihood,
     session_prob,
 )
-from intentclick.sessions import Intent, Judgments, KNOWN_INTENTS, Session, encode_sessions
+from intentclick.sessions import Intent, KNOWN_INTENTS, Session
 from intentclick.simulate import (
     SimConfig,
     click_behavior_preset,
@@ -115,8 +115,8 @@ def _recovery_artifacts():
             shuffle_serps=True,
         )
         truth = generate_ground_truth(config)
-        sessions = simulate_sessions(truth, config)
-        params, report = em_fit("pbm", encode_sessions(sessions), EmConfig())
+        batch = simulate_sessions(truth, config)
+        params, report = em_fit("pbm", batch, EmConfig())
         _CACHE["recovery"] = {
             "truth": truth,
             "params": params,
@@ -170,18 +170,18 @@ def _intent_bias_artifacts():
             intent_aware=True,
         )
         truth = generate_ground_truth(config)
-        sessions = simulate_sessions(truth, config)
+        batch = simulate_sessions(truth, config)
         holdout_from = int(config.sessions_per_query * 0.7)
-        train = [s for s in sessions if int(s.session_id.rsplit(":s", 1)[1]) < holdout_from]
-        test = [s for s in sessions if int(s.session_id.rsplit(":s", 1)[1]) >= holdout_from]
-        train_batch = encode_sessions(train)
+        # Rows come query by query, so a row's index within its query is
+        # its position modulo sessions_per_query.
+        in_query = np.arange(len(batch)) % config.sessions_per_query
+        train_batch = batch.take(np.flatnonzero(in_query < holdout_from))
         ia_params, ia_report = em_fit("pbm", train_batch, EmConfig(), intent_aware=True)
         base_params, base_report = em_fit("pbm", train_batch, EmConfig())
         _CACHE["intent_bias"] = {
             "truth": truth,
-            "train": train,
             "train_batch": train_batch,
-            "test": encode_sessions(test),
+            "test": batch.take(np.flatnonzero(in_query >= holdout_from)),
             "ia_params": ia_params,
             "base_params": base_params,
             "ia_report": ia_report,
@@ -212,9 +212,8 @@ def test_criterion_5_debiasing_benefit():
     art = _intent_bias_artifacts()
     started = time.monotonic()
     k_list = (1, 3, 5, 7, 10)
-    truth = art["truth"].judgments
-    judgments = Judgments([(j.query_id, j.doc_id) for j in truth], [j.grade for j in truth])
-    ctr = empirical_ctr(art["train"])
+    judgments = art["truth"].judgments
+    ctr = oracles.empirical_ctr(art["train_batch"])
     ndcg_ctr, _ = ndcg_for_scores(
         lambda j: np.array([ctr.get(key, 0.0) for key in j.keys]), judgments, k_list
     )
@@ -330,15 +329,12 @@ def test_criterion_8_metric_fixed_points():
 
 def test_criterion_9_preset_calibration():
     truth, config = click_behavior_preset()
-    sessions = simulate_sessions(truth, config)
-    rates: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    for s in sessions:
-        counts[s.query_id] = counts.get(s.query_id, 0) + 1
-        acc = rates.setdefault(s.query_id, np.zeros(10))
-        acc += np.asarray(s.clicks)
-    for q in rates:
-        rates[q] /= counts[q]
+    batch = simulate_sessions(truth, config)
+    counts = dict(zip(batch.queries, np.bincount(batch.query).tolist()))
+    rates = {
+        q: batch.clicks[batch.query == k].sum(axis=0) / counts[q]
+        for k, q in enumerate(batch.queries)
+    }
     tol = 0.015
     checks = [
         ("informational target at 1", rates["preset_inf_t1"][0], 0.92),

@@ -144,11 +144,29 @@ class TestIngest:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("clicks,docs", [
+        # The rank-3 rename http://a#3 is already the rank-2 doc.
+        ([(1, "http://a"), (2, "http://a#3"), (3, "http://a")],
+         ["http://a", "http://a#3", "http://a#3#3"]),
+        # The rank-2 placeholder is already the rank-1 doc.
+        ([(1, "q:foo:pos2"), (3, "http://b")], ["q:foo:pos2", "q:foo:pos2#2", "http://b"]),
+    ], ids=["taken-rename", "taken-placeholder"])
+    def test_doc_id_collisions_get_fresh_ids(self, tmp_path, clicks, docs):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("".join(f"u1\tfoo\t2006-03-01 07:0{rank}:00\t{rank}\t{url}\n"
+                               for rank, url in clicks))
+        out = tmp_path / "sessions.jsonl"
+        assert run(["ingest", "--aol", str(raw), "--out", str(out)]) == EXIT_OK
+        [record] = [json.loads(line) for line in out.open()]
+        assert record["docs"] == docs
+        assert record["clicks"] == [int(pos in dict(clicks)) for pos in range(1, len(docs) + 1)]
+
     def test_output_matches_pinned_digest(self, tmp_path, capsys):
         raw = tmp_path / "raw.tsv"
         raw.write_text(_pinned_aol_log())
         out = tmp_path / "sessions.jsonl"
-        assert run(["ingest", "--aol", str(raw), "--out", str(out), "--max-positions", "5"]) == EXIT_OK
+        argv = ["ingest", "--aol", str(raw), "--out", str(out), "--max-positions", "5"]
+        assert run(argv) == EXIT_OK
         assert "ingested 36 sessions (20 clicks kept, 9 dropped)" in capsys.readouterr().out
         assert hashlib.sha256(out.read_bytes()).hexdigest() == INGEST_DIGEST
 

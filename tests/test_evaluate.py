@@ -14,7 +14,6 @@ from intentclick.evaluate import (
     EvalReport,
     compare_models,
     dcg,
-    empirical_ctr,
     evaluate_model,
     format_comparison_table,
     format_report,
@@ -305,7 +304,7 @@ class TestArrayNdcgOracle:
 class TestCtrAndScorers:
     def test_empirical_ctr(self):
         sessions = [_session((1, 0)), _session((1, 1)), _session((0, 0))]
-        ctr = empirical_ctr(sessions)
+        ctr = oracles.empirical_ctr(encode_sessions(sessions))
         assert ctr[("q1", "d1")] == pytest.approx(2 / 3)
         assert ctr[("q1", "d2")] == pytest.approx(1 / 3)
 

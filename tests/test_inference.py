@@ -67,6 +67,12 @@ class TestPbmPosteriors:
         assert np.isfinite(p_exam) and np.isfinite(p_rel)
 
 
+def _as_sessions(batch):
+    """The batch's rows as Session records, for the per-session checks."""
+    return [Session(f"s{i}", q, t, tuple(d), tuple(c))
+            for i, (q, t, d, c) in enumerate(batch.records())]
+
+
 def _simulate(kind, seed, *, queries=60, sessions_per_query=300, positions=6, **kwargs):
     config = SimConfig(
         model_kind=kind,
@@ -82,9 +88,9 @@ def _simulate(kind, seed, *, queries=60, sessions_per_query=300, positions=6, **
 
 @pytest.fixture(scope="module")
 def fitted():
-    truth, sessions, _ = _simulate("pbm", seed=21, shuffle_serps=True)
-    params, report = em_fit("pbm", encode_sessions(sessions), EmConfig(max_iters=150))
-    return truth, sessions, params, report
+    truth, batch, _ = _simulate("pbm", seed=21, shuffle_serps=True)
+    params, report = em_fit("pbm", batch, EmConfig(max_iters=150))
+    return truth, batch, params, report
 
 
 class TestPbmFit:
@@ -120,9 +126,9 @@ class TestPbmFit:
         assert all(0.0 < v < 1.0 for v in values)
 
     def test_permutation_invariance(self, fitted):
-        _, sessions, params, _ = fitted
+        _, batch, params, _ = fitted
         rng = np.random.default_rng(5)
-        shuffled = list(sessions)
+        shuffled = _as_sessions(batch)
         rng.shuffle(shuffled)
         params2, _ = em_fit("pbm", encode_sessions(shuffled), EmConfig(max_iters=150))
         for pos in params.exam:
@@ -154,10 +160,10 @@ class TestPbmSingleIteration:
 
 class TestUbmFit:
     def test_recovers_click_probabilities(self):
-        truth, sessions, _ = _simulate(
+        truth, batch, _ = _simulate(
             "ubm", seed=22, queries=50, sessions_per_query=400, positions=5
         )
-        params, report = em_fit("ubm", encode_sessions(sessions), EmConfig(max_iters=120))
+        params, report = em_fit("ubm", batch, EmConfig(max_iters=120))
         _assert_monotone(report.loglik_trace)
         errors = []
         for key, r in truth.params.rel.items():
@@ -166,12 +172,12 @@ class TestUbmFit:
         assert np.mean(errors) < 0.04
 
     def test_conditional_probability_prediction_error(self):
-        truth, sessions, _ = _simulate(
+        truth, batch, _ = _simulate(
             "ubm", seed=23, queries=40, sessions_per_query=300, positions=5
         )
-        params, _ = em_fit("ubm", encode_sessions(sessions), EmConfig(max_iters=120))
+        params, _ = em_fit("ubm", batch, EmConfig(max_iters=120))
         diffs = []
-        for s in sessions[:2000]:
+        for s in _as_sessions(batch)[:2000]:
             p_true = truth.params.conditional_click_probs(s)
             p_est = params.conditional_click_probs(s)
             diffs.extend(abs(a - b) for a, b in zip(p_true, p_est))
@@ -180,25 +186,25 @@ class TestUbmFit:
 
 class TestDbnFit:
     def test_recovers_continuation_and_click_probabilities(self):
-        truth, sessions, _ = _simulate(
+        truth, batch, _ = _simulate(
             "dbn", seed=24, queries=60, sessions_per_query=400, positions=5
         )
-        params, report = em_fit("dbn", encode_sessions(sessions), EmConfig(max_iters=120))
+        params, report = em_fit("dbn", batch, EmConfig(max_iters=120))
         _assert_monotone(report.loglik_trace)
         assert abs(params.gamma_cont - truth.params.gamma_cont) < 0.05
         diffs = []
-        for s in sessions[:3000]:
+        for s in _as_sessions(batch)[:3000]:
             p_true = truth.params.conditional_click_probs(s)
             p_est = params.conditional_click_probs(s)
             diffs.extend(abs(a - b) for a, b in zip(p_true, p_est))
         assert np.mean(diffs) < 0.03
 
     def test_permutation_invariance(self):
-        _, sessions, _ = _simulate(
+        _, batch, _ = _simulate(
             "dbn", seed=32, queries=20, sessions_per_query=60, positions=4
         )
-        a, _ = em_fit("dbn", encode_sessions(sessions), EmConfig(max_iters=40))
-        shuffled = list(sessions)
+        a, _ = em_fit("dbn", batch, EmConfig(max_iters=40))
+        shuffled = _as_sessions(batch)
         np.random.default_rng(1).shuffle(shuffled)
         b, _ = em_fit("dbn", encode_sessions(shuffled), EmConfig(max_iters=40))
         assert abs(a.gamma_cont - b.gamma_cont) < 1e-9
@@ -247,17 +253,17 @@ class TestDbnFit:
 
 class TestCascadeFit:
     def test_reaches_closed_form_immediately(self):
-        truth, sessions, _ = _simulate(
+        truth, batch, _ = _simulate(
             "cascade", seed=25, queries=50, sessions_per_query=300, positions=5
         )
-        params, report = em_fit("cascade", encode_sessions(sessions), EmConfig())
+        params, report = em_fit("cascade", batch, EmConfig())
         assert report.converged
         assert report.iterations <= 3
         _assert_monotone(report.loglik_trace)
         # exact closed form: smoothed clicks over examinations, where a doc
         # is examined up to and including the session's first click
         exams, clicks = {}, {}
-        for s in sessions:
+        for s in _as_sessions(batch):
             for doc, c in zip(s.docs, s.clicks):
                 key = (s.query_id, doc)
                 exams[key] = exams.get(key, 0) + 1
@@ -281,15 +287,14 @@ class TestIntentAwareFit:
     def test_collapse_property_at_finite_sample(self):
         # Data from one intent-agnostic truth, sessions labeled with mixed
         # intents: the intent-aware fit must agree with the base fit.
-        truth, sessions, _ = _simulate(
+        truth, batch, _ = _simulate(
             "pbm", seed=26, queries=50, sessions_per_query=600, positions=5,
             intent_mix=(0.4, 0.4, 0.2),
         )
-        base_params, _ = em_fit("pbm", encode_sessions(sessions), EmConfig(max_iters=120))
-        ia_params, _ = em_fit("pbm", encode_sessions(sessions), EmConfig(max_iters=120),
-                              intent_aware=True)
+        base_params, _ = em_fit("pbm", batch, EmConfig(max_iters=120))
+        ia_params, _ = em_fit("pbm", batch, EmConfig(max_iters=120), intent_aware=True)
         diffs = []
-        for s in sessions[:3000]:
+        for s in _as_sessions(batch)[:3000]:
             p_base = base_params.conditional_click_probs(s)
             p_ia = resolve_params(ia_params, s.intent).conditional_click_probs(s)
             diffs.extend(abs(a - b) for a, b in zip(p_base, p_ia))
@@ -299,11 +304,11 @@ class TestIntentAwareFit:
     def _isolation_fits(cfg):
         """Intent-aware fits before and after flipping the clicks of the
         informational sessions only; navigational tables must not move."""
-        truth, sessions, _ = _simulate(
+        truth, batch, _ = _simulate(
             "pbm", seed=27, queries=30, sessions_per_query=100, positions=4,
             intent_mix=(0.5, 0.5, 0.0), intent_aware=True,
         )
-        ia1, report1 = em_fit("pbm", encode_sessions(sessions), cfg, intent_aware=True)
+        ia1, report1 = em_fit("pbm", batch, cfg, intent_aware=True)
         mutated = [
             Session(
                 s.session_id, s.query_id, s.intent, s.docs,
@@ -311,7 +316,7 @@ class TestIntentAwareFit:
                 if s.intent is Intent.INFORMATIONAL
                 else s.clicks,
             )
-            for s in sessions
+            for s in _as_sessions(batch)
         ]
         ia2, report2 = em_fit("pbm", encode_sessions(mutated), cfg, intent_aware=True)
         nav1 = ia1.per_intent[Intent.NAVIGATIONAL]
@@ -365,12 +370,11 @@ class TestIntentAwareFit:
 
     @pytest.mark.parametrize("kind", ["pbm", "ubm", "dbn", "cascade"])
     def test_other_kinds_support_intent_aware_fits(self, kind):
-        _, sessions, _ = _simulate(
+        _, batch, _ = _simulate(
             kind, seed=31, queries=20, sessions_per_query=80, positions=4,
             intent_mix=(0.5, 0.5, 0.0), intent_aware=True,
         )
-        params, report = em_fit(kind, encode_sessions(sessions), EmConfig(max_iters=40),
-                                intent_aware=True)
+        params, report = em_fit(kind, batch, EmConfig(max_iters=40), intent_aware=True)
         assert isinstance(params, IntentAwareParams)
         assert params.kind == kind
         _assert_monotone(report.loglik_trace)
@@ -394,10 +398,10 @@ def data():
 
 class TestAlternatingFit:
     def test_agrees_with_joint_em(self, data):
-        _, sessions = data
+        _, batch = data
         cfg = EmConfig(tol=1e-7, max_iters=400)
-        em_params, _ = em_fit("pbm", encode_sessions(sessions), cfg, intent_aware=True)
-        alt_params, alt_report = alternating_fit("pbm", encode_sessions(sessions), cfg)
+        em_params, _ = em_fit("pbm", batch, cfg, intent_aware=True)
+        alt_params, alt_report = alternating_fit("pbm", batch, cfg)
         _assert_monotone(alt_report.loglik_trace)
         diffs = []
         for intent in (Intent.INFORMATIONAL, Intent.NAVIGATIONAL):
@@ -414,10 +418,9 @@ class TestAlternatingFit:
             seed=29,
         )
         truth = generate_ground_truth(config)
-        sessions = simulate_sessions(truth, config)
         params, report = em_fit(
             "pbm",
-            encode_sessions(sessions),
+            simulate_sessions(truth, config),
             EmConfig(max_iters=200),
             families=frozenset(("rel",)),
             init_params=truth.params,
@@ -429,9 +432,8 @@ class TestAlternatingFit:
         _assert_monotone(report.loglik_trace)
 
     def test_cascade_alternating_degenerates_to_relevance_phase(self, data):
-        _, sessions = data
-        params, report = alternating_fit("cascade", encode_sessions(sessions),
-                                         EmConfig(max_iters=30))
+        _, batch = data
+        params, report = alternating_fit("cascade", batch, EmConfig(max_iters=30))
         assert report.converged
 
 
@@ -461,20 +463,19 @@ def _parameters(params):
 def test_accelerated_fit_lands_on_em_fixed_point(kind, mode):
     # One plain EM step from the returned parameters must barely move them:
     # SQUAREM changes how fast EM gets there, not where it stops.
-    _, sessions, _ = _simulate(
+    _, batch, _ = _simulate(
         kind, seed=34, queries=15, sessions_per_query=80, positions=4,
         intent_mix=(0.5, 0.5, 0.0), intent_aware=True, shuffle_serps=True,
     )
     cfg = EmConfig()
     if mode == "alternating":
-        params, report = alternating_fit(kind, encode_sessions(sessions), cfg)
+        params, report = alternating_fit(kind, batch, cfg)
     else:
-        params, report = em_fit(kind, encode_sessions(sessions), cfg,
-                                intent_aware=mode == "intent_aware")
+        params, report = em_fit(kind, batch, cfg, intent_aware=mode == "intent_aware")
     assert report.converged
     _assert_monotone(report.loglik_trace)
     stepped, _ = em_fit(
-        kind, encode_sessions(sessions), EmConfig(max_iters=1), intent_aware=mode != "base",
+        kind, batch, EmConfig(max_iters=1), intent_aware=mode != "base",
         init_params=params,
     )
     before, after = _parameters(params), _parameters(stepped)
@@ -493,7 +494,7 @@ def test_fit_is_independent_of_session_order(kind, mode):
     )
     rng = np.random.default_rng(6)
     sessions = []
-    for s in simulated:
+    for s in _as_sessions(simulated):
         n = int(rng.integers(1, len(s) + 1))
         sessions.append(Session(s.session_id, s.query_id, s.intent, s.docs[:n], s.clicks[:n]))
     shuffled = list(sessions)
@@ -507,19 +508,17 @@ def test_fit_is_independent_of_session_order(kind, mode):
 
 class TestFitReportShape:
     def test_one_trace_value_per_iteration(self):
-        _, sessions, _ = _simulate("pbm", seed=30, queries=10, sessions_per_query=50,
-                                   positions=3)
-        _, report = em_fit("pbm", encode_sessions(sessions), EmConfig(max_iters=17, tol=1e-15))
+        _, batch, _ = _simulate("pbm", seed=30, queries=10, sessions_per_query=50, positions=3)
+        _, report = em_fit("pbm", batch, EmConfig(max_iters=17, tol=1e-15))
         assert report.iterations == 17
         assert len(report.loglik_trace) == 17
         assert not report.converged
         assert report.final_delta > 0
 
     def test_verbose_logs_one_line_per_recorded_step(self, caplog):
-        _, sessions, _ = _simulate("pbm", seed=30, queries=10, sessions_per_query=50,
-                                   positions=3)
+        _, batch, _ = _simulate("pbm", seed=30, queries=10, sessions_per_query=50, positions=3)
         with caplog.at_level("INFO", logger="intentclick.inference"):
-            _, report = em_fit("pbm", encode_sessions(sessions))
+            _, report = em_fit("pbm", batch)
         lines = [r.getMessage() for r in caplog.records if " loglik " in r.getMessage()]
         assert len(lines) == report.iterations == len(report.loglik_trace)
         assert report.extrapolated > 0
@@ -572,11 +571,11 @@ def test_loglik_trace_matches_per_session_log_likelihood(kind):
     _, simulated, _ = _simulate(kind, seed=33, queries=8, sessions_per_query=40, positions=5)
     rng = np.random.default_rng(3)
     sessions = []
-    for s in simulated:
+    for s in _as_sessions(simulated):
         n = int(rng.integers(1, len(s) + 1))
         sessions.append(Session(s.session_id, s.query_id, s.intent, s.docs[:n], s.clicks[:n]))
     if kind == "cascade":
-        sessions = [s for s in sessions if s.total_clicks <= 1]
+        sessions = [s for s in sessions if sum(s.clicks) <= 1]
     one_step, _ = em_fit(kind, encode_sessions(sessions), _no_prior(max_iters=1), max_positions=5)
     _, report = em_fit(kind, encode_sessions(sessions), _no_prior(max_iters=2), max_positions=5)
     assert len(report.loglik_trace) == 2

@@ -15,7 +15,6 @@ from intentclick.sessions import (
     LogEvent,
     MalformedFieldError,
     MalformedRecordError,
-    RelevanceJudgment,
     Session,
     SessionFormatError,
     attach_intents,
@@ -32,6 +31,7 @@ from intentclick.sessions import (
     write_judgments,
     write_sessions,
 )
+from intentclick.simulate import SimConfig, generate_ground_truth, session_ids, simulate_sessions
 
 
 def _event(user, query, ts, rank=None, url=None):
@@ -120,8 +120,9 @@ class TestSessionize:
         ]
         result = sessionize(events)
         assert len(result.sessions) == 1
-        assert result.sessions[0].clicks == (0, 1)
-        assert result.sessions[0].docs[1] == "maps.com"
+        [(_, _, docs, clicks)] = result.sessions.records()
+        assert clicks == [0, 1]
+        assert docs[1] == "maps.com"
 
     def test_query_change_splits_sessions(self):
         events = [_event("u1", "maps", 0), _event("u1", "weather", 1)]
@@ -139,9 +140,9 @@ class TestSessionize:
 
     def test_unclicked_positions_get_placeholder_docs(self):
         events = [_event("u1", "maps", 0, rank=3, url="maps.com")]
-        session = sessionize(events).sessions[0]
-        assert session.docs == ("q:maps:pos1", "q:maps:pos2", "maps.com")
-        assert session.clicks == (0, 0, 1)
+        [(_, _, docs, clicks)] = sessionize(events).sessions.records()
+        assert docs == ["q:maps:pos1", "q:maps:pos2", "maps.com"]
+        assert clicks == [0, 0, 1]
 
     def test_deep_clicks_dropped_and_counted(self):
         events = [
@@ -158,9 +159,9 @@ class TestSessionize:
             _event("u1", "maps", 0, rank=1, url="maps.com"),
             _event("u1", "maps", 1, rank=3, url="maps.com"),
         ]
-        session = sessionize(events).sessions[0]
-        assert len(set(session.docs)) == 3
-        assert session.clicks == (1, 0, 1)
+        [(_, _, docs, clicks)] = sessionize(events).sessions.records()
+        assert len(set(docs)) == 3
+        assert clicks == [1, 0, 1]
 
     def test_deterministic(self):
         events = [
@@ -168,7 +169,9 @@ class TestSessionize:
             _event("u1", "maps", 2),
             _event("u2", "news", 0, rank=4, url="b.com"),
         ]
-        assert sessionize(events).sessions == sessionize(events).sessions
+        a, b = sessionize(events), sessionize(events)
+        _assert_same_batch(a.sessions, b.sessions)
+        assert a.session_ids == b.session_ids == ["u1:0", "u2:0"]
 
     def test_every_click_retained_or_dropped_on_random_streams(self):
         import numpy as np
@@ -191,10 +194,10 @@ class TestSessionize:
             total_clicks = sum(1 for e in events if e.is_click)
             result = sessionize(events, max_positions=10)
             assert result.retained_clicks + result.dropped_clicks == total_clicks
-            in_sessions = sum(s.total_clicks for s in result.sessions)
+            in_sessions = int(result.sessions.clicks.sum())
             # duplicate ranks within a session collapse onto one click bit
             assert in_sessions <= result.retained_clicks
-            assert all(len(s) <= 10 for s in result.sessions)
+            assert all(n <= 10 for n in result.sessions.lengths)
 
 
 def _assert_same_batch(got, want):
@@ -214,7 +217,7 @@ _MISSING = object()
 class TestSessionIo:
     def test_empty_roundtrip(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        write_sessions(path, [])
+        write_sessions(path, encode_sessions([]), [])
         batch = read_sessions(path)
         assert len(batch) == 0 and batch.width == 0
         _assert_same_batch(batch, encode_sessions([]))
@@ -229,7 +232,7 @@ class TestSessionIo:
             Session("s5", "q2", Intent.NAVIGATIONAL, ("a",), (1,)),
         ]
         path = tmp_path / "s.jsonl"
-        write_sessions(path, sessions)
+        write_sessions(path, encode_sessions(sessions), [s.session_id for s in sessions])
         batch = read_sessions(path)
         _assert_same_batch(batch, encode_sessions(sessions))
         assert batch.keys == [("q1", "a"), ("q1", "b"), ("q1", "x"), ("q1", "y"), ("q1", "z"),
@@ -298,10 +301,45 @@ class TestSessionIo:
         """A query id with a tab would not survive the parameter file, whose
         pair keys are query<TAB>doc split at the first tab."""
         path = tmp_path / "s.jsonl"
-        write_sessions(path, [Session("s1", "a", Intent.UNKNOWN, ("d1",), (1,)),
-                              Session("s2", "a\tb", Intent.UNKNOWN, ("d1",), (0,))])
+        sessions = [Session("s1", "a", Intent.UNKNOWN, ("d1",), (1,)),
+                    Session("s2", "a\tb", Intent.UNKNOWN, ("d1",), (0,))]
+        write_sessions(path, encode_sessions(sessions), ["s1", "s2"])
         with pytest.raises(SessionFormatError, match=r"^line 2: query_id 'a\\tb' contains a tab"):
             read_sessions(path)
+
+    @pytest.mark.parametrize("source", ["simulated", "sessionized"])
+    def test_written_batch_reads_back_row_for_row(self, tmp_path, source):
+        """Query, intent, docs and clicks of every row survive
+        write_sessions then read_sessions, whatever the key order."""
+        if source == "simulated":
+            config = SimConfig(model_kind="dbn", num_queries=7, sessions_per_query=9,
+                               positions=5, seed=3, intent_aware=True, shuffle_serps=True)
+            truth = generate_ground_truth(config)
+            simulated = simulate_sessions(truth, config)
+            rows = np.random.default_rng(4).permutation(len(simulated))
+            batch = simulated.take(rows)
+            ids = [session_ids(truth, config)[k] for k in rows]
+        else:
+            events = [
+                _event("u1", "maps", 0, rank=2, url="a.com"),
+                _event("u1", "maps", 1, rank=2, url="b.com"),
+                _event("u1", "news", 2),
+                _event("u1", "maps", 3, rank=1, url="a.com"),
+                _event("u2", "news", 0, rank=3, url="a.com"),
+                _event("u2", "news", 40, rank=1, url="q:news:pos2"),
+                _event("u2", "news", 41, rank=3, url="c.com"),
+            ]
+            result = sessionize(events)
+            batch, ids = result.sessions, result.session_ids
+        path = tmp_path / "s.jsonl"
+        write_sessions(path, batch, ids)
+        assert list(read_sessions(path).records()) == list(batch.records())
+        assert [json.loads(line)["session_id"] for line in path.open()] == ids
+
+    def test_write_needs_one_id_per_row(self, tmp_path):
+        batch = encode_sessions([Session("s1", "a", Intent.UNKNOWN, ("d1",), (1,))])
+        with pytest.raises(ValueError, match="1 sessions"):
+            write_sessions(tmp_path / "s.jsonl", batch, [])
 
     def test_invalid_json_line(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -344,20 +382,21 @@ class TestSessionInvariants:
 
     def test_clicked_positions(self):
         s = Session("s", "q", Intent.UNKNOWN, ("a", "b", "c"), (1, 0, 1))
-        assert s.clicked_positions() == (1, 3)
-        assert s.total_clicks == 2
+        [(_, _, _, clicks)] = encode_sessions([s]).records()
+        assert tuple(i + 1 for i, c in enumerate(clicks) if c) == (1, 3)
+        assert sum(clicks) == 2
 
 
 class TestJudgments:
     def test_roundtrip(self, tmp_path):
-        judgments = [RelevanceJudgment("q1", "d1", 4), RelevanceJudgment("q1", "d2", 0)]
+        judgments = Judgments([("q1", "d1"), ("q1", "d2")], [4, 0])
         path = tmp_path / "j.tsv"
         write_judgments(path, judgments)
         assert read_judgments(path) == Judgments([("q1", "d1"), ("q1", "d2")], [4, 0])
 
-    def test_grade_out_of_range(self):
+    def test_grade_out_of_range(self, tmp_path):
         with pytest.raises(JudgmentError):
-            RelevanceJudgment("q", "d", 5)
+            write_judgments(tmp_path / "j.tsv", Judgments([("q", "d")], [5]))
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "j.tsv"

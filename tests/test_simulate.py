@@ -5,17 +5,19 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from intentclick.cli import EXIT_OK, run
 from intentclick.models import IntentAwareParams, session_prob
-from intentclick.sessions import Intent, KNOWN_INTENTS, Session
+from intentclick.sessions import ALL_INTENTS, Intent, KNOWN_INTENTS, Session
 from intentclick.simulate import (
     PRESET_NAV_TARGET4_TOTAL_MASS,
     SimConfig,
     click_behavior_preset,
     generate_ground_truth,
     grade_from_relevance,
+    session_ids,
     simulate_sessions,
 )
 
@@ -52,7 +54,7 @@ class TestGroundTruth:
         config = SimConfig(model_kind="ubm", num_queries=6, sessions_per_query=2,
                            positions=4, seed=5)
         truth = generate_ground_truth(config)
-        judged = {(j.query_id, j.doc_id) for j in truth.judgments}
+        judged = set(truth.judgments.keys)
         served = {(q, d) for q, docs in truth.serps.items() for d in docs}
         assert judged == served
 
@@ -68,29 +70,34 @@ class TestSimulateSessions:
     def test_same_seed_byte_identical(self):
         config = SimConfig(model_kind="pbm", num_queries=5, sessions_per_query=50, seed=7)
         truth = generate_ground_truth(config)
-        assert simulate_sessions(truth, config) == simulate_sessions(truth, config)
+        a, b = simulate_sessions(truth, config), simulate_sessions(truth, config)
+        assert a.keys == b.keys and a.queries == b.queries
+        for name in ("pair", "clicks", "lengths", "intent", "query"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
 
     def test_canonical_ordering(self):
         config = SimConfig(model_kind="pbm", num_queries=3, sessions_per_query=4, seed=8)
         truth = generate_ground_truth(config)
-        sessions = simulate_sessions(truth, config)
-        ids = [s.session_id for s in sessions]
+        batch = simulate_sessions(truth, config)
+        ids = session_ids(truth, config)
         assert ids == sorted(ids)
+        assert [i.split(":")[0] for i in ids] == [batch.queries[k] for k in batch.query]
 
     def test_pure_intent_mix(self):
         config = SimConfig(model_kind="pbm", num_queries=4, sessions_per_query=30,
                            intent_mix=(0.0, 1.0, 0.0), seed=9)
         truth = generate_ground_truth(config)
-        sessions = simulate_sessions(truth, config)
-        assert all(s.intent is Intent.NAVIGATIONAL for s in sessions)
+        batch = simulate_sessions(truth, config)
+        assert all(intent is Intent.NAVIGATIONAL for _, intent, _, _ in batch.records())
 
     def test_intent_mix_proportions(self):
         config = SimConfig(model_kind="pbm", num_queries=20, sessions_per_query=5000,
                            positions=3, intent_mix=(0.5, 0.3, 0.2), seed=10)
         truth = generate_ground_truth(config)
-        sessions = simulate_sessions(truth, config)
-        counts = Counter(s.intent for s in sessions)
-        total = len(sessions)
+        batch = simulate_sessions(truth, config)
+        counts = Counter(ALL_INTENTS[k] for k in batch.intent.tolist())
+        total = len(batch)
         assert total == 100_000
         assert counts[Intent.INFORMATIONAL] / total == pytest.approx(0.5, abs=0.01)
         assert counts[Intent.NAVIGATIONAL] / total == pytest.approx(0.3, abs=0.01)
@@ -100,10 +107,9 @@ class TestSimulateSessions:
         config = SimConfig(model_kind="pbm", num_queries=12, sessions_per_query=20,
                            seed=11, intents_per_query=True)
         truth = generate_ground_truth(config)
-        sessions = simulate_sessions(truth, config)
         per_query = {}
-        for s in sessions:
-            per_query.setdefault(s.query_id, set()).add(s.intent)
+        for query, intent, _, _ in simulate_sessions(truth, config).records():
+            per_query.setdefault(query, set()).add(intent)
         assert all(len(v) == 1 for v in per_query.values())
         assert all(truth.query_intents[q] in v for q, v in per_query.items())
 
@@ -111,18 +117,17 @@ class TestSimulateSessions:
         config = SimConfig(model_kind="pbm", num_queries=2, sessions_per_query=40,
                            positions=6, seed=12, shuffle_serps=True)
         truth = generate_ground_truth(config)
-        sessions = simulate_sessions(truth, config)
-        for s in sessions:
-            assert sorted(s.docs) == sorted(truth.serps[s.query_id])
-        orders = {s.docs for s in sessions if s.query_id == sessions[0].query_id}
+        rows = list(simulate_sessions(truth, config).records())
+        for query, _, docs, _ in rows:
+            assert sorted(docs) == sorted(truth.serps[query])
+        orders = {tuple(docs) for query, _, docs, _ in rows if query == rows[0][0]}
         assert len(orders) > 1
 
     def test_fixed_serps_by_default(self):
         config = SimConfig(model_kind="pbm", num_queries=2, sessions_per_query=10, seed=13)
         truth = generate_ground_truth(config)
-        sessions = simulate_sessions(truth, config)
-        for s in sessions:
-            assert s.docs == truth.serps[s.query_id]
+        for query, _, docs, _ in simulate_sessions(truth, config).records():
+            assert tuple(docs) == truth.serps[query]
 
     def test_kind_mismatch_rejected(self):
         config = SimConfig(model_kind="pbm", num_queries=2, sessions_per_query=2, seed=14)
@@ -187,9 +192,9 @@ class TestDistributionalFidelity:
         config = SimConfig(model_kind=kind, num_queries=1, sessions_per_query=100_000,
                            positions=3, seed=15)
         truth = generate_ground_truth(config)
-        sessions = simulate_sessions(truth, config)
-        counts = Counter(s.clicks for s in sessions)
-        n = len(sessions)
+        batch = simulate_sessions(truth, config)
+        counts = Counter(tuple(clicks) for _, _, _, clicks in batch.records())
+        n = len(batch)
         query = next(iter(truth.serps))
         docs = truth.serps[query]
         for clicks in itertools.product((0, 1), repeat=3):
