@@ -212,12 +212,13 @@ class SessionBatch:
     def records(self) -> Iterator[tuple[str, Intent, list[str], list[int]]]:
         """(query_id, intent, docs, clicks) of each row, in row order; rows
         are decoded 8192 at a time, never the whole batch at once."""
-        docs = [d for _, d in self.keys]
+        docs = np.array([d for _, d in self.keys], dtype=object)
         for start in range(0, len(self), 8192):
-            block = [column[start:start + 8192].tolist()
-                     for column in (self.query, self.intent, self.lengths, self.pair, self.clicks)]
-            for q, t, n, pair, clicks in zip(*block):
-                yield self.queries[q], ALL_INTENTS[t], [docs[k] for k in pair[:n]], clicks[:n]
+            rows = slice(start, start + 8192)
+            columns = (self.query, self.intent, self.lengths, self.clicks)
+            block = [column[rows].tolist() for column in columns]
+            for q, t, n, clicks, row_docs in zip(*block, docs[self.pair[rows]].tolist()):
+                yield self.queries[q], ALL_INTENTS[t], row_docs[:n], clicks[:n]
 
 
 class _BatchColumns:
