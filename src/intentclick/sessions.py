@@ -116,16 +116,15 @@ class LogEvent:
         return self.item_rank is not None
 
 
-def _session_fault(session_id: str, docs: Sequence, clicks: Sequence) -> str | None:
-    """What makes docs and clicks not one session's, or None: the two
-    must align, clicks be 0/1 and doc ids distinct."""
+def _check_session(session_id: str, docs: Sequence, clicks: Sequence) -> None:
+    """A SessionFormatError unless docs and clicks are one session's: the
+    two align, clicks are 0/1 and doc ids distinct."""
     if len(docs) != len(clicks):
-        return f"session {session_id}: {len(docs)} docs vs {len(clicks)} clicks"
+        raise SessionFormatError(f"session {session_id}: {len(docs)} docs vs {len(clicks)} clicks")
     if not set(clicks) <= {0, 1}:
-        return f"session {session_id}: clicks must be 0/1"
+        raise SessionFormatError(f"session {session_id}: clicks must be 0/1")
     if len(set(docs)) != len(docs):
-        return f"session {session_id}: duplicate doc ids"
-    return None
+        raise SessionFormatError(f"session {session_id}: duplicate doc ids")
 
 
 @dataclass(frozen=True)
@@ -139,9 +138,7 @@ class Session:
     clicks: tuple[int, ...]
 
     def __post_init__(self):
-        fault = _session_fault(self.session_id, self.docs, self.clicks)
-        if fault:
-            raise SessionFormatError(fault)
+        _check_session(self.session_id, self.docs, self.clicks)
 
     def __len__(self) -> int:
         return len(self.docs)
@@ -225,8 +222,9 @@ class _BatchColumns:
     """Sessions added one at a time, as the columns of a SessionBatch."""
 
     def __init__(self):
-        self.keys: dict[tuple[str, str], int] = {}
-        self.queries: dict[str, int] = {}
+        self.keys: list[tuple[str, str]] = []
+        # query_id -> (query code, {doc_id: pair code}), in first-read order
+        self.queries: dict[str, tuple[int, dict[str, int]]] = {}
         self.pair: list[int] = []
         self.clicks: list[int] = []
         self.lengths: list[int] = []
@@ -234,12 +232,20 @@ class _BatchColumns:
         self.query: list[int] = []
 
     def add(self, query_id: str, intent: int, docs: Sequence[str], clicks: Sequence[int]) -> None:
-        keys = self.keys
-        self.pair += [keys.setdefault((query_id, d), len(keys)) for d in docs]
+        entry = self.queries.get(query_id)
+        if entry is None:
+            entry = self.queries[query_id] = (len(self.queries), {})
+        query, codes = entry
+        for d in docs:
+            code = codes.get(d)
+            if code is None:
+                code = codes[d] = len(self.keys)
+                self.keys.append((query_id, d))
+            self.pair.append(code)
         self.clicks += clicks
         self.lengths.append(len(docs))
         self.intent.append(intent)
-        self.query.append(self.queries.setdefault(query_id, len(self.queries)))
+        self.query.append(query)
 
     def build(self) -> SessionBatch:
         lengths = np.array(self.lengths, dtype=np.int64)
@@ -248,7 +254,7 @@ class _BatchColumns:
         pair[valid] = self.pair
         clicks = np.zeros(valid.shape, dtype=np.int8)
         clicks[valid] = self.clicks
-        return SessionBatch(list(self.keys), pair, clicks, lengths,
+        return SessionBatch(self.keys, pair, clicks, lengths,
                             np.array(self.intent, dtype=np.int8), list(self.queries),
                             np.array(self.query, dtype=np.int64))
 
@@ -315,8 +321,7 @@ def read_aol_log(path, on_error: str = "raise") -> Iterator[LogEvent]:
 
 @dataclass
 class SessionizeResult:
-    """Sessions as a batch, the id of each row, and the click events kept
-    vs dropped."""
+    """Sessions as a batch, the id of each row, and the clicks kept and dropped."""
 
     sessions: SessionBatch
     session_ids: list[str]
@@ -329,10 +334,12 @@ def _query_groups(events: Iterable[LogEvent], gap_timeout: timedelta) -> Iterato
     gap_timeout of the previous one."""
     group: list[LogEvent] = []
     for ev in events:
-        if group and ((ev.user_id, ev.query) != (group[-1].user_id, group[-1].query)
-                      or ev.query_time - group[-1].query_time > gap_timeout):
-            yield group
-            group = []
+        if group:
+            last = group[-1]
+            if (ev.user_id != last.user_id or ev.query != last.query
+                    or ev.query_time - last.query_time > gap_timeout):
+                yield group
+                group = []
         group.append(ev)
     if group:
         yield group
@@ -358,27 +365,32 @@ def sessionize(
     session_ids: list[str] = []
     user_session_counts: dict[str, int] = {}
     retained = dropped = 0
+    unknown = ALL_INTENTS.index(Intent.UNKNOWN)
     for group in _query_groups(events, gap_timeout):
         user, query = group[0].user_id, group[0].query
         seq = user_session_counts[user] = user_session_counts.get(user, -1) + 1
-        kept = [ev for ev in group if ev.is_click and ev.item_rank <= max_positions]
-        retained += len(kept)
-        dropped += sum(ev.is_click for ev in group) - len(kept)
-        # The first click at a rank names its doc.
-        clicked = {ev.item_rank: ev.click_url for ev in reversed(kept)}
+        clicked: dict[int, str] = {}
+        for ev in group:
+            if not ev.is_click:
+                continue
+            if ev.item_rank > max_positions:
+                dropped += 1
+                continue
+            retained += 1
+            clicked.setdefault(ev.item_rank, ev.click_url)
         docs: list[str] = []
         clicks: list[int] = []
         for pos in range(1, max(clicked, default=0) + 1):
-            doc = clicked.get(pos, f"q:{query}:pos{pos}")
+            doc = clicked.get(pos)
+            clicks.append(0 if doc is None else 1)
+            if doc is None:
+                doc = f"q:{query}:pos{pos}"
             while doc in docs:
                 doc = f"{doc}#{pos}"
             docs.append(doc)
-            clicks.append(int(pos in clicked))
         session_id = f"{user}:{seq}"
-        fault = _session_fault(session_id, docs, clicks)
-        if fault:
-            raise SessionFormatError(fault)
-        columns.add(query, ALL_INTENTS.index(Intent.UNKNOWN), docs, clicks)
+        _check_session(session_id, docs, clicks)
+        columns.add(query, unknown, docs, clicks)
         session_ids.append(session_id)
     return SessionizeResult(columns.build(), session_ids, retained, dropped)
 
@@ -403,6 +415,10 @@ def read_json(path, what: str):
             raise DataError(f"invalid {what}: {exc}") from None
 
 
+# json.dumps(record, sort_keys=True) without building an encoder per record.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_sessions(path, batch: SessionBatch, session_ids: Sequence[str]) -> None:
     """Write the batch as line-delimited JSON records, one per row in row
     order; session_ids[i] is the id of row i."""
@@ -412,7 +428,7 @@ def write_sessions(path, batch: SessionBatch, session_ids: Sequence[str]) -> Non
         for session_id, (query_id, intent, docs, clicks) in zip(session_ids, batch.records()):
             record = {"session_id": session_id, "query_id": query_id, "intent": intent.value,
                       "docs": docs, "clicks": clicks}
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(_RECORD_ENCODER.encode(record) + "\n")
 
 
 _INTENT_CODES = {t.value: k for k, t in enumerate(ALL_INTENTS)}
@@ -436,7 +452,7 @@ def _session_record(line: str) -> tuple[str, int, list, list]:
         docs, clicks = record["docs"], record["clicks"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SessionFormatError(f"bad session record: {exc}") from None
-    # session_fault checks clicks are 0/1, which true and 1.0 also pass.
+    # _check_session checks clicks are 0/1, which true and 1.0 also pass.
     if not (type(session_id) is str and type(query_id) is str
             and type(docs) is list and type(clicks) is list
             and set(map(type, docs)) <= _STR and set(map(type, clicks)) <= _INT):
@@ -449,9 +465,7 @@ def _session_record(line: str) -> tuple[str, int, list, list]:
             f"query_id {query_id!r} contains a tab, which parameter files "
             "use to separate a query from a doc"
         )
-    fault = _session_fault(session_id, docs, clicks)
-    if fault:
-        raise SessionFormatError(fault)
+    _check_session(session_id, docs, clicks)
     return query_id, intent, docs, clicks
 
 
@@ -494,8 +508,7 @@ class Judgments:
 
 
 def write_judgments(path, judgments: Judgments) -> None:
-    """Write query_id<TAB>doc_id<TAB>grade records; a grade outside 0..4 is
-    a JudgmentError."""
+    """Write query_id<TAB>doc_id<TAB>grade records; a grade outside 0..4 is a JudgmentError."""
     for (query_id, doc_id), grade in zip(judgments.keys, judgments.grades):
         _check_grade(query_id, doc_id, grade)
     with open(path, "w", encoding="utf-8") as fh:

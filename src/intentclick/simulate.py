@@ -276,8 +276,7 @@ def simulate_sessions(truth: GroundTruth, config: SimConfig) -> SessionBatch:
 
 
 def session_ids(truth: GroundTruth, config: SimConfig) -> list[str]:
-    """The id of each row of ``simulate_sessions(truth, config)``:
-    ``<query>:s<session index>``."""
+    """Row ids of ``simulate_sessions(truth, config)``: ``<query>:s<session index>``."""
     return [f"{q}:s{k:05d}" for q in truth.serps for k in range(config.sessions_per_query)]
 
 

@@ -155,7 +155,7 @@ def dbn_em_step(rels, sats, gamma, sessions):
 def empirical_ctr(batch):
     """Raw click-through rate per (query, doc) pair of a SessionBatch:
     clicks over impressions, counted with np.bincount over the pair codes.
-    It is the unweighted ranking baseline of acceptance criterion 5."""
+    It is the raw-CTR ranking baseline of acceptance criterion 5."""
     shown = batch.pair[batch.valid]
     impressions = np.bincount(shown, minlength=len(batch.keys))
     clicks = np.bincount(shown, weights=batch.clicks[batch.valid], minlength=len(batch.keys))
