@@ -208,10 +208,10 @@ class SessionBatch:
 
     def records(self) -> Iterator[tuple[str, Intent, list[str], list[int]]]:
         """(query_id, intent, docs, clicks) of each row, in row order; rows
-        are decoded 8192 at a time, never the whole batch at once."""
+        are decoded 1024 at a time, never the whole batch at once."""
         docs = np.array([d for _, d in self.keys], dtype=object)
-        for start in range(0, len(self), 8192):
-            rows = slice(start, start + 8192)
+        for start in range(0, len(self), 1024):
+            rows = slice(start, start + 1024)
             columns = (self.query, self.intent, self.lengths, self.clicks)
             block = [column[rows].tolist() for column in columns]
             for q, t, n, clicks, row_docs in zip(*block, docs[self.pair[rows]].tolist()):
