@@ -157,7 +157,7 @@ class TestIngest:
                                for rank, url in clicks))
         out = tmp_path / "sessions.jsonl"
         assert run(["ingest", "--aol", str(raw), "--out", str(out)]) == EXIT_OK
-        [record] = [json.loads(line) for line in out.open()]
+        [record] = [json.loads(line) for line in out.read_text().splitlines()]
         assert record["docs"] == docs
         assert record["clicks"] == [int(pos in dict(clicks)) for pos in range(1, len(docs) + 1)]
 

@@ -334,7 +334,7 @@ class TestSessionIo:
         path = tmp_path / "s.jsonl"
         write_sessions(path, batch, ids)
         assert list(read_sessions(path).records()) == list(batch.records())
-        assert [json.loads(line)["session_id"] for line in path.open()] == ids
+        assert [json.loads(line)["session_id"] for line in path.read_text().splitlines()] == ids
 
     def test_write_needs_one_id_per_row(self, tmp_path):
         batch = encode_sessions([Session("s1", "a", Intent.UNKNOWN, ("d1",), (1,))])
