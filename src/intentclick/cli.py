@@ -96,14 +96,20 @@ def _intent_mix(text: str) -> tuple[float, float, float]:
     return mix
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _k_list(text: str) -> tuple[int, ...]:
@@ -138,10 +144,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="generate a synthetic click log")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--model", choices=MODEL_KINDS, default="pbm")
-    p.add_argument("--queries", type=int, default=100)
-    p.add_argument("--sessions-per-query", type=int, default=None,
+    p.add_argument("--queries", type=_positive_int, default=100)
+    # 0 is a count, if an empty one: SimConfig refuses it as a data error.
+    p.add_argument("--sessions-per-query", type=_int_at_least(0), default=None,
                    help="default 200; also overrides the preset's 50000")
-    p.add_argument("--positions", type=int, default=DEFAULT_MAX_POSITIONS)
+    p.add_argument("--positions", type=_positive_int, default=DEFAULT_MAX_POSITIONS)
     p.add_argument("--intent-mix", type=_intent_mix, default=(1 / 3, 1 / 3, 1 / 3))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--intent-aware", action="store_true",
@@ -171,8 +178,8 @@ def build_parser() -> _Parser:
                    help="two-phase alternating fit (implies --intent-aware)")
     p.add_argument("--intents", help="intent labels (tsv) to attach before fitting")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--max-positions", type=int, default=None)
+    p.add_argument("--max-iters", type=_positive_int, default=200)
+    p.add_argument("--max-positions", type=_positive_int, default=None)
 
     p = sub.add_parser("eval", help="perplexity (and NDCG) of a fitted model")
     p.add_argument("--params", required=True)
@@ -195,7 +202,7 @@ Outputs = tuple[list[Path], int | None]
 
 def _cmd_ingest(args) -> Outputs:
     events = sorted(
-        read_aol_log(args.aol, on_error="skip"),
+        read_aol_log(args.aol),
         key=lambda e: (e.user_id, e.query_time),
     )
     result = sessionize(

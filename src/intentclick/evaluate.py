@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -204,12 +204,12 @@ def _dcg_at_each_k(grades: np.ndarray, query: np.ndarray, width: int) -> np.ndar
 
 
 def ndcg_for_scores(
-    score: Callable[[Judgments], np.ndarray],
+    scores: np.ndarray,
     judgments: Judgments,
     k_list: Sequence[int] = DEFAULT_K_LIST,
 ) -> tuple[dict[int, float], int]:
-    """Mean NDCG@K over judged queries; ``score(judgments)`` gives one
-    score per judgment.
+    """Mean NDCG@K over judged queries; ``scores[i]`` scores the pair
+    ``judgments.keys[i]``.
 
     Each query's judged docs are ranked by descending score, ties by
     ascending doc id. Queries whose grades are all zero are excluded, and
@@ -223,7 +223,6 @@ def ndcg_for_scores(
     query = np.array([first.setdefault(q, len(first)) for q, _ in keys], dtype=np.int64)
     doc_order = np.empty(len(keys), dtype=np.int64)
     doc_order[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
-    scores = np.asarray(score(judgments), dtype=np.float64)
     grades = np.asarray(judgments.grades, dtype=np.int64)
     # Both orders list the queries in code order, so their rows align.
     served = np.lexsort((doc_order, -scores, query))
@@ -258,8 +257,8 @@ def evaluate_model(
     """
     report = perplexity_report(params, batch, label=label)
     if judgments:
-        score = mixture_relevance_scorer(params, batch)
-        report.ndcg, report.ndcg_queries = ndcg_for_scores(score, judgments, k_list)
+        scores = mixture_relevance_scorer(params, batch, judgments.keys)
+        report.ndcg, report.ndcg_queries = ndcg_for_scores(scores, judgments, k_list)
         if report.ndcg_queries == 0:
             raise DataError("every judged query has only zero grades, so NDCG is undefined")
     return report
@@ -284,9 +283,9 @@ def intent_distributions(batch: SessionBatch) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mixture_relevance_scorer(
-    params: AnyParams, batch: SessionBatch
-) -> Callable[[Judgments], np.ndarray]:
-    """Relevance scorer marginalized over each query's observed intent mix.
+    params: AnyParams, batch: SessionBatch, keys: Sequence[tuple[str, str]]
+) -> np.ndarray:
+    """Relevance of each (query, doc) key, marginalized over its query's intent mix.
 
     For intent-aware parameters this weights the per-intent relevance
     estimates by the query's empirical intent shares, which is the
@@ -299,23 +298,18 @@ def mixture_relevance_scorer(
     tables = [resolve_params(params, t) for t in ALL_INTENTS]
     # One lookup per distinct table: a base model serves every intent.
     distinct = {id(p): p for p in tables}
-
-    def score(judgments: Judgments) -> np.ndarray:
-        keys = judgments.keys
-        lookups = {key: p.relevance_estimates(keys) for key, p in distinct.items()}
-        values = np.stack([lookups[id(p)] for p in tables])
-        query = np.array([code.get(q, -1) for q, _ in keys], dtype=np.int64)
-        out = values[ALL_INTENTS.index(Intent.UNKNOWN)].copy()
-        rows = np.flatnonzero(query >= 0)
-        mixed = np.zeros(len(rows))
-        for slot in range(len(ALL_INTENTS)):
-            # An intent the query never shows adds a share of 0.
-            intent = order[query[rows], slot]
-            mixed += shares[query[rows], intent] * values[intent, rows]
-        out[rows] = mixed
-        return out
-
-    return score
+    lookups = {key: p.relevance_estimates(keys) for key, p in distinct.items()}
+    values = np.stack([lookups[id(p)] for p in tables])
+    query = np.array([code.get(q, -1) for q, _ in keys], dtype=np.int64)
+    out = values[ALL_INTENTS.index(Intent.UNKNOWN)].copy()
+    rows = np.flatnonzero(query >= 0)
+    mixed = np.zeros(len(rows))
+    for slot in range(len(ALL_INTENTS)):
+        # An intent the query never shows adds a share of 0.
+        intent = order[query[rows], slot]
+        mixed += shares[query[rows], intent] * values[intent, rows]
+    out[rows] = mixed
+    return out
 
 
 @dataclass

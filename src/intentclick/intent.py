@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from difflib import SequenceMatcher
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -46,14 +47,10 @@ def url_match_ratio(query: str, url: str) -> float:
     """
     if not url:
         raise ValueError("url must be non-empty")
-    q = query.lower()
-    u = url.lower()
-    best = 0
-    for length in range(min(len(q), len(u)), 0, -1):
-        if any(q[i : i + length] in u for i in range(len(q) - length + 1)):
-            best = length
-            break
-    return best / len(u)
+    q, u = query.lower(), url.lower()
+    # With no junk, the longest matching block is the longest common substring.
+    match = SequenceMatcher(None, q, u, autojunk=False).find_longest_match(0, len(q), 0, len(u))
+    return match.size / len(u)
 
 
 def click_ratio(click_counts: Mapping[str, int]) -> dict[str, float]:

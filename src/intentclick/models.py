@@ -60,9 +60,9 @@ def ubm_cells(max_positions: int) -> list[tuple[int, int]]:
     return [(l, i) for l in range(max_positions) for i in range(l + 1, max_positions + 1)]
 
 
-def table_values(table: Mapping, keys: Sequence, default: float = DEFAULT_REL) -> np.ndarray:
-    """The table's value for each key, in key order; missing keys read default."""
-    return np.fromiter(map(table.get, keys, repeat(default)), dtype=np.float64, count=len(keys))
+def table_values(table: Mapping, keys: Sequence) -> np.ndarray:
+    """The table's value for each key, in key order; missing keys read DEFAULT_REL."""
+    return np.fromiter(map(table.get, keys, repeat(DEFAULT_REL)), dtype=np.float64, count=len(keys))
 
 
 def last_click(clicks: np.ndarray) -> np.ndarray:
@@ -132,8 +132,8 @@ class _TableParams:
     Fields declared with ``_table`` are probability tables; the others are
     scalars with a default. Validation, the prior and the JSON codec read
     the layout from ``dataclasses.fields``; the EM fitters fill the same
-    fields by name. Also here: the relevance lookups and the one-session
-    view of ``click_probs``.
+    fields by name. Also here: ``relevance_estimates``, with its one-key
+    view, and the one-session view of ``click_probs``.
     """
 
     def __post_init__(self):
@@ -147,14 +147,13 @@ class _TableParams:
         no pairs, every scalar at its default."""
         return cls(**{f.name: {} for f in fields(cls) if _is_table(f)})
 
-    def relevance(self, query_id: str, doc_id: str) -> float:
-        return self.rel.get((query_id, doc_id), DEFAULT_REL)
-
-    relevance_estimate = relevance
-
     def relevance_estimates(self, keys: Sequence[tuple[str, str]]) -> np.ndarray:
-        """relevance_estimate of every (query, doc) key, as one array."""
+        """Unbiased relevance of every (query, doc) key, as one array."""
         return table_values(self.rel, keys)
+
+    def relevance_estimate(self, query_id: str, doc_id: str) -> float:
+        """relevance_estimates of one (query, doc) pair."""
+        return float(self.relevance_estimates([(query_id, doc_id)])[0])
 
     def conditional_click_probs(self, session: Session) -> list[float]:
         """P(C_i = 1 | earlier clicks) per position of one session."""
@@ -175,17 +174,21 @@ class _ExamRelParams(_TableParams):
     """PBM and UBM: P(C_i = 1 | earlier clicks) = exam[cell] * rel[(query, doc)].
 
     A subclass names its examination cells: ``cells_for(n)`` lists the table
-    keys in order, ``cell_key(last, pos)`` is the cell of 1-based position
-    ``pos`` after a last click at ``last`` (0 for none), and ``exam_field``
-    is the attribute that holds the table.
+    keys in order, ``cell_count(n)`` counts them, ``cell_key(last, pos)`` is
+    the cell of 1-based position ``pos`` after a last click at ``last`` (0
+    for none), and ``exam_field`` is the attribute that holds the table.
     """
 
     def __post_init__(self):
-        exam = getattr(self, self.exam_field)
-        cells = set(self.cells_for(self.max_positions))
-        if exam.keys() != cells:
-            raise ValueError(f"{self.exam_field} table cells {sorted(exam.keys() ^ cells)} "
-                             f"missing or outside max_positions {self.max_positions}")
+        exam, n = getattr(self, self.exam_field), self.max_positions
+        # Sizes first, so a huge max_positions builds no cell list.
+        if len(exam) != self.cell_count(n):
+            raise ValueError(f"{self.exam_field} table has {len(exam)} cells, "
+                             f"max_positions {n} needs {self.cell_count(n)}")
+        odd = sorted(exam.keys() ^ set(self.cells_for(n)))
+        if odd:
+            raise ValueError(f"{self.exam_field} table cells {odd[:4]} (of {len(odd)}) "
+                             f"missing or outside max_positions {n}")
         super().__post_init__()
 
     @classmethod
@@ -227,6 +230,10 @@ class PbmParams(_ExamRelParams):
         return list(range(1, max_positions + 1))
 
     @staticmethod
+    def cell_count(max_positions: int) -> int:
+        return max_positions
+
+    @staticmethod
     def cell_key(last: int, pos: int) -> int:
         return pos
 
@@ -242,6 +249,10 @@ class UbmParams(_ExamRelParams):
     kind = UBM
     exam_field = "beta"
     cells_for = staticmethod(ubm_cells)
+
+    @staticmethod
+    def cell_count(max_positions: int) -> int:
+        return max_positions * (max_positions + 1) // 2
 
     @staticmethod
     def cell_key(last: int, pos: int) -> tuple[int, int]:
@@ -276,14 +287,8 @@ class DbnParams(_TableParams):
         _check_unit("gamma_cont", self.gamma_cont)
         super().__post_init__()
 
-    def satisfaction(self, query_id: str, doc_id: str) -> float:
-        return self.sat.get((query_id, doc_id), DEFAULT_REL)
-
-    def relevance_estimate(self, query_id: str, doc_id: str) -> float:
-        """Unbiased relevance is the chance of a click that satisfies."""
-        return self.relevance(query_id, doc_id) * self.satisfaction(query_id, doc_id)
-
     def relevance_estimates(self, keys: Sequence[tuple[str, str]]) -> np.ndarray:
+        """Unbiased relevance is the chance of a click that satisfies: rel * sat."""
         return table_values(self.rel, keys) * table_values(self.sat, keys)
 
     def click_probs(self, batch: SessionBatch) -> np.ndarray:

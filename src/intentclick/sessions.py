@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import string
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
@@ -298,25 +299,20 @@ def parse_aol_line(line: str, line_no: int | None = None) -> LogEvent:
         raise MalformedFieldError(str(exc), line_no) from None
 
 
-def read_aol_log(path, on_error: str = "raise") -> Iterator[LogEvent]:
+def read_aol_log(path) -> Iterator[LogEvent]:
     """Yield LogEvents from an AOL-style TSV file.
 
-    A header line (first field "AnonID") is skipped. on_error is "raise"
-    or "skip"; with "skip", malformed lines are silently dropped.
+    A header line (first field "AnonID") is skipped, and so are malformed
+    lines; ``parse_aol_line`` names what is wrong with one.
     """
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
     with open(path, encoding="utf-8", errors="replace") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             if line_no == 1 and line.split("\t")[0].strip() == "AnonID":
                 continue
-            try:
+            with suppress(MalformedRecordError):
                 yield parse_aol_line(line, line_no)
-            except MalformedRecordError:
-                if on_error == "raise":
-                    raise
 
 
 @dataclass

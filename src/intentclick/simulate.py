@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -82,6 +83,21 @@ class GroundTruth:
 def grade_from_relevance(r: float) -> int:
     """Editorial grade by thresholding: floor(5r) clipped into [0, 4]."""
     return max(0, min(4, math.floor(5.0 * r)))
+
+
+def _judgments(params: AnyParams, keys: list[tuple[str, str]],
+               query_intents: dict[str, Intent] | None, mix: Sequence[float]) -> Judgments:
+    """Grades of the truth's relevance: the base table's; else the query's
+    own intent table's; else the intent tables' weighted by ``mix``."""
+    if not isinstance(params, IntentAwareParams):
+        r = params.relevance_estimates(keys)
+    else:
+        tables = [params.per_intent[t].relevance_estimates(keys) for t in KNOWN_INTENTS]
+        if query_intents is not None:
+            r = np.choose([KNOWN_INTENTS.index(query_intents[q]) for q, _ in keys], tables)
+        else:
+            r = sum(w * table for w, table in zip(mix, tables))
+    return Judgments(keys, [grade_from_relevance(x) for x in r.tolist()])
 
 
 def _query_id(i: int) -> str:
@@ -154,22 +170,9 @@ def generate_ground_truth(config: SimConfig) -> GroundTruth:
     else:
         params = _base_truth(rng, config, keys, None)
 
-    grades = []
-    for q, d in keys:
-        if isinstance(params, IntentAwareParams):
-            if query_intents is not None:
-                r = params.per_intent[query_intents[q]].relevance_estimate(q, d)
-            else:
-                r = sum(
-                    mix * params.per_intent[t].relevance_estimate(q, d)
-                    for mix, t in zip(config.intent_mix, KNOWN_INTENTS)
-                )
-        else:
-            r = params.relevance_estimate(q, d)
-        grades.append(grade_from_relevance(r))
     return GroundTruth(
         params=params,
-        judgments=Judgments(keys, grades),
+        judgments=_judgments(params, keys, query_intents, config.intent_mix),
         serps=serps,
         query_intents=query_intents,
     )
@@ -343,8 +346,6 @@ def click_behavior_preset() -> tuple[GroundTruth, SimConfig]:
     serps: dict[str, tuple[str, ...]] = {}
     query_intents: dict[str, Intent] = {}
     rel_tables: dict[Intent, dict[tuple[str, str], float]] = {t: {} for t in KNOWN_INTENTS}
-    judged: list[tuple[str, str]] = []
-    grades: list[int] = []
 
     for intent in KNOWN_INTENTS:
         exam = _PRESET_EXAM[intent]
@@ -360,8 +361,6 @@ def click_behavior_preset() -> tuple[GroundTruth, SimConfig]:
                         f"preset rate {rate} at position {i + 1} exceeds examination {exam[i]}"
                     )
                 rel_tables[intent][(query, doc)] = r
-                judged.append((query, doc))
-                grades.append(grade_from_relevance(r))
 
     per_intent = {
         intent: PbmParams(
@@ -376,12 +375,6 @@ def click_behavior_preset() -> tuple[GroundTruth, SimConfig]:
         rel={},
         max_positions=PRESET_POSITIONS,
     )
-    truth = GroundTruth(
-        params=IntentAwareParams(per_intent=per_intent, fallback=fallback),
-        judgments=Judgments(judged, grades),
-        serps=serps,
-        query_intents=query_intents,
-    )
     config = SimConfig(
         model_kind=PBM,
         num_queries=len(serps),
@@ -391,5 +384,13 @@ def click_behavior_preset() -> tuple[GroundTruth, SimConfig]:
         seed=PRESET_SEED,
         intent_aware=True,
         intents_per_query=True,
+    )
+    params = IntentAwareParams(per_intent=per_intent, fallback=fallback)
+    keys = [(q, d) for q, docs in serps.items() for d in docs]
+    truth = GroundTruth(
+        params=params,
+        judgments=_judgments(params, keys, query_intents, config.intent_mix),
+        serps=serps,
+        query_intents=query_intents,
     )
     return truth, config

@@ -215,12 +215,12 @@ def test_criterion_5_debiasing_benefit():
     judgments = art["truth"].judgments
     ctr = oracles.empirical_ctr(art["train_batch"])
     ndcg_ctr, _ = ndcg_for_scores(
-        lambda j: np.array([ctr.get(key, 0.0) for key in j.keys]), judgments, k_list
+        np.array([ctr.get(key, 0.0) for key in judgments.keys]), judgments, k_list
     )
-    base = art["base_params"]
-    ndcg_base, _ = ndcg_for_scores(lambda j: base.relevance_estimates(j.keys), judgments, k_list)
-    ia_score = mixture_relevance_scorer(art["ia_params"], art["train_batch"])
-    ndcg_ia, _ = ndcg_for_scores(ia_score, judgments, k_list)
+    base_scores = art["base_params"].relevance_estimates(judgments.keys)
+    ndcg_base, _ = ndcg_for_scores(base_scores, judgments, k_list)
+    ia_scores = mixture_relevance_scorer(art["ia_params"], art["train_batch"], judgments.keys)
+    ndcg_ia, _ = ndcg_for_scores(ia_scores, judgments, k_list)
 
     avg_ctr = sum(ndcg_ctr.values()) / len(k_list)
     avg_base = sum(ndcg_base.values()) / len(k_list)

@@ -110,14 +110,25 @@ class TestBadFlagValues:
         ["ingest", "--max-positions", "-1"],
         ["classify", "--ncs-n", "0"],
         ["classify", "--nrs-n", "-1"],
+        ["simulate", "--queries", "0"],
+        ["simulate", "--positions", "0"],
+        ["simulate", "--sessions-per-query", "-1"],
+        ["fit", "--max-iters", "0"],
+        ["fit", "--max-positions", "0"],
     ], ids=lambda argv: "{}{}={}".format(*argv))
     def test_usage_error_without_traceback_or_output(self, pipeline_inputs, tmp_path, capsys,
                                                      argv):
         d = pipeline_inputs
-        inputs = {"ingest": ["--aol", f"{d}/raw.tsv"], "classify": ["--sessions", f"{d}/aol.jsonl"]}
         out = tmp_path / "out"
+        # Without the flag under test, each of these runs succeeds.
+        inputs = {
+            "ingest": ["--aol", f"{d}/raw.tsv", "--out", str(out)],
+            "classify": ["--sessions", f"{d}/aol.jsonl", "--out", str(out)],
+            "simulate": ["--out-dir", str(out)],
+            "fit": ["--model", "pbm", "--sessions", f"{d}/aol.jsonl", "--out", str(out)],
+        }
         capsys.readouterr()
-        code = run([argv[0], *inputs[argv[0]], "--out", str(out), *argv[1:]])
+        code = run([argv[0], *inputs[argv[0]], *argv[1:]])
         assert code == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
@@ -403,6 +414,26 @@ class TestFitEvalCompare:
                     "--out", str(out)])
         assert code == EXIT_DATA
         assert "missing 'params'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,table,max_positions", [
+        ("pbm", {"exam": {"1": 0.5}}, 10**6),
+        ("ubm", {"beta": {"0:1": 0.5}}, 1000),
+    ], ids=["pbm", "ubm"])
+    def test_eval_with_huge_max_positions_is_a_short_data_error(self, tmp_path, capsys, kind,
+                                                                 table, max_positions):
+        sim = _simulate(tmp_path)
+        params = tmp_path / "huge.json"
+        params.write_text(json.dumps({"version": 1, "kind": kind, "intent_aware": False, "params": {
+            **table, "rel": {}, "max_positions": max_positions}}))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        code = run(["eval", "--params", str(params), "--sessions", str(sim / "sessions.jsonl"),
+                    "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "max_positions" in err
+        assert max(map(len, err.splitlines())) < 1000
         assert not out.exists()
 
 

@@ -181,15 +181,15 @@ class TestNdcg:
         assert ndcg_at_k([2, 3, 1, 0], ideal, 2) < 1.0
 
 
-def _scorer(score):
-    """A judgments scorer from a (query, doc) -> score function."""
-    return lambda judgments: np.array([score(q, d) for q, d in judgments.keys])
+def _scores(score, keys):
+    """The score array of ``keys`` from a (query, doc) -> score function."""
+    return np.array([score(q, d) for q, d in keys])
 
 
 def _ndcg_of_order(score, grades, k_list=(1, 2, 3)):
     """ndcg_for_scores over one query judged with ``grades`` (doc -> grade)."""
     judgments = Judgments([("q1", doc) for doc in grades], list(grades.values()))
-    return ndcg_for_scores(_scorer(score), judgments, k_list)[0]
+    return ndcg_for_scores(_scores(score, judgments.keys), judgments, k_list)[0]
 
 
 def _expected_ndcg(order, grades, k_list=(1, 2, 3)):
@@ -280,9 +280,9 @@ class TestArrayNdcgOracle:
             return total
 
         judgments = Judgments([(q, d) for q, d, _ in judged], [g for _, _, g in judged])
-        scorer = mixture_relevance_scorer(params, encode_sessions(sessions))
-        assert scorer(judgments).tolist() == [mixture(q, d) for q, d, _ in judged]
-        got, counted = ndcg_for_scores(scorer, judgments, k_list)
+        scores = mixture_relevance_scorer(params, encode_sessions(sessions), judgments.keys)
+        assert scores.tolist() == [mixture(q, d) for q, d, _ in judged]
+        got, counted = ndcg_for_scores(scores, judgments, k_list)
         want, want_counted = oracles.mean_ndcg_per_query(judged, mixture, k_list)
         assert counted == want_counted
         if counted:
@@ -297,7 +297,8 @@ class TestArrayNdcgOracle:
         judged = [(f"q{i}", f"d{j}", int(rng.integers(0, 5))) for i in range(40) for j in range(5)]
         scores = {(q, d): float(rng.uniform()) for q, d, _ in judged}
         judgments = Judgments([(q, d) for q, d, _ in judged], [g for _, _, g in judged])
-        got = ndcg_for_scores(_scorer(lambda q, d: scores[(q, d)]), judgments, (1, 3, 10))
+        got = ndcg_for_scores(_scores(lambda q, d: scores[(q, d)], judgments.keys), judgments,
+                              (1, 3, 10))
         assert got == oracles.mean_ndcg_per_query(judged, lambda q, d: scores[(q, d)], (1, 3, 10))
 
 
@@ -310,7 +311,8 @@ class TestCtrAndScorers:
 
     def test_ndcg_for_scores_excludes_zero_grade_queries(self):
         judgments = Judgments([("q1", "a"), ("q1", "b"), ("q2", "a"), ("q2", "b")], [2, 0, 0, 0])
-        values, counted = ndcg_for_scores(_scorer(lambda q, d: 1.0), judgments, (1, 2))
+        values, counted = ndcg_for_scores(_scores(lambda q, d: 1.0, judgments.keys), judgments,
+                                          (1, 2))
         assert counted == 1
 
     def test_mixture_scorer_weights_by_intent_shares(self):
@@ -326,8 +328,8 @@ class TestCtrAndScorers:
             _session((0,), intent=Intent.NAVIGATIONAL, sid="c"),
             _session((0,), intent=Intent.NAVIGATIONAL, sid="d"),
         ]
-        score = mixture_relevance_scorer(ia, encode_sessions(sessions))
-        assert score(Judgments([("q1", "d1")], [1]))[0] == pytest.approx(0.5 * 0.8 + 0.5 * 0.2)
+        scores = mixture_relevance_scorer(ia, encode_sessions(sessions), [("q1", "d1")])
+        assert scores[0] == pytest.approx(0.5 * 0.8 + 0.5 * 0.2)
 
     def test_intent_helpers(self):
         sessions = [

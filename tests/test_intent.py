@@ -57,7 +57,7 @@ class TestUrlMatchRatio:
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(0)
-        alphabet = "abcd. "
+        alphabet = "abcdABÉéü. "
         for _ in range(200):
             q = "".join(rng.choice(list(alphabet), size=rng.integers(1, 10)))
             u = "".join(rng.choice(list(alphabet.strip()), size=rng.integers(1, 12)))

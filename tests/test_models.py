@@ -291,6 +291,22 @@ class TestExaminationHypothesis:
         assert _click_prob(params) == pytest.approx(0.37)
 
 
+class TestRelevanceEstimate:
+    def test_one_key_view_of_the_arrays(self):
+        rels, sats = [0.3, 0.8], [0.4, 0.6]
+        models = [_pbm([0.9, 0.5], rels), _cascade(rels),
+                  _ubm(_random_beta(np.random.default_rng(3), 2), rels), _dbn(rels, sats, 0.9)]
+        for params in models:
+            expected = {"d1": rels[0], "d2": rels[1], "unseen": 0.5}
+            if params.kind == "dbn":
+                # The chance of a click that satisfies.
+                expected = {"d1": rels[0] * sats[0], "d2": rels[1] * sats[1], "unseen": 0.25}
+            for doc, want in expected.items():
+                got = params.relevance_estimate("q1", doc)
+                assert type(got) is float
+                assert got == params.relevance_estimates([("q1", doc)])[0] == want, params.kind
+
+
 class TestIntentAware:
     def _make_ia(self):
         per_intent = {

@@ -106,10 +106,8 @@ class TestReadAolLog:
             "broken line\n"
             "u1\tmapquest\t2006-03-01 07:18:12\t2\thttp://www.mapquest.com\n"
         )
-        events = list(read_aol_log(path, on_error="skip"))
+        events = list(read_aol_log(path))
         assert len(events) == 2
-        with pytest.raises(MalformedRecordError):
-            list(read_aol_log(path, on_error="raise"))
 
 
 class TestSessionize:
