@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -86,7 +85,8 @@ def grade_from_relevance(r: float) -> int:
 
 
 def _judgments(params: AnyParams, keys: list[tuple[str, str]],
-               query_intents: dict[str, Intent] | None, mix: Sequence[float]) -> Judgments:
+               query_intents: dict[str, Intent] | None,
+               mix: tuple[float, float, float]) -> Judgments:
     """Grades of the truth's relevance: the base table's; else the query's
     own intent table's; else the intent tables' weighted by ``mix``."""
     if not isinstance(params, IntentAwareParams):
