@@ -161,10 +161,11 @@ class _TableParams:
 
 
 @lru_cache(maxsize=None)
-def _cell_lookup(params_cls: type, max_positions: int) -> np.ndarray:
-    """(last click, position) -> index into cells_for(max_positions); cached, so read-only."""
+def _cell_lookup(params_cls: type, max_positions: int, width: int) -> np.ndarray:
+    """(last click, position) -> index into cells_for(max_positions), for
+    last clicks and positions up to width; cached, so read-only."""
     index = {key: k for k, key in enumerate(params_cls.cells_for(max_positions))}
-    span = range(max_positions + 1)
+    span = range(width + 1)
     lookup = np.array([[index.get(params_cls.cell_key(l, i), -1) for i in span] for l in span])
     lookup.flags.writeable = False
     return lookup
@@ -202,7 +203,8 @@ class _ExamRelParams(_TableParams):
         """Each cell's index into cells_for(max_positions); the observed click
         history fixes it."""
         positions = np.arange(1, batch.width + 1)
-        return _cell_lookup(cls, max_positions)[last_click(batch.clicks), positions]
+        lookup = _cell_lookup(cls, max_positions, batch.width)
+        return lookup[last_click(batch.clicks), positions]
 
     def click_probs(self, batch: SessionBatch) -> np.ndarray:
         if batch.width > self.max_positions:

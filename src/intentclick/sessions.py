@@ -12,6 +12,7 @@ Session records. Judgments travel as the columns of Judgments.
 from __future__ import annotations
 
 import json
+import logging
 import string
 from contextlib import suppress
 from dataclasses import dataclass, replace
@@ -22,6 +23,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
+
+logger = logging.getLogger(__name__)
 
 AOL_TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 DEFAULT_GAP_TIMEOUT = timedelta(minutes=30)
@@ -268,22 +271,31 @@ def encode_sessions(sessions: Iterable[Session]) -> SessionBatch:
     return columns.build()
 
 
-def parse_aol_line(line: str, line_no: int | None = None) -> LogEvent:
-    """Parse one AOL-style TSV record into a LogEvent.
+def _aol_time(raw_time: str, line_no: int | None) -> datetime:
+    """The timestamp of an AOL record, as strptime with AOL_TIME_FORMAT reads it."""
+    # fromisoformat is much faster, but accepts shapes that strptime does
+    # not, and ISO 8601 allows hour 24 (the end of a day), which strptime
+    # rejects; so it only sees the fixed AOL shape below hour 24, and
+    # strptime gives every other value and every error text.
+    if (len(raw_time) == 19 and raw_time[4] == raw_time[7] == "-" and raw_time[10] == " "
+            and raw_time[13] == raw_time[16] == ":" and raw_time[11:13] < "24"):
+        with suppress(ValueError):
+            return datetime.fromisoformat(raw_time)
+    try:
+        return datetime.strptime(raw_time, AOL_TIME_FORMAT)
+    except ValueError as exc:
+        raise MalformedFieldError(f"bad timestamp {raw_time!r}: {exc}", line_no) from None
 
-    Field order: AnonID, Query, QueryTime, ItemRank, ClickURL. Empty
-    ItemRank/ClickURL mean a query-only event.
-    """
+
+def _parse_aol_line(line: str, line_no: int | None, normalized: dict[str, str]) -> LogEvent:
+    """parse_aol_line, with normalized caching normalize_query by raw query."""
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 5:
         raise MalformedRecordError(
             f"expected 5 tab-separated fields, got {len(fields)}", line_no
         )
     user_id, raw_query, raw_time, raw_rank, raw_url = (f.strip() for f in fields)
-    try:
-        query_time = datetime.strptime(raw_time, AOL_TIME_FORMAT)
-    except ValueError as exc:
-        raise MalformedFieldError(f"bad timestamp {raw_time!r}: {exc}", line_no) from None
+    query_time = _aol_time(raw_time, line_no)
     rank: int | None = None
     url: str | None = None
     if raw_rank or raw_url:
@@ -292,27 +304,56 @@ def parse_aol_line(line: str, line_no: int | None = None) -> LogEvent:
         except ValueError:
             raise MalformedFieldError(f"bad rank {raw_rank!r}", line_no) from None
         url = raw_url
-    query = normalize_query(raw_query)
+    query = normalized.get(raw_query)
+    if query is None:
+        query = normalized[raw_query] = normalize_query(raw_query)
     try:
         return LogEvent(user_id, query, query_time, rank, url or None)
     except MalformedFieldError as exc:
         raise MalformedFieldError(str(exc), line_no) from None
 
 
+def parse_aol_line(line: str, line_no: int | None = None) -> LogEvent:
+    """Parse one AOL-style TSV record into a LogEvent.
+
+    Field order: AnonID, Query, QueryTime, ItemRank, ClickURL. Empty
+    ItemRank/ClickURL mean a query-only event.
+    """
+    return _parse_aol_line(line, line_no, {})
+
+
 def read_aol_log(path) -> Iterator[LogEvent]:
     """Yield LogEvents from an AOL-style TSV file.
 
     A header line (first field "AnonID") is skipped, and so are malformed
-    lines; ``parse_aol_line`` names what is wrong with one.
+    lines; ``parse_aol_line`` names what is wrong with one. Once the file
+    is read, skipped lines are logged as one warning with their count and
+    the first one's error; a file with data lines but none that parses is
+    a DataError. Each distinct raw query is normalized once per call.
     """
+    normalized: dict[str, str] = {}
+    parsed = skipped = 0
+    first_error: MalformedRecordError | None = None
     with open(path, encoding="utf-8", errors="replace") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             if line_no == 1 and line.split("\t")[0].strip() == "AnonID":
                 continue
-            with suppress(MalformedRecordError):
-                yield parse_aol_line(line, line_no)
+            try:
+                event = _parse_aol_line(line, line_no, normalized)
+            except MalformedRecordError as exc:
+                skipped += 1
+                first_error = first_error or exc
+                continue
+            parsed += 1
+            yield event
+    if skipped and not parsed:
+        raise DataError(f"no line of {path} parses: all {skipped} data lines are malformed; "
+                        f"the first: {first_error}")
+    if skipped:
+        logger.warning("skipped %d malformed line(s) of %s; the first: %s",
+                       skipped, path, first_error)
 
 
 @dataclass

@@ -1,11 +1,17 @@
 """End-to-end CLI pipelines, exit codes, and manifests."""
 
+import contextlib
 import hashlib
+import io
 import json
 import random
+import tempfile
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intentclick.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, run
 from intentclick.evaluate import load_report
@@ -180,6 +186,70 @@ class TestIngest:
         assert run(argv) == EXIT_OK
         assert "ingested 36 sessions (20 clicks kept, 9 dropped)" in capsys.readouterr().out
         assert hashlib.sha256(out.read_bytes()).hexdigest() == INGEST_DIGEST
+
+    def test_log_of_only_malformed_lines_is_a_data_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("u1\tmapquest\n"
+                       "u1\tmapquest\t2006-03-01 7h17\t\t\n")
+        out = tmp_path / "sessions.jsonl"
+        assert run(["ingest", "--aol", str(raw), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "all 2 data lines are malformed" in err
+        assert "line 1: expected 5 tab-separated fields, got 2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", AOL_SAMPLE.splitlines(keepends=True)[0]],
+                             ids=["empty", "header-only"])
+    def test_log_without_data_lines_ingests_nothing(self, tmp_path, capsys, text):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text(text)
+        out = tmp_path / "sessions.jsonl"
+        assert run(["ingest", "--aol", str(raw), "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == ""
+        captured = capsys.readouterr()
+        assert "ingested 0 sessions" in captured.out
+        assert captured.err == ""
+
+
+# Pieces of AOL-shaped lines: fields of every kind a log may hold, and the
+# bad ones a log may hold instead. A lone surrogate is written as bytes that
+# are not UTF-8.
+_AOL_TEXT = st.text(st.sampled_from("aZ09 .-_!?:/#é漢\u00a0\u2028\ud800"), max_size=8)
+_AOL_TIMES = st.sampled_from([
+    "2006-03-01 07:17:12", "2006-03-01 07:47:12", "2006-03-02 00:00:00", "2006-03-01T07:17:12",
+    "2006-03-01  7:17:12", "２006-03-01 07:17:12", "2006-02-29 07:17:12", "2006-03-01 24:00:00",
+    "2006-03-01 07:17:60", "2006-03-01", "", "x",
+])
+_AOL_RANKS = st.sampled_from(["", "1", "2", "10", "11", "0", "-1", "３", "1_0", "x",
+                              "99999999999999999999"])
+_AOL_URLS = st.sampled_from(["", "http://a.com", "http://b.com", "q:x:pos2", "http://a.com#2"])
+
+
+@st.composite
+def _aol_lines(draw):
+    """One AOL-shaped line: five fields or, now and then, another count."""
+    fields = [draw(st.sampled_from(["u1", "u2", "", "AnonID"])), draw(_AOL_TEXT),
+              draw(_AOL_TIMES), draw(_AOL_RANKS), draw(_AOL_URLS)]
+    count = draw(st.sampled_from([5, 5, 5, 5, 1, 4, 6]))
+    fields = (fields + [draw(_AOL_TEXT)])[:count]
+    return "\t".join(fields)
+
+
+class TestIngestFuzz:
+    """ingest never crashes: any AOL-shaped log exits 0 or 2, no traceback."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_aol_lines(), max_size=8), st.sampled_from(["\n", "\r\n"]))
+    def test_exits_cleanly(self, lines, newline):
+        with tempfile.TemporaryDirectory() as tmp:
+            raw, out = Path(tmp) / "raw.tsv", Path(tmp) / "sessions.jsonl"
+            text = "".join(line + newline for line in lines)
+            raw.write_bytes(text.encode("utf-8", "surrogatepass"))
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run(["ingest", "--aol", str(raw), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_DATA)
+        assert "Traceback" not in stderr.getvalue()
 
 
 class TestSimulate:

@@ -17,6 +17,7 @@ from intentclick.models import (
     PbmParams,
     PositionRangeError,
     UbmParams,
+    _cell_lookup,
     load_params,
     resolve_params,
     save_params,
@@ -109,6 +110,28 @@ class TestPbm:
     def test_unseen_pair_defaults_to_half(self):
         params = _pbm([0.8], [0.3])
         assert _click_prob(params, "new-doc") == pytest.approx(0.4)
+
+
+class TestCellLookup:
+    """The (last click, position) -> cell index table covers only the
+    batch width, and agrees with the full table there."""
+
+    @pytest.mark.parametrize("params_cls", [PbmParams, UbmParams])
+    def test_lookup_is_the_full_table_sliced_to_the_width(self, params_cls):
+        for n in range(1, 6):
+            index = {key: k for k, key in enumerate(params_cls.cells_for(n))}
+            full = np.array([[index.get(params_cls.cell_key(l, i), -1) for i in range(n + 1)]
+                             for l in range(n + 1)])
+            for width in range(n + 1):
+                lookup = _cell_lookup(params_cls, n, width)
+                np.testing.assert_array_equal(lookup, full[:width + 1, :width + 1])
+
+    def test_large_max_positions_builds_only_the_batch_block(self):
+        exam = dict.fromkeys(range(1, 2001), 0.5)
+        exam[2] = 0.8
+        params = PbmParams(exam=exam, rel={("q1", "d2"): 0.25}, max_positions=2000)
+        assert params.conditional_click_probs(_session((0, 1))) == [0.25, 0.2]
+        assert _cell_lookup(PbmParams, 2000, 2).shape == (3, 3)
 
 
 class TestCascade:

@@ -1,13 +1,18 @@
 """Log parsing, sessionization, and canonical format round-trips."""
 
 import json
+import logging
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from intentclick.errors import DataError
 from intentclick.sessions import (
     ALL_INTENTS,
+    AOL_TIME_FORMAT,
     Intent,
     JudgmentError,
     Judgments,
@@ -32,6 +37,11 @@ from intentclick.sessions import (
     write_sessions,
 )
 from intentclick.simulate import SimConfig, generate_ground_truth, session_ids, simulate_sessions
+
+
+# Derandomized, a fixed budget and no example database, as test_model_properties'
+# PROPERTY_SETTINGS; a timestamp is cheap to check, so the budget is larger.
+TIMESTAMP_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
 def _event(user, query, ts, rank=None, url=None):
@@ -97,8 +107,92 @@ class TestParseAolLine:
         assert ev.query == "new york"
 
 
+def _strptime_outcome(raw_time):
+    """What the AOL parser must give for a timestamp field: strptime's
+    value, or the text of the MalformedFieldError it raises."""
+    raw_time = raw_time.strip()
+    try:
+        return datetime.strptime(raw_time, AOL_TIME_FORMAT)
+    except ValueError as exc:
+        return f"bad timestamp {raw_time!r}: {exc}"
+
+
+def _parsed_outcome(raw_time):
+    try:
+        return parse_aol_line(f"u1\tq\t{raw_time}\t\t").query_time
+    except MalformedFieldError as exc:
+        return str(exc)
+
+
+# What a mutation puts into the AOL shape "YYYY-MM-DD HH:MM:SS": at a
+# separator, another separator or a letter; elsewhere an ASCII, full-width,
+# Arabic-Indic or Devanagari digit, a space or a sign.
+_SEPARATORS = (4, 7, 10, 13, 16)
+_SEPARATOR_CHARS = "T -:+./Z\u00a0"
+_DIGIT_CHARS = "0123456789０１９٣१ +-"
+
+
+@st.composite
+def _near_aol_times(draw):
+    """An AOL timestamp of year 1 to 9999 with up to three characters
+    replaced, and maybe one inserted or deleted."""
+    when = datetime(1, 1, 1) + timedelta(seconds=draw(st.integers(0, 315537897599)))
+    chars = list(when.strftime("%Y-%m-%d %H:%M:%S").rjust(19, "0"))
+    for at in draw(st.lists(st.integers(0, 18), max_size=3)):
+        chars[at] = draw(st.sampled_from(_SEPARATOR_CHARS if at in _SEPARATORS else _DIGIT_CHARS))
+    edit = draw(st.sampled_from(["none", "none", "insert", "delete"]))
+    at = draw(st.integers(0, len(chars) - 1))
+    if edit == "insert":
+        chars.insert(at, draw(st.sampled_from(_DIGIT_CHARS + _SEPARATOR_CHARS)))
+    elif edit == "delete":
+        del chars[at]
+    return "".join(chars)
+
+
+class TestAolTimestamps:
+    """The parser reads timestamps exactly as datetime.strptime with
+    AOL_TIME_FORMAT does, values and error texts alike."""
+
+    @TIMESTAMP_SETTINGS
+    @given(_near_aol_times())
+    def test_matches_strptime_near_the_aol_shape(self, raw_time):
+        assert _parsed_outcome(raw_time) == _strptime_outcome(raw_time)
+
+    @pytest.mark.parametrize("raw_time,expected", [
+        ("2006-03-01 07:17:12", datetime(2006, 3, 1, 7, 17, 12)),
+        ("２006-03-01 07:17:12", datetime(2006, 3, 1, 7, 17, 12)),
+        ("2006-03-01  7:17:12", datetime(2006, 3, 1, 7, 17, 12)),
+        ("2006-03-01 24:00:00", None),
+        ("2006-02-29 12:00:00", None),
+        ("2006-03-01 07:17:60", None),
+        ("2006-03-01T07:17:12", None),
+        ("2006-03-01", None),
+    ], ids=["aol", "full-width-digit", "double-space-before-hour", "hour-24",
+            "feb-29-non-leap", "second-60", "t-separator", "date-only"])
+    def test_fixed_cases(self, raw_time, expected):
+        outcome = _parsed_outcome(raw_time)
+        assert outcome == _strptime_outcome(raw_time)
+        if expected is None:
+            assert outcome.startswith("bad timestamp")
+        else:
+            assert outcome == expected
+
+
+class TestReadAolLogMatchesLines:
+    def test_events_equal_per_line_parse_with_repeated_queries(self, tmp_path):
+        queries = ["New York!", "new york", "NEW  YORK", "new-york", "www.Foo.com.",
+                   "www.foo.com", "Ünïcode Café", "ünïcode café?", "new york"]
+        lines = [f"u{i % 3}\t{q}\t2006-03-01 07:{i:02d}:00\t{i % 4 or ''}\t"
+                 f"{'http://x.com' if i % 4 else ''}\n" for i, q in enumerate(queries * 3)]
+        path = tmp_path / "log.tsv"
+        path.write_text("".join(lines), encoding="utf-8")
+        expected = [parse_aol_line(line, n) for n, line in enumerate(lines, start=1)]
+        assert list(read_aol_log(path)) == expected
+        assert len({ev.query for ev in expected}) == 4
+
+
 class TestReadAolLog:
-    def test_header_skipped_and_bad_lines_counted(self, tmp_path):
+    def test_header_skipped_and_bad_lines_counted(self, tmp_path, caplog):
         path = tmp_path / "log.tsv"
         path.write_text(
             "AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n"
@@ -106,8 +200,35 @@ class TestReadAolLog:
             "broken line\n"
             "u1\tmapquest\t2006-03-01 07:18:12\t2\thttp://www.mapquest.com\n"
         )
-        events = list(read_aol_log(path))
+        with caplog.at_level(logging.WARNING, logger="intentclick.sessions"):
+            events = list(read_aol_log(path))
         assert len(events) == 2
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "skipped 1 malformed line(s)" in record.getMessage()
+        assert "line 3: expected 5 tab-separated fields, got 1" in record.getMessage()
+
+    def test_clean_log_warns_nothing(self, tmp_path, caplog):
+        path = tmp_path / "log.tsv"
+        path.write_text("u1\tmapquest\t2006-03-01 07:17:12\t\t\n")
+        with caplog.at_level(logging.WARNING, logger="intentclick.sessions"):
+            assert len(list(read_aol_log(path))) == 1
+        assert not caplog.records
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n"],
+                             ids=["empty", "blank", "header-only"])
+    def test_log_without_data_lines_yields_nothing(self, tmp_path, caplog, text):
+        path = tmp_path / "log.tsv"
+        path.write_text(text)
+        with caplog.at_level(logging.WARNING, logger="intentclick.sessions"):
+            assert list(read_aol_log(path)) == []
+        assert not caplog.records
+
+    def test_log_of_only_malformed_lines_is_a_data_error(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        path.write_text("broken line\nu1\tq\tnot-a-time\t\t\n")
+        with pytest.raises(DataError, match="all 2 data lines are malformed.*line 1: expected 5"):
+            list(read_aol_log(path))
 
 
 class TestSessionize:

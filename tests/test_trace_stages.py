@@ -48,7 +48,15 @@ def test_traced_pipeline_spans_its_layers(trace_stages, tmp_path):
     tracer = trace_stages.Tracer()
     traced_cli = trace_stages.install(tracer)
     sim, out = tmp_path / "sim", tmp_path / "out"
+    aol, labels = tmp_path / "log.tsv", tmp_path / "seed_labels.tsv"
+    aol.write_text("u1\tmapquest\t2006-03-01 07:17:12\t1\thttp://www.mapquest.com\n"
+                   "u1\tweather\t2006-03-01 08:30:00\t2\thttp://www.weather.com\n"
+                   "u2\tmp3 download\t2006-03-02 10:00:00\t1\thttp://www.mp3.com\n")
+    labels.write_text("mapquest\tnav\nweather\tinf\n")
     stages = [
+        ("ingest", ["ingest", "--aol", str(aol), "--out", str(out) + ".sessions.jsonl"]),
+        ("classify", ["classify", "--sessions", str(out) + ".sessions.jsonl",
+                      "--train-labels", str(labels), "--out", str(out) + ".labels.tsv"]),
         ("simulate", ["simulate", "--out-dir", str(sim), "--queries", "4",
                       "--sessions-per-query", "20", "--positions", "3", "--seed", "3",
                       "--intent-aware", "--intents-per-query"]),
@@ -63,6 +71,10 @@ def test_traced_pipeline_spans_its_layers(trace_stages, tmp_path):
         assert tracer.call(f"cli.{label}", traced_cli.run, argv) == cli.EXIT_OK
 
     spans = tracer.spans
+    assert _under(spans, "sessions.read_aol_log", "cli.ingest")
+    assert _under(spans, "sessions.sessionize", "cli.ingest")
+    assert _under(spans, "intent.extract_features", "cli.classify")
+    assert _under(spans, "intent.train_classifier", "cli.classify")
     assert _under(spans, "sessions.read_sessions", "cli.fit")
     assert _under(spans, "sessions.attach_intents", "cli.fit")
     assert _under(spans, "inference.em_fit", "cli.fit")
