@@ -8,100 +8,72 @@ scores click prediction with perplexity and rankings with NDCG.
 
 __version__ = "0.1.0"
 
-from .sessions import (
-    Intent,
-    Judgments,
-    KNOWN_INTENTS,
-    LogEvent,
-    Session,
-    SessionBatch,
-    encode_sessions,
-    parse_aol_line,
-    read_sessions,
-    sessionize,
-    write_sessions,
-)
-from .models import (
-    CASCADE,
-    DBN,
-    PBM,
-    UBM,
-    CascadeParams,
-    DbnParams,
-    IntentAwareParams,
-    PbmParams,
-    UbmParams,
-    load_params,
-    save_params,
-    session_log_likelihood,
-    session_prob,
-)
-from .inference import EmConfig, FitReport, alternating_fit, em_fit
-from .simulate import GroundTruth, SimConfig, click_behavior_preset, generate_ground_truth, simulate_sessions
-from .evaluate import (
-    EvalReport,
-    compare_models,
-    evaluate_model,
-    ndcg_at_k,
-    perplexity_improvement,
-    position_perplexity,
-)
-from .intent import (
-    ClassifierModel,
-    FeatureVector,
-    classify,
-    evaluate_classifier,
-    extract_features,
-    train_classifier,
-    url_match_ratio,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "Intent",
-    "KNOWN_INTENTS",
-    "LogEvent",
-    "Session",
-    "SessionBatch",
-    "encode_sessions",
-    "Judgments",
-    "parse_aol_line",
-    "sessionize",
-    "read_sessions",
-    "write_sessions",
-    "PBM",
-    "CASCADE",
-    "UBM",
-    "DBN",
-    "PbmParams",
-    "CascadeParams",
-    "UbmParams",
-    "DbnParams",
-    "IntentAwareParams",
-    "session_prob",
-    "session_log_likelihood",
-    "save_params",
-    "load_params",
-    "EmConfig",
-    "FitReport",
-    "em_fit",
-    "alternating_fit",
-    "SimConfig",
-    "GroundTruth",
-    "generate_ground_truth",
-    "simulate_sessions",
-    "click_behavior_preset",
-    "EvalReport",
-    "position_perplexity",
-    "perplexity_improvement",
-    "ndcg_at_k",
-    "evaluate_model",
-    "compare_models",
-    "FeatureVector",
-    "ClassifierModel",
-    "url_match_ratio",
-    "extract_features",
-    "train_classifier",
-    "classify",
-    "evaluate_classifier",
-]
+# Each public name and the module that defines it. A name's module is
+# imported on first use (PEP 562), so a stage imports only what it runs:
+# ``compare`` never loads numpy.
+_HOMES = {
+    "Intent": "sessions",
+    "KNOWN_INTENTS": "sessions",
+    "LogEvent": "sessions",
+    "Session": "sessions",
+    "SessionBatch": "sessions",
+    "encode_sessions": "sessions",
+    "Judgments": "sessions",
+    "parse_aol_line": "sessions",
+    "sessionize": "sessions",
+    "read_sessions": "sessions",
+    "write_sessions": "sessions",
+    "PBM": "common",
+    "CASCADE": "common",
+    "UBM": "common",
+    "DBN": "common",
+    "PbmParams": "models",
+    "CascadeParams": "models",
+    "UbmParams": "models",
+    "DbnParams": "models",
+    "IntentAwareParams": "models",
+    "session_prob": "models",
+    "session_log_likelihood": "models",
+    "save_params": "models",
+    "load_params": "models",
+    "EmConfig": "inference",
+    "FitReport": "inference",
+    "em_fit": "inference",
+    "alternating_fit": "inference",
+    "SimConfig": "simulate",
+    "GroundTruth": "simulate",
+    "generate_ground_truth": "simulate",
+    "simulate_sessions": "simulate",
+    "click_behavior_preset": "simulate",
+    "EvalReport": "reports",
+    "position_perplexity": "evaluate",
+    "perplexity_improvement": "reports",
+    "ndcg_at_k": "evaluate",
+    "evaluate_model": "evaluate",
+    "compare_models": "reports",
+    "FeatureVector": "intent",
+    "ClassifierModel": "intent",
+    "url_match_ratio": "intent",
+    "extract_features": "intent",
+    "train_classifier": "intent",
+    "classify": "intent",
+    "evaluate_classifier": "intent",
+}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -9,6 +9,7 @@ error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import sys
 import time
@@ -17,46 +18,43 @@ from datetime import timedelta
 from pathlib import Path
 
 from . import __version__
+from .common import DEFAULT_MAX_POSITIONS, DEFAULT_NCS_N, DEFAULT_NRS_N, MODEL_KINDS, write_json
 from .errors import DataError, NumericError
-from .evaluate import (
-    DEFAULT_K_LIST,
-    compare_models,
-    evaluate_model,
-    format_comparison_table,
-    format_report,
-    load_report,
-    save_report,
-)
-from .inference import EmConfig, alternating_fit, em_fit
-from .intent import (
-    DEFAULT_NCS_N,
-    DEFAULT_NRS_N,
-    classify,
-    clicked_url_counts,
-    extract_features,
-    load_lexicon,
-    rule_label_transactional,
-    save_classifier,
-    train_classifier,
-)
-from .models import MODEL_KINDS, load_params, save_params
-from .sessions import (
-    DEFAULT_MAX_POSITIONS,
-    Intent,
-    attach_intents,
-    group_by_query,
-    read_aol_log,
-    read_intent_labels,
-    read_judgments,
-    read_sessions,
-    sessionize,
-    write_intent_labels,
-    write_json,
-    write_judgments,
-    write_sessions,
-)
-from .simulate import (SimConfig, click_behavior_preset, generate_ground_truth, session_ids,
-                       simulate_sessions)
+from .reports import (DEFAULT_K_LIST, compare_models, format_comparison_table, format_report,
+                      load_report, save_report)
+
+# The names the commands take from modules that load numpy, by module.
+# run() imports only the modules its subcommand needs (see _COMMANDS) and
+# binds their names here before it dispatches, keeping any already bound;
+# __getattr__ binds a module's names when one is read off this module
+# first. Either way the commands look every name up in this module.
+_LAZY_NAMES = {
+    "sessions": ("Intent", "attach_intents", "group_by_query", "read_aol_log",
+                 "read_intent_labels", "read_judgments", "read_sessions", "sessionize",
+                 "write_intent_labels", "write_judgments", "write_sessions"),
+    "models": ("load_params", "save_params"),
+    "inference": ("EmConfig", "alternating_fit", "em_fit"),
+    "simulate": ("SimConfig", "click_behavior_preset", "generate_ground_truth", "session_ids",
+                 "simulate_sessions"),
+    "intent": ("classify", "clicked_url_counts", "extract_features", "load_lexicon",
+               "rule_label_transactional", "save_classifier", "train_classifier"),
+    "evaluate": ("evaluate_model",),
+}
+
+
+def _bind(module_name: str) -> None:
+    module = importlib.import_module(f".{module_name}", __package__)
+    for name in _LAZY_NAMES[module_name]:
+        globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    for module_name, names in _LAZY_NAMES.items():
+        if name in names:
+            _bind(module_name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 logger = logging.getLogger(__name__)
 
@@ -355,13 +353,14 @@ def _cmd_compare(args) -> Outputs:
     return [out, json_path], None
 
 
+# Each subcommand's function and the _LAZY_NAMES modules it needs.
 _COMMANDS = {
-    "ingest": _cmd_ingest,
-    "simulate": _cmd_simulate,
-    "classify": _cmd_classify,
-    "fit": _cmd_fit,
-    "eval": _cmd_eval,
-    "compare": _cmd_compare,
+    "ingest": (_cmd_ingest, ("sessions",)),
+    "simulate": (_cmd_simulate, ("sessions", "models", "simulate")),
+    "classify": (_cmd_classify, ("sessions", "intent")),
+    "fit": (_cmd_fit, ("sessions", "models", "inference")),
+    "eval": (_cmd_eval, ("sessions", "models", "evaluate")),
+    "compare": (_cmd_compare, ()),
 }
 
 
@@ -379,9 +378,12 @@ def run(argv: list[str] | None = None) -> int:
     # level is set on the package logger on every run.
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger("intentclick").setLevel(logging.INFO if args.verbose else logging.WARNING)
+    command, modules = _COMMANDS[args.subcommand]
+    for module_name in modules:
+        _bind(module_name)
     started = time.monotonic()
     try:
-        outputs, seed = _COMMANDS[args.subcommand](args)
+        outputs, seed = command(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,31 +1,27 @@
-"""Click-prediction perplexity, NDCG, and model comparison reports.
+"""Click-prediction perplexity and NDCG of a fitted model.
 
 Perplexity at position j is two raised to the mean per-session click
 log-loss at that position; 1 means perfect prediction and 2 matches a coin
 flip. Dataset perplexity is the arithmetic mean over positions. NDCG@K
 discounts graded relevance down the ranking and normalizes by the ideal
-ordering. Comparisons render in the familiar rows-by-positions layout with
-an improvement row computed as (p2 - p1) / (p2 - 1) * 100%.
+ordering. The report these fill in, and the comparison of two reports,
+live in ``reports``; this module exposes their names too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
 from .models import AnyParams, PROB_CLAMP, clamp_probability, click_probs, resolve_params
-from .sessions import (ALL_INTENTS, JSON_NUMBER_TYPES, Intent, Judgments, SessionBatch, read_json,
-                       write_json)
-
-DEFAULT_K_LIST = (1, 3, 5, 7, 10)
-
-
-class ComparabilityError(DataError):
-    """Two reports were not evaluated on the same data, so cells don't align."""
+# Every report name stays importable from here, not only the two used below.
+from .reports import (DEFAULT_K_LIST, ComparabilityError, EvalReport, ModelComparison,
+                      compare_models, format_comparison_table, format_report, load_report,
+                      perplexity_improvement, save_report)
+from .sessions import ALL_INTENTS, Intent, Judgments, SessionBatch
 
 
 def position_perplexity(predictions: Sequence[float], clicks: Sequence[int]) -> float:
@@ -43,98 +39,6 @@ def position_perplexity(predictions: Sequence[float], clicks: Sequence[int]) -> 
         q = clamp_probability(q)
         total += math.log2(q) if c else math.log2(1.0 - q)
     return 2.0 ** (-total / len(predictions))
-
-
-def perplexity_improvement(p1: float, p2: float) -> float:
-    """Percent improvement of perplexity p1 over baseline p2."""
-    if p2 <= 1.0:
-        raise ValueError(f"baseline perplexity must exceed 1, got {p2}")
-    return (p2 - p1) / (p2 - 1.0) * 100.0
-
-
-@dataclass
-class EvalReport:
-    """Per-position and overall perplexities, NDCG, and coverage counts."""
-
-    per_position: list[float]
-    position_counts: list[int]
-    overall: float
-    n_sessions: int
-    n_queries: int
-    ndcg: dict[int, float] = field(default_factory=dict)
-    ndcg_queries: int = 0
-    label: str = ""
-
-    def to_json(self) -> dict:
-        return {**asdict(self), "ndcg": {str(k): v for k, v in self.ndcg.items()}}
-
-    @classmethod
-    def from_json(cls, doc: Mapping) -> "EvalReport":
-        """Fields checked, not cast: perplexities and NDCG values must be
-        JSON numbers, counts JSON integers and the label a string."""
-        try:
-            per_position, counts = doc["per_position"], doc["position_counts"]
-            ndcg, label = doc.get("ndcg", {}), doc.get("label", "")
-            numbers = [*per_position, doc["overall"], *ndcg.values()]
-            integers = [*counts, doc["n_sessions"], doc["n_queries"], doc.get("ndcg_queries", 0)]
-            # One pass over the value types, then the conversion.
-            if not (type(per_position) is list and type(counts) is list and type(label) is str
-                    and set(map(type, numbers)) <= JSON_NUMBER_TYPES
-                    and set(map(type, integers)) <= {int}):
-                raise TypeError("per_position and position_counts must be arrays, perplexities "
-                                "and NDCG values numbers, counts integers and label a string")
-            return cls(
-                per_position=[float(x) for x in per_position],
-                position_counts=counts,
-                overall=float(doc["overall"]),
-                n_sessions=doc["n_sessions"],
-                n_queries=doc["n_queries"],
-                ndcg={int(k): float(v) for k, v in ndcg.items()},
-                ndcg_queries=doc.get("ndcg_queries", 0),
-                label=label,
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"bad evaluation report: {exc}") from None
-
-
-def _render(rows: list[list[str]]) -> str:
-    """Rows of cells, left-aligned in columns of one width; [] is a blank line."""
-    width = max(len(cell) for row in rows for cell in row) + 2
-    return "\n".join("".join(cell.ljust(width) for cell in row).rstrip() for row in rows)
-
-
-def _perplexity_rows(labeled: list[tuple[str, EvalReport]]) -> list[list[str]]:
-    """Header @1..@N and Overall, then one perplexity row per (label, report)."""
-    n = len(labeled[0][1].per_position)
-    rows = [[""] + [f"@{j}" for j in range(1, n + 1)] + ["Overall"]]
-    for label, report in labeled:
-        rows.append([label] + [f"{p:.3f}" for p in report.per_position] + [f"{report.overall:.3f}"])
-    return rows
-
-
-def _ndcg_rows(labeled: list[tuple[str, EvalReport]], ks: list[int]) -> list[list[str]]:
-    """A blank line, header NDCG @K..., then one NDCG row per (label, report)."""
-    rows = [[], ["NDCG"] + [f"@{k}" for k in ks]]
-    for label, report in labeled:
-        rows.append([label] + [f"{report.ndcg[k]:.4f}" for k in ks])
-    return rows
-
-
-def format_report(report: EvalReport) -> str:
-    """Aligned text rendering of one report: positions, overall, NDCG."""
-    labeled = [(report.label or "model", report)]
-    rows = _perplexity_rows(labeled)
-    if report.ndcg:
-        rows += _ndcg_rows(labeled, sorted(report.ndcg))
-    return _render(rows)
-
-
-def save_report(path, report: EvalReport) -> None:
-    write_json(path, report.to_json())
-
-
-def load_report(path) -> EvalReport:
-    return EvalReport.from_json(read_json(path, "report document"))
 
 
 def perplexity_report(params: AnyParams, batch: SessionBatch, label: str = "") -> EvalReport:
@@ -312,60 +216,3 @@ def mixture_relevance_scorer(
     return out
 
 
-@dataclass
-class ModelComparison:
-    """Baseline vs treatment perplexities with improvement cells."""
-
-    base: EvalReport
-    treatment: EvalReport
-    improvements: list[float]
-    overall_improvement: float
-    ndcg_deltas: dict[int, float]
-
-    def to_json(self) -> dict:
-        return {
-            **asdict(self),
-            "base": self.base.to_json(),
-            "treatment": self.treatment.to_json(),
-            "ndcg_deltas": {str(k): v for k, v in self.ndcg_deltas.items()},
-        }
-
-
-def compare_models(base: EvalReport, treatment: EvalReport) -> ModelComparison:
-    """Improvement of the treatment model over the baseline, cell by cell."""
-    if len(base.per_position) != len(treatment.per_position):
-        raise ComparabilityError(
-            f"position counts differ: {len(base.per_position)} vs "
-            f"{len(treatment.per_position)}"
-        )
-    if base.position_counts != treatment.position_counts or base.n_sessions != treatment.n_sessions:
-        raise ComparabilityError("reports were not evaluated on the same session set")
-    if set(base.ndcg) != set(treatment.ndcg):
-        raise ComparabilityError("reports use different NDCG cut-off lists")
-    improvements = [
-        perplexity_improvement(t, b)
-        for t, b in zip(treatment.per_position, base.per_position)
-    ]
-    overall = perplexity_improvement(treatment.overall, base.overall)
-    deltas = {k: treatment.ndcg[k] - base.ndcg[k] for k in sorted(base.ndcg)}
-    return ModelComparison(
-        base=base,
-        treatment=treatment,
-        improvements=improvements,
-        overall_improvement=overall,
-        ndcg_deltas=deltas,
-    )
-
-
-def format_comparison_table(cmp: ModelComparison) -> str:
-    """Aligned text table: rows are models, columns @1..@N plus Overall."""
-    labeled = [(cmp.base.label or "base", cmp.base),
-               (cmp.treatment.label or "treatment", cmp.treatment)]
-    rows = _perplexity_rows(labeled)
-    rows.append(["Impr."] + [f"{imp:.1f}%" for imp in cmp.improvements]
-                + [f"{cmp.overall_improvement:.1f}%"])
-    if cmp.ndcg_deltas:
-        ks = sorted(cmp.ndcg_deltas)
-        rows += _ndcg_rows(labeled, ks)
-        rows.append(["delta"] + [f"{cmp.ndcg_deltas[k]:+.4f}" for k in ks])
-    return _render(rows)

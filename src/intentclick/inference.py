@@ -48,13 +48,10 @@ from typing import Iterator
 
 import numpy as np
 
+from .common import CASCADE, DBN, PBM, UBM
 from .errors import DataError, NumericError
 from .models import (
-    CASCADE,
-    DBN,
-    PBM,
     PROB_CLAMP,
-    UBM,
     DEFAULT_REL,
     PARAMS_CLASSES,
     AnyParams,

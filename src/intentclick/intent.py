@@ -16,12 +16,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .common import DEFAULT_NCS_N, DEFAULT_NRS_N, read_json, write_json
 from .errors import DataError
-from .sessions import Intent, KNOWN_INTENTS, SessionBatch, read_json, write_json
+from .sessions import Intent, KNOWN_INTENTS, SessionBatch
 
 BOW_DIM = 1024
-DEFAULT_NCS_N = 2
-DEFAULT_NRS_N = 3
 
 # Cue tokens for transactional queries: the five cue-word categories plus
 # common file-extension and retrieval tokens.

@@ -22,18 +22,13 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
+from .common import (CASCADE, DBN, JSON_NUMBER_TYPES, MODEL_KINDS, PBM, UBM, read_json,
+                     write_json)
 from .errors import DataError
-from .sessions import (JSON_NUMBER_TYPES, KNOWN_INTENTS, Intent, Session, SessionBatch,
-                       encode_sessions, read_json, write_json)
+from .sessions import KNOWN_INTENTS, Intent, Session, SessionBatch, encode_sessions
 
 PROB_CLAMP = 1e-12
 DEFAULT_REL = 0.5  # uninformative prior mean: unseen pairs, prior examination cells
-
-PBM = "pbm"
-CASCADE = "cascade"
-UBM = "ubm"
-DBN = "dbn"
-MODEL_KINDS = (PBM, CASCADE, UBM, DBN)
 
 PARAMS_FORMAT_VERSION = 1
 

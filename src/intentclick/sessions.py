@@ -22,13 +22,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .common import DEFAULT_MAX_POSITIONS
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
 AOL_TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 DEFAULT_GAP_TIMEOUT = timedelta(minutes=30)
-DEFAULT_MAX_POSITIONS = 10
 
 
 class Intent(str, Enum):
@@ -299,10 +299,10 @@ def _parse_aol_line(line: str, line_no: int | None, normalized: dict[str, str]) 
     rank: int | None = None
     url: str | None = None
     if raw_rank or raw_url:
-        try:
-            rank = int(raw_rank)
-        except ValueError:
-            raise MalformedFieldError(f"bad rank {raw_rank!r}", line_no) from None
+        # ASCII digits only: int() would also read "+3", "1_0" and full-width digits.
+        if not (raw_rank.isascii() and raw_rank.isdigit()):
+            raise MalformedFieldError(f"bad rank {raw_rank!r}", line_no)
+        rank = int(raw_rank)
         url = raw_url
     query = normalized.get(raw_query)
     if query is None:
@@ -432,26 +432,6 @@ def sessionize(
     return SessionizeResult(columns.build(), session_ids, retained, dropped)
 
 
-# JSON numbers; bool is excluded because type(True) is bool, not int.
-JSON_NUMBER_TYPES = frozenset((int, float))
-
-
-def write_json(path, doc) -> None:
-    """The one JSON document layout: sorted keys, one-space indent, final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def read_json(path, what: str):
-    """One JSON document; invalid JSON is a DataError naming ``what``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid {what}: {exc}") from None
-
-
 # json.dumps(record, sort_keys=True) without building an encoder per record.
 _RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -478,7 +458,7 @@ def _session_record(line: str) -> tuple[str, int, list, list]:
     SessionFormatError without a line number says what is wrong."""
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SessionFormatError(f"invalid JSON: {exc}") from None
     try:
         value = record["intent"]

@@ -19,12 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .common import CASCADE, DBN, MODEL_KINDS, PBM, UBM
 from .models import (
-    CASCADE,
-    DBN,
-    MODEL_KINDS,
-    PBM,
-    UBM,
     AnyParams,
     BaseParams,
     CascadeParams,

@@ -4,7 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import intentclick
 from intentclick.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, run
 from intentclick.evaluate import load_report
 from intentclick.models import IntentAwareParams, load_params
@@ -289,6 +294,12 @@ class TestSimulate:
         assert not (out_dir / "sessions.jsonl").exists()
 
 
+# An evaluation report that compares cleanly with itself.
+GOOD_REPORT = {"label": "m", "per_position": [1.5, 1.2], "position_counts": [2, 3],
+               "overall": 1.35, "n_sessions": 1, "n_queries": 1, "ndcg": {"1": 0.5},
+               "ndcg_queries": 1}
+
+
 class TestFitEvalCompare:
     def test_full_pipeline(self, tmp_path, capsys):
         sim = _simulate(tmp_path)
@@ -379,15 +390,22 @@ class TestFitEvalCompare:
             ("n_sessions", True),
             ("label", 5),
             ("ndcg", {"1": "0.5"}),
+            ("overall", float("nan")),
+            ("per_position", [1.5, float("nan")]),
+            ("overall", float("inf")),
+            ("ndcg", {"1": float("nan")}),
+            ("per_position", []),
+            ("overall", 10**400),
         ],
         ids=["per-position-string", "per-position-bool", "count-float", "count-string",
-             "overall-string", "n-sessions-bool", "label-int", "ndcg-string"],
+             "overall-string", "n-sessions-bool", "label-int", "ndcg-string",
+             "overall-nan", "per-position-nan", "overall-inf", "ndcg-nan",
+             "per-position-empty", "overall-too-large"],
     )
     def test_compare_malformed_report_is_a_data_error(self, tmp_path, field, value):
-        # Each bad value would cast to one that compares cleanly with the base.
-        good = {"label": "m", "per_position": [1.5, 1.2], "position_counts": [2, 3],
-                "overall": 1.35, "n_sessions": 1, "n_queries": 1, "ndcg": {"1": 0.5},
-                "ndcg_queries": 1}
+        # Each bad value would cast to one that compares cleanly with the
+        # base, print a nan% or inf% cell or an empty table, or crash.
+        good = GOOD_REPORT
         base, treat = tmp_path / "base.json", tmp_path / "treat.json"
         base.write_text(json.dumps(good))
         argv = ["compare", "--base", str(base), "--treat", str(treat),
@@ -629,3 +647,163 @@ class TestLogging:
         report = json.loads((tmp_path / "p.json.report.json").read_text())
         assert report["iterations"] > 0
         assert step_lines == [0, report["iterations"], 0]
+
+
+# The intentclick modules, and numpy, that each subcommand must not import.
+NOT_IMPORTED = {
+    "ingest": {"models", "inference", "evaluate", "simulate", "intent"},
+    "simulate": {"inference", "intent", "evaluate"},
+    "classify": {"models", "inference", "evaluate", "simulate"},
+    "fit": {"evaluate", "intent", "simulate"},
+    "eval": {"inference", "intent", "simulate"},
+    "compare": {"numpy", "sessions", "models", "inference", "evaluate", "simulate", "intent"},
+}
+
+# Runs cli.run(argv) and prints its exit code and the loaded modules as
+# the last line of stdout.
+_RUN_AND_LIST_MODULES = (
+    "import json, sys\n"
+    "from intentclick import cli\n"
+    "code = cli.run(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(sys.modules)]))\n"
+)
+
+
+class TestImports:
+    def test_each_subcommand_imports_only_what_it_runs(self, pipeline_inputs, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        procs = {}
+        # One fresh interpreter per subcommand, all started at once.
+        for subcommand in NOT_IMPORTED:
+            out = tmp_path / subcommand
+            out.mkdir()
+            argv = MANIFEST_RUNS[subcommand](pipeline_inputs, out)
+            procs[subcommand] = subprocess.Popen(
+                [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv], env=env,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for subcommand, proc in procs.items():
+            stdout, stderr = proc.communicate(timeout=120)
+            assert proc.returncode == 0, stderr
+            code, modules = json.loads(stdout.splitlines()[-1])
+            assert code == EXIT_OK, stderr
+            loaded = {m.removeprefix("intentclick.") for m in modules
+                      if m == "numpy" or m.startswith("intentclick.")}
+            assert not loaded & NOT_IMPORTED[subcommand], subcommand
+
+    def test_public_names_resolve(self):
+        for name in intentclick.__all__:
+            assert getattr(intentclick, name) is not None, name
+        namespace: dict = {}
+        exec("from intentclick import *", namespace)
+        assert set(intentclick.__all__) <= set(namespace)
+        assert set(intentclick.__all__) <= set(dir(intentclick))
+        with pytest.raises(AttributeError):
+            intentclick.no_such_name
+
+
+def _nested_json(depth: int = 100_000) -> str:
+    return "[" * depth + "]" * depth
+
+
+class TestDeeplyNestedJson:
+    """JSON nested too deeply to decode is a data error, not a RecursionError."""
+
+    def test_compare_report(self, pipeline_inputs, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(_nested_json())
+        code = run(["compare", "--base", str(deep), "--treat", str(pipeline_inputs / "r.json"),
+                    "--out", str(tmp_path / "c.txt")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: invalid report document: ")
+        assert "Traceback" not in err
+
+    def test_eval_params(self, pipeline_inputs, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(_nested_json())
+        code = run(["eval", "--params", str(deep), "--sessions",
+                    str(pipeline_inputs / "sim" / "sessions.jsonl"), "--out", str(tmp_path / "e")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: invalid parameter document: ")
+
+    def test_fit_sessions_names_the_line(self, pipeline_inputs, tmp_path, capsys):
+        first = (pipeline_inputs / "sim" / "sessions.jsonl").read_text().splitlines()[0]
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text(first + "\n" + _nested_json() + "\n")
+        code = run(["fit", "--model", "pbm", "--sessions", str(deep),
+                    "--out", str(tmp_path / "p.json")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: line 2: invalid JSON: ")
+
+
+_NUMBERS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+                     st.integers(-10**400, 10**400), st.floats())
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+# Each report field: a value of the right shape or any JSON value.
+_REPORT_FIELDS = {
+    "per_position": st.lists(_NUMBERS, max_size=3),
+    "position_counts": st.lists(st.integers(-1, 3), max_size=3),
+    "overall": _NUMBERS,
+    "n_sessions": st.integers(-1, 3),
+    "n_queries": st.integers(-1, 3),
+    "ndcg": st.dictionaries(st.sampled_from(["1", "3", "-1", "01", "x"]), _NUMBERS, max_size=2),
+    "ndcg_queries": st.integers(-1, 3),
+    "label": st.text(max_size=4),
+}
+# New values for the fields that leave a report comparable with GOOD_REPORT.
+_VALUE_FIELDS = {
+    "per_position": st.lists(_NUMBERS, min_size=2, max_size=2),
+    "overall": _NUMBERS,
+    "ndcg": st.fixed_dictionaries({"1": _NUMBERS}),
+    "label": st.text(max_size=4),
+}
+
+
+@st.composite
+def _report_texts(draw, values_only=False):
+    """The text of a report file: GOOD_REPORT with some fields replaced,
+    dropped or mistyped, any JSON value, or a document cut short; with
+    values_only, GOOD_REPORT with new values in some of _VALUE_FIELDS."""
+    fields = _VALUE_FIELDS if values_only else _REPORT_FIELDS
+    doc = dict(GOOD_REPORT)
+    for key in draw(st.sets(st.sampled_from(sorted(fields)), max_size=3)):
+        change = "shape" if values_only else draw(st.sampled_from(["shape", "any", "drop"]))
+        if change == "drop":
+            del doc[key]
+        else:
+            doc[key] = draw(fields[key] if change == "shape" else _JSON)
+    if values_only:
+        return json.dumps(doc)
+    text = json.dumps(draw(_JSON) if draw(st.integers(0, 4)) == 4 else doc)
+    if draw(st.integers(0, 9)) == 9:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestCompareFuzz:
+    """compare never crashes and never reports a NaN cell."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.booleans().flatmap(_report_texts), st.booleans().flatmap(_report_texts))
+    def test_exits_cleanly_without_nan(self, base_text, treat_text):
+        with tempfile.TemporaryDirectory() as tmp:
+            base, treat, out = Path(tmp) / "b.json", Path(tmp) / "t.json", Path(tmp) / "c.txt"
+            base.write_text(base_text)
+            treat.write_text(treat_text)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run(["compare", "--base", str(base), "--treat", str(treat),
+                            "--out", str(out)])
+            cells = []
+            if code == EXIT_OK:
+                doc = json.loads(Path(f"{out}.json").read_text())
+                cells = [*doc["improvements"], doc["overall_improvement"],
+                         *doc["ndcg_deltas"].values()]
+        assert code in (EXIT_OK, EXIT_DATA)
+        assert "Traceback" not in stderr.getvalue()
+        assert not any(math.isnan(c) for c in cells)

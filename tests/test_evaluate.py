@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from intentclick.common import write_json
 from intentclick.evaluate import (
     ComparabilityError,
     EvalReport,
@@ -30,7 +31,7 @@ from intentclick.evaluate import (
 from intentclick.errors import DataError
 from intentclick.models import IntentAwareParams, PbmParams, resolve_params
 from intentclick.sessions import (ALL_INTENTS, KNOWN_INTENTS, Intent, Judgments,
-                                  Session, encode_sessions, write_json)
+                                  Session, encode_sessions)
 
 
 def _session(clicks, query="q1", intent=Intent.UNKNOWN, sid="s"):

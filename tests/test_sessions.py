@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -93,6 +94,17 @@ class TestParseAolLine:
     def test_bad_rank(self):
         with pytest.raises(MalformedFieldError):
             parse_aol_line("u1\tq\t2006-03-01 07:17:12\tfirst\thttp://x.com")
+
+    @pytest.mark.parametrize("rank", ["1_0", "+3", "\uff13", "-3", "3.0", "\u00b2", ""],
+                             ids=["underscore", "plus", "full-width", "minus", "decimal",
+                                  "superscript", "empty"])
+    def test_rank_must_be_ascii_digits(self, rank):
+        line = f"u1\tq\t2006-03-01 07:17:12\t{rank}\thttp://x.com"
+        with pytest.raises(MalformedFieldError, match=f"^line 5: bad rank {re.escape(repr(rank))}$"):
+            parse_aol_line(line, line_no=5)
+
+    def test_rank_with_leading_zero(self):
+        assert parse_aol_line("u1\tq\t2006-03-01 07:17:12\t03\thttp://x.com").item_rank == 3
 
     def test_error_carries_line_number(self):
         with pytest.raises(MalformedRecordError, match="line 42"):
