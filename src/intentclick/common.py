@@ -1,8 +1,8 @@
 """Definitions shared by every stage that need no numpy.
 
-The model kinds, the size defaults the command line states, and the one
-JSON document layout. The command-line parser and ``compare`` import this
-module without loading numpy or the model code.
+The model kinds, the probability clamp, the size defaults the command
+line states, and the one JSON document layout. ``compare`` and the
+command-line parser import this without loading numpy or the model code.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ CASCADE = "cascade"
 UBM = "ubm"
 DBN = "dbn"
 MODEL_KINDS = (PBM, CASCADE, UBM, DBN)
+
+# Probabilities are clamped into [PROB_CLAMP, 1 - PROB_CLAMP] before logs.
+PROB_CLAMP = 1e-12
 
 DEFAULT_MAX_POSITIONS = 10
 # The n of the nCS and nRS intent features.

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .models import AnyParams, PROB_CLAMP, clamp_probability, click_probs, resolve_params
+from .models import AnyParams, PROB_CLAMP, clamp_probability, click_probs, mixed_relevance
 # Every report name stays importable from here, not only the two used below.
 from .reports import (DEFAULT_K_LIST, ComparabilityError, EvalReport, ModelComparison,
                       compare_models, format_comparison_table, format_report, load_report,
@@ -168,22 +168,13 @@ def evaluate_model(
     return report
 
 
-def intent_distributions(batch: SessionBatch) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical intent shares per query, row q for batch.queries[q].
-
-    Returns (order, shares): shares[q, t] is the share of query q's
-    sessions with intent ALL_INTENTS[t], and order[q] lists the intent
-    codes in the order the query's sessions first show them, the intents
-    it never shows last.
-    """
+def intent_distributions(batch: SessionBatch) -> np.ndarray:
+    """Empirical intent shares per query: row q for batch.queries[q], and
+    column t the share of its sessions with intent ALL_INTENTS[t]."""
     n_intents = len(ALL_INTENTS)
     cell = batch.query * n_intents + batch.intent
     counts = np.bincount(cell, minlength=batch.n_queries * n_intents).reshape(-1, n_intents)
-    shares = counts / counts.sum(axis=1, keepdims=True)
-    seen, first_row = np.unique(cell, return_index=True)
-    first = np.full(counts.size, len(batch))
-    first[seen] = first_row
-    return np.argsort(first.reshape(-1, n_intents), axis=1, kind="stable"), shares
+    return counts / counts.sum(axis=1, keepdims=True)
 
 
 def mixture_relevance_scorer(
@@ -193,26 +184,12 @@ def mixture_relevance_scorer(
 
     For intent-aware parameters this weights the per-intent relevance
     estimates by the query's empirical intent shares, which is the
-    predicted relevance of a query whose sessions carry mixed intents. The
-    shares are added in the order the query's sessions first show their
-    intents. A query without sessions is scored by the Unknown table.
+    predicted relevance of a query whose sessions carry mixed intents; the
+    order of the sessions does not matter. A query without sessions is
+    scored by the Unknown table.
     """
-    order, shares = intent_distributions(batch)
+    # Queries the batch never shows take the last row, Unknown's.
+    unknown = np.eye(len(ALL_INTENTS))[ALL_INTENTS.index(Intent.UNKNOWN)]
+    weights = np.vstack([intent_distributions(batch), unknown])
     code = {q: i for i, q in enumerate(batch.queries)}
-    tables = [resolve_params(params, t) for t in ALL_INTENTS]
-    # One lookup per distinct table: a base model serves every intent.
-    distinct = {id(p): p for p in tables}
-    lookups = {key: p.relevance_estimates(keys) for key, p in distinct.items()}
-    values = np.stack([lookups[id(p)] for p in tables])
-    query = np.array([code.get(q, -1) for q, _ in keys], dtype=np.int64)
-    out = values[ALL_INTENTS.index(Intent.UNKNOWN)].copy()
-    rows = np.flatnonzero(query >= 0)
-    mixed = np.zeros(len(rows))
-    for slot in range(len(ALL_INTENTS)):
-        # An intent the query never shows adds a share of 0.
-        intent = order[query[rows], slot]
-        mixed += shares[query[rows], intent] * values[intent, rows]
-    out[rows] = mixed
-    return out
-
-
+    return mixed_relevance(params, keys, weights[[code.get(q, batch.n_queries) for q, _ in keys]])

@@ -219,6 +219,8 @@ def save_classifier(path, model: ClassifierModel) -> None:
 
 def load_classifier(path) -> ClassifierModel:
     doc = read_json(path, "classifier document")
+    if not isinstance(doc, dict):
+        raise DataError("a classifier document must be a JSON object")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported classifier version {doc.get('version')!r}")
     try:

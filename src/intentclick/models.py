@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 from itertools import repeat
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .common import (CASCADE, DBN, JSON_NUMBER_TYPES, MODEL_KINDS, PBM, UBM, read_json,
-                     write_json)
+from .common import (CASCADE, DBN, JSON_NUMBER_TYPES, MODEL_KINDS, PBM, PROB_CLAMP, UBM,
+                     read_json, write_json)
 from .errors import DataError
-from .sessions import KNOWN_INTENTS, Intent, Session, SessionBatch, encode_sessions
+from .sessions import ALL_INTENTS, KNOWN_INTENTS, Intent, Session, SessionBatch, encode_sessions
 
-PROB_CLAMP = 1e-12
 DEFAULT_REL = 0.5  # uninformative prior mean: unseen pairs, prior examination cells
 
 PARAMS_FORMAT_VERSION = 1
@@ -155,24 +153,14 @@ class _TableParams:
         return self.click_probs(encode_sessions([session]))[0].tolist()
 
 
-@lru_cache(maxsize=None)
-def _cell_lookup(params_cls: type, max_positions: int, width: int) -> np.ndarray:
-    """(last click, position) -> index into cells_for(max_positions), for
-    last clicks and positions up to width; cached, so read-only."""
-    index = {key: k for k, key in enumerate(params_cls.cells_for(max_positions))}
-    span = range(width + 1)
-    lookup = np.array([[index.get(params_cls.cell_key(l, i), -1) for i in span] for l in span])
-    lookup.flags.writeable = False
-    return lookup
-
-
 class _ExamRelParams(_TableParams):
     """PBM and UBM: P(C_i = 1 | earlier clicks) = exam[cell] * rel[(query, doc)].
 
     A subclass names its examination cells: ``cells_for(n)`` lists the table
-    keys in order, ``cell_count(n)`` counts them, ``cell_key(last, pos)`` is
-    the cell of 1-based position ``pos`` after a last click at ``last`` (0
-    for none), and ``exam_field`` is the attribute that holds the table.
+    keys in order, ``cell_of(last, pos, n)`` is the index into that list of
+    1-based position ``pos`` after a last click at ``last`` (0 for none), in
+    closed form and elementwise over arrays, and ``exam_field`` is the
+    attribute that holds the table.
     """
 
     def __post_init__(self):
@@ -194,21 +182,31 @@ class _ExamRelParams(_TableParams):
         return cls(**{cls.exam_field: exam}, rel={}, max_positions=max_positions)
 
     @classmethod
+    def cell_count(cls, max_positions: int) -> int:
+        """Length of cells_for(max_positions): one past its last cell."""
+        return cls.cell_of(max_positions - 1, max_positions, max_positions) + 1
+
+    @classmethod
     def cell_index(cls, batch: SessionBatch, max_positions: int) -> np.ndarray:
         """Each cell's index into cells_for(max_positions); the observed click
         history fixes it."""
-        positions = np.arange(1, batch.width + 1)
-        lookup = _cell_lookup(cls, max_positions, batch.width)
-        return lookup[last_click(batch.clicks), positions]
+        return cls.cell_of(last_click(batch.clicks), np.arange(1, batch.width + 1), max_positions)
+
+    def exam_matrix(self, width: int) -> np.ndarray:
+        """Examination as matrix[last, pos] for a last click and a 1-based
+        position up to ``width``; cells with pos <= last, which no session
+        reaches, are 0."""
+        n = self.max_positions
+        if width > n:
+            raise PositionRangeError(f"session length {width} exceeds max_positions {n}")
+        exam = table_values(getattr(self, self.exam_field), self.cells_for(n))
+        span = np.arange(width + 1)
+        return np.triu(exam[self.cell_of(span[:, None], span, n)], 1)
 
     def click_probs(self, batch: SessionBatch) -> np.ndarray:
-        if batch.width > self.max_positions:
-            raise PositionRangeError(
-                f"session length {batch.width} exceeds max_positions {self.max_positions}"
-            )
-        exam = table_values(getattr(self, self.exam_field), self.cells_for(self.max_positions))
+        exam = self.exam_matrix(batch.width)
         rel = table_values(self.rel, batch.keys)
-        return exam[self.cell_index(batch, self.max_positions)] * rel[batch.pair]
+        return exam[last_click(batch.clicks), np.arange(1, batch.width + 1)] * rel[batch.pair]
 
 
 @dataclass
@@ -227,12 +225,9 @@ class PbmParams(_ExamRelParams):
         return list(range(1, max_positions + 1))
 
     @staticmethod
-    def cell_count(max_positions: int) -> int:
-        return max_positions
-
-    @staticmethod
-    def cell_key(last: int, pos: int) -> int:
-        return pos
+    def cell_of(last, pos, max_positions: int):
+        # 0 * last broadcasts the index to the shape of both arguments.
+        return 0 * last + pos - 1
 
 
 @dataclass
@@ -248,12 +243,10 @@ class UbmParams(_ExamRelParams):
     cells_for = staticmethod(ubm_cells)
 
     @staticmethod
-    def cell_count(max_positions: int) -> int:
-        return max_positions * (max_positions + 1) // 2
-
-    @staticmethod
-    def cell_key(last: int, pos: int) -> tuple[int, int]:
-        return (last, pos)
+    def cell_of(last, pos, max_positions: int):
+        # ubm_cells gives each last click l the n - l cells (l, l+1..n), so
+        # the last clicks before ``last`` hold last*n - last*(last-1)/2.
+        return last * max_positions - last * (last - 1) // 2 + pos - last - 1
 
 
 @dataclass
@@ -356,6 +349,19 @@ def click_probs(params: AnyParams, batch: SessionBatch) -> np.ndarray:
     for intent, rows in batch.by_intent():
         part = batch.take(rows)
         out[rows, : part.width] = resolve_params(params, intent).click_probs(part)
+    return out
+
+
+def mixed_relevance(params: AnyParams, keys: Sequence[tuple[str, str]],
+                    weights: np.ndarray) -> np.ndarray:
+    """Relevance of each (query, doc) key: its intents' tables weighted by
+    its row of ``weights`` (key x ALL_INTENTS, or one row for all keys) and
+    summed in ALL_INTENTS order. Base params return relevance_estimates."""
+    if not isinstance(params, IntentAwareParams):
+        return params.relevance_estimates(keys)
+    out = np.zeros(len(keys))
+    for t, intent in enumerate(ALL_INTENTS):
+        out += weights[:, t] * resolve_params(params, intent).relevance_estimates(keys)
     return out
 
 

@@ -13,10 +13,14 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
-from .common import JSON_NUMBER_TYPES, read_json, write_json
+from .common import JSON_NUMBER_TYPES, PROB_CLAMP, read_json, write_json
 from .errors import DataError
 
 DEFAULT_K_LIST = (1, 3, 5, 7, 10)
+
+# The most eval can write, as it clamps click probabilities at PROB_CLAMP,
+# with room for rounding.
+MAX_PERPLEXITY = (1.0 + 1e-9) / PROB_CLAMP
 
 
 class ComparabilityError(DataError):
@@ -48,10 +52,10 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "EvalReport":
-        """Fields checked, not cast: perplexities and NDCG values must be
-        finite JSON numbers, counts JSON integers and the label a string,
-        and at least one position must have a perplexity. ``eval`` never
-        writes a report that breaks these."""
+        """Fields checked, not cast: perplexities must be JSON numbers in
+        [1, MAX_PERPLEXITY], NDCG values finite JSON numbers, counts JSON
+        integers and the label a string, and at least one position must
+        have a perplexity. ``eval`` never writes a report that breaks these."""
         try:
             per_position, counts = doc["per_position"], doc["position_counts"]
             ndcg, label = doc.get("ndcg", {}), doc.get("label", "")
@@ -78,9 +82,10 @@ class EvalReport:
             raise DataError(f"bad evaluation report: {exc}") from None
         if not report.per_position:
             raise DataError("bad evaluation report: per_position is empty")
-        if not all(map(math.isfinite, [*report.per_position, report.overall,
-                                       *report.ndcg.values()])):
-            raise DataError("bad evaluation report: perplexities and NDCG values must be finite")
+        if not (all(1.0 <= p <= MAX_PERPLEXITY for p in [*report.per_position, report.overall])
+                and all(map(math.isfinite, report.ndcg.values()))):
+            raise DataError(f"bad evaluation report: perplexities must lie in "
+                            f"[1, {MAX_PERPLEXITY:.6g}] and NDCG values be finite")
         return report
 
 

@@ -28,10 +28,11 @@ from .models import (
     IntentAwareParams,
     PbmParams,
     UbmParams,
+    mixed_relevance,
     table_values,
     ubm_cells,
 )
-from .sessions import Intent, Judgments, KNOWN_INTENTS, SessionBatch
+from .sessions import ALL_INTENTS, Intent, Judgments, KNOWN_INTENTS, SessionBatch
 
 REL_LOW, REL_HIGH = 0.05, 0.95
 
@@ -83,16 +84,15 @@ def grade_from_relevance(r: float) -> int:
 def _judgments(params: AnyParams, keys: list[tuple[str, str]],
                query_intents: dict[str, Intent] | None,
                mix: tuple[float, float, float]) -> Judgments:
-    """Grades of the truth's relevance: the base table's; else the query's
-    own intent table's; else the intent tables' weighted by ``mix``."""
-    if not isinstance(params, IntentAwareParams):
-        r = params.relevance_estimates(keys)
+    """Grades of the truth's relevance: the base table's; else its intent
+    tables' weighted by the query's own intent, or by ``mix`` when intents
+    are not per query."""
+    if query_intents is not None:
+        codes = [ALL_INTENTS.index(query_intents[q]) for q, _ in keys]
+        weights = np.eye(len(ALL_INTENTS))[codes]
     else:
-        tables = [params.per_intent[t].relevance_estimates(keys) for t in KNOWN_INTENTS]
-        if query_intents is not None:
-            r = np.choose([KNOWN_INTENTS.index(query_intents[q]) for q, _ in keys], tables)
-        else:
-            r = sum(w * table for w, table in zip(mix, tables))
+        weights = np.array([[*mix, 0.0]])
+    r = mixed_relevance(params, keys, weights)
     return Judgments(keys, [grade_from_relevance(x) for x in r.tolist()])
 
 
@@ -175,7 +175,7 @@ def generate_ground_truth(config: SimConfig) -> GroundTruth:
 
 
 def _sample_pbm(rng, params: PbmParams, r_mat: np.ndarray, s_mat) -> np.ndarray:
-    exam = table_values(params.exam, range(1, r_mat.shape[1] + 1))
+    exam = params.exam_matrix(r_mat.shape[1])[0, 1:]
     return (rng.random(r_mat.shape) < exam * r_mat).astype(np.int8)
 
 
@@ -190,10 +190,7 @@ def _sample_cascade(rng, params: CascadeParams, r_mat: np.ndarray, s_mat) -> np.
 
 def _sample_ubm(rng, params: UbmParams, r_mat: np.ndarray, s_mat) -> np.ndarray:
     n, length = r_mat.shape
-    # Dense (prev click, position) lookup for vectorized row gathers.
-    beta = np.zeros((length + 1, length + 1))
-    for l, i in ubm_cells(length):
-        beta[l, i] = params.beta[(l, i)]
+    beta = params.exam_matrix(length)
     clicks = np.zeros((n, length), dtype=np.int8)
     last = np.zeros(n, dtype=np.int64)
     for i in range(1, length + 1):

@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intentclick
-from intentclick.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, run
+from intentclick import cli
+from intentclick.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, run
+from intentclick.errors import NumericError
 from intentclick.evaluate import load_report
 from intentclick.models import IntentAwareParams, load_params
 from intentclick.sessions import Intent, read_intent_labels, read_sessions
@@ -396,11 +398,14 @@ class TestFitEvalCompare:
             ("ndcg", {"1": float("nan")}),
             ("per_position", []),
             ("overall", 10**400),
+            ("overall", 1e300),
+            ("per_position", [1.5, 0.999]),
         ],
         ids=["per-position-string", "per-position-bool", "count-float", "count-string",
              "overall-string", "n-sessions-bool", "label-int", "ndcg-string",
              "overall-nan", "per-position-nan", "overall-inf", "ndcg-nan",
-             "per-position-empty", "overall-too-large"],
+             "per-position-empty", "overall-too-large", "overall-above-range",
+             "per-position-below-one"],
     )
     def test_compare_malformed_report_is_a_data_error(self, tmp_path, field, value):
         # Each bad value would cast to one that compares cleanly with the
@@ -414,6 +419,19 @@ class TestFitEvalCompare:
         assert run(argv) == EXIT_OK
         treat.write_text(json.dumps({**good, field: value}))
         assert run(argv) == EXIT_DATA
+
+    def test_compare_refuses_perplexities_eval_cannot_write(self, tmp_path, capsys):
+        # Both finite, yet their improvement cell would overflow to -inf%.
+        base, treat = tmp_path / "base.json", tmp_path / "treat.json"
+        base.write_text(json.dumps({**GOOD_REPORT, "per_position": [1.0000000000001, 1.2],
+                                    "overall": 1.0000000000001}))
+        treat.write_text(json.dumps({**GOOD_REPORT, "per_position": [1e300, 1.2],
+                                     "overall": 1e300}))
+        out = tmp_path / "cmp.txt"
+        assert run(["compare", "--base", str(base), "--treat", str(treat),
+                    "--out", str(out)]) == EXIT_DATA
+        assert "perplexities must lie in [1, " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fit_on_empty_sessions_is_a_data_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -736,7 +754,10 @@ class TestDeeplyNestedJson:
         assert capsys.readouterr().err.startswith("data error: line 2: invalid JSON: ")
 
 
-_NUMBERS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+# Besides non-numbers, perplexities eval cannot write: above 1e12, below 1,
+# and just above 1 next to a huge one.
+_NUMBERS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 10**400, 1e300, 1.0,
+                                      1.0000000000001, 0.5]),
                      st.integers(-10**400, 10**400), st.floats())
 _JSON = st.recursive(
     st.none() | st.booleans() | _NUMBERS | st.text(max_size=4),
@@ -786,7 +807,8 @@ def _report_texts(draw, values_only=False):
 
 
 class TestCompareFuzz:
-    """compare never crashes and never reports a NaN cell."""
+    """compare never crashes, never reports a NaN cell and never an
+    infinite improvement."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(st.booleans().flatmap(_report_texts), st.booleans().flatmap(_report_texts))
@@ -799,11 +821,114 @@ class TestCompareFuzz:
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 code = run(["compare", "--base", str(base), "--treat", str(treat),
                             "--out", str(out)])
-            cells = []
+            improvements, deltas = [], []
             if code == EXIT_OK:
                 doc = json.loads(Path(f"{out}.json").read_text())
-                cells = [*doc["improvements"], doc["overall_improvement"],
-                         *doc["ndcg_deltas"].values()]
+                improvements = [*doc["improvements"], doc["overall_improvement"]]
+                deltas = list(doc["ndcg_deltas"].values())
         assert code in (EXIT_OK, EXIT_DATA)
         assert "Traceback" not in stderr.getvalue()
-        assert not any(math.isnan(c) for c in cells)
+        assert all(map(math.isfinite, improvements))
+        assert not any(math.isnan(c) for c in deltas)
+
+
+# argv per reader, with the file to read at f; d is the inputs directory.
+READER_RUNS = {
+    "judgments": lambda d, f, o: ["eval", "--params", f"{d}/p.json", "--sessions",
+                                  f"{d}/sim/sessions.jsonl", "--judgments", str(f),
+                                  "--out", f"{o}/e.json"],
+    "intents": lambda d, f, o: ["fit", "--model", "pbm", "--intent-aware", "--sessions",
+                                f"{d}/sim/sessions.jsonl", "--intents", str(f),
+                                "--out", f"{o}/p.json", "--max-iters", "2"],
+    "aol": lambda d, f, o: ["ingest", "--aol", str(f), "--out", f"{o}/s.jsonl"],
+}
+
+
+class TestReaderErrors:
+    """Each malformed input file is a data error naming what is wrong."""
+
+    @pytest.mark.parametrize("reader, text, message", [
+        ("judgments", "q0000\tq0000_d01\n", "line 1: expected 3 fields, got 2"),
+        ("judgments", "q0000\tq0000_d01\t3\nq0000\tq0000_d02\tgood\n",
+         "line 2: bad grade 'good'"),
+        ("intents", "q0000\tnav\tq0001\n", "line 1: expected 2 fields, got 3"),
+        ("intents", "q0000\tnav\nq0001\tshopping\n", "line 2: unknown intent label 'shopping'"),
+        ("aol", "u1\tmapquest\t2006-03-01 07:17:12\t0\thttp://www.mapquest.com\n",
+         "item_rank must be positive, got 0"),
+    ], ids=["judgments-field-count", "judgments-grade", "intents-field-count",
+            "intents-label", "aol-rank-zero"])
+    def test_is_a_data_error(self, pipeline_inputs, tmp_path, capsys, reader, text, message):
+        path = tmp_path / "input.tsv"
+        path.write_text(text)
+        assert run(READER_RUNS[reader](pipeline_inputs, path, tmp_path)) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["input.tsv"]
+
+    def test_eval_on_a_file_without_sessions(self, pipeline_inputs, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        out = tmp_path / "e.json"
+        assert run(["eval", "--params", f"{pipeline_inputs}/p.json", "--sessions", str(empty),
+                    "--out", str(out)]) == EXIT_DATA
+        assert f"no sessions in {empty}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_numeric_failure_exits_3(self, pipeline_inputs, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericError("log-likelihood became non-finite (nan)")
+
+        monkeypatch.setattr(cli, "em_fit", fail)
+        out = tmp_path / "p.json"
+        assert run(["fit", "--model", "pbm", "--sessions", f"{pipeline_inputs}/sim/sessions.jsonl",
+                    "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == "numeric failure: log-likelihood became non-finite (nan)\n"
+        assert not out.exists()
+
+
+# Pieces of judgment and intent-label lines: the simulated log's ids and
+# others, good and bad grades and labels, the good ones three times as
+# likely. A lone surrogate is written as bytes that are not UTF-8.
+_READER_IDS = st.sampled_from(["q0000", "q0001", "q0000_d01", "q0001_d02"] * 3
+                              + ["", "x", "é", "\ud800"])
+_GRADES = st.sampled_from(["0", "2", "4"] * 8 + ["5", "-1", "x", "1.0", "３", " 3", "", "9" * 20])
+_LABELS = st.sampled_from(["inf", "nav", "tra", "unk"] * 3 + ["NAV", "x", "", " inf"])
+
+
+@st.composite
+def _reader_lines(draw, n_ids, last_field):
+    """Lines of n_ids ids and a last field, as in the judgments (two ids and
+    a grade) and intent-label (a query and a label) formats; now and then
+    another field count, a repeated line or a blank one."""
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        count = draw(st.sampled_from([n_ids] * 6 + [n_ids - 1, n_ids + 1]))
+        line = "\t".join([*(draw(_READER_IDS) for _ in range(count)), draw(last_field)])
+        lines += [line] * draw(st.sampled_from([1] * 5 + [2])) + [""] * draw(st.integers(0, 1))
+    return lines
+
+
+class TestReaderFuzz:
+    """eval never crashes on a judgments file, nor fit on an intent-label
+    file: any such file exits 0 or 2, with no traceback."""
+
+    @staticmethod
+    def _exits_cleanly(pipeline_inputs, reader, lines, newline):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.tsv"
+            text = "".join(line + newline for line in lines)
+            path.write_bytes(text.encode("utf-8", "surrogatepass"))
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run(READER_RUNS[reader](pipeline_inputs, path, tmp))
+        assert code in (EXIT_OK, EXIT_DATA)
+        assert "Traceback" not in stderr.getvalue()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_reader_lines(2, _GRADES), st.sampled_from(["\n", "\r\n"]))
+    def test_judgments(self, pipeline_inputs, lines, newline):
+        self._exits_cleanly(pipeline_inputs, "judgments", lines, newline)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_reader_lines(1, _LABELS), st.sampled_from(["\n", "\r\n"]))
+    def test_intent_labels(self, pipeline_inputs, lines, newline):
+        self._exits_cleanly(pipeline_inputs, "intents", lines, newline)

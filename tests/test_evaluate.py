@@ -276,8 +276,9 @@ class TestArrayNdcgOracle:
             if not counts:
                 return tables[Intent.UNKNOWN].get((query, doc), 0.5)
             n, total = sum(counts.values()), 0.0
-            for intent, count in counts.items():
-                total += count / n * tables[intent].get((query, doc), 0.5)
+            for intent in ALL_INTENTS:
+                if intent in counts:
+                    total += counts[intent] / n * tables[intent].get((query, doc), 0.5)
             return total
 
         judgments = Judgments([(q, d) for q, d, _ in judged], [g for _, _, g in judged])
@@ -338,10 +339,32 @@ class TestCtrAndScorers:
             _session((0,), intent=Intent.NAVIGATIONAL, sid="b"),
             _session((0,), intent=Intent.INFORMATIONAL, sid="c"),
         ]
-        order, shares = intent_distributions(encode_sessions(sessions))
-        nav, inf = ALL_INTENTS.index(Intent.NAVIGATIONAL), ALL_INTENTS.index(Intent.INFORMATIONAL)
+        shares = intent_distributions(encode_sessions(sessions))
+        nav = ALL_INTENTS.index(Intent.NAVIGATIONAL)
         assert shares[0, nav] == pytest.approx(2 / 3)
-        assert order[0, :2].tolist() == [nav, inf]
+
+
+class TestSessionOrder:
+    def test_mixed_scores_and_ndcg_ignore_session_order(self):
+        # Four intents per query, so the order of adding the shares matters.
+        rng = np.random.default_rng(11)
+        queries, docs = [f"q{i}" for i in range(30)], [f"d{j}" for j in range(5)]
+        pbm = {t: PbmParams(exam={1: 0.5}, max_positions=1,
+                            rel={(q, d): float(rng.uniform()) for q in queries for d in docs})
+               for t in ALL_INTENTS}
+        params = IntentAwareParams(per_intent={t: pbm[t] for t in KNOWN_INTENTS},
+                                   fallback=pbm[Intent.UNKNOWN])
+        sessions = [Session(f"{q}:{k}", q, ALL_INTENTS[k % 4], ("d0",), (0,))
+                    for q in queries for k in range(int(rng.integers(4, 12)))]
+        judgments = Judgments([(q, d) for q in queries for d in docs],
+                              rng.integers(0, 5, size=len(queries) * len(docs)).tolist())
+        want = mixture_relevance_scorer(params, encode_sessions(sessions), judgments.keys)
+        want_ndcg = evaluate_model(params, encode_sessions(sessions), judgments).ndcg
+        for seed in range(5):
+            order = np.random.default_rng(seed).permutation(len(sessions))
+            batch = encode_sessions([sessions[i] for i in order])
+            assert mixture_relevance_scorer(params, batch, judgments.keys).tolist() == want.tolist()
+            assert evaluate_model(params, batch, judgments).ndcg == want_ndcg
 
 
 class TestCompareModels:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from intentclick.errors import DataError
 from intentclick.intent import (
     BOW_DIM,
     DegenerateTrainingError,
@@ -281,6 +282,13 @@ class TestClassifier:
         before = [classify(model, fv)[0] for fv in features]
         after = [classify(loaded, fv)[0] for fv in features]
         assert before == after
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"clf"'])
+    def test_load_non_object_is_a_data_error(self, tmp_path, text):
+        path = tmp_path / "clf.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match="must be a JSON object"):
+            load_classifier(path)
 
 
 class TestEvaluateClassifier:

@@ -17,12 +17,12 @@ from intentclick.models import (
     PbmParams,
     PositionRangeError,
     UbmParams,
-    _cell_lookup,
     load_params,
     resolve_params,
     save_params,
     session_log_likelihood,
     session_prob,
+    ubm_cells,
 )
 from intentclick.sessions import Intent, KNOWN_INTENTS, Session
 
@@ -113,25 +113,34 @@ class TestPbm:
 
 
 class TestCellLookup:
-    """The (last click, position) -> cell index table covers only the
-    batch width, and agrees with the full table there."""
+    """cell_of indexes cells_for in closed form, and the examination matrix
+    covers only the batch width and agrees with the full one there."""
 
     @pytest.mark.parametrize("params_cls", [PbmParams, UbmParams])
     def test_lookup_is_the_full_table_sliced_to_the_width(self, params_cls):
+        key_of = (lambda l, i: i) if params_cls is PbmParams else (lambda l, i: (l, i))
         for n in range(1, 6):
-            index = {key: k for k, key in enumerate(params_cls.cells_for(n))}
-            full = np.array([[index.get(params_cls.cell_key(l, i), -1) for i in range(n + 1)]
-                             for l in range(n + 1)])
+            cells = params_cls.cells_for(n)
+            assert params_cls.cell_count(n) == len(cells)
+            # Every (last click, position) a session can reach.
+            for l, i in ubm_cells(n):
+                assert cells[params_cls.cell_of(l, i, n)] == key_of(l, i)
+            params = params_cls.prior(n)
+            exam = getattr(params, params.exam_field)
+            exam.update(zip(cells, np.random.default_rng(n).uniform(size=len(cells)).tolist()))
+            full = params.exam_matrix(n)
+            for l, i in np.ndindex(full.shape):
+                assert full[l, i] == (exam[key_of(l, i)] if l < i else 0.0)
             for width in range(n + 1):
-                lookup = _cell_lookup(params_cls, n, width)
-                np.testing.assert_array_equal(lookup, full[:width + 1, :width + 1])
+                np.testing.assert_array_equal(params.exam_matrix(width),
+                                              full[:width + 1, :width + 1])
 
     def test_large_max_positions_builds_only_the_batch_block(self):
         exam = dict.fromkeys(range(1, 2001), 0.5)
         exam[2] = 0.8
         params = PbmParams(exam=exam, rel={("q1", "d2"): 0.25}, max_positions=2000)
         assert params.conditional_click_probs(_session((0, 1))) == [0.25, 0.2]
-        assert _cell_lookup(PbmParams, 2000, 2).shape == (3, 3)
+        assert params.exam_matrix(2).shape == (3, 3)
 
 
 class TestCascade:

@@ -17,8 +17,9 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 @pytest.fixture
 def trace_stages(monkeypatch):
-    """perfbench/trace_stages.py, loaded by path; the module attributes its
-    install() replaces are put back afterwards."""
+    """perfbench/trace_stages.py, loaded by path; afterwards the module
+    attributes its install() replaced are put back and those it added are
+    deleted (cli binds its lazy names again on first use)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("trace_stages", PERFBENCH / "trace_stages.py")
     module = importlib.util.module_from_spec(spec)
@@ -26,6 +27,8 @@ def trace_stages(monkeypatch):
     saved = {m: dict(vars(m)) for m in (cli, evaluate)}
     yield module
     for m, attrs in saved.items():
+        for name in vars(m).keys() - attrs.keys():
+            delattr(m, name)
         for name, value in attrs.items():
             setattr(m, name, value)
 
