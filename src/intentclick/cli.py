@@ -15,6 +15,7 @@ import sys
 import time
 from dataclasses import replace
 from datetime import timedelta
+from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
@@ -199,10 +200,7 @@ Outputs = tuple[list[Path], int | None]
 
 
 def _cmd_ingest(args) -> Outputs:
-    events = sorted(
-        read_aol_log(args.aol),
-        key=lambda e: (e.user_id, e.query_time),
-    )
+    events = sorted(read_aol_log(args.aol), key=attrgetter("user_id", "query_time"))
     result = sessionize(
         events,
         gap_timeout=timedelta(minutes=args.gap_minutes),

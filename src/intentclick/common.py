@@ -8,6 +8,8 @@ command-line parser import this without loading numpy or the model code.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 
 from .errors import DataError
 
@@ -30,10 +32,38 @@ JSON_NUMBER_TYPES = frozenset((int, float))
 
 
 def write_json(path, doc) -> None:
-    """The one JSON document layout: sorted keys, one-space indent, final newline."""
+    """The one JSON document layout: sorted keys, one-space indent, final
+    newline; the bytes of ``json.dump(doc, fh, sort_keys=True, indent=1)``
+    and a newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        _write_indented(fh, doc, "\n")
         fh.write("\n")
+
+
+def _write_indented(fh, value, newline: str) -> None:
+    """Write value as json.dumps(value, sort_keys=True, indent=1) does,
+    nested where each of its lines starts with newline.
+
+    json's encoder runs in pure Python whenever it indents, so a float
+    table, a non-empty dict of str keys to finite floats, is joined here
+    instead, 256 entries a write; other dicts of str keys are walked, and
+    every other value is the stdlib encoder's text, re-indented (a JSON
+    text has no raw newline inside a string)."""
+    if not (type(value) is dict and value and all(type(key) is str for key in value)):
+        fh.write(json.dumps(value, sort_keys=True, indent=1).replace("\n", newline))
+        return
+    inner = newline + " "
+    items = sorted(value.items())
+    if all(type(v) is float and math.isfinite(v) for v in value.values()):
+        for start in range(0, len(items), 256):
+            fh.write("," if start else "{")
+            fh.write(",".join(f"{inner}{encode_basestring_ascii(key)}: {float.__repr__(v)}"
+                              for key, v in items[start:start + 256]))
+    else:
+        for i, (key, v) in enumerate(items):
+            fh.write(f"{',' if i else '{'}{inner}{encode_basestring_ascii(key)}: ")
+            _write_indented(fh, v, inner)
+    fh.write(newline + "}")
 
 
 def read_json(path, what: str):

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from difflib import SequenceMatcher
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,12 +43,38 @@ def url_match_ratio(query: str, url: str) -> float:
     """Length of the longest query substring found in the url, over the url
     length. Case-insensitive; 1.0 means the whole url appears in the query.
     """
-    if not url:
-        raise ValueError("url must be non-empty")
-    q, u = query.lower(), url.lower()
-    # With no junk, the longest matching block is the longest common substring.
-    match = SequenceMatcher(None, q, u, autojunk=False).find_longest_match(0, len(q), 0, len(u))
-    return match.size / len(u)
+    return max_url_match_ratio(query, (url,))
+
+
+def max_url_match_ratio(query: str, urls: Iterable[str]) -> float:
+    """The largest url_match_ratio of the query over the urls."""
+    q = query.lower()
+    best = 0.0
+    for url in urls:
+        if not url:
+            raise ValueError("url must be non-empty")
+        u = url.lower()
+        # No match is longer than the shorter string: skip a url that
+        # cannot beat the best ratio so far.
+        if min(len(q), len(u)) / len(u) > best:
+            best = max(best, _longest_common_substring(q, u) / len(u))
+    return best
+
+
+def _longest_common_substring(q: str, u: str) -> int:
+    """Length of the longest substring of q found in u.
+
+    A substring of a match is a match, so once some match has length
+    best, a start i of q holds a longer one iff q[i:i + best + 1] is in u:
+    the scan grows best while that holds and moves i on when it does not.
+    """
+    best = i = 0
+    while i + best < len(q):
+        if q[i:i + best + 1] in u:
+            best += 1
+        else:
+            i += 1
+    return best
 
 
 def click_ratio(click_counts: Mapping[str, int]) -> dict[str, float]:
@@ -147,7 +172,7 @@ def extract_features(
         bow[hash_token(token, BOW_DIM)] += 1.0
     missing = False
     if clicked_urls and sum(clicked_urls.values()) > 0:
-        urlmr = max(url_match_ratio(query, url) for url in clicked_urls)
+        urlmr = max_url_match_ratio(query, clicked_urls)
         max_cr = max(click_ratio(clicked_urls).values())
     else:
         urlmr, max_cr, missing = 0.0, 0.0, True
@@ -250,7 +275,9 @@ def train_classifier(
     """Fit multinomial logistic regression by full-batch gradient descent.
 
     Deterministic (zero init, fixed iteration order); raises on fewer than
-    two distinct classes or Unknown labels.
+    two distinct classes or Unknown labels. The descent runs in the row
+    space of the standardized features and stops where descent on the
+    weights themselves would.
     """
     if len(features) != len(labels):
         raise ValueError(f"{len(features)} features vs {len(labels)} labels")
@@ -269,25 +296,42 @@ def train_classifier(
     y = np.array([KNOWN_INTENTS.index(label) for label in labels])
     n, d = x.shape
     k = len(KNOWN_INTENTS)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
+    targets = np.zeros((k, n))
+    targets[y, np.arange(n)] = 1.0
 
-    w = np.zeros((k, d))
-    b = np.zeros(k)
+    # A feature that is 0 in every row gets no gradient but L2 * 0, so its
+    # weights stay 0; x keeps the used columns only. Every iterate of their
+    # weights w_u lies in the row space of x, so the same descent runs on
+    # coefficients c over an orthonormal basis of it: with x.T = q r and
+    # w_u = c q.T, the scores x w_u.T + b are r.T c.T + b and grad_w_u is
+    # grad_c q.T. Scores and errors are held class-major (k, n), the
+    # transpose of x's layout.
+    used = np.flatnonzero(x.any(axis=0))
+    x = x[:, used]
+    q, r = np.linalg.qr(x.T)
+    c = np.zeros((k, r.shape[0]))
+    b = np.zeros((k, 1))
     iterations = 0
     for iterations in range(1, MAX_ITERS + 1):
-        probs = _softmax(x @ w.T + b)
-        err = probs - onehot
-        grad_w = err.T @ x / n + L2_PENALTY * w
-        grad_b = err.mean(axis=0)
-        w -= LEARNING_RATE * grad_w
+        scores = c @ r + b
+        e = np.exp(scores - scores.max(axis=0))
+        err = e / e.sum(axis=0) - targets
+        grad_c = err @ r.T / n + L2_PENALTY * c
+        grad_b = err.mean(axis=1, keepdims=True)
+        c -= LEARNING_RATE * grad_c
         b -= LEARNING_RATE * grad_b
-        step = max(float(np.max(np.abs(grad_w))), float(np.max(np.abs(grad_b))))
+        # The step is max(max|grad_w|, max|grad_b|); grad_w is formed only
+        # when the bias gradient alone would stop.
+        step = float(np.max(np.abs(grad_b)))
         if LEARNING_RATE * step < TOL:
-            break
+            step = max(step, float(np.max(np.abs(grad_c @ q.T), initial=0.0)))
+            if LEARNING_RATE * step < TOL:
+                break
+    w = np.zeros((k, d))
+    w[:, used] = c @ q.T
     return ClassifierModel(
         weights=w,
-        bias=b,
+        bias=b[:, 0],
         feature_mean=mean,
         feature_scale=scale,
         classes=KNOWN_INTENTS,

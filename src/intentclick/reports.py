@@ -4,7 +4,7 @@ text tables.
 No numpy here: to read two reports and write a table, ``compare`` needs
 only this module, ``common`` and ``errors``. Comparisons render in the
 familiar rows-by-positions layout with an improvement row computed as
-(p2 - p1) / (p2 - 1) * 100%.
+(p2 - p1) / (p2 - 1) * 100%, capped below at MIN_IMPROVEMENT.
 """
 
 from __future__ import annotations
@@ -27,11 +27,23 @@ class ComparabilityError(DataError):
     """Two reports were not evaluated on the same data, so cells don't align."""
 
 
+# The lowest improvement cell a comparison holds, in percent: a treatment
+# whose excess perplexity (p - 1) is 10,001 times its baseline's. Lower
+# cells come from baselines all but at 1 and say nothing more; they are
+# capped here, in the table and in the JSON alike.
+MIN_IMPROVEMENT = -1e6
+
+
 def perplexity_improvement(p1: float, p2: float) -> float:
     """Percent improvement of perplexity p1 over baseline p2."""
     if p2 <= 1.0:
         raise ValueError(f"baseline perplexity must exceed 1, got {p2}")
     return (p2 - p1) / (p2 - 1.0) * 100.0
+
+
+def _improvement_cell(p1: float, p2: float) -> float:
+    """perplexity_improvement(p1, p2), capped below at MIN_IMPROVEMENT."""
+    return max(perplexity_improvement(p1, p2), MIN_IMPROVEMENT)
 
 
 @dataclass
@@ -149,7 +161,8 @@ class ModelComparison:
 
 
 def compare_models(base: EvalReport, treatment: EvalReport) -> ModelComparison:
-    """Improvement of the treatment model over the baseline, cell by cell."""
+    """Improvement of the treatment model over the baseline, cell by cell;
+    no cell is below MIN_IMPROVEMENT."""
     if len(base.per_position) != len(treatment.per_position):
         raise ComparabilityError(
             f"position counts differ: {len(base.per_position)} vs "
@@ -160,10 +173,10 @@ def compare_models(base: EvalReport, treatment: EvalReport) -> ModelComparison:
     if set(base.ndcg) != set(treatment.ndcg):
         raise ComparabilityError("reports use different NDCG cut-off lists")
     improvements = [
-        perplexity_improvement(t, b)
+        _improvement_cell(t, b)
         for t, b in zip(treatment.per_position, base.per_position)
     ]
-    overall = perplexity_improvement(treatment.overall, base.overall)
+    overall = _improvement_cell(treatment.overall, base.overall)
     deltas = {k: treatment.ndcg[k] - base.ndcg[k] for k in sorted(base.ndcg)}
     return ModelComparison(
         base=base,

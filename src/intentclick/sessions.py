@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import logging
 import string
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -95,7 +95,7 @@ def normalize_query(raw: str) -> str:
     return " ".join("".join(out).split())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEvent:
     """One raw log record: a query submission, optionally with a click."""
 
@@ -213,13 +213,20 @@ class SessionBatch:
     def records(self) -> Iterator[tuple[str, Intent, list[str], list[int]]]:
         """(query_id, intent, docs, clicks) of each row, in row order; rows
         are decoded 1024 at a time, never the whole batch at once."""
-        docs = np.array([d for _, d in self.keys], dtype=object)
+        for block in self._row_blocks([d for _, d in self.keys]):
+            for q, t, docs, clicks in block:
+                yield self.queries[q], ALL_INTENTS[t], docs, clicks
+
+    def _row_blocks(self, doc_texts: list[str]) -> Iterator[list[tuple[int, int, list, list]]]:
+        """Rows 1024 at a time, each as (query code, intent code, docs,
+        clicks), its docs given as the doc_texts entries of its pair codes."""
+        texts = np.array(doc_texts, dtype=object)
         for start in range(0, len(self), 1024):
             rows = slice(start, start + 1024)
-            columns = (self.query, self.intent, self.lengths, self.clicks)
-            block = [column[rows].tolist() for column in columns]
-            for q, t, n, clicks, row_docs in zip(*block, docs[self.pair[rows]].tolist()):
-                yield self.queries[q], ALL_INTENTS[t], row_docs[:n], clicks[:n]
+            columns = (self.query[rows].tolist(), self.intent[rows].tolist(),
+                       self.lengths[rows].tolist(), texts[self.pair[rows]].tolist(),
+                       self.clicks[rows].tolist())
+            yield [(q, t, docs[:n], clicks[:n]) for q, t, n, docs, clicks in zip(*columns)]
 
 
 class _BatchColumns:
@@ -279,8 +286,10 @@ def _aol_time(raw_time: str, line_no: int | None) -> datetime:
     # strptime gives every other value and every error text.
     if (len(raw_time) == 19 and raw_time[4] == raw_time[7] == "-" and raw_time[10] == " "
             and raw_time[13] == raw_time[16] == ":" and raw_time[11:13] < "24"):
-        with suppress(ValueError):
+        try:
             return datetime.fromisoformat(raw_time)
+        except ValueError:
+            pass
     try:
         return datetime.strptime(raw_time, AOL_TIME_FORMAT)
     except ValueError as exc:
@@ -294,7 +303,7 @@ def _parse_aol_line(line: str, line_no: int | None, normalized: dict[str, str]) 
         raise MalformedRecordError(
             f"expected 5 tab-separated fields, got {len(fields)}", line_no
         )
-    user_id, raw_query, raw_time, raw_rank, raw_url = (f.strip() for f in fields)
+    user_id, raw_query, raw_time, raw_rank, raw_url = map(str.strip, fields)
     query_time = _aol_time(raw_time, line_no)
     rank: int | None = None
     url: str | None = None
@@ -336,7 +345,7 @@ def read_aol_log(path) -> Iterator[LogEvent]:
     first_error: MalformedRecordError | None = None
     with open(path, encoding="utf-8", errors="replace") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             if line_no == 1 and line.split("\t")[0].strip() == "AnonID":
                 continue
@@ -408,13 +417,14 @@ def sessionize(
         seq = user_session_counts[user] = user_session_counts.get(user, -1) + 1
         clicked: dict[int, str] = {}
         for ev in group:
-            if not ev.is_click:
+            rank = ev.item_rank
+            if rank is None:
                 continue
-            if ev.item_rank > max_positions:
+            if rank > max_positions:
                 dropped += 1
                 continue
             retained += 1
-            clicked.setdefault(ev.item_rank, ev.click_url)
+            clicked.setdefault(rank, ev.click_url)
         docs: list[str] = []
         clicks: list[int] = []
         for pos in range(1, max(clicked, default=0) + 1):
@@ -432,20 +442,27 @@ def sessionize(
     return SessionizeResult(columns.build(), session_ids, retained, dropped)
 
 
-# json.dumps(record, sort_keys=True) without building an encoder per record.
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
 def write_sessions(path, batch: SessionBatch, session_ids: Sequence[str]) -> None:
     """Write the batch as line-delimited JSON records, one per row in row
-    order; session_ids[i] is the id of row i."""
+    order; session_ids[i] is the id of row i. Each line is
+    ``json.dumps(record, sort_keys=True)``, joined from strings that are
+    each JSON-encoded once: every doc id, query id and intent of the batch,
+    and each session id."""
     if len(session_ids) != len(batch):
         raise ValueError(f"{len(session_ids)} session ids for {len(batch)} sessions")
+    encode = encode_basestring_ascii
+    queries = [encode(q) for q in batch.queries]
+    intents = [encode(t.value) for t in ALL_INTENTS]
     with open(path, "w", encoding="utf-8") as fh:
-        for session_id, (query_id, intent, docs, clicks) in zip(session_ids, batch.records()):
-            record = {"session_id": session_id, "query_id": query_id, "intent": intent.value,
-                      "docs": docs, "clicks": clicks}
-            fh.write(_RECORD_ENCODER.encode(record) + "\n")
+        start = 0
+        for block in batch._row_blocks([encode(d) for _, d in batch.keys]):
+            ids = session_ids[start:start + len(block)]
+            start += len(block)
+            # str() of a list of ints is its JSON text.
+            fh.write("".join(
+                f'{{"clicks": {clicks}, "docs": [{", ".join(docs)}], "intent": {intents[t]}, '
+                f'"query_id": {queries[q]}, "session_id": {encode(session_id)}}}\n'
+                for session_id, (q, t, docs, clicks) in zip(ids, block)))
 
 
 _INTENT_CODES = {t.value: k for k, t in enumerate(ALL_INTENTS)}

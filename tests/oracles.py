@@ -229,3 +229,30 @@ def mean_ndcg_per_query(judged, score, k_list):
     if not counted:
         return {k: float("nan") for k in k_list}, 0
     return {k: totals[k] / counted for k in k_list}, counted
+
+
+def primal_softmax_descent(x, onehot, learning_rate, max_iters, l2, tol):
+    """Full-batch gradient descent on multinomial logistic regression,
+    iterating on the weights themselves from zero: (w, b, iterations).
+
+    x is the standardized (n, d) feature matrix and onehot the (n, k)
+    labels; the step test is LR * max(max|grad_w|, max|grad_b|) < tol.
+    """
+    n, d = x.shape
+    k = onehot.shape[1]
+    w = np.zeros((k, d))
+    b = np.zeros(k)
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        scores = x @ w.T + b
+        scores = scores - scores.max(axis=1, keepdims=True)
+        e = np.exp(scores)
+        err = e / e.sum(axis=1, keepdims=True) - onehot
+        grad_w = err.T @ x / n + l2 * w
+        grad_b = err.mean(axis=0)
+        w -= learning_rate * grad_w
+        b -= learning_rate * grad_b
+        step = max(float(np.max(np.abs(grad_w))), float(np.max(np.abs(grad_b))))
+        if learning_rate * step < tol:
+            break
+    return w, b, iterations

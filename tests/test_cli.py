@@ -22,6 +22,7 @@ from intentclick import cli
 from intentclick.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, run
 from intentclick.errors import NumericError
 from intentclick.evaluate import load_report
+from intentclick.reports import MIN_IMPROVEMENT
 from intentclick.models import IntentAwareParams, load_params
 from intentclick.sessions import Intent, read_intent_labels, read_sessions
 from intentclick.simulate import PRESET_SEED
@@ -433,6 +434,24 @@ class TestFitEvalCompare:
         assert "perplexities must lie in [1, " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_caps_cells_of_a_baseline_at_one(self, tmp_path, capsys):
+        # Both reports are ones eval could write, yet the raw cell would be
+        # about -1e27%: it is capped at MIN_IMPROVEMENT in table and JSON.
+        base, treat = tmp_path / "base.json", tmp_path / "treat.json"
+        base.write_text(json.dumps({**GOOD_REPORT, "per_position": [1.0000000000001, 1.2],
+                                    "overall": 1.0000000000001}))
+        treat.write_text(json.dumps({**GOOD_REPORT, "per_position": [1e12, 1.2],
+                                     "overall": 1e12}))
+        out = tmp_path / "cmp.txt"
+        assert run(["compare", "--base", str(base), "--treat", str(treat),
+                    "--out", str(out)]) == EXIT_OK
+        [impr] = [line for line in out.read_text().splitlines() if line.startswith("Impr.")]
+        assert impr.split() == ["Impr.", "-1000000.0%", "0.0%", "-1000000.0%"]
+        assert impr in capsys.readouterr().out
+        doc = json.loads(Path(f"{out}.json").read_text())
+        assert doc["improvements"] == [MIN_IMPROVEMENT, 0.0]
+        assert doc["overall_improvement"] == MIN_IMPROVEMENT
+
     def test_fit_on_empty_sessions_is_a_data_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -841,6 +860,8 @@ READER_RUNS = {
                                 f"{d}/sim/sessions.jsonl", "--intents", str(f),
                                 "--out", f"{o}/p.json", "--max-iters", "2"],
     "aol": lambda d, f, o: ["ingest", "--aol", str(f), "--out", f"{o}/s.jsonl"],
+    "sessions": lambda d, f, o: ["fit", "--model", "pbm", "--intent-aware", "--sessions", str(f),
+                                 "--out", f"{o}/p.json", "--max-iters", "2"],
 }
 
 
@@ -907,9 +928,44 @@ def _reader_lines(draw, n_ids, last_field):
     return lines
 
 
+# Good values of each session-record field, then values that break the
+# schema (types, lengths, 0/1 clicks, distinct docs, a tab in the query id).
+_SESSION_FIELDS = {
+    "session_id": (["s1", "s2", "é\ud800"], [None, 3, ["s"]]),
+    "query_id": (["q0", "q1", "\U0001f600"], ["q\t0", None, 5, {}]),
+    "intent": (["inf", "nav", "tra", "unk"], ["NAV", 0, None]),
+    "docs": ([["a", "b"], ["b"], [], ["c", "a", "d"]],
+             [["a", "a"], ["a", 1], "ab", [None], [["a"]]]),
+    "clicks": ([], [[2], [True], [1.0], [-1], "1", None]),
+}
+
+
+@st.composite
+def _session_lines(draw):
+    """Lines of session records, each with aligned docs and clicks but one
+    time in four a bad field value or a field dropped; now and then JSON
+    that is not a session, a truncated line or a blank one."""
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        record = {key: draw(st.sampled_from(good)) for key, (good, _) in _SESSION_FIELDS.items()
+                  if good}
+        record["clicks"] = [draw(st.sampled_from([0, 1])) for _ in record["docs"]]
+        if draw(st.integers(0, 3)) == 3:
+            key = draw(st.sampled_from(sorted(_SESSION_FIELDS)))
+            if draw(st.integers(0, 5)) == 5:
+                del record[key]
+            else:
+                record[key] = draw(st.sampled_from(_SESSION_FIELDS[key][1]))
+        line = json.dumps(draw(_JSON) if draw(st.integers(0, 9)) == 9 else record)
+        if draw(st.integers(0, 9)) == 9:
+            line = line[:draw(st.integers(0, len(line)))]
+        lines += [line] + [""] * draw(st.integers(0, 1))
+    return lines
+
+
 class TestReaderFuzz:
     """eval never crashes on a judgments file, nor fit on an intent-label
-    file: any such file exits 0 or 2, with no traceback."""
+    or a sessions file: any such file exits 0 or 2, with no traceback."""
 
     @staticmethod
     def _exits_cleanly(pipeline_inputs, reader, lines, newline):
@@ -932,3 +988,8 @@ class TestReaderFuzz:
     @given(_reader_lines(1, _LABELS), st.sampled_from(["\n", "\r\n"]))
     def test_intent_labels(self, pipeline_inputs, lines, newline):
         self._exits_cleanly(pipeline_inputs, "intents", lines, newline)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_session_lines(), st.sampled_from(["\n", "\r\n"]))
+    def test_sessions(self, pipeline_inputs, lines, newline):
+        self._exits_cleanly(pipeline_inputs, "sessions", lines, newline)

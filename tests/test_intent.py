@@ -1,12 +1,20 @@
 """Intent features, the cue-word rule, and the linear classifier."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from intentclick.errors import DataError
 from intentclick.intent import (
     BOW_DIM,
+    L2_PENALTY,
+    LEARNING_RATE,
+    MAX_ITERS,
+    TOL,
     DegenerateTrainingError,
     FeatureVector,
     classify,
@@ -17,6 +25,7 @@ from intentclick.intent import (
     f1_score,
     load_classifier,
     load_lexicon,
+    max_url_match_ratio,
     n_clicks_satisfied,
     n_results_satisfied,
     rule_label_transactional,
@@ -65,6 +74,40 @@ class TestUrlMatchRatio:
             expected = oracles.longest_query_substring_in_url(q, u) / len(u)
             assert url_match_ratio(q, u) == pytest.approx(expected)
             assert 0.0 <= url_match_ratio(q, u) <= 1.0
+
+
+# Characters whose lower() is longer than themselves ("İ"), case pairs,
+# and the url punctuation that joins query words.
+_MATCH_TEXT = st.text(alphabet="abAB.İıß ", max_size=12)
+
+
+class TestMaxUrlMatchRatio:
+    """The extending substring scan against the brute-force longest
+    substring, divided by the lowered url's length, maximized over the urls."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_MATCH_TEXT, st.lists(_MATCH_TEXT.filter(bool), max_size=5))
+    def test_matches_brute_force_oracle(self, query, urls):
+        expected = max((oracles.longest_query_substring_in_url(query, u) / len(u.lower())
+                        for u in urls), default=0.0)
+        assert max_url_match_ratio(query, urls) == expected
+        for u in urls:
+            assert url_match_ratio(query, u) == \
+                oracles.longest_query_substring_in_url(query, u) / len(u.lower())
+
+    def test_empty_matches(self):
+        assert max_url_match_ratio("", ["abc"]) == 0.0
+        assert max_url_match_ratio("xyz", ["abc", "b"]) == 0.0
+        assert max_url_match_ratio("q", []) == 0.0
+
+    def test_lowering_that_lengthens_the_url(self):
+        # "İ".lower() is two characters: the ratio divides by the lowered length.
+        assert url_match_ratio("i", "İ") == 0.5
+        assert max_url_match_ratio("İ", ["İ", "ab"]) == 1.0
+
+    def test_empty_url_rejected_after_a_perfect_match(self):
+        with pytest.raises(ValueError):
+            max_url_match_ratio("abc", ["abc", ""])
 
 
 class TestClickRatio:
@@ -289,6 +332,79 @@ class TestClassifier:
         path.write_text(text)
         with pytest.raises(DataError, match="must be a JSON object"):
             load_classifier(path)
+
+
+def _random_problem(rng, n, bow_dim, noise=1.0):
+    """n feature vectors of random click features and bags, with labels
+    drawn from a softmax of a random linear score plus noise; every class
+    appears."""
+    features, scores = [], []
+    direction = rng.normal(size=(len(KNOWN_INTENTS), 4 + bow_dim))
+    for _ in range(n):
+        values = rng.normal(size=4 + bow_dim)
+        features.append(FeatureVector(urlmr=float(values[0]), max_click_ratio=float(values[1]),
+                                      ncs=float(values[2]), nrs=float(values[3]),
+                                      query_length=int(rng.integers(1, 4)), bow=values[4:]))
+        scores.append(direction @ values + noise * rng.gumbel(size=len(KNOWN_INTENTS)))
+    labels = [KNOWN_INTENTS[int(k)] for k in np.argmax(scores, axis=1)]
+    labels[:3] = KNOWN_INTENTS
+    return features, labels
+
+
+class TestTrainerMatchesPrimalDescent:
+    """The row-space trainer against gradient descent on the weights
+    themselves (oracles.primal_softmax_descent): the same iteration count,
+    weights within 1e-9 and the same labels."""
+
+    @staticmethod
+    def _check(features, labels):
+        model = train_classifier(features, labels)
+        x = np.stack([fv.to_array() for fv in features])
+        x = (x - model.feature_mean) / model.feature_scale
+        onehot = np.eye(len(KNOWN_INTENTS))[[KNOWN_INTENTS.index(t) for t in labels]]
+        w, b, iterations = oracles.primal_softmax_descent(
+            x, onehot, LEARNING_RATE, MAX_ITERS, L2_PENALTY, TOL)
+        assert model.iterations == iterations
+        assert np.abs(model.weights - w).max() <= 1e-9
+        assert np.abs(model.bias - b).max() <= 1e-9
+        oracle = replace(model, weights=w, bias=b)
+        assert [classify(model, fv)[0] for fv in features] == \
+            [classify(oracle, fv)[0] for fv in features]
+        return model
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fewer_queries_than_features(self, seed):
+        features, labels = _random_problem(np.random.default_rng(seed), 30, 64)
+        assert self._check(features, labels).iterations == MAX_ITERS
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_more_queries_than_features(self, seed):
+        features, labels = _random_problem(np.random.default_rng(seed), 120, 8)
+        self._check(features, labels)
+
+    def test_duplicated_rows(self):
+        features, labels = _random_problem(np.random.default_rng(3), 25, 16)
+        self._check(features * 3, labels * 3)
+
+    def test_separable_bags(self):
+        features, labels = _separable_dataset(n_per_class=15)
+        self._check(features, labels)
+
+    def test_constant_features_train_the_bias_alone(self):
+        # Every standardized column is 0: no weight moves, and the bias
+        # settles on the class shares within TOL.
+        fv = FeatureVector(urlmr=0.5, max_click_ratio=1.0, ncs=0.25, nrs=0.75, query_length=2,
+                           bow=np.ones(4))
+        model = self._check([fv] * 6, [KNOWN_INTENTS[k] for k in (0, 0, 0, 1, 1, 2)])
+        assert model.iterations < MAX_ITERS
+        assert not model.weights.any()
+
+    def test_stops_on_tol_before_max_iters(self):
+        # Noisy labels keep the optimum at moderate weights, where descent
+        # converges geometrically; under the L2 term separable data needs
+        # thousands of steps to get within TOL.
+        features, labels = _random_problem(np.random.default_rng(4), 300, 0, noise=3.0)
+        assert self._check(features, labels).iterations < MAX_ITERS
 
 
 class TestEvaluateClassifier:

@@ -2,14 +2,18 @@
 
 import json
 import logging
+import math
 import re
+import tempfile
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intentclick.common import write_json
 from intentclick.errors import DataError
 from intentclick.sessions import (
     ALL_INTENTS,
@@ -486,6 +490,100 @@ class TestSessionIo:
         )
         with pytest.raises(SessionFormatError):
             read_sessions(path)
+
+
+# Strings JSON escapes: quote, backslash, control characters, non-ASCII,
+# astral and lone-surrogate code points, and the tab a query id may not hold.
+_ESCAPED = st.text(
+    alphabet=st.sampled_from('"\\\x00\x1f\x7f\u2028é\U0001f600\ud800\udfffab') | st.characters(),
+    max_size=6)
+
+
+@st.composite
+def _batches(draw):
+    """A batch of 0 to 6 sessions of distinct escaped doc ids, each query
+    showing at most 4 of them, plus one escaped id per session."""
+    queries = draw(st.lists(_ESCAPED.filter(lambda q: "\t" not in q), min_size=1, max_size=3))
+    sessions = []
+    for k in range(draw(st.integers(0, 6))):
+        docs = draw(st.lists(_ESCAPED, max_size=4, unique=True))
+        sessions.append(Session(f"{k}", draw(st.sampled_from(queries)),
+                                draw(st.sampled_from(ALL_INTENTS)), tuple(docs),
+                                tuple(draw(st.lists(st.integers(0, 1), min_size=len(docs),
+                                                    max_size=len(docs))))))
+    ids = draw(st.lists(_ESCAPED, min_size=len(sessions), max_size=len(sessions)))
+    return encode_sessions(sessions), ids
+
+
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                         2.2250738585072014e-308, 1e-310])
+# Documents of float tables (dicts of str keys to finite floats, or to any
+# floats) nested in dicts and lists, among other JSON values, int-keyed
+# dicts included.
+_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _ESCAPED
+    | st.dictionaries(_ESCAPED, st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                      max_size=5)
+    | st.dictionaries(_ESCAPED, _FLOATS, max_size=5)
+    | st.dictionaries(st.integers(), _FLOATS, max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_ESCAPED, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestWritersMatchStdlibJson:
+    """Both writers join JSON text themselves; their bytes are the stdlib
+    encoder's."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_batches())
+    def test_session_lines_are_json_dumps(self, batch_and_ids):
+        batch, ids = batch_and_ids
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.jsonl"
+            write_sessions(path, batch, ids)
+            got = path.read_bytes()
+        want = "".join(
+            json.dumps({"session_id": i, "query_id": q, "intent": t.value, "docs": d, "clicks": c},
+                       sort_keys=True) + "\n"
+            for i, (q, t, d, c) in zip(ids, batch.records()))
+        assert got == want.encode("utf-8")
+
+    def test_session_blocks_join_across_1024_rows(self, tmp_path):
+        sessions = [Session(f"s{k}", f"q{k % 7}", ALL_INTENTS[k % 4], (f"d{k % 5}", "é"),
+                            (k % 2, 1)) for k in range(2100)]
+        ids = [s.session_id for s in sessions]
+        path = tmp_path / "s.jsonl"
+        write_sessions(path, encode_sessions(sessions), ids)
+        assert path.read_text().splitlines() == [
+            json.dumps({"session_id": s.session_id, "query_id": s.query_id,
+                        "intent": s.intent.value, "docs": list(s.docs),
+                        "clicks": list(s.clicks)}, sort_keys=True) for s in sessions]
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(_DOCS)
+    def test_write_json_is_json_dump(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.json"
+            write_json(path, doc)
+            got = path.read_bytes()
+        assert got == (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+
+    @pytest.mark.parametrize("table", [{"a": math.nan, "b": 0.5}, {"a": math.inf},
+                                       {"a": -math.inf, "b": -0.0}, {"a": 5e-324, "é": 1e308}])
+    def test_write_json_special_floats(self, tmp_path, table):
+        doc = {"params": {"rel": table}}
+        write_json(tmp_path / "d.json", doc)
+        assert (tmp_path / "d.json").read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+    def test_write_json_table_slices(self, tmp_path):
+        # More entries than one write, nested two levels down, next to
+        # values the stdlib encodes.
+        table = {f"q{k:05d}\té": k / 7 - 1 for k in range(2500, 0, -1)}
+        doc = {"params": {"rel": table, "exam": [0.5, 0.25], "n": 3}, "kind": "pbm", "t": {}}
+        path = tmp_path / "d.json"
+        write_json(path, doc)
+        assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 class TestSessionBatch:
