@@ -19,12 +19,11 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
-from .common import DEFAULT_MAX_POSITIONS, DEFAULT_NCS_N, DEFAULT_NRS_N, MODEL_KINDS, write_json
+from .common import (DEFAULT_K_LIST, DEFAULT_MAX_POSITIONS, DEFAULT_NCS_N, DEFAULT_NRS_N,
+                     MODEL_KINDS, write_json)
 from .errors import DataError, NumericError
-from .reports import (DEFAULT_K_LIST, compare_models, format_comparison_table, format_report,
-                      load_report, save_report)
 
-# The names the commands take from modules that load numpy, by module.
+# The names the commands take from the package's modules, by module.
 # run() imports only the modules its subcommand needs (see _COMMANDS) and
 # binds their names here before it dispatches, keeping any already bound;
 # __getattr__ binds a module's names when one is read off this module
@@ -40,6 +39,8 @@ _LAZY_NAMES = {
     "intent": ("classify", "clicked_url_counts", "extract_features", "load_lexicon",
                "rule_label_transactional", "save_classifier", "train_classifier"),
     "evaluate": ("evaluate_model",),
+    "reports": ("compare_models", "format_comparison_table", "format_report", "load_report",
+                "save_report"),
 }
 
 
@@ -293,6 +294,10 @@ def _cmd_fit(args) -> Outputs:
         raise DataError(f"no sessions in {args.sessions}")
     if args.intents:
         sessions = attach_intents(sessions, read_intent_labels(args.intents))
+    if (args.intent_aware or args.alternating) and all(
+            intent is Intent.UNKNOWN for intent, _ in sessions.by_intent()):
+        raise DataError("no session has a known intent: an intent-aware fit needs --intents "
+                        "labels for at least one query of the log")
     config = EmConfig(tol=args.tol, max_iters=args.max_iters)
     if args.alternating:
         params, report = alternating_fit(
@@ -357,8 +362,8 @@ _COMMANDS = {
     "simulate": (_cmd_simulate, ("sessions", "models", "simulate")),
     "classify": (_cmd_classify, ("sessions", "intent")),
     "fit": (_cmd_fit, ("sessions", "models", "inference")),
-    "eval": (_cmd_eval, ("sessions", "models", "evaluate")),
-    "compare": (_cmd_compare, ()),
+    "eval": (_cmd_eval, ("sessions", "models", "evaluate", "reports")),
+    "compare": (_cmd_compare, ("reports",)),
 }
 
 

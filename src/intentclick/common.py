@@ -23,6 +23,8 @@ MODEL_KINDS = (PBM, CASCADE, UBM, DBN)
 PROB_CLAMP = 1e-12
 
 DEFAULT_MAX_POSITIONS = 10
+# The NDCG cut-offs eval reports by default.
+DEFAULT_K_LIST = (1, 3, 5, 7, 10)
 # The n of the nCS and nRS intent features.
 DEFAULT_NCS_N = 2
 DEFAULT_NRS_N = 3

@@ -15,11 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
+from .common import DEFAULT_K_LIST
 from .errors import DataError
 from .models import AnyParams, PROB_CLAMP, clamp_probability, click_probs, mixed_relevance
 # Every report name stays importable from here, not only the two used below.
-from .reports import (DEFAULT_K_LIST, ComparabilityError, EvalReport, ModelComparison,
-                      compare_models, format_comparison_table, format_report, load_report,
+from .reports import (ComparabilityError, EvalReport, ModelComparison, compare_models,
+                      format_comparison_table, format_report, load_report,
                       perplexity_improvement, save_report)
 from .sessions import ALL_INTENTS, Intent, Judgments, SessionBatch
 

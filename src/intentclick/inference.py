@@ -30,7 +30,9 @@ accelerates EM by monotone SQUAREM (Varadhan & Roland, Scand. J. Statist.
 extrapolated point, and one EM step from that point, kept only if the
 objective there is at least the partition's last recorded value;
 otherwise the partition takes a plain step instead. A partition stops
-once a step moves none of its parameters by tol or more.
+once a step moves none of its parameters by tol or more. The problem owns
+its ``FitReport``: ``ascend`` records and logs each step in it, and
+``_FitProblem.result`` finishes it and builds the params.
 
 The alternating fit mirrors the two-phase scheme for intent-aware models:
 Phase A updates relevance-side parameters with the examination tables
@@ -40,7 +42,6 @@ repeating until the parameters jointly converge.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -287,7 +288,7 @@ class _ExamRelFitter(_Fitter):
     P(C=1) = exam[cell] * rel[(query, doc)], shared by PBM and UBM.
 
     The params class (PbmParams or UbmParams) gives the examination-cell
-    layout and the table it fills through ``cells_for``, ``cell_index`` and
+    layout and the table it fills through ``cells_for``, ``cell_of`` and
     ``exam_field``. Events that share a (pair, cell) combination share their
     posteriors, so the E-step runs once per combination, weighted by its
     click and skip counts; combinations are in (pair, cell) order.
@@ -301,7 +302,8 @@ class _ExamRelFitter(_Fitter):
         valid = batch.valid
         self.keys, code = _sorted_keys(batch.keys, batch.pair[valid])
         code *= n_cells
-        code += params_cls.cell_index(batch, max_positions)[valid]
+        positions = np.arange(1, batch.width + 1)
+        code += params_cls.cell_of(last_click(batch.clicks), positions, max_positions)[valid]
         code *= 2
         code += batch.clicks[valid]
         code, count = np.unique(code, return_counts=True)
@@ -488,13 +490,14 @@ _FITTERS = {PBM: _ExamRelFitter, CASCADE: _CascadeFitter, UBM: _ExamRelFitter, D
 
 
 class _FitProblem:
-    """One or more partitions (by intent) fitted jointly over shared iterations."""
+    """One or more partitions (by intent) fitted jointly over shared
+    iterations, and the report of that fit."""
 
     def __init__(
         self,
         model_kind: str,
         batch: SessionBatch,
-        config: EmConfig,
+        config: EmConfig | None,
         intent_aware: bool,
         max_positions: int | None,
         init_params: AnyParams | None,
@@ -511,8 +514,9 @@ class _FitProblem:
                 f"sessions reach position {batch.width} > max_positions {self.max_positions}"
             )
         self.intent_aware = intent_aware
-        self.config = config
+        self.config = config or EmConfig()
         fitter_cls = _FITTERS[model_kind]
+        self.model_families = fitter_cls.families
         self.params_cls = PARAMS_CLASSES[model_kind]
         if init_params is None:
             init_params = self.params_cls.prior(self.max_positions)
@@ -526,36 +530,37 @@ class _FitProblem:
             fitter = fitter_cls(part, self.params_cls, self.max_positions)
             start = resolve_params(init_params, intent or Intent.UNKNOWN)
             self.partitions[intent] = (fitter, fitter.state_from(start))
-        self.fitter_cls = fitter_cls
         self.last_delta = dict.fromkeys(self.partitions, float("inf"))
+        self.report = FitReport(iterations=0, final_delta=float("inf"))
 
-    @property
-    def model_families(self) -> frozenset:
-        return self.fitter_cls.families
-
-    def ascend(self, families: frozenset) -> Iterator[tuple[float, float, list]]:
-        """Accelerated EM steps over every partition in lockstep.
+    def ascend(self, families: frozenset, label: str) -> float:
+        """Up to max_iters accelerated EM steps over every partition in
+        lockstep, each recorded in the report and logged at INFO level
+        after ``label``; returns the largest change of any step.
 
         Each partition runs its own monotone SQUAREM cycle (``_squarem``)
         and stops after a step that moves none of its parameters by tol or
-        more; from then on it adds its objective at its final tables. Yields
-        per step the summed objective entering it, the largest change and
-        how each partition's step started; ends once every partition has
-        stopped. ``last_delta`` keeps each partition's latest change.
+        more; from then on it adds its objective at its final tables. The
+        steps end early once every partition has stopped. ``last_delta``
+        keeps each partition's latest change.
         """
+        config, report = self.config, self.report
         runs = {
-            key: _squarem(fitter, state, families, self.config)
+            key: _squarem(fitter, state, families, config)
             for key, (fitter, state) in self.partitions.items()
         }
         # A stopped partition's objective, computed when a later step needs it.
         stopped: dict = {}
-        while len(stopped) < len(runs):
+        largest = 0.0
+        for _ in range(config.max_iters):
+            if len(stopped) == len(runs):
+                break
             ll_total, delta, kinds = 0.0, 0.0, []
             for key, run in runs.items():
                 if key in stopped:
                     if stopped[key] is None:
                         fitter, state = self.partitions[key]
-                        stopped[key] = fitter.iterate(state, frozenset(), self.config)[0]
+                        stopped[key] = fitter.iterate(state, frozenset(), config)[0]
                     ll_total += stopped[key]
                     continue
                 ll, d, kind = next(run)
@@ -563,13 +568,35 @@ class _FitProblem:
                 delta = max(delta, d)
                 kinds.append(kind)
                 self.last_delta[key] = d
-                if d < self.config.tol:
+                if d < config.tol:
                     stopped[key] = None
             if not np.isfinite(ll_total):
                 raise NumericError(f"log-likelihood became non-finite ({ll_total})")
-            yield ll_total, delta, kinds
+            report.iterations += 1
+            report.loglik_trace.append(ll_total)
+            report.extrapolated += kinds.count(EXTRAPOLATED)
+            report.rejected += kinds.count(REJECTED)
+            largest = max(largest, delta)
+            if logger.isEnabledFor(logging.INFO):
+                marks = "".join(
+                    f" {k}={kinds.count(k)}" for k in (EXTRAPOLATED, REJECTED) if k in kinds
+                )
+                logger.info(
+                    "%siter %d loglik %.6f max_delta %.3e%s",
+                    label, report.iterations, ll_total, delta, marks,
+                )
+        return largest
 
-    def make_params(self) -> AnyParams:
+    def result(self, final_delta: float, stop_text: str) -> tuple[AnyParams, FitReport]:
+        """The fitted params and the finished report, whose fit converged
+        if final_delta is below tol; if not, a warning starts with
+        ``stop_text``."""
+        report, tol = self.report, self.config.tol
+        report.final_delta = final_delta
+        report.converged = final_delta < tol
+        if not report.converged:
+            logger.warning("%s with max delta %.3e >= tol %.1e", stop_text, final_delta, tol)
+
         def fitted(key):
             # A fresh prior per slot, so no two slots share a table.
             prior = self.params_cls.prior(self.max_positions)
@@ -579,35 +606,11 @@ class _FitProblem:
             return fitter.params_from(state, prior)
 
         if not self.intent_aware:
-            return fitted(None)
+            return fitted(None), report
         return IntentAwareParams(
             per_intent={intent: fitted(intent) for intent in KNOWN_INTENTS},
             fallback=fitted(Intent.UNKNOWN),
-        )
-
-
-def _record_steps(
-    problem: _FitProblem, families: frozenset, report: FitReport, label: str
-) -> float:
-    """Run up to max_iters accelerated steps into the report, logging each
-    at INFO level; return the largest change of any step."""
-    config = problem.config
-    largest = 0.0
-    for ll, delta, kinds in itertools.islice(problem.ascend(families), config.max_iters):
-        report.iterations += 1
-        report.loglik_trace.append(ll)
-        report.extrapolated += kinds.count(EXTRAPOLATED)
-        report.rejected += kinds.count(REJECTED)
-        largest = max(largest, delta)
-        if logger.isEnabledFor(logging.INFO):
-            marks = "".join(
-                f" {k}={kinds.count(k)}" for k in (EXTRAPOLATED, REJECTED) if k in kinds
-            )
-            logger.info(
-                "%siter %d loglik %.6f max_delta %.3e%s",
-                label, report.iterations, ll, delta, marks,
-            )
-    return largest
+        ), report
 
 
 def em_fit(
@@ -626,19 +629,11 @@ def em_fit(
     families restricts the M-step to "rel" / "exam" parameter sides (both
     by default); init_params seeds the starting tables.
     """
-    config = config or EmConfig()
     problem = _FitProblem(model_kind, batch, config, intent_aware, max_positions, init_params)
     update = problem.model_families if families is None else frozenset(families) & problem.model_families
-    report = FitReport(iterations=0, final_delta=float("inf"))
-    _record_steps(problem, update, report, "")
-    report.final_delta = max(problem.last_delta.values())
-    report.converged = report.final_delta < config.tol
-    if not report.converged:
-        logger.warning(
-            "EM stopped at max_iters=%d with max delta %.3e >= tol %.1e",
-            config.max_iters, report.final_delta, config.tol,
-        )
-    return problem.make_params(), report
+    problem.ascend(update, "")
+    return problem.result(max(problem.last_delta.values()),
+                          f"EM stopped at max_iters={problem.config.max_iters}")
 
 
 def alternating_fit(
@@ -657,22 +652,12 @@ def alternating_fit(
     max_iters accelerated steps; a round's delta is the largest change of
     any step in it.
     """
-    config = config or EmConfig()
     problem = _FitProblem(model_kind, batch, config, True, max_positions, None)
     phases = [f for f in (frozenset((REL_SIDE,)), frozenset((EXAM_SIDE,)))
               if f & problem.model_families]
-    report = FitReport(iterations=0, final_delta=float("inf"))
     for round_no in range(1, ALTERNATING_MAX_ROUNDS + 1):
-        report.final_delta = max(
-            _record_steps(problem, phase, report, f"round {round_no} phase {'/'.join(phase)} ")
-            for phase in phases
-        )
-        if report.final_delta < config.tol:
+        delta = max(problem.ascend(phase, f"round {round_no} phase {'/'.join(phase)} ")
+                    for phase in phases)
+        if delta < problem.config.tol:
             break
-    report.converged = report.final_delta < config.tol
-    if not report.converged:
-        logger.warning(
-            "alternating fit stopped after %d rounds with max delta %.3e >= tol %.1e",
-            ALTERNATING_MAX_ROUNDS, report.final_delta, config.tol,
-        )
-    return problem.make_params(), report
+    return problem.result(delta, f"alternating fit stopped after {ALTERNATING_MAX_ROUNDS} rounds")

@@ -186,12 +186,6 @@ class _ExamRelParams(_TableParams):
         """Length of cells_for(max_positions): one past its last cell."""
         return cls.cell_of(max_positions - 1, max_positions, max_positions) + 1
 
-    @classmethod
-    def cell_index(cls, batch: SessionBatch, max_positions: int) -> np.ndarray:
-        """Each cell's index into cells_for(max_positions); the observed click
-        history fixes it."""
-        return cls.cell_of(last_click(batch.clicks), np.arange(1, batch.width + 1), max_positions)
-
     def exam_matrix(self, width: int) -> np.ndarray:
         """Examination as matrix[last, pos] for a last click and a 1-based
         position up to ``width``; cells with pos <= last, which no session
@@ -458,5 +452,5 @@ def load_params(path) -> AnyParams:
         )
     except KeyError as exc:
         raise DataError(f"bad {kind} parameter document: missing {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"bad {kind} parameter document: {exc}") from None

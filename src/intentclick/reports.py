@@ -16,8 +16,6 @@ from typing import Mapping
 from .common import JSON_NUMBER_TYPES, PROB_CLAMP, read_json, write_json
 from .errors import DataError
 
-DEFAULT_K_LIST = (1, 3, 5, 7, 10)
-
 # The most eval can write, as it clamps click probabilities at PROB_CLAMP,
 # with room for rounding.
 MAX_PERPLEXITY = (1.0 + 1e-9) / PROB_CLAMP

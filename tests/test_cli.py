@@ -1,6 +1,7 @@
 """End-to-end CLI pipelines, exit codes, and manifests."""
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -101,7 +102,7 @@ class TestUsageErrors:
 
     def test_bad_intent_mix(self, tmp_path):
         # NaN fails both the sign and the sum check, as a usage error.
-        for mix in ["0.5,0.2,0.2", "nan,0.5,0.5", "0.5,0.5,nan", "inf,0,0"]:
+        for mix in ["0.5,0.2,0.2", "nan,0.5,0.5", "0.5,0.5,nan", "inf,0,0", "1,0", "a,b,c"]:
             code = run(["simulate", "--out-dir", str(tmp_path / "s"), "--intent-mix", mix])
             assert code == EXIT_USAGE, mix
         assert not (tmp_path / "s").exists()
@@ -382,6 +383,17 @@ class TestFitEvalCompare:
                     "--out", str(tmp_path / "cmp.txt")])
         assert code == EXIT_DATA
 
+    def test_compare_different_position_counts_is_a_data_error(self, tmp_path, capsys):
+        base, treat = tmp_path / "base.json", tmp_path / "treat.json"
+        base.write_text(json.dumps(GOOD_REPORT))
+        treat.write_text(json.dumps({**GOOD_REPORT, "per_position": [1.5, 1.2, 1.1],
+                                     "position_counts": [2, 3, 1]}))
+        out = tmp_path / "cmp.txt"
+        assert run(["compare", "--base", str(base), "--treat", str(treat),
+                    "--out", str(out)]) == EXIT_DATA
+        assert "position counts differ: 2 vs 3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -541,6 +553,44 @@ class TestFitEvalCompare:
         assert "missing 'params'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,params", [
+        ("cascade", {"rel": {"q0000\tq0000_d01": 10**400}}),
+        ("dbn", {"rel": {}, "sat": {}, "gamma_cont": 10**400}),
+    ], ids=["table-value", "scalar"])
+    def test_eval_with_ints_too_large_for_a_float_is_a_data_error(self, tmp_path, capsys, kind,
+                                                                   params):
+        sim = _simulate(tmp_path)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"version": 1, "kind": kind, "intent_aware": False,
+                                    "params": params}))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        code = run(["eval", "--params", str(path), "--sessions", str(sim / "sessions.jsonl"),
+                    "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: bad {kind} parameter document: "
+                                           "int too large to convert to float\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,table", [
+        ("pbm", {"exam": {"1": 0.5, "2": 0.5, "3": 0.5, "5": 0.5}}),
+        ("ubm", {"beta": {"0:1": 0.5, "0:2": 0.5, "0:3": 0.5, "0:4": 0.5, "1:2": 0.5,
+                          "1:3": 0.5, "1:4": 0.5, "2:3": 0.5, "2:4": 0.5, "4:5": 0.5}}),
+    ], ids=["pbm", "ubm"])
+    def test_eval_with_misplaced_exam_cells_is_a_data_error(self, tmp_path, capsys, kind, table):
+        # The right number of cells for max_positions 4, but one outside it.
+        sim = _simulate(tmp_path)
+        params = tmp_path / "odd.json"
+        params.write_text(json.dumps({"version": 1, "kind": kind, "intent_aware": False, "params": {
+            **table, "rel": {}, "max_positions": 4}}))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        code = run(["eval", "--params", str(params), "--sessions", str(sim / "sessions.jsonl"),
+                    "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "missing or outside max_positions 4" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind,table,max_positions", [
         ("pbm", {"exam": {"1": 0.5}}, 10**6),
         ("ubm", {"beta": {"0:1": 0.5}}, 1000),
@@ -571,14 +621,27 @@ class TestClassify:
         return out
 
     def test_rule_mode(self, tmp_path):
-        sessions_path = self._ingested(tmp_path)
+        # A click below rank 3, and two clicks in one session, make a query
+        # informational; a cue word makes it transactional.
+        raw = tmp_path / "raw.tsv"
+        raw.write_text(AOL_SAMPLE
+                       + "u3\tjazz history\t2006-03-03 09:00:00\t5\thttp://jazz.org\n"
+                       + "u4\tbird songs\t2006-03-03 09:00:00\t1\thttp://birds.org\n"
+                       + "u5\toak trees\t2006-03-03 09:00:00\t1\thttp://oak.org\n"
+                       + "u5\toak trees\t2006-03-03 09:01:00\t2\thttp://trees.org\n")
+        sessions_path = tmp_path / "sessions.jsonl"
+        assert run(["ingest", "--aol", str(raw), "--out", str(sessions_path)]) == EXIT_OK
         labels_path = tmp_path / "intents.tsv"
-        code = run(["classify", "--sessions", str(sessions_path),
-                    "--out", str(labels_path)])
-        assert code == EXIT_OK
-        labels = read_intent_labels(labels_path)
-        assert labels["free music downloads"] is Intent.TRANSACTIONAL
-        assert set(labels) == {"mapquest", "weather", "free music downloads"}
+        assert run(["classify", "--sessions", str(sessions_path),
+                    "--out", str(labels_path)]) == EXIT_OK
+        assert read_intent_labels(labels_path) == {
+            "mapquest": Intent.NAVIGATIONAL,
+            "weather": Intent.NAVIGATIONAL,
+            "free music downloads": Intent.TRANSACTIONAL,
+            "bird songs": Intent.TRANSACTIONAL,
+            "jazz history": Intent.INFORMATIONAL,
+            "oak trees": Intent.INFORMATIONAL,
+        }
 
     def test_trained_mode(self, tmp_path):
         sessions_path = self._ingested(tmp_path)
@@ -611,6 +674,44 @@ class TestClassify:
         code = run(["classify", "--sessions", str(sessions_path),
                     "--out", str(tmp_path / "o.tsv"), "--train-labels", str(seed_path)])
         assert code == EXIT_DATA
+
+
+class TestIntentAwareFitNeedsLabels:
+    """An intent-aware fit on a log without one labelled session would fit
+    only the Unknown fallback: it is a data error that names --intents."""
+
+    @pytest.mark.parametrize("flag", ["--intent-aware", "--alternating"])
+    def test_unlabelled_ingest_output(self, pipeline_inputs, tmp_path, capsys, flag):
+        out = tmp_path / "p.json"
+        capsys.readouterr()
+        code = run(["fit", "--model", "pbm", flag, "--sessions", f"{pipeline_inputs}/aol.jsonl",
+                    "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: no session has a known intent") and "--intents" in err
+        assert not out.exists()
+
+    def test_labels_of_no_query_in_the_log(self, pipeline_inputs, tmp_path, capsys):
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("no such query\tnav\n")
+        out = tmp_path / "p.json"
+        capsys.readouterr()
+        code = run(["fit", "--model", "ubm", "--intent-aware", "--sessions",
+                    f"{pipeline_inputs}/aol.jsonl", "--intents", str(labels), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "--intents" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_partly_labelled_log_fits(self, pipeline_inputs, tmp_path):
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("mapquest\tnav\n")
+        out = tmp_path / "p.json"
+        code = run(["fit", "--model", "pbm", "--intent-aware", "--sessions",
+                    f"{pipeline_inputs}/aol.jsonl", "--intents", str(labels), "--out", str(out)])
+        assert code == EXIT_OK
+        params = load_params(out)
+        assert params.per_intent[Intent.NAVIGATIONAL].rel
+        assert params.fallback.rel
 
 
 @pytest.fixture(scope="module")
@@ -688,10 +789,10 @@ class TestLogging:
 
 # The intentclick modules, and numpy, that each subcommand must not import.
 NOT_IMPORTED = {
-    "ingest": {"models", "inference", "evaluate", "simulate", "intent"},
-    "simulate": {"inference", "intent", "evaluate"},
-    "classify": {"models", "inference", "evaluate", "simulate"},
-    "fit": {"evaluate", "intent", "simulate"},
+    "ingest": {"models", "inference", "evaluate", "simulate", "intent", "reports"},
+    "simulate": {"inference", "intent", "evaluate", "reports"},
+    "classify": {"models", "inference", "evaluate", "simulate", "reports"},
+    "fit": {"evaluate", "intent", "simulate", "reports"},
     "eval": {"inference", "intent", "simulate"},
     "compare": {"numpy", "sessions", "models", "inference", "evaluate", "simulate", "intent"},
 }
@@ -993,3 +1094,84 @@ class TestReaderFuzz:
     @given(_session_lines(), st.sampled_from(["\n", "\r\n"]))
     def test_sessions(self, pipeline_inputs, lines, newline):
         self._exits_cleanly(pipeline_inputs, "sessions", lines, newline)
+
+
+# A valid parameter table set of each kind for the simulated log of
+# pipeline_inputs (4 positions).
+_PAIR = "q0000\tq0000_d01"
+_GOOD_PARAMS = {
+    "pbm": {"exam": {"1": 0.9, "2": 0.7, "3": 0.5, "4": 0.3}, "rel": {_PAIR: 0.6},
+            "max_positions": 4},
+    "ubm": {"beta": {f"{last}:{pos}": 0.5 for last in range(4) for pos in range(last + 1, 5)},
+            "rel": {_PAIR: 0.6}, "max_positions": 4},
+    "cascade": {"rel": {_PAIR: 0.6}},
+    "dbn": {"rel": {_PAIR: 0.6}, "sat": {_PAIR: 0.4}, "gamma_cont": 0.9},
+}
+# Values and keys that a parameter document must not hold, or holds only
+# in some places: NaN, infinities, bools, ints too large for a float,
+# numbers outside [0, 1], other types, and pair, position and cell keys
+# of the wrong shape or range.
+_ODD_VALUES = st.sampled_from([math.nan, math.inf, -math.inf, True, False, None, 0, -1, 10**6,
+                               10**400, -10**400, 1e300, 1.5, -0.5, 0.5, "0.5", [], {}])
+_ODD_KEYS = st.sampled_from(["q0000", "", "\t", _PAIR, "q0000\tq0000_d01\tx", "0", "5", "-1",
+                             "01", "x", "٣", "0:0", "0:1", "4:5", "-1:2", "a:b", "1:2:3",
+                             "inf", "nav", "tra", "unk", "params", "max_positions"])
+
+
+@st.composite
+def _params_docs(draw):
+    """A parameter document of any kind, base or intent-aware, and whether
+    it is still the valid one: up to three times a field or table entry is
+    dropped, given an odd value, or an odd key is added or renames one, or
+    a table set gets an odd max_positions."""
+    kind = draw(st.sampled_from(sorted(_GOOD_PARAMS)))
+    doc = {"version": 1, "kind": kind, "intent_aware": draw(st.booleans())}
+    if doc["intent_aware"]:
+        doc["per_intent"] = {t: copy.deepcopy(_GOOD_PARAMS[kind]) for t in ("inf", "nav", "tra")}
+        doc["fallback"] = copy.deepcopy(_GOOD_PARAMS[kind])
+        params = [*doc["per_intent"].values(), doc["fallback"]]
+        targets = [doc, doc["per_intent"], *params]
+    else:
+        doc["params"] = copy.deepcopy(_GOOD_PARAMS[kind])
+        params = [doc["params"]]
+        targets = [doc, *params]
+    targets += [table for p in params for table in p.values() if isinstance(table, dict)]
+    changes = draw(st.integers(0, 3))
+    for _ in range(changes):
+        target = draw(st.sampled_from(targets))
+        change = draw(st.sampled_from(["drop", "value", "add", "rename", "size"]))
+        if change == "size":
+            draw(st.sampled_from(params))["max_positions"] = draw(
+                st.sampled_from([0, -1, -3, 3, 5, 10**6, 10**400]))
+        elif change in ("drop", "rename") and target:
+            value = target.pop(draw(st.sampled_from(sorted(target))))
+            if change == "rename":
+                target[draw(_ODD_KEYS)] = value
+        elif change == "value" and target:
+            target[draw(st.sampled_from(sorted(target)))] = draw(_ODD_VALUES)
+        else:
+            target[draw(_ODD_KEYS)] = draw(st.sampled_from([0.5, 0.1]) | _ODD_VALUES | _JSON)
+    return json.dumps(doc), changes == 0
+
+
+class TestParamsFuzz:
+    """eval never crashes on a parameter document: a malformed one is a data
+    error with no traceback, and a valid one evaluates."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_params_docs(), st.booleans())
+    def test_exits_cleanly(self, pipeline_inputs, doc_and_valid, judged):
+        text, valid = doc_and_valid
+        sim = pipeline_inputs / "sim"
+        with tempfile.TemporaryDirectory() as tmp:
+            params = Path(tmp) / "p.json"
+            params.write_text(text)
+            argv = ["eval", "--params", str(params), "--sessions", str(sim / "sessions.jsonl"),
+                    "--out", f"{tmp}/e.json"]
+            if judged:
+                argv += ["--judgments", str(sim / "judgments.tsv")]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run(argv)
+        assert code == EXIT_OK if valid else code in (EXIT_OK, EXIT_DATA)
+        assert "Traceback" not in stderr.getvalue()
