@@ -32,7 +32,7 @@ _LAZY_NAMES = {
     "sessions": ("Intent", "attach_intents", "group_by_query", "read_aol_log",
                  "read_intent_labels", "read_judgments", "read_sessions", "sessionize",
                  "write_intent_labels", "write_judgments", "write_sessions"),
-    "models": ("load_params", "save_params"),
+    "models": ("IntentAwareParams", "load_params", "save_params"),
     "inference": ("EmConfig", "alternating_fit", "em_fit"),
     "simulate": ("SimConfig", "click_behavior_preset", "generate_ground_truth", "session_ids",
                  "simulate_sessions"),
@@ -186,6 +186,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sessions", required=True)
     p.add_argument("--out", required=True, help="evaluation report (json)")
     p.add_argument("--judgments", help="editorial judgments (tsv) for NDCG")
+    p.add_argument("--intents", help="intent labels (tsv) to attach before evaluating")
     p.add_argument("--k-list", type=_k_list, default=DEFAULT_K_LIST)
     p.add_argument("--label", default="")
 
@@ -288,16 +289,23 @@ def _cmd_classify(args) -> Outputs:
     return outputs, None
 
 
-def _cmd_fit(args) -> Outputs:
+def _routed_sessions(args, intent_aware: bool):
+    """The --sessions batch with any --intents labels attached. An
+    intent-aware run refuses a batch in which no session has a known
+    intent: every session would go to the fallback table."""
     sessions = read_sessions(args.sessions)
     if not sessions:
         raise DataError(f"no sessions in {args.sessions}")
     if args.intents:
         sessions = attach_intents(sessions, read_intent_labels(args.intents))
-    if (args.intent_aware or args.alternating) and all(
-            intent is Intent.UNKNOWN for intent, _ in sessions.by_intent()):
-        raise DataError("no session has a known intent: an intent-aware fit needs --intents "
-                        "labels for at least one query of the log")
+    if intent_aware and all(intent is Intent.UNKNOWN for intent, _ in sessions.by_intent()):
+        raise DataError(f"no session has a known intent: an intent-aware {args.subcommand} "
+                        "needs --intents labels for at least one query of the log")
+    return sessions
+
+
+def _cmd_fit(args) -> Outputs:
+    sessions = _routed_sessions(args, args.intent_aware or args.alternating)
     config = EmConfig(tol=args.tol, max_iters=args.max_iters)
     if args.alternating:
         params, report = alternating_fit(
@@ -325,9 +333,7 @@ def _cmd_fit(args) -> Outputs:
 
 def _cmd_eval(args) -> Outputs:
     params = load_params(args.params)
-    sessions = read_sessions(args.sessions)
-    if not sessions:
-        raise DataError(f"no sessions in {args.sessions}")
+    sessions = _routed_sessions(args, isinstance(params, IntentAwareParams))
     judgments = read_judgments(args.judgments) if args.judgments else None
     report = evaluate_model(
         params, sessions, judgments=judgments, k_list=args.k_list, label=args.label

@@ -434,14 +434,19 @@ def load_params(path) -> AnyParams:
     if not isinstance(doc, dict):
         raise DataError("a parameter document must be a JSON object")
     version = doc.get("version")
-    if version != PARAMS_FORMAT_VERSION:
+    # The JSON integer only: Python reads true and 1.0 as equal to 1.
+    if type(version) is not int or version != PARAMS_FORMAT_VERSION:
         raise DataError(f"unsupported parameter document version {version!r}")
     kind = doc.get("kind")
     if kind not in MODEL_KINDS:
         raise DataError(f"unknown model kind {kind!r}")
+    intent_aware = doc.get("intent_aware")
+    if not isinstance(intent_aware, bool):
+        raise DataError(f"bad {kind} parameter document: intent_aware must be true or false, "
+                        f"got {intent_aware!r}")
     params_cls = PARAMS_CLASSES[kind]
     try:
-        if not doc.get("intent_aware"):
+        if not intent_aware:
             return _base_from_json(params_cls, doc["params"])
         per_intent = {
             intent: _base_from_json(params_cls, doc["per_intent"][intent.value])

@@ -613,7 +613,28 @@ def attach_intents(batch: SessionBatch, labels: Mapping[str, Intent]) -> Session
 
 def group_by_query(batch: SessionBatch) -> dict[str, SessionBatch]:
     """Each query's sessions as a batch of their own, in the order of
-    batch.queries."""
+    batch.queries: batch.take of the query's rows, with every query's pair
+    codes renumbered in one pass."""
     rows = np.argsort(batch.query, kind="stable")
-    ends = np.cumsum(np.bincount(batch.query, minlength=batch.n_queries))
-    return {q: batch.take(r) for q, r in zip(batch.queries, np.split(rows, ends[:-1]))}
+    ends = np.cumsum(np.bincount(batch.query, minlength=batch.n_queries)).tolist()
+    lengths, valid = batch.lengths[rows], batch.valid[rows]
+    # A query's keys are the (query, pair) codes it shows, in sorted order;
+    # a cell's new code is its code's rank among its query's.
+    cell_query = np.repeat(batch.query[rows], lengths)
+    used, inverse = np.unique(cell_query * len(batch.keys) + batch.pair[rows][valid],
+                              return_inverse=True)
+    used_query, used_pair = np.divmod(used, len(batch.keys))
+    key_ends = np.searchsorted(used_query, np.arange(batch.n_queries), side="right").tolist()
+    pair = np.zeros(valid.shape, dtype=np.int64)
+    pair[valid] = inverse - np.searchsorted(used_query, cell_query)
+    keys = [batch.keys[k] for k in used_pair.tolist()]
+    clicks, intent = batch.clicks[rows], batch.intent[rows]
+    groups = {}
+    lo = key_lo = 0
+    for q, hi, key_hi in zip(batch.queries, ends, key_ends):
+        width = int(lengths[lo:hi].max(initial=0))
+        groups[q] = SessionBatch(keys[key_lo:key_hi], pair[lo:hi, :width],
+                                 clicks[lo:hi, :width], lengths[lo:hi], intent[lo:hi],
+                                 [q] if hi > lo else [], np.zeros(hi - lo, dtype=np.int64))
+        lo, key_lo = hi, key_hi
+    return groups

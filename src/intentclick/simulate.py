@@ -191,11 +191,13 @@ def _sample_cascade(rng, params: CascadeParams, r_mat: np.ndarray, s_mat) -> np.
 def _sample_ubm(rng, params: UbmParams, r_mat: np.ndarray, s_mat) -> np.ndarray:
     n, length = r_mat.shape
     beta = params.exam_matrix(length)
+    # Each position's examination, then click uniforms: a per-position loop's order.
+    u = rng.random((length, 2, n))
+    hit = u[:, 1].T < r_mat
     clicks = np.zeros((n, length), dtype=np.int8)
     last = np.zeros(n, dtype=np.int64)
     for i in range(1, length + 1):
-        examined = rng.random(n) < beta[last, i]
-        clicked = examined & (rng.random(n) < r_mat[:, i - 1])
+        clicked = (u[i - 1, 0] < beta[last, i]) & hit[:, i - 1]
         clicks[:, i - 1] = clicked
         last = np.where(clicked, i, last)
     return clicks
@@ -203,16 +205,15 @@ def _sample_ubm(rng, params: UbmParams, r_mat: np.ndarray, s_mat) -> np.ndarray:
 
 def _sample_dbn(rng, params: DbnParams, r_mat: np.ndarray, s_mat: np.ndarray) -> np.ndarray:
     n, length = r_mat.shape
-    gamma = params.gamma_cont
-    clicks = np.zeros((n, length), dtype=np.int8)
-    examining = np.ones(n, dtype=bool)
-    for i in range(length):
-        clicked = examining & (rng.random(n) < r_mat[:, i])
-        satisfied = clicked & (rng.random(n) < s_mat[:, i])
-        continuing = rng.random(n) < gamma
-        clicks[:, i] = clicked
-        examining = examining & continuing & ~satisfied
-    return clicks
+    # Each position's click, satisfaction, then continuation uniforms: a
+    # per-position loop's order. A row examines position i+1 iff it examined
+    # i and did not stop there: continuation failed or a click satisfied.
+    u_click, u_sat, u_cont = rng.random((length, 3, n)).transpose(1, 2, 0)
+    hit = u_click < r_mat
+    stop = (u_cont >= params.gamma_cont) | (hit & (u_sat < s_mat))
+    examining = np.ones((n, length), dtype=bool)
+    examining[:, 1:] = np.logical_and.accumulate(~stop[:, :-1], axis=1)
+    return (examining & hit).astype(np.int8)
 
 
 _SAMPLERS = {PBM: _sample_pbm, CASCADE: _sample_cascade, UBM: _sample_ubm, DBN: _sample_dbn}
@@ -237,7 +238,17 @@ def simulate_sessions(truth: GroundTruth, config: SimConfig) -> SessionBatch:
     pair = np.zeros((len(lengths), lengths.max()), dtype=np.int64)
     clicks = np.zeros(pair.shape, dtype=np.int8)
     intents = np.zeros(len(lengths), dtype=np.int8)
-    batch_keys: list[tuple[str, str]] = []
+    batch_keys = [(q, d) for q, docs in truth.serps.items() for d in docs]
+    intent_aware = isinstance(truth.params, IntentAwareParams)
+    # Table k serves the sessions of intent code k (KNOWN_INTENTS order).
+    tables = [truth.params.per_intent[t] for t in KNOWN_INTENTS] if intent_aware else [truth.params]
+    # Each table's values over every SERP key, looked up once.
+    rel = [table_values(t.rel, batch_keys) for t in tables]
+    sat = [table_values(t.sat, batch_keys) for t in tables] if config.model_kind == DBN else None
+    # The served order of every session, before any shuffle, per SERP length.
+    tiled = {m: np.tile(np.arange(m), (n, 1)) for m in set(map(len, truth.serps.values()))}
+    every_row = np.arange(n)
+    start = 0
     for i, (stream, (query, docs)) in enumerate(zip(streams, truth.serps.items())):
         rng = np.random.default_rng(stream)
         rows_of_query = slice(i * n, (i + 1) * n)
@@ -246,27 +257,20 @@ def simulate_sessions(truth: GroundTruth, config: SimConfig) -> SessionBatch:
             codes = np.full(n, KNOWN_INTENTS.index(truth.query_intents[query]))
         else:
             codes = rng.choice(3, size=n, p=list(config.intent_mix))
-        perms = np.tile(np.arange(len(docs)), (n, 1))
+        perms = tiled[len(docs)]
         if config.shuffle_serps:
             perms = rng.permuted(perms, axis=1)
-        keys = [(query, d) for d in docs]
+        cols = perms + start
         query_clicks = clicks[rows_of_query, :len(docs)]
-        if isinstance(truth.params, IntentAwareParams):
-            blocks = [
-                (np.flatnonzero(codes == k), truth.params.per_intent[intent])
-                for k, intent in enumerate(KNOWN_INTENTS)
-            ]
-        else:
-            blocks = [(np.arange(n), truth.params)]
-        for rows, base in blocks:
+        for k, base in enumerate(tables):
+            rows = np.flatnonzero(codes == k) if intent_aware else every_row
             if rows.size == 0:
                 continue
-            r_mat = table_values(base.rel, keys)[perms[rows]]
-            s_mat = table_values(base.sat, keys)[perms[rows]] if config.model_kind == DBN else None
-            query_clicks[rows] = sampler(rng, base, r_mat, s_mat)
-        pair[rows_of_query, :len(docs)] = perms + len(batch_keys)
+            at = cols[rows]
+            query_clicks[rows] = sampler(rng, base, rel[k][at], None if sat is None else sat[k][at])
+        pair[rows_of_query, :len(docs)] = cols
         intents[rows_of_query] = codes
-        batch_keys += keys
+        start += len(docs)
     query = np.repeat(np.arange(len(truth.serps), dtype=np.int64), n)
     return SessionBatch(batch_keys, pair, clicks, lengths, intents, list(truth.serps), query)
 

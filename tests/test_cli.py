@@ -553,6 +553,19 @@ class TestFitEvalCompare:
         assert "missing 'params'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eval_with_loose_header_is_a_data_error(self, tmp_path, capsys):
+        # true == 1 and 0 is falsy in Python; the header wants the JSON types.
+        sim = _simulate(tmp_path)
+        params = tmp_path / "loose.json"
+        params.write_text('{"version": true, "kind": "cascade", "intent_aware": 0, '
+                          '"params": {"rel": {}}}')
+        out = tmp_path / "r.json"
+        code = run(["eval", "--params", str(params), "--sessions", str(sim / "sessions.jsonl"),
+                    "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "unsupported parameter document version True" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind,params", [
         ("cascade", {"rel": {"q0000\tq0000_d01": 10**400}}),
         ("dbn", {"rel": {}, "sat": {}, "gamma_cont": 10**400}),
@@ -712,6 +725,54 @@ class TestIntentAwareFitNeedsLabels:
         params = load_params(out)
         assert params.per_intent[Intent.NAVIGATIONAL].rel
         assert params.fallback.rel
+
+
+class TestIntentAwareEvalNeedsLabels:
+    """eval takes --intents as fit does: an intent-aware model scored on a
+    log without one labelled session would score it all on the fallback."""
+
+    @pytest.fixture(scope="class")
+    def labelled_model(self, pipeline_inputs, tmp_path_factory):
+        """An intent-aware UBM fitted on the simulated log, and that log with
+        every session's intent wiped to unk, as ingest writes it."""
+        d = tmp_path_factory.mktemp("ia_eval")
+        sim = pipeline_inputs / "sim"
+        assert run(["fit", "--model", "ubm", "--intent-aware", "--sessions",
+                    str(sim / "sessions.jsonl"), "--out", str(d / "ubm_ia.json"),
+                    "--max-iters", "5"]) == EXIT_OK
+        records = [json.loads(line) for line in (sim / "sessions.jsonl").read_text().splitlines()]
+        (d / "unlabelled.jsonl").write_text(
+            "".join(json.dumps({**r, "intent": "unk"}) + "\n" for r in records))
+        return d
+
+    def _eval(self, model_dir, sessions, out, *extra):
+        return run(["eval", "--params", str(model_dir / "ubm_ia.json"), "--sessions",
+                    str(sessions), "--out", str(out), *extra])
+
+    def test_unlabelled_log_is_a_data_error(self, labelled_model, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert self._eval(labelled_model, labelled_model / "unlabelled.jsonl", out) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: no session has a known intent: an intent-aware eval")
+        assert "--intents" in err
+        assert not out.exists()
+
+    def test_intents_give_the_report_of_the_labelled_log(self, pipeline_inputs, labelled_model,
+                                                          tmp_path):
+        sim = pipeline_inputs / "sim"
+        labelled, attached = tmp_path / "labelled.json", tmp_path / "attached.json"
+        assert self._eval(labelled_model, sim / "sessions.jsonl", labelled,
+                          "--judgments", str(sim / "judgments.tsv")) == EXIT_OK
+        assert self._eval(labelled_model, labelled_model / "unlabelled.jsonl", attached,
+                          "--judgments", str(sim / "judgments.tsv"),
+                          "--intents", str(sim / "intents.tsv")) == EXIT_OK
+        assert attached.read_bytes() == labelled.read_bytes()
+
+    def test_base_model_needs_no_labels(self, pipeline_inputs, labelled_model, tmp_path):
+        assert run(["eval", "--params", str(pipeline_inputs / "p.json"), "--sessions",
+                    str(labelled_model / "unlabelled.jsonl"),
+                    "--out", str(tmp_path / "r.json")]) == EXIT_OK
 
 
 @pytest.fixture(scope="module")

@@ -465,13 +465,22 @@ class TestPersistence:
                         '"max_positions": 2}'),
             _doc("dbn", f'{{"rel": {_PAIR}, "sat": {{"q1d1": 0.5}}, "gamma_cont": 0.5}}'),
             _doc("pbm", f'{{{_PBM_EXAM}, "rel": {{"1": 0.5, "2": 0.5}}, "max_positions": 2}}'),
+            '{"version": true, "kind": "cascade", "intent_aware": false, "params": {"rel": {}}}',
+            '{"version": 1.0, "kind": "cascade", "intent_aware": false, "params": {"rel": {}}}',
+            '{"version": "1", "kind": "cascade", "intent_aware": false, "params": {"rel": {}}}',
+            '{"version": 1, "kind": "cascade", "intent_aware": 0, "params": {"rel": {}}}',
+            '{"version": 1, "kind": "cascade", "intent_aware": "no", "params": {"rel": {}}}',
+            '{"version": 1, "kind": "cascade", "intent_aware": null, "params": {"rel": {}}}',
+            '{"version": 1, "kind": "cascade", "params": {"rel": {}}}',
         ],
         ids=["version-99", "no-params", "kind-list", "array", "rel-list", "missing-intent",
              "max-positions-float", "max-positions-bool", "max-positions-string",
              "exam-bool", "rel-string", "rel-null", "gamma-string", "gamma-bool",
              "gamma-null", "pbm-pair-without-tab", "cascade-pair-without-tab",
              "pbm-exam-beyond-max-positions", "ubm-cell-outside-table",
-             "dbn-sat-pair-without-tab", "pbm-rel-keyed-like-exam"],
+             "dbn-sat-pair-without-tab", "pbm-rel-keyed-like-exam", "version-true",
+             "version-float", "version-string", "intent-aware-zero", "intent-aware-string",
+             "intent-aware-null", "intent-aware-missing"],
     )
     def test_bad_document_is_a_data_error(self, tmp_path, text):
         path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ import logging
 import math
 import re
 import tempfile
+from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -598,6 +599,25 @@ class TestSessionBatch:
         assert list(groups) == ["q1", "q2"]
         for query, batch in groups.items():
             _assert_same_batch(batch, encode_sessions([s for s in sessions if s.query_id == query]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_group_by_query_is_take_of_each_querys_rows(self, seed):
+        # Queries interleaved, docs drawn in a different order per session,
+        # so each query's first-read key order is not its sorted order.
+        rng = np.random.default_rng(seed)
+        sessions = []
+        for k in range(60):
+            query = f"q{rng.integers(7)}"
+            docs = [f"d{j}" for j in rng.permutation(9)[:rng.integers(0, 6)]]
+            clicks = rng.integers(0, 2, size=len(docs)).tolist()
+            sessions.append(Session(f"s{k}", query, ALL_INTENTS[rng.integers(4)], docs, clicks))
+        batch = encode_sessions(sessions)
+        # A listed query with no rows gets an empty batch, as take gives.
+        batch = replace(batch, queries=[*batch.queries, "q_without_rows"])
+        groups = group_by_query(batch)
+        assert list(groups) == batch.queries
+        for code, (query, got) in enumerate(groups.items()):
+            _assert_same_batch(got, batch.take(np.flatnonzero(batch.query == code)))
 
 
 class TestSessionInvariants:

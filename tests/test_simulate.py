@@ -7,9 +7,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from intentclick import simulate
 from intentclick.cli import EXIT_OK, run
-from intentclick.models import IntentAwareParams, session_prob
+from intentclick.models import DbnParams, IntentAwareParams, UbmParams, session_prob, ubm_cells
 from intentclick.sessions import ALL_INTENTS, Intent, KNOWN_INTENTS, Session
 from intentclick.simulate import (
     PRESET_NAV_TARGET4_TOTAL_MASS,
@@ -184,6 +188,65 @@ class TestStreamPin:
             if not path.name.endswith(".manifest.json"):
                 digest.update(path.name.encode() + b"\0" + path.read_bytes())
         assert digest.hexdigest() == STREAM_DIGESTS[name]
+
+
+# Probabilities with both ends drawn often: at 0 and 1 a comparison with a
+# uniform has only one outcome.
+_PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+SAMPLER_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _intent_blocks(draw):
+    """A seed, a SERP length, and per-row intent codes with one table per
+    intent; an intent no row has is an empty block."""
+    length = draw(st.integers(1, 6))
+    codes = np.array(draw(st.lists(st.integers(0, 2), min_size=1, max_size=12)))
+    return draw(st.integers(0, 2**32 - 1)), length, codes
+
+
+def _matrix(data, rows, length):
+    return np.array(data.draw(st.lists(st.lists(_PROBS, min_size=length, max_size=length),
+                                       min_size=rows, max_size=rows)), dtype=np.float64)
+
+
+def _blocks_match(seed, codes, sample, reference):
+    """Run the intent blocks in order on two equally seeded generators."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for k in range(3):
+        rows = np.flatnonzero(codes == k)
+        got, want = sample(ours, k, rows), reference(theirs, k, rows)
+        assert got.dtype == np.int8 and np.array_equal(got, want), k
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestSamplersMatchPerPositionLoops:
+    """The one-draw samplers give the clicks of the per-position loops in
+    tests/oracles.py and leave the stream where those loops leave it."""
+
+    @SAMPLER_SETTINGS
+    @given(blocks=_intent_blocks(), data=st.data())
+    def test_dbn(self, blocks, data):
+        seed, length, codes = blocks
+        r, s = _matrix(data, len(codes), length), _matrix(data, len(codes), length)
+        gammas = [data.draw(_PROBS) for _ in range(3)]
+        _blocks_match(
+            seed, codes,
+            lambda rng, k, rows: simulate._sample_dbn(
+                rng, DbnParams(rel={}, sat={}, gamma_cont=gammas[k]), r[rows], s[rows]),
+            lambda rng, k, rows: oracles.dbn_sample_loop(rng, gammas[k], r[rows], s[rows]))
+
+    @SAMPLER_SETTINGS
+    @given(blocks=_intent_blocks(), data=st.data())
+    def test_ubm(self, blocks, data):
+        seed, length, codes = blocks
+        r = _matrix(data, len(codes), length)
+        betas = [{cell: data.draw(_PROBS) for cell in ubm_cells(length)} for _ in range(3)]
+        _blocks_match(
+            seed, codes,
+            lambda rng, k, rows: simulate._sample_ubm(
+                rng, UbmParams(beta=betas[k], rel={}, max_positions=length), r[rows], None),
+            lambda rng, k, rows: oracles.ubm_sample_loop(rng, betas[k], r[rows]))
 
 
 class TestDistributionalFidelity:
