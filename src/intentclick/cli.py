@@ -175,7 +175,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="parameter document (json)")
     p.add_argument("--intent-aware", action="store_true")
     p.add_argument("--alternating", action="store_true",
-                   help="two-phase alternating fit (implies --intent-aware)")
+                   help="intent-aware fit by ECM steps: relevance, then examination")
     p.add_argument("--intents", help="intent labels (tsv) to attach before fitting")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--max-iters", type=_positive_int, default=200)

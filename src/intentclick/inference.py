@@ -24,7 +24,7 @@ Intent-aware fits partition sessions by their intent label into
 independent estimation problems, so the ascent property of EM holds for
 the summed log-likelihood.
 
-One loop, ``_FitProblem.ascend``, runs every fit and phase. It
+One loop, ``_FitProblem.ascend``, runs every fit. It
 accelerates EM by monotone SQUAREM (Varadhan & Roland, Scand. J. Statist.
 35, 2008), separately in each partition: two plain EM steps, an
 extrapolated point, and one EM step from that point, kept only if the
@@ -34,10 +34,10 @@ once a step moves none of its parameters by tol or more. The problem owns
 its ``FitReport``: ``ascend`` records and logs each step in it, and
 ``_FitProblem.result`` finishes it and builds the params.
 
-The alternating fit mirrors the two-phase scheme for intent-aware models:
-Phase A updates relevance-side parameters with the examination tables
-frozen, Phase B updates the examination tables with relevance frozen,
-repeating until the parameters jointly converge.
+The alternating fit takes ECM steps (Meng & Rubin, Biometrika 80, 1993)
+in that loop: a relevance M-step, then, after a fresh E-step, an
+examination M-step. Like EM's, the step is a monotone fixed-point map, so
+SQUAREM accelerates it unchanged.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ REL_SIDE = "rel"
 EXAM_SIDE = "exam"
 ALL_FAMILIES = frozenset((REL_SIDE, EXAM_SIDE))
 
-ALTERNATING_MAX_ROUNDS = 50
-
 # How a recorded step started: from the EM iterate, from a SQUAREM point,
 # or from the EM iterate after the SQUAREM point lowered the objective.
 PLAIN = "plain"
@@ -103,13 +101,15 @@ class FitReport:
     """Fit diagnostics.
 
     An iteration is one recorded step: every partition that has not yet
-    stopped takes one EM step, from its current parameters or from a
-    SQUAREM point. loglik_trace[k] is the objective EM ascends, evaluated
-    at the parameters entering step k: the data log-likelihood plus the
-    Bernoulli pseudo-count terms alpha*ln(theta) + beta*ln(1-theta) per
-    parameter. With zero priors it is the plain data log-likelihood. A
-    stopped partition adds its objective at its final tables. EM and the
-    monotone acceptance rule make the trace non-decreasing.
+    stopped takes one EM step (in an alternating fit, one ECM step: the
+    relevance M-step, then the examination M-step), from its current
+    parameters or from a SQUAREM point. loglik_trace[k] is the objective
+    EM ascends, evaluated at the parameters entering step k: the data
+    log-likelihood plus the Bernoulli pseudo-count terms
+    alpha*ln(theta) + beta*ln(1-theta) per parameter. With zero priors it
+    is the plain data log-likelihood. A stopped partition adds its
+    objective at its final tables. EM and the monotone acceptance rule make
+    the trace non-decreasing.
 
     Each probability factor is clamped at PROB_CLAMP before its log, so
     the trace is exactly the objective the E-step ascends. For DBN the
@@ -233,28 +233,32 @@ def _extrapolate(start: dict, mid: dict, end: dict) -> dict:
     return point
 
 
-def _squarem(fitter, state: dict, families: frozenset, cfg: EmConfig) -> Iterator[tuple]:
+def _squarem(fitter, state: dict, phases: tuple, cfg: EmConfig) -> Iterator[tuple]:
     """Monotone SQUAREM on one partition, without end.
 
     Yields (objective entering the step, largest change, how the step
     started) for each recorded step and leaves ``state`` at the step's
-    result. A cycle is two plain EM steps, then one EM step from the
+    result. A cycle is two plain steps, then one step from the
     extrapolated point, kept only if its objective is at least the last
     recorded one; otherwise a plain step from where the second step ended.
     """
+    def step(at: dict) -> tuple[float, float]:
+        results = [fitter.iterate(at, families, cfg) for families in phases]
+        return results[0][0], max(delta for _, delta in results)
+
     while True:
         start = dict(state)
-        yield (*fitter.iterate(state, families, cfg), PLAIN)
+        yield (*step(state), PLAIN)
         mid = dict(state)
-        ll_mid, delta = fitter.iterate(state, families, cfg)
+        ll_mid, delta = step(state)
         yield ll_mid, delta, PLAIN
         point = _extrapolate(start, mid, state)
-        ll, delta = fitter.iterate(point, families, cfg)
+        ll, delta = step(point)
         if ll >= ll_mid:
             state.update(point)
             yield ll, delta, EXTRAPOLATED
         else:
-            yield (*fitter.iterate(state, families, cfg), REJECTED)
+            yield (*step(state), REJECTED)
 
 
 class _Fitter:
@@ -533,10 +537,11 @@ class _FitProblem:
         self.last_delta = dict.fromkeys(self.partitions, float("inf"))
         self.report = FitReport(iterations=0, final_delta=float("inf"))
 
-    def ascend(self, families: frozenset, label: str) -> float:
-        """Up to max_iters accelerated EM steps over every partition in
+    def ascend(self, phases: tuple, label: str) -> None:
+        """Up to max_iters accelerated steps over every partition in
         lockstep, each recorded in the report and logged at INFO level
-        after ``label``; returns the largest change of any step.
+        after ``label``. A step runs an E-step and an M-step of each family
+        set in ``phases`` in turn: one EM step, or one ECM step.
 
         Each partition runs its own monotone SQUAREM cycle (``_squarem``)
         and stops after a step that moves none of its parameters by tol or
@@ -546,12 +551,11 @@ class _FitProblem:
         """
         config, report = self.config, self.report
         runs = {
-            key: _squarem(fitter, state, families, config)
+            key: _squarem(fitter, state, phases, config)
             for key, (fitter, state) in self.partitions.items()
         }
         # A stopped partition's objective, computed when a later step needs it.
         stopped: dict = {}
-        largest = 0.0
         for _ in range(config.max_iters):
             if len(stopped) == len(runs):
                 break
@@ -576,7 +580,6 @@ class _FitProblem:
             report.loglik_trace.append(ll_total)
             report.extrapolated += kinds.count(EXTRAPOLATED)
             report.rejected += kinds.count(REJECTED)
-            largest = max(largest, delta)
             if logger.isEnabledFor(logging.INFO):
                 marks = "".join(
                     f" {k}={kinds.count(k)}" for k in (EXTRAPOLATED, REJECTED) if k in kinds
@@ -585,17 +588,18 @@ class _FitProblem:
                     "%siter %d loglik %.6f max_delta %.3e%s",
                     label, report.iterations, ll_total, delta, marks,
                 )
-        return largest
 
-    def result(self, final_delta: float, stop_text: str) -> tuple[AnyParams, FitReport]:
-        """The fitted params and the finished report, whose fit converged
-        if final_delta is below tol; if not, a warning starts with
-        ``stop_text``."""
+    def result(self, fit_name: str) -> tuple[AnyParams, FitReport]:
+        """The fitted params and the finished report. Its final_delta is
+        the largest of the partitions' latest changes, and the fit
+        converged if that is below tol; if not, a warning says that
+        ``fit_name`` stopped at max_iters."""
         report, tol = self.report, self.config.tol
-        report.final_delta = final_delta
+        report.final_delta = final_delta = max(self.last_delta.values())
         report.converged = final_delta < tol
         if not report.converged:
-            logger.warning("%s with max delta %.3e >= tol %.1e", stop_text, final_delta, tol)
+            logger.warning("%s stopped at max_iters=%d with max delta %.3e >= tol %.1e",
+                           fit_name, self.config.max_iters, final_delta, tol)
 
         def fitted(key):
             # A fresh prior per slot, so no two slots share a table.
@@ -631,9 +635,8 @@ def em_fit(
     """
     problem = _FitProblem(model_kind, batch, config, intent_aware, max_positions, init_params)
     update = problem.model_families if families is None else frozenset(families) & problem.model_families
-    problem.ascend(update, "")
-    return problem.result(max(problem.last_delta.values()),
-                          f"EM stopped at max_iters={problem.config.max_iters}")
+    problem.ascend((update,), "")
+    return problem.result("EM")
 
 
 def alternating_fit(
@@ -643,21 +646,16 @@ def alternating_fit(
     *,
     max_positions: int | None = None,
 ) -> tuple[AnyParams, FitReport]:
-    """Two-phase intent-aware fit: Phase A updates relevance-side parameters
-    with examination tables held fixed, Phase B the reverse, alternating
-    until all parameters jointly converge.
+    """Intent-aware fit by ECM steps: each updates the relevance side with
+    the examination tables held fixed, then, after a fresh E-step, the
+    examination tables with relevance held fixed.
 
-    Both phases ascend the same likelihood, so the trace stays
-    non-decreasing across phase boundaries. Each phase takes up to
-    max_iters accelerated steps; a round's delta is the largest change of
-    any step in it.
+    A step records the objective entering it and the largest change of
+    either M-step. Both ascend the same objective, so the trace is
+    non-decreasing and the fit stops at the joint intent-aware EM's fixed
+    point. Cascade has no examination side, so its fit is the joint one.
     """
     problem = _FitProblem(model_kind, batch, config, True, max_positions, None)
-    phases = [f for f in (frozenset((REL_SIDE,)), frozenset((EXAM_SIDE,)))
-              if f & problem.model_families]
-    for round_no in range(1, ALTERNATING_MAX_ROUNDS + 1):
-        delta = max(problem.ascend(phase, f"round {round_no} phase {'/'.join(phase)} ")
-                    for phase in phases)
-        if delta < problem.config.tol:
-            break
-    return problem.result(delta, f"alternating fit stopped after {ALTERNATING_MAX_ROUNDS} rounds")
+    sides = [side for side in (REL_SIDE, EXAM_SIDE) if side in problem.model_families]
+    problem.ascend(tuple(frozenset((side,)) for side in sides), f"phases {','.join(sides)} ")
+    return problem.result("alternating fit")

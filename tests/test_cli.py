@@ -367,6 +367,20 @@ class TestFitEvalCompare:
         assert code == EXIT_OK
         assert isinstance(load_params(params_path), IntentAwareParams)
 
+    def test_alternating_fit_stops_at_max_iters(self, pipeline_inputs, tmp_path, capsys, caplog):
+        sim = pipeline_inputs / "sim"
+        out = tmp_path / "u.json"
+        with caplog.at_level("WARNING", logger="intentclick.inference"):
+            code = run(["fit", "--model", "ubm", "--alternating", "--sessions",
+                        str(sim / "sessions.jsonl"), "--intents", str(sim / "intents.tsv"),
+                        "--out", str(out), "--max-iters", "1"])
+        assert code == EXIT_OK
+        report = json.loads(Path(f"{out}.report.json").read_text())
+        assert report["iterations"] == len(report["loglik_trace"]) == 1
+        assert report["converged"] is False
+        assert "stopped at max_iters=1" in caplog.text
+        assert "stopped at max iterations after 1 iterations" in capsys.readouterr().out
+
     def test_compare_mismatched_sets_is_a_data_error(self, tmp_path):
         sim_a = _simulate(tmp_path, "a")
         sim_b = _simulate(tmp_path, "b", extra=["--queries", "6"])

@@ -432,9 +432,40 @@ class TestAlternatingFit:
         _assert_monotone(report.loglik_trace)
 
     def test_cascade_alternating_degenerates_to_relevance_phase(self, data):
+        # Cascade has no examination side, so each step is a relevance step
+        # and the fit is the joint intent-aware one, value for value.
         _, batch = data
         params, report = alternating_fit("cascade", batch, EmConfig(max_iters=30))
+        joint, joint_report = em_fit("cascade", batch, EmConfig(max_iters=30), intent_aware=True)
         assert report.converged
+        assert _parameters(params) == _parameters(joint)
+        assert report.to_json() == joint_report.to_json()
+
+    @pytest.mark.parametrize("kind", ["pbm", "cascade"])
+    def test_max_iters_bounds_the_fit(self, data, kind):
+        _, batch = data
+        _, report = alternating_fit(kind, batch, EmConfig(max_iters=1))
+        assert report.iterations == len(report.loglik_trace) == 1
+        assert not report.converged
+
+    @pytest.mark.parametrize("kind", ["pbm", "ubm", "dbn"])
+    def test_steps_stay_near_the_joint_fit(self, data, kind):
+        # One ECM step per iteration, not rounds of single-side phases that
+        # each run to their own convergence.
+        _, batch = data
+        _, alt_report = alternating_fit(kind, batch, EmConfig())
+        _, joint_report = em_fit(kind, batch, EmConfig(), intent_aware=True)
+        assert alt_report.converged and joint_report.converged
+        assert alt_report.iterations <= 2 * joint_report.iterations
+
+    def test_verbose_lines_name_the_phases(self, data, caplog):
+        _, batch = data
+        with caplog.at_level("INFO", logger="intentclick.inference"):
+            _, report = alternating_fit("ubm", batch, EmConfig(max_iters=5, tol=1e-15))
+        lines = [r.getMessage() for r in caplog.records if " loglik " in r.getMessage()]
+        assert len(lines) == report.iterations == 5
+        assert all(line.startswith(f"phases rel,exam iter {k} ")
+                   for k, line in enumerate(lines, 1))
 
 
 def _parameters(params):
@@ -458,7 +489,7 @@ def _parameters(params):
 @pytest.mark.parametrize(
     "kind,mode",
     [(k, m) for k in ("pbm", "ubm", "dbn") for m in ("base", "intent_aware")]
-    + [("pbm", "alternating")],
+    + [(k, "alternating") for k in ("pbm", "ubm", "dbn", "cascade")],
 )
 def test_accelerated_fit_lands_on_em_fixed_point(kind, mode):
     # One plain EM step from the returned parameters must barely move them:
