@@ -112,6 +112,18 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
+def _positive_finite(text: str) -> float:
+    """An argparse type: a float above 0 and below infinity."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
+    # Written so that NaN fails too.
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def _k_list(text: str) -> tuple[int, ...]:
     return tuple(_positive_int(p) for p in text.split(","))
 
@@ -163,9 +175,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("classify", help="label query intents")
     p.add_argument("--sessions", required=True)
     p.add_argument("--out", required=True, help="query intent labels (tsv)")
-    p.add_argument("--train-labels", help="seed labels (tsv) to train a classifier")
+    # A trained classifier reads no lexicon: only rule mode does.
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--train-labels", help="seed labels (tsv) to train a classifier")
     p.add_argument("--model-out", help="where to persist the trained classifier")
-    p.add_argument("--lexicon", help="transactional cue-word lexicon file")
+    mode.add_argument("--lexicon", help="transactional cue-word lexicon file (rule mode)")
     p.add_argument("--ncs-n", type=_positive_int, default=DEFAULT_NCS_N)
     p.add_argument("--nrs-n", type=_positive_int, default=DEFAULT_NRS_N)
 
@@ -177,7 +191,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alternating", action="store_true",
                    help="intent-aware fit by ECM steps: relevance, then examination")
     p.add_argument("--intents", help="intent labels (tsv) to attach before fitting")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_finite, default=1e-6)
     p.add_argument("--max-iters", type=_positive_int, default=200)
     p.add_argument("--max-positions", type=_positive_int, default=None)
 
@@ -393,24 +407,24 @@ def run(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         outputs, seed = command(args)
+        manifest = {
+            "subcommand": args.subcommand,
+            "config": {k: v for k, v in vars(args).items() if k not in ("subcommand", "verbose")},
+            "outputs": [str(p) for p in outputs],
+            "seed": seed,
+            "version": __version__,
+            "duration_seconds": round(time.monotonic() - started, 6),
+        }
+        write_json(Path(f"{outputs[0]}.manifest.json"), manifest)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, ValueError) as exc:
+    except (DataError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    manifest = {
-        "subcommand": args.subcommand,
-        "config": {k: v for k, v in vars(args).items() if k not in ("subcommand", "verbose")},
-        "outputs": [str(p) for p in outputs],
-        "seed": seed,
-        "version": __version__,
-        "duration_seconds": round(time.monotonic() - started, 6),
-    }
-    write_json(Path(f"{outputs[0]}.manifest.json"), manifest)
     return EXIT_OK
 
 

@@ -98,13 +98,22 @@ def _pairs_from_json(texts: list) -> list[tuple[str, str]]:
     return pairs
 
 
+def _position_from_json(text: str) -> int:
+    """str(position) read back; int() also reads "1_0", " 1", "+2" and other scripts' digits."""
+    position = int(text)
+    if str(position) != text:
+        raise ValueError(f"position {text!r} is not written as save_params writes it")
+    return position
+
+
 def _cell_from_json(text: str) -> tuple[int, int]:
     last, _, pos = text.partition(":")
-    return int(last), int(pos)
+    return _position_from_json(last), _position_from_json(pos)
 
 
 # How a table's key list is written in a parameter document and read back.
-_POSITION_KEY = (lambda keys: list(map(str, keys)), lambda texts: list(map(int, texts)))
+_POSITION_KEY = (lambda keys: list(map(str, keys)),
+                 lambda texts: list(map(_position_from_json, texts)))
 _CELL_KEY = (lambda keys: [f"{l}:{i}" for l, i in keys],
              lambda texts: list(map(_cell_from_json, texts)))
 _PAIR_KEY = (_pairs_to_json, _pairs_from_json)
@@ -125,8 +134,8 @@ class _TableParams:
     Fields declared with ``_table`` are probability tables; the others are
     scalars with a default. Validation, the prior and the JSON codec read
     the layout from ``dataclasses.fields``; the EM fitters fill the same
-    fields by name. Also here: ``relevance_estimates``, with its one-key
-    view, and the one-session view of ``click_probs``.
+    fields by name. Also here: ``relevance_estimates`` and the one-session
+    view of ``click_probs``.
     """
 
     def __post_init__(self):
@@ -143,10 +152,6 @@ class _TableParams:
     def relevance_estimates(self, keys: Sequence[tuple[str, str]]) -> np.ndarray:
         """Unbiased relevance of every (query, doc) key, as one array."""
         return table_values(self.rel, keys)
-
-    def relevance_estimate(self, query_id: str, doc_id: str) -> float:
-        """relevance_estimates of one (query, doc) pair."""
-        return float(self.relevance_estimates([(query_id, doc_id)])[0])
 
     def conditional_click_probs(self, session: Session) -> list[float]:
         """P(C_i = 1 | earlier clicks) per position of one session."""

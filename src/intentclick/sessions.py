@@ -278,6 +278,15 @@ def encode_sessions(sessions: Iterable[Session]) -> SessionBatch:
     return columns.build()
 
 
+def _ascii_int(text: str) -> int | None:
+    """The integer that text spells in ASCII digits, or None for any other
+    text: int() alone would also read "+3", " 3", "1_0" and other scripts' digits."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 def _aol_time(raw_time: str, line_no: int | None) -> datetime:
     """The timestamp of an AOL record, as strptime with AOL_TIME_FORMAT reads it."""
     # fromisoformat is much faster, but accepts shapes that strptime does
@@ -308,10 +317,9 @@ def _parse_aol_line(line: str, line_no: int | None, normalized: dict[str, str]) 
     rank: int | None = None
     url: str | None = None
     if raw_rank or raw_url:
-        # ASCII digits only: int() would also read "+3", "1_0" and full-width digits.
-        if not (raw_rank.isascii() and raw_rank.isdigit()):
+        rank = _ascii_int(raw_rank)
+        if rank is None:
             raise MalformedFieldError(f"bad rank {raw_rank!r}", line_no)
-        rank = int(raw_rank)
         url = raw_url
     query = normalized.get(raw_query)
     if query is None:
@@ -494,10 +502,10 @@ def _session_record(line: str) -> tuple[str, int, list, list]:
             "session_id and query_id must be strings, docs and clicks arrays, "
             "docs of strings, clicks of 0/1 ints"
         )
-    if "\t" in query_id:
+    if "\t" in query_id or "\n" in query_id or "\r" in query_id:
         raise SessionFormatError(
-            f"query_id {query_id!r} contains a tab, which parameter files "
-            "use to separate a query from a doc"
+            f"query_id {query_id!r} contains a tab or line break, which parameter "
+            "and intent-label files use to separate a query from a doc or a record"
         )
     _check_session(session_id, docs, clicks)
     return query_id, intent, docs, clicks
@@ -507,10 +515,10 @@ def read_sessions(path) -> SessionBatch:
     """Read line-delimited session records straight into a SessionBatch.
 
     Every record must be a valid session: session_id and query_id are
-    JSON strings and query_id has no tab, intent is a known label, docs
-    and clicks are equally long JSON arrays, doc ids are distinct strings
-    and every click is the integer 0 or 1. The first record that is not
-    raises a SessionFormatError naming its line.
+    JSON strings and query_id has no tab or line break, intent is a known
+    label, docs and clicks are equally long JSON arrays, doc ids are
+    distinct strings and every click is the integer 0 or 1. The first
+    record that is not raises a SessionFormatError naming its line.
     """
     columns = _BatchColumns()
     with open(path, encoding="utf-8") as fh:
@@ -524,9 +532,10 @@ def read_sessions(path) -> SessionBatch:
     return columns.build()
 
 
-def _check_grade(query_id: str, doc_id: str, grade: int) -> None:
+def _check_grade(query_id: str, doc_id: str, grade: int, line_no: int | None = None) -> None:
     if not 0 <= grade <= 4:
-        raise JudgmentError(f"grade {grade} out of range [0, 4] for ({query_id}, {doc_id})")
+        raise JudgmentError(f"grade {grade} out of range [0, 4] for ({query_id}, {doc_id})",
+                            line_no)
 
 
 @dataclass(frozen=True)
@@ -551,7 +560,7 @@ def write_judgments(path, judgments: Judgments) -> None:
 
 
 def read_judgments(path) -> Judgments:
-    """Read query_id<TAB>doc_id<TAB>grade records; duplicates are errors."""
+    """Read query_id<TAB>doc_id<TAB>grade records; ASCII-digit grades, no duplicates."""
     keys: dict[tuple[str, str], None] = {}
     grades = []
     with open(path, encoding="utf-8") as fh:
@@ -562,17 +571,13 @@ def read_judgments(path) -> Judgments:
             if len(fields) != 3:
                 raise JudgmentError(f"expected 3 fields, got {len(fields)}", line_no)
             query_id, doc_id, raw_grade = fields
-            try:
-                grade = int(raw_grade)
-            except ValueError:
-                raise JudgmentError(f"bad grade {raw_grade!r}", line_no) from None
+            grade = _ascii_int(raw_grade)
+            if grade is None:
+                raise JudgmentError(f"bad grade {raw_grade!r}", line_no)
             key = (query_id, doc_id)
             if key in keys:
                 raise JudgmentError(f"duplicate judgment for {key}", line_no)
-            try:
-                _check_grade(query_id, doc_id, grade)
-            except JudgmentError as exc:
-                raise JudgmentError(str(exc), line_no) from None
+            _check_grade(query_id, doc_id, grade, line_no)
             keys[key] = None
             grades.append(grade)
     return Judgments(list(keys), grades)
@@ -613,28 +618,7 @@ def attach_intents(batch: SessionBatch, labels: Mapping[str, Intent]) -> Session
 
 def group_by_query(batch: SessionBatch) -> dict[str, SessionBatch]:
     """Each query's sessions as a batch of their own, in the order of
-    batch.queries: batch.take of the query's rows, with every query's pair
-    codes renumbered in one pass."""
+    batch.queries: batch.take of the query's rows, in row order."""
     rows = np.argsort(batch.query, kind="stable")
-    ends = np.cumsum(np.bincount(batch.query, minlength=batch.n_queries)).tolist()
-    lengths, valid = batch.lengths[rows], batch.valid[rows]
-    # A query's keys are the (query, pair) codes it shows, in sorted order;
-    # a cell's new code is its code's rank among its query's.
-    cell_query = np.repeat(batch.query[rows], lengths)
-    used, inverse = np.unique(cell_query * len(batch.keys) + batch.pair[rows][valid],
-                              return_inverse=True)
-    used_query, used_pair = np.divmod(used, len(batch.keys))
-    key_ends = np.searchsorted(used_query, np.arange(batch.n_queries), side="right").tolist()
-    pair = np.zeros(valid.shape, dtype=np.int64)
-    pair[valid] = inverse - np.searchsorted(used_query, cell_query)
-    keys = [batch.keys[k] for k in used_pair.tolist()]
-    clicks, intent = batch.clicks[rows], batch.intent[rows]
-    groups = {}
-    lo = key_lo = 0
-    for q, hi, key_hi in zip(batch.queries, ends, key_ends):
-        width = int(lengths[lo:hi].max(initial=0))
-        groups[q] = SessionBatch(keys[key_lo:key_hi], pair[lo:hi, :width],
-                                 clicks[lo:hi, :width], lengths[lo:hi], intent[lo:hi],
-                                 [q] if hi > lo else [], np.zeros(hi - lo, dtype=np.int64))
-        lo, key_lo = hi, key_hi
-    return groups
+    ends = np.cumsum(np.bincount(batch.query, minlength=batch.n_queries))[:-1]
+    return {q: batch.take(part) for q, part in zip(batch.queries, np.split(rows, ends))}

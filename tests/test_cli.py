@@ -130,6 +130,10 @@ class TestBadFlagValues:
         ["simulate", "--sessions-per-query", "-1"],
         ["fit", "--max-iters", "0"],
         ["fit", "--max-positions", "0"],
+        ["fit", "--tol", "0"],
+        ["fit", "--tol", "nan"],
+        ["fit", "--tol", "inf"],
+        ["fit", "--tol", "-1"],
     ], ids=lambda argv: "{}{}={}".format(*argv))
     def test_usage_error_without_traceback_or_output(self, pipeline_inputs, tmp_path, capsys,
                                                      argv):
@@ -485,15 +489,6 @@ class TestFitEvalCompare:
                     "--out", str(tmp_path / "p.json")])
         assert code == EXIT_DATA
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-    def test_non_positive_tol_is_a_data_error(self, tmp_path, tol):
-        sim = _simulate(tmp_path)
-        params = tmp_path / "p.json"
-        code = run(["fit", "--model", "pbm", "--sessions", str(sim / "sessions.jsonl"),
-                    "--out", str(params), "--tol", tol])
-        assert code == EXIT_DATA
-        assert not params.exists()
-
     @pytest.mark.parametrize("subcommand", ["fit", "eval"])
     def test_sessions_without_positions_are_a_data_error(self, tmp_path, subcommand):
         # ingest writes such sessions for query-only log lines
@@ -693,6 +688,20 @@ class TestClassify:
         assert code == EXIT_USAGE
         assert not (tmp_path / "o.tsv").exists()
         assert not (tmp_path / "clf.json").exists()
+
+    def test_lexicon_with_train_labels_is_a_usage_error(self, tmp_path, capsys):
+        # A trained classifier reads no lexicon, so the flag would be ignored.
+        sessions_path = self._ingested(tmp_path)
+        seed_path = tmp_path / "seed.tsv"
+        seed_path.write_text("mapquest\tnav\nweather\tinf\n")
+        lexicon_path = tmp_path / "lexicon.txt"
+        lexicon_path.write_text("download\n")
+        code = run(["classify", "--sessions", str(sessions_path), "--out",
+                    str(tmp_path / "o.tsv"), "--train-labels", str(seed_path),
+                    "--lexicon", str(lexicon_path)])
+        assert code == EXIT_USAGE
+        assert "--lexicon" in capsys.readouterr().err
+        assert not (tmp_path / "o.tsv").exists()
 
     def test_no_matching_training_labels_is_a_data_error(self, tmp_path):
         sessions_path = self._ingested(tmp_path)
@@ -1041,6 +1050,29 @@ READER_RUNS = {
 }
 
 
+class TestUnusablePaths:
+    """A path that cannot be read or written, such as a directory, is a
+    data error, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        lambda d, o: ["eval", "--params", str(o), "--sessions", f"{d}/sim/sessions.jsonl",
+                      "--out", f"{o}/e.json"],
+        lambda d, o: ["fit", "--model", "pbm", "--sessions", str(o), "--out", f"{o}/p.json"],
+        # --tol 1 stops the fit after one step, with no warning on stderr.
+        lambda d, o: ["fit", "--model", "pbm", "--sessions", f"{d}/sim/sessions.jsonl",
+                      "--out", str(o), "--tol", "1"],
+        # The run's outputs are written, then the manifest cannot be.
+        lambda d, o: ["fit", "--model", "pbm", "--sessions", f"{d}/sim/sessions.jsonl",
+                      "--out", f"{o}/manifest-is-a-dir", "--tol", "1"],
+    ], ids=["eval-params-dir", "fit-sessions-dir", "fit-out-dir", "manifest-dir"])
+    def test_unusable_path_is_a_data_error(self, pipeline_inputs, tmp_path, capsys, argv):
+        (tmp_path / "manifest-is-a-dir.manifest.json").mkdir()
+        assert run(argv(pipeline_inputs, tmp_path)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "Traceback" not in err
+
+
 class TestReaderErrors:
     """Each malformed input file is a data error naming what is wrong."""
 
@@ -1048,12 +1080,20 @@ class TestReaderErrors:
         ("judgments", "q0000\tq0000_d01\n", "line 1: expected 3 fields, got 2"),
         ("judgments", "q0000\tq0000_d01\t3\nq0000\tq0000_d02\tgood\n",
          "line 2: bad grade 'good'"),
+        ("judgments", "q0000\tq0000_d01\t+3\n", "line 1: bad grade '+3'"),
+        ("judgments", "q0000\tq0000_d01\t \u0663\n", "line 1: bad grade ' \u0663'"),
+        ("judgments", "q0000\tq0000_d01\t1\nq0000\tq0000_d02\t2 \n",
+         "line 2: bad grade '2 '"),
         ("intents", "q0000\tnav\tq0001\n", "line 1: expected 2 fields, got 3"),
         ("intents", "q0000\tnav\nq0001\tshopping\n", "line 2: unknown intent label 'shopping'"),
         ("aol", "u1\tmapquest\t2006-03-01 07:17:12\t0\thttp://www.mapquest.com\n",
          "item_rank must be positive, got 0"),
-    ], ids=["judgments-field-count", "judgments-grade", "intents-field-count",
-            "intents-label", "aol-rank-zero"])
+        # More digits than int() converts: still a malformed line, not a crash.
+        ("aol", f"u1\tmapquest\t2006-03-01 07:17:12\t{'9' * 5000}\thttp://www.mapquest.com\n",
+         "line 1: bad rank '9999"),
+    ], ids=["judgments-field-count", "judgments-grade", "judgments-grade-plus",
+            "judgments-grade-arabic-indic", "judgments-grade-trailing-space",
+            "intents-field-count", "intents-label", "aol-rank-zero", "aol-rank-too-long"])
     def test_is_a_data_error(self, pipeline_inputs, tmp_path, capsys, reader, text, message):
         path = tmp_path / "input.tsv"
         path.write_text(text)

@@ -187,10 +187,12 @@ def _scores(score, keys):
     return np.array([score(q, d) for q, d in keys])
 
 
-def _ndcg_of_order(score, grades, k_list=(1, 2, 3)):
-    """ndcg_for_scores over one query judged with ``grades`` (doc -> grade)."""
+def _ndcg_of_order(params, grades, k_list=(1, 2, 3)):
+    """ndcg_for_scores over one query judged with ``grades`` (doc -> grade),
+    scored by the params' relevance estimates, each looked up on its own."""
     judgments = Judgments([("q1", doc) for doc in grades], list(grades.values()))
-    return ndcg_for_scores(_scores(score, judgments.keys), judgments, k_list)[0]
+    scores = _scores(lambda q, d: params.relevance_estimates([(q, d)])[0], judgments.keys)
+    return ndcg_for_scores(scores, judgments, k_list)[0]
 
 
 def _expected_ndcg(order, grades, k_list=(1, 2, 3)):
@@ -206,13 +208,13 @@ class TestRanking:
     def test_orders_by_relevance(self):
         params = _pbm([0.9, 0.9, 0.9], [0.9, 0.1, 0.5])
         grades = {"d1": 0, "d2": 2, "d3": 1}
-        got = _ndcg_of_order(params.relevance_estimate, grades)
+        got = _ndcg_of_order(params, grades)
         assert got == _expected_ndcg(["d1", "d3", "d2"], grades)
 
     def test_ties_break_lexicographically(self):
         params = PbmParams(exam={1: 0.9}, rel={}, max_positions=1)
         grades = {"b": 1, "a": 0, "c": 2}
-        got = _ndcg_of_order(params.relevance_estimate, grades)
+        got = _ndcg_of_order(params, grades)
         assert got == _expected_ndcg(["a", "b", "c"], grades)
 
     def test_intent_aware_tables_can_disagree(self):
@@ -223,10 +225,8 @@ class TestRanking:
         }
         ia = IntentAwareParams(per_intent=per_intent, fallback=_pbm([0.9], [0.5]))
         grades = {"d1": 1, "zz": 0}
-        inf = _ndcg_of_order(resolve_params(ia, Intent.INFORMATIONAL).relevance_estimate,
-                             grades, (1,))
-        nav = _ndcg_of_order(resolve_params(ia, Intent.NAVIGATIONAL).relevance_estimate,
-                             grades, (1,))
+        inf = _ndcg_of_order(resolve_params(ia, Intent.INFORMATIONAL), grades, (1,))
+        nav = _ndcg_of_order(resolve_params(ia, Intent.NAVIGATIONAL), grades, (1,))
         assert inf == {1: 1.0}  # d1 first
         assert nav == {1: 0.0}  # 0.1 below the 0.5 default of unseen zz
 

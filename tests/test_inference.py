@@ -368,6 +368,12 @@ class TestIntentAwareFit:
         with pytest.raises(ValueError):
             em_fit("pbm", encode_sessions([session]), EmConfig(), max_positions=2)
 
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf"), -1.0])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # The CLI refuses such a --tol itself; library callers meet this check.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            EmConfig(tol=tol)
+
     @pytest.mark.parametrize("kind", ["pbm", "ubm", "dbn", "cascade"])
     def test_other_kinds_support_intent_aware_fits(self, kind):
         _, batch, _ = _simulate(

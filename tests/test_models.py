@@ -333,8 +333,8 @@ class TestRelevanceEstimate:
             if params.kind == "dbn":
                 # The chance of a click that satisfies.
                 expected = {"d1": rels[0] * sats[0], "d2": rels[1] * sats[1], "unseen": 0.25}
-            for doc, want in expected.items():
-                got = params.relevance_estimate("q1", doc)
+            together = params.relevance_estimates([("q1", doc) for doc in expected]).tolist()
+            for (doc, want), got in zip(expected.items(), together):
                 assert type(got) is float
                 assert got == params.relevance_estimates([("q1", doc)])[0] == want, params.kind
 
@@ -472,6 +472,17 @@ class TestPersistence:
             '{"version": 1, "kind": "cascade", "intent_aware": "no", "params": {"rel": {}}}',
             '{"version": 1, "kind": "cascade", "intent_aware": null, "params": {"rel": {}}}',
             '{"version": 1, "kind": "cascade", "params": {"rel": {}}}',
+            # Examination keys int() reads but save_params never writes.
+            _doc("pbm", '{"exam": {%s, "1_0": 0.5}, "rel": {}, "max_positions": 10}'
+                 % ", ".join(f'"{i}": 0.5' for i in range(1, 10))),
+            _doc("pbm", '{"exam": {" 1": 0.25, "2": 0.5}, "rel": {}, "max_positions": 2}'),
+            _doc("pbm", '{"exam": {"1": 0.25, "+2": 0.5}, "rel": {}, "max_positions": 2}'),
+            _doc("pbm", '{"exam": {"1": 0.25, "2": 0.5, "\u0663": 0.5}, "rel": {}, '
+                        '"max_positions": 3}'),
+            _doc("ubm", '{"beta": {"00:1": 0.9, "0:2": 0.6, "1:2": 0.7}, "rel": {}, '
+                        '"max_positions": 2}'),
+            _doc("ubm", '{"beta": {"0:1": 0.9, "0: 2": 0.6, "1:2": 0.7}, "rel": {}, '
+                        '"max_positions": 2}'),
         ],
         ids=["version-99", "no-params", "kind-list", "array", "rel-list", "missing-intent",
              "max-positions-float", "max-positions-bool", "max-positions-string",
@@ -480,7 +491,9 @@ class TestPersistence:
              "pbm-exam-beyond-max-positions", "ubm-cell-outside-table",
              "dbn-sat-pair-without-tab", "pbm-rel-keyed-like-exam", "version-true",
              "version-float", "version-string", "intent-aware-zero", "intent-aware-string",
-             "intent-aware-null", "intent-aware-missing"],
+             "intent-aware-null", "intent-aware-missing", "pbm-exam-underscore",
+             "pbm-exam-space", "pbm-exam-plus", "pbm-exam-arabic-indic", "ubm-cell-leading-zero",
+             "ubm-cell-space"],
     )
     def test_bad_document_is_a_data_error(self, tmp_path, text):
         path = tmp_path / "bad.json"

@@ -404,13 +404,16 @@ class TestSessionIo:
             {"docs": ["x", "y"], "clicks": [0, -1]},
             {"docs": ["x", "x"], "clicks": [0, 1]},
             {"query_id": "q\tr"},
+            {"query_id": "q\nr"},
+            {"query_id": "q\rr"},
         ],
         ids=["length-mismatch", "docs-string", "clicks-string", "click-float",
              "click-string", "click-bool", "docs-mixed", "doc-int", "doc-null",
              "doc-array", "doc-object", "doc-bool", "session-id-null", "query-id-int",
              "query-id-array", "invalid-json", "record-array", "missing-key",
              "unknown-intent", "intent-array", "click-one-float", "click-two",
-             "click-negative", "duplicate-docs", "query-id-tab"],
+             "click-negative", "duplicate-docs", "query-id-tab", "query-id-newline",
+             "query-id-cr"],
     )
     def test_malformed_record_is_a_parse_error(self, tmp_path, fields):
         """Each bad record names its line; blank lines count."""
