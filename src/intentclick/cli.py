@@ -96,49 +96,43 @@ def _intent_mix(text: str) -> tuple[float, float, float]:
     return mix
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
-    def parse(text: str) -> int:
+def _flag_type(cast, ok, rule: str, noun: str):
+    """An argparse type: ``cast(text)``, refused as a bad ``noun`` if the
+    cast fails and as breaking ``rule`` if ``ok`` is false of the value."""
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+            value = cast(text)
+        except (ValueError, OverflowError):
+            raise argparse.ArgumentTypeError(f"bad {noun} {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
         return value
     return parse
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    return _flag_type(int, lambda value: value >= low, f"must be at least {low}", "integer")
+
+
 _positive_int = _int_at_least(1)
-
-
-def _positive_finite(text: str) -> float:
-    """An argparse type: a float above 0 and below infinity."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
-    # Written so that NaN fails too.
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+# A float above 0 and below infinity, written so that NaN fails too.
+_positive_finite = _flag_type(float, lambda value: 0 < value < float("inf"),
+                              "must be positive and finite", "number")
 
 
 def _k_list(text: str) -> tuple[int, ...]:
     return tuple(_positive_int(p) for p in text.split(","))
 
 
-def _gap_minutes(text: str) -> float:
-    """A session gap in minutes: a number >= 0 that a timedelta can hold."""
-    try:
-        gap = float(text)
-        timedelta(minutes=gap)
-    except (ValueError, OverflowError):
-        raise argparse.ArgumentTypeError(f"bad gap {text!r}") from None
-    if gap < 0:
-        raise argparse.ArgumentTypeError(f"gap must be at least 0 minutes, got {text!r}")
-    # A float, not the timedelta, so that the manifest stays JSON.
-    return gap
+def _minutes(text: str) -> float:
+    """Minutes a timedelta can hold, as a float so that the manifest stays JSON."""
+    minutes = float(text)
+    timedelta(minutes=minutes)
+    return minutes
+
+
+_gap_minutes = _flag_type(_minutes, lambda gap: gap >= 0, "gap must be at least 0 minutes", "gap")
 
 
 def build_parser() -> _Parser:

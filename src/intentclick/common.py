@@ -1,8 +1,9 @@
 """Definitions shared by every stage that need no numpy.
 
 The model kinds, the probability clamp, the size defaults the command
-line states, and the one JSON document layout. ``compare`` and the
-command-line parser import this without loading numpy or the model code.
+line states, the one JSON document layout and the one position key.
+``compare`` and the command-line parser import this without loading
+numpy or the model code.
 """
 
 from __future__ import annotations
@@ -31,6 +32,14 @@ DEFAULT_NRS_N = 3
 
 # JSON numbers; bool is excluded because type(True) is bool, not int.
 JSON_NUMBER_TYPES = frozenset((int, float))
+
+
+def position_from_json(text: str) -> int:
+    """str(position) read back; int() also reads "1_0", " 1", "+2" and other scripts' digits."""
+    position = int(text)
+    if str(position) != text:
+        raise ValueError(f"position {text!r} is not written as str() writes an integer")
+    return position
 
 
 def write_json(path, doc) -> None:

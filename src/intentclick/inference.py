@@ -3,9 +3,10 @@
 Every Bernoulli parameter is updated as a smoothed posterior mean:
 (alpha + expected successes) / (alpha + beta + expected trials). Sessions
 arrive as one SessionBatch and each fitter reduces it to counts at build
-time.
+time. A fitter writes only its E-step, ``expect``, giving expected
+successes and trials per field; ``_Fitter.iterate`` is the one M-step.
 
-PBM and UBM share one E/M step through the exam-cell factorisation
+PBM and UBM share one E-step through the exam-cell factorisation
 P(C=1) = exam[cell] * rel[(query, doc)]: they differ only in which
 examination cell an event uses, which their params class defines. Their
 E-step runs once per distinct (pair, cell) combination, weighted by its
@@ -157,19 +158,6 @@ def _posterior_mean(succ, trials, cfg: EmConfig):
     return np.clip(out, 0.0, 1.0)
 
 
-def _smoothed_mean(index: np.ndarray, weights: np.ndarray, trials: np.ndarray, cfg: EmConfig):
-    """M-step for a table indexed per row: expected successes over trials."""
-    succ = np.bincount(index, weights=weights, minlength=len(trials))
-    return _posterior_mean(succ, trials, cfg)
-
-
-def _store(state: dict, key: str, new) -> float:
-    """Replace state[key] by its M-step update; return the largest change."""
-    delta = float(np.max(np.abs(new - state[key]), initial=0.0))
-    state[key] = new
-    return delta
-
-
 def _sum_ll(terms: np.ndarray) -> float:
     # Extended precision keeps the trace monotone beyond float64 rounding
     # on million-term sums.
@@ -266,7 +254,8 @@ class _Fitter:
     array per table field over the keys in ``tables``, then the fields
     named in ``scalars``. That is all a fitter says about the layout.
 
-    A fitter is built as ``fitter_cls(batch, params_cls, max_positions)``.
+    A fitter is built as ``fitter_cls(batch, params_cls, max_positions)``;
+    its ``expect`` is the E-step that ``iterate`` completes.
     """
 
     tables: dict[str, list]
@@ -286,9 +275,20 @@ class _Fitter:
         fitted.update((name, float(state[name])) for name in self.scalars)
         return replace(prior, **fitted)
 
+    def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
+        """One EM step: ``expect``, then each field it counts set to its posterior
+        mean. Returns the objective entering the step and the largest change."""
+        ll, counts = self.expect(state, families, cfg)
+        delta = 0.0
+        for name, (succ, trials) in counts.items():
+            new = _posterior_mean(succ, trials, cfg)
+            delta = max(delta, float(np.max(np.abs(new - state[name]), initial=0.0)))
+            state[name] = new
+        return ll, delta
+
 
 class _ExamRelFitter(_Fitter):
-    """The one E/M step for the exam-cell factorisation
+    """The one E-step for the exam-cell factorisation
     P(C=1) = exam[cell] * rel[(query, doc)], shared by PBM and UBM.
 
     The params class (PbmParams or UbmParams) gives the examination-cell
@@ -329,22 +329,21 @@ class _ExamRelFitter(_Fitter):
                 uncovered,
             )
 
-    def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
+    def expect(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, dict]:
         exam = state[self.exam_field]
         g = exam[self.cell]
         r = state["rel"][self.pair]
         ll = _binomial_ll(g * r, self.clicks, self.skips)
         ll += _prior_bonus(cfg, (exam, state["rel"]))
-        delta = 0.0
+        counts = {}
         if REL_SIDE in families:
             p_rel = self.clicks + self.skips * factor_posterior(r, g)
-            new_rel = _smoothed_mean(self.pair, p_rel, self.rel_trials, cfg)
-            delta = max(delta, _store(state, "rel", new_rel))
+            counts["rel"] = (np.bincount(self.pair, p_rel, len(self.keys)), self.rel_trials)
         if EXAM_SIDE in families:
             p_exam = self.clicks + self.skips * factor_posterior(g, r)
-            new_exam = _smoothed_mean(self.cell, p_exam, self.exam_trials, cfg)
-            delta = max(delta, _store(state, self.exam_field, new_exam))
-        return ll, delta
+            counts[self.exam_field] = (np.bincount(self.cell, p_exam, len(self.exam_trials)),
+                                       self.exam_trials)
+        return ll, counts
 
 
 class _CascadeFitter(_Fitter):
@@ -374,14 +373,11 @@ class _CascadeFitter(_Fitter):
                 self.n_impossible,
             )
 
-    def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
+    def expect(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, dict]:
         ll = _binomial_ll(state["rel"], self.clicks, self.trials - self.clicks)
         ll += self.n_impossible * float(np.log(PROB_CLAMP))
         ll += _prior_bonus(cfg, (state["rel"],))
-        delta = 0.0
-        if REL_SIDE in families:
-            delta = _store(state, "rel", _posterior_mean(self.clicks, self.trials, cfg))
-        return ll, delta
+        return ll, {"rel": (self.clicks, self.trials)} if REL_SIDE in families else {}
 
 
 class _DbnFitter(_Fitter):
@@ -436,7 +432,7 @@ class _DbnFitter(_Fitter):
             cells = cells[first]
             self.groups.append((cells[:, 0] if has_click else None, cells[:, has_click:], count))
 
-    def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
+    def expect(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, dict]:
         n_pairs = len(self.keys)
         rel, sat, g = state["rel"], state["sat"], state["gamma_cont"]
 
@@ -479,15 +475,12 @@ class _DbnFitter(_Fitter):
                     cont_trials += float(np.sum(count - sat_post))
                     cont_succ += float(exam[:, 0].sum())
 
-        delta = 0.0
+        counts = {}
         if REL_SIDE in families:
-            new_rel = _posterior_mean(self.clicks, rel_trials, cfg)
-            new_sat = _posterior_mean(sat_succ, self.clicks, cfg)
-            delta = max(_store(state, "rel", new_rel), _store(state, "sat", new_sat))
+            counts.update(rel=(self.clicks, rel_trials), sat=(sat_succ, self.clicks))
         if EXAM_SIDE in families:
-            new_gamma = float(_posterior_mean(cont_succ, cont_trials, cfg))
-            delta = max(delta, _store(state, "gamma_cont", new_gamma))
-        return ll, delta
+            counts["gamma_cont"] = (cont_succ, cont_trials)
+        return ll, counts
 
 
 _FITTERS = {PBM: _ExamRelFitter, CASCADE: _CascadeFitter, UBM: _ExamRelFitter, DBN: _DbnFitter}
@@ -564,7 +557,7 @@ class _FitProblem:
                 if key in stopped:
                     if stopped[key] is None:
                         fitter, state = self.partitions[key]
-                        stopped[key] = fitter.iterate(state, frozenset(), config)[0]
+                        stopped[key] = fitter.expect(state, frozenset(), config)[0]
                     ll_total += stopped[key]
                     continue
                 ll, d, kind = next(run)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .common import DEFAULT_NCS_N, DEFAULT_NRS_N, read_json, write_json
 from .errors import DataError
-from .sessions import Intent, KNOWN_INTENTS, SessionBatch
+from .sessions import Intent, KNOWN_INTENTS, LineError, SessionBatch, normalize_query
 
 BOW_DIM = 1024
 
@@ -110,11 +110,15 @@ def n_results_satisfied(sessions_of_query: SessionBatch, n: int) -> float:
 
 
 def load_lexicon(path) -> frozenset[str]:
-    """One cue token per line; '#' starts a comment."""
+    """One cue token per line, normalized as a query is; '#' starts a
+    comment. Queries match token by token, so a line of more than one
+    token, which could never match, is a LineError."""
     tokens = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            token = line.split("#", 1)[0].strip().lower()
+        for line_no, line in enumerate(fh, start=1):
+            token = normalize_query(line.split("#", 1)[0])
+            if " " in token:
+                raise LineError(f"lexicon entry {token!r} is more than one token", line_no)
             if token:
                 tokens.add(token)
     return frozenset(tokens)

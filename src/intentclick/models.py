@@ -22,7 +22,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .common import (CASCADE, DBN, JSON_NUMBER_TYPES, MODEL_KINDS, PBM, PROB_CLAMP, UBM,
-                     read_json, write_json)
+                     position_from_json, read_json, write_json)
 from .errors import DataError
 from .sessions import ALL_INTENTS, KNOWN_INTENTS, Intent, Session, SessionBatch, encode_sessions
 
@@ -98,22 +98,14 @@ def _pairs_from_json(texts: list) -> list[tuple[str, str]]:
     return pairs
 
 
-def _position_from_json(text: str) -> int:
-    """str(position) read back; int() also reads "1_0", " 1", "+2" and other scripts' digits."""
-    position = int(text)
-    if str(position) != text:
-        raise ValueError(f"position {text!r} is not written as save_params writes it")
-    return position
-
-
 def _cell_from_json(text: str) -> tuple[int, int]:
     last, _, pos = text.partition(":")
-    return _position_from_json(last), _position_from_json(pos)
+    return position_from_json(last), position_from_json(pos)
 
 
 # How a table's key list is written in a parameter document and read back.
 _POSITION_KEY = (lambda keys: list(map(str, keys)),
-                 lambda texts: list(map(_position_from_json, texts)))
+                 lambda texts: list(map(position_from_json, texts)))
 _CELL_KEY = (lambda keys: [f"{l}:{i}" for l, i in keys],
              lambda texts: list(map(_cell_from_json, texts)))
 _PAIR_KEY = (_pairs_to_json, _pairs_from_json)

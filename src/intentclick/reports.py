@@ -9,11 +9,10 @@ familiar rows-by-positions layout with an improvement row computed as
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
-from .common import JSON_NUMBER_TYPES, PROB_CLAMP, read_json, write_json
+from .common import JSON_NUMBER_TYPES, PROB_CLAMP, position_from_json, read_json, write_json
 from .errors import DataError
 
 # The most eval can write, as it clamps click probabilities at PROB_CLAMP,
@@ -63,8 +62,9 @@ class EvalReport:
     @classmethod
     def from_json(cls, doc: Mapping) -> "EvalReport":
         """Fields checked, not cast: perplexities must be JSON numbers in
-        [1, MAX_PERPLEXITY], NDCG values finite JSON numbers, counts JSON
-        integers and the label a string, and at least one position must
+        [1, MAX_PERPLEXITY], NDCG values JSON numbers in [0, 1] keyed by
+        str(K) for K >= 1, counts non-negative JSON integers, one per
+        position, and the label a string, and at least one position must
         have a perplexity. ``eval`` never writes a report that breaks these."""
         try:
             per_position, counts = doc["per_position"], doc["position_counts"]
@@ -83,7 +83,7 @@ class EvalReport:
                 overall=float(doc["overall"]),
                 n_sessions=doc["n_sessions"],
                 n_queries=doc["n_queries"],
-                ndcg={int(k): float(v) for k, v in ndcg.items()},
+                ndcg={position_from_json(k): float(v) for k, v in ndcg.items()},
                 ndcg_queries=doc.get("ndcg_queries", 0),
                 label=label,
             )
@@ -92,10 +92,13 @@ class EvalReport:
             raise DataError(f"bad evaluation report: {exc}") from None
         if not report.per_position:
             raise DataError("bad evaluation report: per_position is empty")
+        if len(counts) != len(per_position) or min(integers) < 0 or min(report.ndcg, default=1) < 1:
+            raise DataError("bad evaluation report: position_counts must have one count per "
+                            "position, no count may be negative and NDCG cut-offs must be >= 1")
         if not (all(1.0 <= p <= MAX_PERPLEXITY for p in [*report.per_position, report.overall])
-                and all(map(math.isfinite, report.ndcg.values()))):
+                and all(0.0 <= v <= 1.0 for v in report.ndcg.values())):
             raise DataError(f"bad evaluation report: perplexities must lie in "
-                            f"[1, {MAX_PERPLEXITY:.6g}] and NDCG values be finite")
+                            f"[1, {MAX_PERPLEXITY:.6g}] and NDCG values in [0, 1]")
         return report
 
 

@@ -559,27 +559,33 @@ def write_judgments(path, judgments: Judgments) -> None:
             fh.write(f"{query_id}\t{doc_id}\t{grade}\n")
 
 
-def read_judgments(path) -> Judgments:
-    """Read query_id<TAB>doc_id<TAB>grade records; ASCII-digit grades, no duplicates."""
-    keys: dict[tuple[str, str], None] = {}
-    grades = []
+def _tsv_records(path, n_fields: int, error: type) -> Iterator[tuple[int, list[str]]]:
+    """The tab-separated records of a sidecar file with their 1-based line
+    numbers, blank lines skipped; a record without n_fields fields is an ``error``."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             fields = line.rstrip("\n").split("\t")
-            if len(fields) != 3:
-                raise JudgmentError(f"expected 3 fields, got {len(fields)}", line_no)
-            query_id, doc_id, raw_grade = fields
-            grade = _ascii_int(raw_grade)
-            if grade is None:
-                raise JudgmentError(f"bad grade {raw_grade!r}", line_no)
-            key = (query_id, doc_id)
-            if key in keys:
-                raise JudgmentError(f"duplicate judgment for {key}", line_no)
-            _check_grade(query_id, doc_id, grade, line_no)
-            keys[key] = None
-            grades.append(grade)
+            if len(fields) != n_fields:
+                raise error(f"expected {n_fields} fields, got {len(fields)}", line_no)
+            yield line_no, fields
+
+
+def read_judgments(path) -> Judgments:
+    """Read query_id<TAB>doc_id<TAB>grade records; ASCII-digit grades, no duplicates."""
+    keys: dict[tuple[str, str], None] = {}
+    grades = []
+    for line_no, (query_id, doc_id, raw_grade) in _tsv_records(path, 3, JudgmentError):
+        grade = _ascii_int(raw_grade)
+        if grade is None:
+            raise JudgmentError(f"bad grade {raw_grade!r}", line_no)
+        key = (query_id, doc_id)
+        if key in keys:
+            raise JudgmentError(f"duplicate judgment for {key}", line_no)
+        _check_grade(query_id, doc_id, grade, line_no)
+        keys[key] = None
+        grades.append(grade)
     return Judgments(list(keys), grades)
 
 
@@ -592,20 +598,13 @@ def write_intent_labels(path, labels: Mapping[str, Intent]) -> None:
 def read_intent_labels(path) -> dict[str, Intent]:
     """Read query_id<TAB>label records (inf|nav|tra); a repeated query is an error."""
     labels: dict[str, Intent] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise LineError(f"expected 2 fields, got {len(fields)}", line_no)
-            query_id, raw = fields
-            if query_id in labels:
-                raise LineError(f"duplicate label for query {query_id!r}", line_no)
-            try:
-                labels[query_id] = Intent(raw)
-            except ValueError:
-                raise LineError(f"unknown intent label {raw!r}", line_no) from None
+    for line_no, (query_id, raw) in _tsv_records(path, 2, LineError):
+        if query_id in labels:
+            raise LineError(f"duplicate label for query {query_id!r}", line_no)
+        try:
+            labels[query_id] = Intent(raw)
+        except ValueError:
+            raise LineError(f"unknown intent label {raw!r}", line_no) from None
     return labels
 
 

@@ -134,6 +134,7 @@ class TestBadFlagValues:
         ["fit", "--tol", "nan"],
         ["fit", "--tol", "inf"],
         ["fit", "--tol", "-1"],
+        ["fit", "--tol", "abc"],
     ], ids=lambda argv: "{}{}={}".format(*argv))
     def test_usage_error_without_traceback_or_output(self, pipeline_inputs, tmp_path, capsys,
                                                      argv):
@@ -431,12 +432,26 @@ class TestFitEvalCompare:
             ("overall", 10**400),
             ("overall", 1e300),
             ("per_position", [1.5, 0.999]),
+            ("ndcg", {"0_3": 0.5}),
+            ("ndcg", {" 1": 0.5}),
+            ("ndcg", {"+3": 0.5}),
+            ("ndcg", {"0": 0.5}),
+            ("ndcg", {"-1": 0.5}),
+            ("ndcg", {"3": 0.6, "03": 0.9}),
+            ("ndcg", {"1": 7.5}),
+            ("ndcg", {"1": -2.0}),
+            ("position_counts", [-2, 3]),
+            ("n_queries", -1),
+            ("position_counts", [2]),
         ],
         ids=["per-position-string", "per-position-bool", "count-float", "count-string",
              "overall-string", "n-sessions-bool", "label-int", "ndcg-string",
              "overall-nan", "per-position-nan", "overall-inf", "ndcg-nan",
              "per-position-empty", "overall-too-large", "overall-above-range",
-             "per-position-below-one"],
+             "per-position-below-one", "ndcg-key-underscore", "ndcg-key-space",
+             "ndcg-key-plus", "ndcg-key-zero", "ndcg-key-negative", "ndcg-key-duplicate",
+             "ndcg-above-one", "ndcg-negative", "count-negative", "n-queries-negative",
+             "counts-shorter"],
     )
     def test_compare_malformed_report_is_a_data_error(self, tmp_path, field, value):
         # Each bad value would cast to one that compares cleanly with the
@@ -449,6 +464,10 @@ class TestFitEvalCompare:
         treat.write_text(json.dumps(good))
         assert run(argv) == EXIT_OK
         treat.write_text(json.dumps({**good, field: value}))
+        assert run(argv) == EXIT_DATA
+        # The same value in both reports, so that no check that the two
+        # reports match can be what refuses it.
+        base.write_text(treat.read_text())
         assert run(argv) == EXIT_DATA
 
     def test_compare_refuses_perplexities_eval_cannot_write(self, tmp_path, capsys):
@@ -701,6 +720,31 @@ class TestClassify:
                     "--lexicon", str(lexicon_path)])
         assert code == EXIT_USAGE
         assert "--lexicon" in capsys.readouterr().err
+        assert not (tmp_path / "o.tsv").exists()
+
+    def test_lexicon_entries_are_normalized_as_queries(self, tmp_path):
+        # The query is normalized at ingest; "MP3!" must match it as "mp3".
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("u1\tMP3 Player\t2006-03-01 07:17:12\t1\thttp://www.player.com\n")
+        sessions_path = tmp_path / "sessions.jsonl"
+        assert run(["ingest", "--aol", str(raw), "--out", str(sessions_path)]) == EXIT_OK
+        lexicon_path = tmp_path / "lexicon.txt"
+        lexicon_path.write_text("MP3!\n")
+        labels_path = tmp_path / "intents.tsv"
+        assert run(["classify", "--sessions", str(sessions_path), "--out", str(labels_path),
+                    "--lexicon", str(lexicon_path)]) == EXIT_OK
+        assert read_intent_labels(labels_path) == {"mp3 player": Intent.TRANSACTIONAL}
+
+    def test_multi_token_lexicon_line_is_a_data_error(self, tmp_path, capsys):
+        # Queries match the lexicon token by token, so this line never could.
+        sessions_path = self._ingested(tmp_path)
+        lexicon_path = tmp_path / "lexicon.txt"
+        lexicon_path.write_text("download\nfree music\n")
+        code = run(["classify", "--sessions", str(sessions_path), "--out",
+                    str(tmp_path / "o.tsv"), "--lexicon", str(lexicon_path)])
+        assert code == EXIT_DATA
+        assert "line 2: lexicon entry 'free music' is more than one token" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "o.tsv").exists()
 
     def test_no_matching_training_labels_is_a_data_error(self, tmp_path):

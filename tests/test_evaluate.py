@@ -161,6 +161,13 @@ class TestNdcg:
     def test_all_zero_grades_are_undefined(self):
         assert ndcg_at_k([0, 0, 0], [0, 0, 0], 2) is None
 
+    def test_cut_off_below_one_rejected(self):
+        with pytest.raises(ValueError, match="K must be >= 1, got 0"):
+            ndcg_at_k([1, 0], [1, 0], 0)
+        judgments = Judgments([("q1", "a"), ("q1", "b")], [1, 0])
+        with pytest.raises(ValueError, match="K must be >= 1, got 0"):
+            ndcg_for_scores(np.array([0.5, 0.4]), judgments, (1, 0))
+
     def test_multiset_mismatch_rejected(self):
         with pytest.raises(DataError):
             ndcg_at_k([1, 2], [2, 2], 2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from intentclick.errors import NumericError
 from intentclick.inference import EmConfig, alternating_fit, em_fit, factor_posterior
 from intentclick.models import (
     CascadeParams,
@@ -353,6 +354,23 @@ class TestIntentAwareFit:
         assert ia.fallback.rel[(q, "a")] > 0.8
         # intents with no sessions keep the uninformative prior mean
         assert all(v == 0.5 for v in ia.per_intent[Intent.TRANSACTIONAL].exam.values())
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+        ({"prior_alpha": -1.0}, "priors must be non-negative"),
+        ({"prior_beta": -0.5}, "priors must be non-negative"),
+    ])
+    def test_bad_config_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            EmConfig(**kwargs)
+
+    def test_overflowing_objective_is_a_numeric_error(self):
+        # The data terms are clamped, so only a prior near the float range
+        # can push the objective to -inf; the command line's priors are 1.
+        batch = encode_sessions([Session("s1", "q", Intent.UNKNOWN, ("a", "b", "c"), (1, 0, 0)),
+                                 Session("s2", "q", Intent.UNKNOWN, ("b", "a", "c"), (0, 1, 0))])
+        with pytest.raises(NumericError, match="log-likelihood became non-finite"):
+            em_fit("pbm", batch, EmConfig(prior_alpha=1e308))
 
     def test_empty_sessions_rejected(self):
         with pytest.raises(ValueError):

@@ -173,6 +173,13 @@ class TestClickSatisfaction:
         with pytest.raises(ValueError):
             n_results_satisfied(encode_sessions([]), 2)
 
+    def test_n_below_one_rejected(self):
+        batch = encode_sessions([_session((1, 0))])
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            n_clicks_satisfied(batch, 0)
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            n_results_satisfied(batch, 0)
+
 
 class TestTransactionalRule:
     def test_file_extension_cue(self):
@@ -276,6 +283,13 @@ class TestClassifier:
         only_nav = [f for f, l in zip(features, labels) if l is Intent.NAVIGATIONAL]
         with pytest.raises(DegenerateTrainingError):
             train_classifier(only_nav, [Intent.NAVIGATIONAL] * len(only_nav))
+
+    def test_mismatched_or_empty_input_rejected(self):
+        features, labels = _separable_dataset(n_per_class=2)
+        with pytest.raises(ValueError, match="6 features vs 5 labels"):
+            train_classifier(features, labels[:5])
+        with pytest.raises(ValueError, match="no training data"):
+            train_classifier([], [])
 
     def test_unknown_labels_rejected(self):
         features, _ = _separable_dataset(n_per_class=2)
@@ -433,6 +447,10 @@ class TestEvaluateClassifier:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             evaluate_classifier([], [])
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="2 predictions vs 1 labels"):
+            evaluate_classifier([Intent.INFORMATIONAL] * 2, [Intent.INFORMATIONAL])
 
     def test_unknown_truth_rejected(self):
         with pytest.raises(ValueError):

@@ -360,6 +360,12 @@ class TestIntentAware:
                 per_intent={Intent.INFORMATIONAL: _pbm([0.9], [0.5])},
                 fallback=_pbm([0.9], [0.5]),
             )
+        # Every table present, but the fallback is of another model kind.
+        with pytest.raises(ValueError, match="mixed model kinds"):
+            IntentAwareParams(
+                per_intent={t: _pbm([0.9], [0.5]) for t in KNOWN_INTENTS},
+                fallback=CascadeParams.prior(1),
+            )
 
     def test_collapse_to_base_model_bit_for_bit(self):
         base = _pbm([0.9, 0.5, 0.3], [0.2, 0.4, 0.8])

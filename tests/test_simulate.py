@@ -139,6 +139,10 @@ class TestSimulateSessions:
         bad = SimConfig(model_kind="dbn", num_queries=2, sessions_per_query=2, seed=14)
         with pytest.raises(ValueError):
             simulate_sessions(truth, bad)
+        # The same kind, but not the query count the truth was drawn for.
+        bad = SimConfig(model_kind="pbm", num_queries=3, sessions_per_query=2, seed=14)
+        with pytest.raises(ValueError, match="ground truth has 2 queries, config wants 3"):
+            simulate_sessions(truth, bad)
 
 
 # sha256 over the files `simulate` writes (name, then bytes, in name order;
