@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 
 from .errors import DataError
@@ -78,10 +79,19 @@ def _write_indented(fh, value, newline: str) -> None:
 
 
 def read_json(path, what: str):
-    """One JSON document; invalid JSON, or JSON nested too deeply to
-    decode, is a DataError naming ``what``."""
+    """One JSON document; invalid JSON, JSON nested too deeply to decode,
+    or an object with a repeated key is a DataError naming ``what``."""
+
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            counts = Counter(key for key, _ in pairs)
+            key = next(key for key, n in counts.items() if n > 1)
+            raise DataError(f"invalid {what}: key {key!r} repeated in one object")
+        return obj
+
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise DataError(f"invalid {what}: {exc}") from None

@@ -63,7 +63,7 @@ from .models import (
     resolve_params,
     table_values,
 )
-from .sessions import Intent, KNOWN_INTENTS, SessionBatch
+from .sessions import Intent, SessionBatch
 
 logger = logging.getLogger(__name__)
 
@@ -93,8 +93,9 @@ class EmConfig:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.prior_alpha < 0 or self.prior_beta < 0:
-            raise ValueError("priors must be non-negative")
+        if not all(p >= 0 and math.isfinite(p) for p in (self.prior_alpha, self.prior_beta)):
+            raise ValueError(f"priors must be non-negative and finite, got "
+                             f"alpha {self.prior_alpha}, beta {self.prior_beta}")
 
 
 @dataclass
@@ -518,14 +519,15 @@ class _FitProblem:
         if init_params is None:
             init_params = self.params_cls.prior(self.max_positions)
 
+        # A base fit is one partition, which starts from Unknown's table.
         if intent_aware:
             parts = [(intent, batch.take(rows)) for intent, rows in batch.by_intent()]
         else:
-            parts = [(None, batch)]
-        self.partitions: dict[Intent | None, tuple] = {}
+            parts = [(Intent.UNKNOWN, batch)]
+        self.partitions: dict[Intent, tuple] = {}
         for intent, part in parts:
             fitter = fitter_cls(part, self.params_cls, self.max_positions)
-            start = resolve_params(init_params, intent or Intent.UNKNOWN)
+            start = resolve_params(init_params, intent)
             self.partitions[intent] = (fitter, fitter.state_from(start))
         self.last_delta = dict.fromkeys(self.partitions, float("inf"))
         self.report = FitReport(iterations=0, final_delta=float("inf"))
@@ -603,11 +605,8 @@ class _FitProblem:
             return fitter.params_from(state, prior)
 
         if not self.intent_aware:
-            return fitted(None), report
-        return IntentAwareParams(
-            per_intent={intent: fitted(intent) for intent in KNOWN_INTENTS},
-            fallback=fitted(Intent.UNKNOWN),
-        ), report
+            return fitted(Intent.UNKNOWN), report
+        return IntentAwareParams.build(fitted), report
 
 
 def em_fit(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from itertools import repeat
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -314,6 +314,14 @@ class IntentAwareParams:
         if len(kinds) != 1:
             raise ValueError(f"mixed model kinds in intent-aware params: {kinds}")
 
+    @classmethod
+    def build(cls, table_of: Callable[[Intent], BaseParams]) -> IntentAwareParams:
+        """The set of ``table_of(intent)`` for each intent, called in
+        ALL_INTENTS order; Unknown's table is the fallback."""
+        per_intent = {intent: table_of(intent) for intent in ALL_INTENTS}
+        fallback = per_intent.pop(Intent.UNKNOWN)
+        return cls(per_intent, fallback)
+
     @property
     def kind(self) -> str:
         return self.fallback.kind
@@ -389,7 +397,7 @@ def _base_from_json(params_cls: type, obj: Mapping) -> BaseParams:
     JSON numbers and int scalars JSON integers."""
     values = {}
     # (codec, JSON keys, keys) of the last table read: DBN's rel and sat
-    # share their keys, which are then decoded once.
+    # share their keys, which are then decoded once and held once.
     decoded = (None, None, None)
     for f in fields(params_cls):
         value = obj[f.name]
@@ -445,13 +453,9 @@ def load_params(path) -> AnyParams:
     try:
         if not intent_aware:
             return _base_from_json(params_cls, doc["params"])
-        per_intent = {
-            intent: _base_from_json(params_cls, doc["per_intent"][intent.value])
-            for intent in KNOWN_INTENTS
-        }
-        return IntentAwareParams(
-            per_intent=per_intent, fallback=_base_from_json(params_cls, doc["fallback"])
-        )
+        return IntentAwareParams.build(lambda intent: _base_from_json(
+            params_cls, doc["fallback"] if intent is Intent.UNKNOWN
+            else doc["per_intent"][intent.value]))
     except KeyError as exc:
         raise DataError(f"bad {kind} parameter document: missing {exc}") from None
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:

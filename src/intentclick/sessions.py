@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import string
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
@@ -71,7 +72,10 @@ class JudgmentError(LineError):
     """A relevance judgment record is out of range or duplicated."""
 
 
-_PUNCT_TO_DROP = set(string.punctuation) - {"."}
+# ASCII punctuation but the dot, and a dot without an alphanumeric on both
+# sides; [^\W_] matches exactly the characters str.isalnum() accepts.
+_DROPPED_FROM_QUERY = re.compile("[" + re.escape(string.punctuation.replace(".", "")) + "]"
+                                 + r"|(?<![^\W_])\.|\.(?![^\W_])")
 
 
 def normalize_query(raw: str) -> str:
@@ -81,18 +85,7 @@ def normalize_query(raw: str) -> str:
     ("www.foo.com") keep their shape while trailing periods vanish.
     Whitespace is collapsed to single spaces.
     """
-    lowered = raw.lower()
-    out = []
-    for i, ch in enumerate(lowered):
-        if ch in _PUNCT_TO_DROP:
-            continue
-        if ch == ".":
-            prev_ok = i > 0 and lowered[i - 1].isalnum()
-            next_ok = i + 1 < len(lowered) and lowered[i + 1].isalnum()
-            if not (prev_ok and next_ok):
-                continue
-        out.append(ch)
-    return " ".join("".join(out).split())
+    return " ".join(_DROPPED_FROM_QUERY.sub("", raw.lower()).split())
 
 
 @dataclass(frozen=True, slots=True)

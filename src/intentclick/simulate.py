@@ -81,19 +81,20 @@ def grade_from_relevance(r: float) -> int:
     return max(0, min(4, math.floor(5.0 * r)))
 
 
-def _judgments(params: AnyParams, keys: list[tuple[str, str]],
-               query_intents: dict[str, Intent] | None,
-               mix: tuple[float, float, float]) -> Judgments:
-    """Grades of the truth's relevance: the base table's; else its intent
-    tables' weighted by the query's own intent, or by ``mix`` when intents
-    are not per query."""
+def _truth(params: AnyParams, serps: dict[str, tuple[str, ...]],
+           query_intents: dict[str, Intent] | None,
+           mix: tuple[float, float, float]) -> GroundTruth:
+    """The ground truth of ``params`` on ``serps``. Its judgments grade the
+    truth's relevance: the base table's; else its intent tables' weighted
+    by the query's own intent, or by ``mix`` when intents are not per query."""
+    keys = [(q, d) for q, docs in serps.items() for d in docs]
     if query_intents is not None:
         codes = [ALL_INTENTS.index(query_intents[q]) for q, _ in keys]
         weights = np.eye(len(ALL_INTENTS))[codes]
     else:
         weights = np.array([[*mix, 0.0]])
-    r = mixed_relevance(params, keys, weights)
-    return Judgments(keys, [grade_from_relevance(x) for x in r.tolist()])
+    grades = [grade_from_relevance(x) for x in mixed_relevance(params, keys, weights).tolist()]
+    return GroundTruth(params, Judgments(keys, grades), serps, query_intents)
 
 
 def _query_id(i: int) -> str:
@@ -112,17 +113,18 @@ def _exam_curve(rng: np.random.Generator, positions: int,
     return np.cumprod(np.append(first, decays)).tolist()
 
 # Informational examination dies off fastest; navigational persists;
-# transactional sits close to navigational.
+# transactional sits close to navigational. Unknown's range serves the
+# fallback and every base truth.
 _DECAY_RANGES = {
-    None: (0.84, 0.96),
     Intent.INFORMATIONAL: (0.72, 0.85),
     Intent.NAVIGATIONAL: (0.88, 0.97),
     Intent.TRANSACTIONAL: (0.86, 0.95),
+    Intent.UNKNOWN: (0.84, 0.96),
 }
 
 
 def _base_truth(rng: np.random.Generator, config: SimConfig, keys: list[tuple[str, str]],
-                intent: Intent | None) -> BaseParams:
+                intent: Intent) -> BaseParams:
     """One truth table set; ``keys`` are the (query, doc) pairs in SERP order."""
     n = config.positions
     rel = dict(zip(keys, rng.uniform(REL_LOW, REL_HIGH, size=len(keys)).tolist()))
@@ -158,20 +160,10 @@ def generate_ground_truth(config: SimConfig) -> GroundTruth:
     keys = [(q, d) for q, docs in serps.items() for d in docs]
     params: AnyParams
     if config.intent_aware:
-        per_intent = {
-            intent: _base_truth(rng, config, keys, intent) for intent in KNOWN_INTENTS
-        }
-        fallback = _base_truth(rng, config, keys, None)
-        params = IntentAwareParams(per_intent=per_intent, fallback=fallback)
+        params = IntentAwareParams.build(lambda intent: _base_truth(rng, config, keys, intent))
     else:
-        params = _base_truth(rng, config, keys, None)
-
-    return GroundTruth(
-        params=params,
-        judgments=_judgments(params, keys, query_intents, config.intent_mix),
-        serps=serps,
-        query_intents=query_intents,
-    )
+        params = _base_truth(rng, config, keys, Intent.UNKNOWN)
+    return _truth(params, serps, query_intents, config.intent_mix)
 
 
 def _sample_pbm(rng, params: PbmParams, r_mat: np.ndarray, s_mat) -> np.ndarray:
@@ -300,6 +292,8 @@ _PRESET_EXAM = {
     Intent.NAVIGATIONAL: (0.98, 0.95, 0.88, 0.80, 0.72, 0.64, 0.57, 0.50, 0.44, 0.38),
 }
 _PRESET_EXAM[Intent.TRANSACTIONAL] = tuple(0.98 * g for g in _PRESET_EXAM[Intent.NAVIGATIONAL])
+# The fallback examines as navigational sessions do and knows no pair.
+_PRESET_EXAM[Intent.UNKNOWN] = _PRESET_EXAM[Intent.NAVIGATIONAL]
 
 # Off-target click-rate profiles; ranks 1-2 for the low-target navigational
 # and informational rows follow the reported averages (25.5%/14.5% and
@@ -342,7 +336,7 @@ def click_behavior_preset() -> tuple[GroundTruth, SimConfig]:
     """Intent-aware PBM calibrated to the quoted click-behavior numbers."""
     serps: dict[str, tuple[str, ...]] = {}
     query_intents: dict[str, Intent] = {}
-    rel_tables: dict[Intent, dict[tuple[str, str], float]] = {t: {} for t in KNOWN_INTENTS}
+    rel_tables: dict[Intent, dict[tuple[str, str], float]] = {t: {} for t in ALL_INTENTS}
 
     for intent in KNOWN_INTENTS:
         exam = _PRESET_EXAM[intent]
@@ -359,19 +353,9 @@ def click_behavior_preset() -> tuple[GroundTruth, SimConfig]:
                     )
                 rel_tables[intent][(query, doc)] = r
 
-    per_intent = {
-        intent: PbmParams(
-            exam={i + 1: g for i, g in enumerate(_PRESET_EXAM[intent])},
-            rel=rel_tables[intent],
-            max_positions=PRESET_POSITIONS,
-        )
-        for intent in KNOWN_INTENTS
-    }
-    fallback = PbmParams(
-        exam={i + 1: g for i, g in enumerate(_PRESET_EXAM[Intent.NAVIGATIONAL])},
-        rel={},
-        max_positions=PRESET_POSITIONS,
-    )
+    params = IntentAwareParams.build(lambda intent: PbmParams(
+        exam=dict(enumerate(_PRESET_EXAM[intent], 1)), rel=rel_tables[intent],
+        max_positions=PRESET_POSITIONS))
     config = SimConfig(
         model_kind=PBM,
         num_queries=len(serps),
@@ -382,12 +366,4 @@ def click_behavior_preset() -> tuple[GroundTruth, SimConfig]:
         intent_aware=True,
         intents_per_query=True,
     )
-    params = IntentAwareParams(per_intent=per_intent, fallback=fallback)
-    keys = [(q, d) for q, docs in serps.items() for d in docs]
-    truth = GroundTruth(
-        params=params,
-        judgments=_judgments(params, keys, query_intents, config.intent_mix),
-        serps=serps,
-        query_intents=query_intents,
-    )
-    return truth, config
+    return _truth(params, serps, query_intents, config.intent_mix), config

@@ -7,6 +7,7 @@ by the library code, so tests compare two genuinely different routes.
 
 import itertools
 import math
+import string
 
 import numpy as np
 
@@ -205,6 +206,25 @@ def longest_query_substring_in_url(query, url):
             if q[i:j] in u:
                 best = max(best, j - i)
     return best
+
+
+def normalize_query(raw):
+    """Query normalization one character at a time: lowercase, ASCII
+    punctuation but the dot dropped, a dot kept only with an alphanumeric
+    on both sides of it, whitespace collapsed."""
+    drop = set(string.punctuation) - {"."}
+    lowered = raw.lower()
+    out = []
+    for i, ch in enumerate(lowered):
+        if ch in drop:
+            continue
+        if ch == ".":
+            prev_ok = i > 0 and lowered[i - 1].isalnum()
+            next_ok = i + 1 < len(lowered) and lowered[i + 1].isalnum()
+            if not (prev_ok and next_ok):
+                continue
+        out.append(ch)
+    return " ".join("".join(out).split())
 
 
 def dcg_at_k(grades, k, base=2.0):

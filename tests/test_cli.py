@@ -1002,6 +1002,37 @@ class TestDeeplyNestedJson:
         assert capsys.readouterr().err.startswith("data error: line 2: invalid JSON: ")
 
 
+class TestRepeatedJsonKeys:
+    """A key repeated in one JSON object is a data error: json would keep
+    the last value and drop the first silently."""
+
+    def test_compare_report_ndcg(self, tmp_path, capsys):
+        base, treat = tmp_path / "base.json", tmp_path / "treat.json"
+        base.write_text(json.dumps(GOOD_REPORT))
+        # json.dumps cannot repeat a key, so the repeat is spliced into its text.
+        treat.write_text(json.dumps(GOOD_REPORT).replace('"ndcg": {"1": 0.5}',
+                                                         '"ndcg": {"1": 0.2, "1": 0.9}'))
+        out = tmp_path / "cmp.txt"
+        code = run(["compare", "--base", str(base), "--treat", str(treat), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: invalid report document: key '1' repeated in one object\n"
+        assert not out.exists()
+
+    def test_eval_params_pair(self, pipeline_inputs, tmp_path, capsys):
+        text = (pipeline_inputs / "p.json").read_text()
+        pair = next(iter(json.loads(text)["params"]["rel"]))
+        repeat = json.dumps({pair: 0.25})[1:-1]
+        params = tmp_path / "p.json"
+        params.write_text(text.replace('"rel": {', '"rel": {' + repeat + ",", 1))
+        code = run(["eval", "--params", str(params), "--sessions",
+                    str(pipeline_inputs / "sim" / "sessions.jsonl"), "--out", str(tmp_path / "e")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: invalid parameter document: key {pair!r} repeated in one object\n"
+        assert not (tmp_path / "e").exists()
+
+
 # Besides non-numbers, perplexities eval cannot write: above 1e12, below 1,
 # and just above 1 next to a huge one.
 _NUMBERS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 10**400, 1e300, 1.0,

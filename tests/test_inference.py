@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -359,6 +360,11 @@ class TestIntentAwareFit:
         ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
         ({"prior_alpha": -1.0}, "priors must be non-negative"),
         ({"prior_beta": -0.5}, "priors must be non-negative"),
+        # A NaN prior would return the prior itself as a converged fit.
+        ({"prior_alpha": math.nan}, "priors must be non-negative"),
+        ({"prior_beta": math.nan}, "priors must be non-negative"),
+        ({"prior_alpha": math.inf}, "priors must be non-negative"),
+        ({"prior_beta": math.inf}, "priors must be non-negative"),
     ])
     def test_bad_config_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import re
+import sys
 import tempfile
 from dataclasses import replace
 from datetime import datetime, timedelta
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from intentclick.common import write_json
 from intentclick.errors import DataError
 from intentclick.sessions import (
@@ -48,6 +50,8 @@ from intentclick.simulate import SimConfig, generate_ground_truth, session_ids, 
 # Derandomized, a fixed budget and no example database, as test_model_properties'
 # PROPERTY_SETTINGS; a timestamp is cheap to check, so the budget is larger.
 TIMESTAMP_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# Query text is cheap to check as well.
+QUERY_SETTINGS = settings(max_examples=500, deadline=None, derandomize=True, database=None)
 
 
 def _event(user, query, ts, rank=None, url=None):
@@ -70,6 +74,21 @@ class TestNormalizeQuery:
 
     def test_punctuation_is_deleted_not_spaced(self):
         assert normalize_query("don't stop") == "dont stop"
+
+    def test_every_code_point_matches_the_character_scan(self):
+        # Each code point alone, before a dot and after one, the dot's other
+        # side alphanumeric: the dot stays iff the code point is alphanumeric.
+        # Spaces part the probes, so one text holds many.
+        step = 1 << 14
+        for start in range(0, sys.maxunicode + 1, step):
+            chars = map(chr, range(start, min(start + step, sys.maxunicode + 1)))
+            text = " ".join(f"{c} {c}.a a.{c}" for c in chars)
+            assert normalize_query(text) == oracles.normalize_query(text), hex(start)
+
+    @given(st.text(st.sampled_from(" ..\t_-'aZ9\u00b2\u00df\u0130\u0663\u00a0") | st.characters()))
+    @QUERY_SETTINGS
+    def test_random_text_matches_the_character_scan(self, raw):
+        assert normalize_query(raw) == oracles.normalize_query(raw)
 
 
 class TestParseAolLine:
