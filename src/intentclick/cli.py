@@ -37,7 +37,7 @@ _LAZY_NAMES = {
     "simulate": ("SimConfig", "click_behavior_preset", "generate_ground_truth", "session_ids",
                  "simulate_sessions"),
     "intent": ("classify", "clicked_url_counts", "extract_features", "load_lexicon",
-               "rule_label_transactional", "save_classifier", "train_classifier"),
+               "rule_label", "save_classifier", "train_classifier"),
     "evaluate": ("evaluate_model",),
     "reports": ("compare_models", "format_comparison_table", "format_report", "load_report",
                 "save_report"),
@@ -64,11 +64,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-# Rule-mode classification thresholds: high nCS and nRS suggest a
-# navigational goal when no trained model is available.
-RULE_NCS_THRESHOLD = 0.7
-RULE_NRS_THRESHOLD = 0.7
 
 
 class UsageError(Exception):
@@ -268,30 +263,24 @@ def _cmd_classify(args) -> Outputs:
         )
         for q, members in by_query.items()
     }
-    labels: dict[str, Intent] = {}
     outputs = [Path(args.out)]
     if args.train_labels:
         seed_labels = read_intent_labels(args.train_labels)
-        train_queries = [q for q in features if q in seed_labels]
+        # An unk seed label is no label: the query is classified, not trained on.
+        train_queries = [q for q in features
+                         if seed_labels.get(q, Intent.UNKNOWN) is not Intent.UNKNOWN]
         if not train_queries:
             raise DataError("no training labels match any query in the sessions")
         model = train_classifier(
             [features[q] for q in train_queries],
             [seed_labels[q] for q in train_queries],
         )
-        for q, fv in features.items():
-            labels[q], _ = classify(model, fv)
+        labels = {q: classify(model, fv)[0] for q, fv in features.items()}
         if args.model_out:
             outputs.append(Path(args.model_out))
             save_classifier(outputs[1], model)
     else:
-        for q, fv in features.items():
-            if rule_label_transactional(q, lexicon):
-                labels[q] = Intent.TRANSACTIONAL
-            elif fv.ncs >= RULE_NCS_THRESHOLD and fv.nrs >= RULE_NRS_THRESHOLD:
-                labels[q] = Intent.NAVIGATIONAL
-            else:
-                labels[q] = Intent.INFORMATIONAL
+        labels = {q: rule_label(q, fv, lexicon) for q, fv in features.items()}
     write_intent_labels(outputs[0], labels)
     print(f"labeled {len(labels)} queries")
     return outputs, None

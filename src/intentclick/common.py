@@ -1,7 +1,8 @@
 """Definitions shared by every stage that need no numpy.
 
 The model kinds, the probability clamp, the size defaults the command
-line states, the one JSON document layout and the one position key.
+line states, the one JSON document layout, the one JSON decoder and the
+one position key.
 ``compare`` and the command-line parser import this without loading
 numpy or the model code.
 """
@@ -78,20 +79,39 @@ def _write_indented(fh, value, newline: str) -> None:
     fh.write(newline + "}")
 
 
+class RepeatedKeyError(ValueError):
+    """A JSON object that gives one key twice."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        key = next(key for key, n in counts.items() if n > 1)
+        raise RepeatedKeyError(f"key {key!r} repeated in one object")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+# What decode_json raises on a text it refuses.
+JSON_ERRORS = (json.JSONDecodeError, RecursionError, RepeatedKeyError)
+
+
+def decode_json(text: str):
+    """json.loads(text), except that an object with a repeated key, which
+    json would read as its last value, raises RepeatedKeyError."""
+    if text.startswith("\ufeff"):
+        # json.loads' own refusal, which the decoder alone does not make.
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _DECODER.decode(text)
+
+
 def read_json(path, what: str):
     """One JSON document; invalid JSON, JSON nested too deeply to decode,
     or an object with a repeated key is a DataError naming ``what``."""
-
-    def unique_keys(pairs: list) -> dict:
-        obj = dict(pairs)
-        if len(obj) < len(pairs):
-            counts = Counter(key for key, _ in pairs)
-            key = next(key for key, n in counts.items() if n > 1)
-            raise DataError(f"invalid {what}: key {key!r} repeated in one object")
-        return obj
-
     with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=unique_keys)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise DataError(f"invalid {what}: {exc}") from None
+        text = fh.read()
+    try:
+        return decode_json(text)
+    except JSON_ERRORS as exc:
+        raise DataError(f"invalid {what}: {exc}") from None

@@ -323,11 +323,11 @@ class _ExamRelFitter(_Fitter):
         self.rel_trials = np.bincount(self.pair, weights=trials, minlength=len(self.keys))
         self.exam_field = params_cls.exam_field
         self.tables = {self.exam_field: cells, "rel": self.keys}
-        uncovered = list(range(batch.width + 1, max_positions + 1))
-        if uncovered:
+        # Sessions cover positions 1..width, so the uncovered ones are the tail.
+        if batch.width < max_positions:
             logger.warning(
-                "no sessions cover positions %s; their examination stays at the prior mean",
-                uncovered,
+                "no sessions cover positions %d-%d; their examination stays at the prior mean",
+                batch.width + 1, max_positions,
             )
 
     def expect(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, dict]:

@@ -15,8 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .common import DEFAULT_NCS_N, DEFAULT_NRS_N, read_json, write_json
-from .errors import DataError
+from .common import DEFAULT_NCS_N, DEFAULT_NRS_N, write_json
 from .sessions import Intent, KNOWN_INTENTS, LineError, SessionBatch, normalize_query
 
 BOW_DIM = 1024
@@ -33,6 +32,9 @@ DEFAULT_TRANSACTIONAL_CUES = frozenset(
         "download", "downloads", "pdf", "mp3", "mp4", "torrent", "zip", "doc", "ppt",
     }
 )
+# Rule mode's thresholds: nCS and nRS both this high suggest a navigational goal.
+RULE_NCS_THRESHOLD = 0.7
+RULE_NRS_THRESHOLD = 0.7
 
 
 class DegenerateTrainingError(ValueError):
@@ -128,6 +130,18 @@ def rule_label_transactional(query: str, lexicon: frozenset[str] | None = None) 
     """True iff the normalized query contains a cue token from the lexicon."""
     cues = DEFAULT_TRANSACTIONAL_CUES if lexicon is None else lexicon
     return any(token in cues for token in query.split())
+
+
+def rule_label(query: str, features: FeatureVector,
+               lexicon: frozenset[str] | None = None) -> Intent:
+    """Rule mode's label, for when no classifier is trained: transactional
+    if the query holds a cue token, else navigational if nCS and nRS both
+    reach their thresholds, else informational."""
+    if rule_label_transactional(query, lexicon):
+        return Intent.TRANSACTIONAL
+    if features.ncs >= RULE_NCS_THRESHOLD and features.nrs >= RULE_NRS_THRESHOLD:
+        return Intent.NAVIGATIONAL
+    return Intent.INFORMATIONAL
 
 
 def hash_token(token: str, dim: int) -> int:
@@ -244,26 +258,6 @@ def save_classifier(path, model: ClassifierModel) -> None:
         "iterations": model.iterations,
     }
     write_json(path, doc)
-
-
-def load_classifier(path) -> ClassifierModel:
-    doc = read_json(path, "classifier document")
-    if not isinstance(doc, dict):
-        raise DataError("a classifier document must be a JSON object")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported classifier version {doc.get('version')!r}")
-    try:
-        return ClassifierModel(
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            bias=np.asarray(doc["bias"], dtype=np.float64),
-            feature_mean=np.asarray(doc["feature_mean"], dtype=np.float64),
-            feature_scale=np.asarray(doc["feature_scale"], dtype=np.float64),
-            classes=tuple(Intent(c) for c in doc["classes"]),
-            bow_dim=int(doc["bow_dim"]),
-            iterations=int(doc["iterations"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"bad classifier document: {exc}") from None
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

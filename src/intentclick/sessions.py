@@ -11,7 +11,6 @@ Session records. Judgments travel as the columns of Judgments.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 import string
@@ -23,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .common import DEFAULT_MAX_POSITIONS
+from .common import DEFAULT_MAX_POSITIONS, JSON_ERRORS, decode_json
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -475,8 +474,8 @@ def _session_record(line: str) -> tuple[str, int, list, list]:
     """(query_id, intent code, docs, clicks) of one session record; a
     SessionFormatError without a line number says what is wrong."""
     try:
-        record = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        record = decode_json(line)
+    except JSON_ERRORS as exc:
         raise SessionFormatError(f"invalid JSON: {exc}") from None
     try:
         value = record["intent"]

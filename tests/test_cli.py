@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -747,6 +748,19 @@ class TestClassify:
             capsys.readouterr().err)
         assert not (tmp_path / "o.tsv").exists()
 
+    def test_unk_seed_label_is_no_label(self, tmp_path):
+        # README lists unk as a label; as a seed it trains nothing, and its
+        # query is classified like any unlabelled one.
+        sessions_path = self._ingested(tmp_path)
+        seed_path = tmp_path / "seed.tsv"
+        seed_path.write_text("mapquest\tnav\nweather\tinf\nfree music downloads\tunk\n")
+        labels_path = tmp_path / "intents.tsv"
+        assert run(["classify", "--sessions", str(sessions_path), "--out", str(labels_path),
+                    "--train-labels", str(seed_path)]) == EXIT_OK
+        labels = read_intent_labels(labels_path)
+        assert sorted(labels) == ["free music downloads", "mapquest", "weather"]
+        assert Intent.UNKNOWN not in labels.values()
+
     def test_no_matching_training_labels_is_a_data_error(self, tmp_path):
         sessions_path = self._ingested(tmp_path)
         seed_path = tmp_path / "seed.tsv"
@@ -956,6 +970,28 @@ class TestImports:
                       if m == "numpy" or m.startswith("intentclick.")}
             assert not loaded & NOT_IMPORTED[subcommand], subcommand
 
+    def test_lazy_names_bind_when_read_off_cli(self, monkeypatch):
+        # Each name read off cli before any run() has bound it, as a wrapper
+        # installed before the first run reads it.
+        for module_name, names in cli._LAZY_NAMES.items():
+            module = importlib.import_module(f"intentclick.{module_name}")
+            for name in names:
+                monkeypatch.delattr(cli, name)
+                assert getattr(cli, name) is getattr(module, name), name
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
+
+    def test_reading_a_name_imports_only_its_module(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        code = ("import json, sys\nfrom intentclick import cli\ncli.read_sessions\n"
+                "print(json.dumps(sorted(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        modules = set(json.loads(proc.stdout))
+        assert "intentclick.sessions" in modules
+        assert not modules & {"intentclick.inference", "intentclick.models"}
+
     def test_public_names_resolve(self):
         for name in intentclick.__all__:
             assert getattr(intentclick, name) is not None, name
@@ -1031,6 +1067,19 @@ class TestRepeatedJsonKeys:
         err = capsys.readouterr().err
         assert err == f"data error: invalid parameter document: key {pair!r} repeated in one object\n"
         assert not (tmp_path / "e").exists()
+
+    def test_fit_session_clicks_names_the_line(self, pipeline_inputs, tmp_path, capsys):
+        lines = (pipeline_inputs / "sim" / "sessions.jsonl").read_text().splitlines()
+        flipped = [1 - c for c in json.loads(lines[1])["clicks"]]
+        lines[1] = lines[1].replace('{"clicks": ', f'{{"clicks": {flipped}, "clicks": ', 1)
+        repeated = tmp_path / "repeated.jsonl"
+        repeated.write_text("\n".join(lines) + "\n")
+        code = run(["fit", "--model", "pbm", "--sessions", str(repeated),
+                    "--out", str(tmp_path / "p.json")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: line 2: invalid JSON: key 'clicks' repeated in one object\n"
+        assert not (tmp_path / "p.json").exists()
 
 
 # Besides non-numbers, perplexities eval cannot write: above 1e12, below 1,

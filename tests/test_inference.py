@@ -600,7 +600,7 @@ class TestFitReportShape:
             uncovered = [b for (l, i), b in params.beta.items() if i in (3, 4)]
             assert len(uncovered) == 7
         assert all(v == 0.5 for v in uncovered)
-        assert "no sessions cover positions [3, 4]" in caplog.text
+        assert "no sessions cover positions 3-4;" in caplog.text
         assert "prior mean" in caplog.text
 
 
