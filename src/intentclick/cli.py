@@ -19,9 +19,9 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import __version__
-from .common import (DEFAULT_K_LIST, DEFAULT_MAX_POSITIONS, DEFAULT_NCS_N, DEFAULT_NRS_N,
-                     MODEL_KINDS, write_json)
-from .errors import DataError, NumericError
+from .common import (DEFAULT_GAP_MINUTES, DEFAULT_INTENT_MIX, DEFAULT_K_LIST, DEFAULT_MAX_ITERS,
+                     DEFAULT_MAX_POSITIONS, DEFAULT_NCS_N, DEFAULT_NRS_N, DEFAULT_TOL, MODEL_KINDS,
+                     DataError, NumericError, write_json)
 
 # The names the commands take from the package's modules, by module.
 # run() imports only the modules its subcommand needs (see _COMMANDS) and
@@ -75,22 +75,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _intent_mix(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("intent mix needs three comma-separated values")
-    try:
-        mix = tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad intent mix {text!r}") from None
-    # Written so that NaN fails both checks.
-    if any(not p >= 0 for p in mix) or not abs(sum(mix) - 1.0) <= 1e-9:
-        raise argparse.ArgumentTypeError(
-            f"intent mix must be non-negative and sum to 1, got {text!r}"
-        )
-    return mix
-
-
 def _flag_type(cast, ok, rule: str, noun: str):
     """An argparse type: ``cast(text)``, refused as a bad ``noun`` if the
     cast fails and as breaking ``rule`` if ``ok`` is false of the value."""
@@ -116,6 +100,17 @@ _positive_finite = _flag_type(float, lambda value: 0 < value < float("inf"),
                               "must be positive and finite", "number")
 
 
+def _three_floats(text: str) -> tuple[float, float, float]:
+    first, second, third = map(float, text.split(","))
+    return first, second, third
+
+
+# Written so that NaN fails both checks.
+_intent_mix = _flag_type(_three_floats,
+                         lambda mix: all(p >= 0 for p in mix) and abs(sum(mix) - 1.0) <= 1e-9,
+                         "intent mix must be non-negative and sum to 1", "intent mix")
+
+
 def _k_list(text: str) -> tuple[int, ...]:
     return tuple(_positive_int(p) for p in text.split(","))
 
@@ -139,7 +134,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ingest", help="parse an AOL-style TSV log into sessions")
     p.add_argument("--aol", required=True, help="raw five-field TSV log")
     p.add_argument("--out", required=True, help="canonical sessions output (jsonl)")
-    p.add_argument("--gap-minutes", type=_gap_minutes, default=30.0)
+    p.add_argument("--gap-minutes", type=_gap_minutes, default=DEFAULT_GAP_MINUTES)
     p.add_argument("--max-positions", type=_positive_int, default=DEFAULT_MAX_POSITIONS)
 
     p = sub.add_parser("simulate", help="generate a synthetic click log")
@@ -150,7 +145,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sessions-per-query", type=_int_at_least(0), default=None,
                    help="default 200; also overrides the preset's 50000")
     p.add_argument("--positions", type=_positive_int, default=DEFAULT_MAX_POSITIONS)
-    p.add_argument("--intent-mix", type=_intent_mix, default=(1 / 3, 1 / 3, 1 / 3))
+    p.add_argument("--intent-mix", type=_intent_mix, default=DEFAULT_INTENT_MIX)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--intent-aware", action="store_true",
                    help="intent-dependent ground-truth tables")
@@ -180,8 +175,8 @@ def build_parser() -> _Parser:
     p.add_argument("--alternating", action="store_true",
                    help="intent-aware fit by ECM steps: relevance, then examination")
     p.add_argument("--intents", help="intent labels (tsv) to attach before fitting")
-    p.add_argument("--tol", type=_positive_finite, default=1e-6)
-    p.add_argument("--max-iters", type=_positive_int, default=200)
+    p.add_argument("--tol", type=_positive_finite, default=DEFAULT_TOL)
+    p.add_argument("--max-iters", type=_positive_int, default=DEFAULT_MAX_ITERS)
     p.add_argument("--max-positions", type=_positive_int, default=None)
 
     p = sub.add_parser("eval", help="perplexity (and NDCG) of a fitted model")

@@ -1,8 +1,8 @@
 """Definitions shared by every stage that need no numpy.
 
-The model kinds, the probability clamp, the size defaults the command
-line states, the one JSON document layout, the one JSON decoder and the
-one position key.
+The error kinds, the model kinds, the probability clamp, the defaults the
+command line states, the one JSON document layout, the one JSON decoder
+and the one position key.
 ``compare`` and the command-line parser import this without loading
 numpy or the model code.
 """
@@ -14,7 +14,14 @@ import math
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 
-from .errors import DataError
+
+class DataError(Exception):
+    """Input data is malformed or violates a format invariant (exit 2)."""
+
+
+class NumericError(Exception):
+    """A numeric computation produced an unusable result (exit 3)."""
+
 
 PBM = "pbm"
 CASCADE = "cascade"
@@ -26,6 +33,13 @@ MODEL_KINDS = (PBM, CASCADE, UBM, DBN)
 PROB_CLAMP = 1e-12
 
 DEFAULT_MAX_POSITIONS = 10
+# EM's stopping rule: the largest parameter change, and the step budget.
+DEFAULT_TOL = 1e-6
+DEFAULT_MAX_ITERS = 200
+# Idle minutes that end an ingested session.
+DEFAULT_GAP_MINUTES = 30.0
+# Simulated sessions' informational, navigational and transactional shares.
+DEFAULT_INTENT_MIX = (1 / 3, 1 / 3, 1 / 3)
 # The NDCG cut-offs eval reports by default.
 DEFAULT_K_LIST = (1, 3, 5, 7, 10)
 # The n of the nCS and nRS intent features.

@@ -5,7 +5,7 @@ log-loss at that position; 1 means perfect prediction and 2 matches a coin
 flip. Dataset perplexity is the arithmetic mean over positions. NDCG@K
 discounts graded relevance down the ranking and normalizes by the ideal
 ordering. The report these fill in, and the comparison of two reports,
-live in ``reports``; this module exposes their names too.
+live in ``reports``.
 """
 
 from __future__ import annotations
@@ -15,13 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import DEFAULT_K_LIST
-from .errors import DataError
-from .models import AnyParams, PROB_CLAMP, clamp_probability, click_probs, mixed_relevance
-# Every report name stays importable from here, not only the two used below.
-from .reports import (ComparabilityError, EvalReport, ModelComparison, compare_models,
-                      format_comparison_table, format_report, load_report,
-                      perplexity_improvement, save_report)
+from .common import DEFAULT_K_LIST, PROB_CLAMP, DataError
+from .models import AnyParams, clamp_probability, click_probs, mixed_relevance
+from .reports import EvalReport
 from .sessions import ALL_INTENTS, Intent, Judgments, SessionBatch
 
 

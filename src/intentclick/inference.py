@@ -50,10 +50,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .common import CASCADE, DBN, PBM, UBM
-from .errors import DataError, NumericError
+from .common import (CASCADE, DBN, DEFAULT_MAX_ITERS, DEFAULT_TOL, PBM, PROB_CLAMP, UBM,
+                     DataError, NumericError)
 from .models import (
-    PROB_CLAMP,
     DEFAULT_REL,
     PARAMS_CLASSES,
     AnyParams,
@@ -83,8 +82,8 @@ class EmConfig:
     """Knobs for the EM loop. EM starts from the params class's ``prior``
     (or init_params) and has no random part, so it takes no seed."""
 
-    tol: float = 1e-6
-    max_iters: int = 200
+    tol: float = DEFAULT_TOL
+    max_iters: int = DEFAULT_MAX_ITERS
     prior_alpha: float = 1.0
     prior_beta: float = 1.0
 

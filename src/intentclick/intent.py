@@ -135,11 +135,13 @@ def rule_label_transactional(query: str, lexicon: frozenset[str] | None = None) 
 def rule_label(query: str, features: FeatureVector,
                lexicon: frozenset[str] | None = None) -> Intent:
     """Rule mode's label, for when no classifier is trained: transactional
-    if the query holds a cue token, else navigational if nCS and nRS both
-    reach their thresholds, else informational."""
+    if the query holds a cue token, else navigational if it has click data
+    and nCS and nRS both reach their thresholds, else informational. With
+    no click at all, nCS and nRS are 1, which is no evidence."""
     if rule_label_transactional(query, lexicon):
         return Intent.TRANSACTIONAL
-    if features.ncs >= RULE_NCS_THRESHOLD and features.nrs >= RULE_NRS_THRESHOLD:
+    if (not features.click_data_missing and features.ncs >= RULE_NCS_THRESHOLD
+            and features.nrs >= RULE_NRS_THRESHOLD):
         return Intent.NAVIGATIONAL
     return Intent.INFORMATIONAL
 

@@ -21,9 +21,8 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .common import (CASCADE, DBN, JSON_NUMBER_TYPES, MODEL_KINDS, PBM, PROB_CLAMP, UBM,
-                     position_from_json, read_json, write_json)
-from .errors import DataError
+from .common import (CASCADE, DBN, DEFAULT_MAX_POSITIONS, JSON_NUMBER_TYPES, MODEL_KINDS, PBM,
+                     PROB_CLAMP, UBM, DataError, position_from_json, read_json, write_json)
 from .sessions import ALL_INTENTS, KNOWN_INTENTS, Intent, Session, SessionBatch, encode_sessions
 
 DEFAULT_REL = 0.5  # uninformative prior mean: unseen pairs, prior examination cells
@@ -162,6 +161,8 @@ class _ExamRelParams(_TableParams):
 
     def __post_init__(self):
         exam, n = getattr(self, self.exam_field), self.max_positions
+        if n < 1:
+            raise ValueError(f"max_positions must be at least 1, got {n}")
         # Sizes first, so a huge max_positions builds no cell list.
         if len(exam) != self.cell_count(n):
             raise ValueError(f"{self.exam_field} table has {len(exam)} cells, "
@@ -206,7 +207,7 @@ class PbmParams(_ExamRelParams):
 
     exam: dict[int, float] = _table(_POSITION_KEY)
     rel: dict[tuple[str, str], float] = _table(_PAIR_KEY)
-    max_positions: int = 10
+    max_positions: int = DEFAULT_MAX_POSITIONS
 
     kind = PBM
     exam_field = "exam"
@@ -227,7 +228,7 @@ class UbmParams(_ExamRelParams):
 
     beta: dict[tuple[int, int], float] = _table(_CELL_KEY)
     rel: dict[tuple[str, str], float] = _table(_PAIR_KEY)
-    max_positions: int = 10
+    max_positions: int = DEFAULT_MAX_POSITIONS
 
     kind = UBM
     exam_field = "beta"

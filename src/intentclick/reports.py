@@ -2,7 +2,7 @@
 text tables.
 
 No numpy here: to read two reports and write a table, ``compare`` needs
-only this module, ``common`` and ``errors``. Comparisons render in the
+only this module and ``common``. Comparisons render in the
 familiar rows-by-positions layout with an improvement row computed as
 (p2 - p1) / (p2 - 1) * 100%, capped below at MIN_IMPROVEMENT.
 """
@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
-from .common import JSON_NUMBER_TYPES, PROB_CLAMP, position_from_json, read_json, write_json
-from .errors import DataError
+from .common import (JSON_NUMBER_TYPES, PROB_CLAMP, DataError, position_from_json, read_json,
+                     write_json)
 
 # The most eval can write, as it clamps click probabilities at PROB_CLAMP,
 # with room for rounding.

@@ -22,13 +22,12 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .common import DEFAULT_MAX_POSITIONS, JSON_ERRORS, decode_json
-from .errors import DataError
+from .common import DEFAULT_GAP_MINUTES, DEFAULT_MAX_POSITIONS, JSON_ERRORS, DataError, decode_json
 
 logger = logging.getLogger(__name__)
 
 AOL_TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
-DEFAULT_GAP_TIMEOUT = timedelta(minutes=30)
+DEFAULT_GAP_TIMEOUT = timedelta(minutes=DEFAULT_GAP_MINUTES)
 
 
 class Intent(str, Enum):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import CASCADE, DBN, MODEL_KINDS, PBM, UBM
+from .common import CASCADE, DBN, DEFAULT_INTENT_MIX, DEFAULT_MAX_POSITIONS, MODEL_KINDS, PBM, UBM
 from .models import (
     AnyParams,
     BaseParams,
@@ -44,8 +44,8 @@ class SimConfig:
     model_kind: str = PBM
     num_queries: int = 10
     sessions_per_query: int = 100
-    positions: int = 10
-    intent_mix: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
+    positions: int = DEFAULT_MAX_POSITIONS
+    intent_mix: tuple[float, float, float] = DEFAULT_INTENT_MIX
     seed: int = 0
     intent_aware: bool = False
     intents_per_query: bool = False
@@ -361,7 +361,7 @@ def click_behavior_preset() -> tuple[GroundTruth, SimConfig]:
         num_queries=len(serps),
         sessions_per_query=PRESET_SESSIONS_PER_QUERY,
         positions=PRESET_POSITIONS,
-        intent_mix=(1 / 3, 1 / 3, 1 / 3),
+        intent_mix=DEFAULT_INTENT_MIX,
         seed=PRESET_SEED,
         intent_aware=True,
         intents_per_query=True,

@@ -16,7 +16,6 @@ from intentclick.evaluate import (
     mixture_relevance_scorer,
     ndcg_at_k,
     ndcg_for_scores,
-    perplexity_improvement,
     perplexity_report,
     position_perplexity,
 )
@@ -37,6 +36,7 @@ from intentclick.models import (
     session_log_likelihood,
     session_prob,
 )
+from intentclick.reports import perplexity_improvement
 from intentclick.sessions import Intent, KNOWN_INTENTS, Session
 from intentclick.simulate import (
     SimConfig,

@@ -22,9 +22,8 @@ from hypothesis import strategies as st
 import intentclick
 from intentclick import cli
 from intentclick.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, run
-from intentclick.errors import NumericError
-from intentclick.evaluate import load_report
-from intentclick.reports import MIN_IMPROVEMENT
+from intentclick.common import NumericError
+from intentclick.reports import MIN_IMPROVEMENT, load_report
 from intentclick.models import IntentAwareParams, load_params
 from intentclick.sessions import Intent, read_intent_labels, read_sessions
 from intentclick.simulate import PRESET_SEED
@@ -653,6 +652,20 @@ class TestFitEvalCompare:
         assert max(map(len, err.splitlines())) < 1000
         assert not out.exists()
 
+    def test_eval_with_max_positions_below_one_is_a_data_error(self, tmp_path, capsys):
+        sim = _simulate(tmp_path)
+        params = tmp_path / "negative.json"
+        params.write_text(json.dumps({"version": 1, "kind": "pbm", "intent_aware": False,
+                                      "params": {"exam": {}, "rel": {}, "max_positions": -2}}))
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        code = run(["eval", "--params", str(params), "--sessions", str(sim / "sessions.jsonl"),
+                    "--out", str(out)])
+        assert code == EXIT_DATA
+        assert ("bad pbm parameter document: max_positions must be at least 1, got -2"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestClassify:
     def _ingested(self, tmp_path):
@@ -684,6 +697,18 @@ class TestClassify:
             "jazz history": Intent.INFORMATIONAL,
             "oak trees": Intent.INFORMATIONAL,
         }
+
+    def test_rule_mode_query_nobody_clicked_is_not_nav(self, tmp_path):
+        # With no click, nCS and nRS are both 1: no evidence of navigation.
+        sessions_path = tmp_path / "sessions.jsonl"
+        sessions_path.write_text("".join(
+            json.dumps({"session_id": f"s{i}", "query_id": "weather report", "intent": "unk",
+                        "docs": ["d1", "d2", "d3"], "clicks": [0, 0, 0]}) + "\n"
+            for i in range(5)))
+        labels_path = tmp_path / "intents.tsv"
+        assert run(["classify", "--sessions", str(sessions_path),
+                    "--out", str(labels_path)]) == EXIT_OK
+        assert labels_path.read_text() == "weather report\tinf\n"
 
     def test_trained_mode(self, tmp_path):
         sessions_path = self._ingested(tmp_path)

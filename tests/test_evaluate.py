@@ -9,26 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from intentclick.common import write_json
+from intentclick.common import DataError, write_json
 from intentclick.evaluate import (
-    ComparabilityError,
-    EvalReport,
-    compare_models,
     dcg,
     evaluate_model,
-    format_comparison_table,
-    format_report,
     intent_distributions,
-    load_report,
     mixture_relevance_scorer,
     ndcg_at_k,
     ndcg_for_scores,
-    perplexity_improvement,
     perplexity_report,
     position_perplexity,
+)
+from intentclick.reports import (
+    ComparabilityError,
+    EvalReport,
+    compare_models,
+    format_comparison_table,
+    format_report,
+    load_report,
+    perplexity_improvement,
     save_report,
 )
-from intentclick.errors import DataError
 from intentclick.models import IntentAwareParams, PbmParams, resolve_params
 from intentclick.sessions import (ALL_INTENTS, KNOWN_INTENTS, Intent, Judgments,
                                   Session, encode_sessions)

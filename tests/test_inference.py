@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from intentclick.errors import NumericError
+from intentclick.common import NumericError
 from intentclick.inference import EmConfig, alternating_fit, em_fit, factor_posterior
 from intentclick.models import (
     CascadeParams,

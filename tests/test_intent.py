@@ -220,6 +220,11 @@ class TestRuleLabel:
     def test_thresholds(self, ncs, nrs, expected):
         assert rule_label("weather", self._features(ncs, nrs)) is expected
 
+    def test_no_click_data_is_not_nav(self):
+        features = replace(self._features(1.0, 1.0), click_data_missing=True)
+        assert rule_label("weather report", features) is Intent.INFORMATIONAL
+        assert rule_label("mp3 player", features) is Intent.TRANSACTIONAL
+
     def test_cue_comes_before_the_thresholds(self):
         assert rule_label("mp3 player", self._features(1.0, 1.0)) is Intent.TRANSACTIONAL
         assert rule_label("mp3 player", self._features(1.0, 1.0), frozenset({"warez"})) is (

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from intentclick.errors import DataError
+from intentclick.common import DataError
 from intentclick.models import (
     CascadeParams,
     DbnParams,
@@ -134,6 +134,13 @@ class TestCellLookup:
             for width in range(n + 1):
                 np.testing.assert_array_equal(params.exam_matrix(width),
                                               full[:width + 1, :width + 1])
+
+    @pytest.mark.parametrize("params_cls", [PbmParams, UbmParams])
+    @pytest.mark.parametrize("max_positions", [0, -1, -3])
+    def test_max_positions_below_one_is_refused(self, params_cls, max_positions):
+        with pytest.raises(ValueError,
+                           match=f"^max_positions must be at least 1, got {max_positions}$"):
+            params_cls(**{params_cls.exam_field: {}}, rel={}, max_positions=max_positions)
 
     def test_large_max_positions_builds_only_the_batch_block(self):
         exam = dict.fromkeys(range(1, 2001), 0.5)

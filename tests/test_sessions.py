@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from intentclick.common import write_json
-from intentclick.errors import DataError
+from intentclick.common import DataError, write_json
 from intentclick.sessions import (
     ALL_INTENTS,
     AOL_TIME_FORMAT,
