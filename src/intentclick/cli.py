@@ -20,14 +20,16 @@ from pathlib import Path
 
 from . import __version__
 from .common import (DEFAULT_GAP_MINUTES, DEFAULT_INTENT_MIX, DEFAULT_K_LIST, DEFAULT_MAX_ITERS,
-                     DEFAULT_MAX_POSITIONS, DEFAULT_NCS_N, DEFAULT_NRS_N, DEFAULT_TOL, MODEL_KINDS,
-                     DataError, NumericError, write_json)
+                     DEFAULT_MAX_POSITIONS, DEFAULT_NCS_N, DEFAULT_NRS_N, DEFAULT_TOL,
+                     INTENT_MIX_RULE, MODEL_KINDS, DataError, NumericError, is_intent_mix,
+                     write_json)
 
 # The names the commands take from the package's modules, by module.
 # run() imports only the modules its subcommand needs (see _COMMANDS) and
 # binds their names here before it dispatches, keeping any already bound;
 # __getattr__ binds a module's names when one is read off this module
 # first. Either way the commands look every name up in this module.
+# No command calls alternating_fit; perfbench/trace_stages.py wraps it here.
 _LAZY_NAMES = {
     "sessions": ("Intent", "attach_intents", "group_by_query", "read_aol_log",
                  "read_intent_labels", "read_judgments", "read_sessions", "sessionize",
@@ -100,15 +102,8 @@ _positive_finite = _flag_type(float, lambda value: 0 < value < float("inf"),
                               "must be positive and finite", "number")
 
 
-def _three_floats(text: str) -> tuple[float, float, float]:
-    first, second, third = map(float, text.split(","))
-    return first, second, third
-
-
-# Written so that NaN fails both checks.
-_intent_mix = _flag_type(_three_floats,
-                         lambda mix: all(p >= 0 for p in mix) and abs(sum(mix) - 1.0) <= 1e-9,
-                         "intent mix must be non-negative and sum to 1", "intent mix")
+_intent_mix = _flag_type(lambda text: tuple(map(float, text.split(","))), is_intent_mix,
+                         INTENT_MIX_RULE, "intent mix")
 
 
 def _k_list(text: str) -> tuple[int, ...]:
@@ -173,7 +168,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="parameter document (json)")
     p.add_argument("--intent-aware", action="store_true")
     p.add_argument("--alternating", action="store_true",
-                   help="intent-aware fit by ECM steps: relevance, then examination")
+                   help="a synonym of --intent-aware, kept for older command lines")
     p.add_argument("--intents", help="intent labels (tsv) to attach before fitting")
     p.add_argument("--tol", type=_positive_finite, default=DEFAULT_TOL)
     p.add_argument("--max-iters", type=_positive_int, default=DEFAULT_MAX_ITERS)
@@ -297,20 +292,15 @@ def _routed_sessions(args, intent_aware: bool):
 
 
 def _cmd_fit(args) -> Outputs:
-    sessions = _routed_sessions(args, args.intent_aware or args.alternating)
-    config = EmConfig(tol=args.tol, max_iters=args.max_iters)
-    if args.alternating:
-        params, report = alternating_fit(
-            args.model, sessions, config, max_positions=args.max_positions
-        )
-    else:
-        params, report = em_fit(
-            args.model,
-            sessions,
-            config,
-            intent_aware=args.intent_aware,
-            max_positions=args.max_positions,
-        )
+    intent_aware = args.intent_aware or args.alternating
+    sessions = _routed_sessions(args, intent_aware)
+    params, report = em_fit(
+        args.model,
+        sessions,
+        EmConfig(tol=args.tol, max_iters=args.max_iters),
+        intent_aware=intent_aware,
+        max_positions=args.max_positions,
+    )
     out = Path(args.out)
     save_params(out, params)
     report_path = Path(str(out) + ".report.json")

@@ -40,6 +40,7 @@ DEFAULT_MAX_ITERS = 200
 DEFAULT_GAP_MINUTES = 30.0
 # Simulated sessions' informational, navigational and transactional shares.
 DEFAULT_INTENT_MIX = (1 / 3, 1 / 3, 1 / 3)
+INTENT_MIX_RULE = "intent mix must be three non-negative numbers that sum to 1"
 # The NDCG cut-offs eval reports by default.
 DEFAULT_K_LIST = (1, 3, 5, 7, 10)
 # The n of the nCS and nRS intent features.
@@ -48,6 +49,12 @@ DEFAULT_NRS_N = 3
 
 # JSON numbers; bool is excluded because type(True) is bool, not int.
 JSON_NUMBER_TYPES = frozenset((int, float))
+
+
+def is_intent_mix(mix) -> bool:
+    """Whether mix keeps INTENT_MIX_RULE, to within 1e-9 on the sum;
+    written so that NaN fails."""
+    return len(mix) == 3 and all(p >= 0 for p in mix) and abs(sum(mix) - 1.0) <= 1e-9
 
 
 def position_from_json(text: str) -> int:

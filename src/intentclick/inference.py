@@ -25,20 +25,15 @@ Intent-aware fits partition sessions by their intent label into
 independent estimation problems, so the ascent property of EM holds for
 the summed log-likelihood.
 
-One loop, ``_FitProblem.ascend``, runs every fit. It
-accelerates EM by monotone SQUAREM (Varadhan & Roland, Scand. J. Statist.
-35, 2008), separately in each partition: two plain EM steps, an
-extrapolated point, and one EM step from that point, kept only if the
-objective there is at least the partition's last recorded value;
-otherwise the partition takes a plain step instead. A partition stops
-once a step moves none of its parameters by tol or more. The problem owns
-its ``FitReport``: ``ascend`` records and logs each step in it, and
-``_FitProblem.result`` finishes it and builds the params.
-
-The alternating fit takes ECM steps (Meng & Rubin, Biometrika 80, 1993)
-in that loop: a relevance M-step, then, after a fresh E-step, an
-examination M-step. Like EM's, the step is a monotone fixed-point map, so
-SQUAREM accelerates it unchanged.
+One loop, ``_ascend``, runs every fit. It accelerates EM by monotone
+SQUAREM (Varadhan & Roland, Scand. J. Statist. 35, 2008), separately in
+each partition: two plain EM steps, an extrapolated point, and one EM step
+from that point, kept only if the objective there is at least the
+partition's last recorded value; otherwise the partition takes a plain
+step instead. A partition stops once a step moves none of its parameters
+by tol or more. ``_ascend`` records and logs each step in the fit's
+``FitReport`` and finishes it; ``em_fit`` builds the partitions and the
+params.
 """
 
 from __future__ import annotations
@@ -102,11 +97,10 @@ class FitReport:
     """Fit diagnostics.
 
     An iteration is one recorded step: every partition that has not yet
-    stopped takes one EM step (in an alternating fit, one ECM step: the
-    relevance M-step, then the examination M-step), from its current
-    parameters or from a SQUAREM point. loglik_trace[k] is the objective
-    EM ascends, evaluated at the parameters entering step k: the data
-    log-likelihood plus the Bernoulli pseudo-count terms
+    stopped takes one EM step, from its current parameters or from a
+    SQUAREM point. loglik_trace[k] is the objective EM ascends, evaluated
+    at the parameters entering step k: the data log-likelihood plus the
+    Bernoulli pseudo-count terms
     alpha*ln(theta) + beta*ln(1-theta) per parameter. With zero priors it
     is the plain data log-likelihood. A stopped partition adds its
     objective at its final tables. EM and the monotone acceptance rule make
@@ -221,32 +215,29 @@ def _extrapolate(start: dict, mid: dict, end: dict) -> dict:
     return point
 
 
-def _squarem(fitter, state: dict, phases: tuple, cfg: EmConfig) -> Iterator[tuple]:
+def _squarem(fitter, state: dict, families: frozenset, cfg: EmConfig) -> Iterator[tuple]:
     """Monotone SQUAREM on one partition, without end.
 
     Yields (objective entering the step, largest change, how the step
-    started) for each recorded step and leaves ``state`` at the step's
-    result. A cycle is two plain steps, then one step from the
-    extrapolated point, kept only if its objective is at least the last
-    recorded one; otherwise a plain step from where the second step ended.
+    started) for each recorded EM step, whose M-step updates ``families``,
+    and leaves ``state`` at the step's result. A cycle is two plain steps,
+    then one step from the extrapolated point, kept only if its objective
+    is at least the last recorded one; otherwise a plain step from where
+    the second step ended.
     """
-    def step(at: dict) -> tuple[float, float]:
-        results = [fitter.iterate(at, families, cfg) for families in phases]
-        return results[0][0], max(delta for _, delta in results)
-
     while True:
         start = dict(state)
-        yield (*step(state), PLAIN)
+        yield (*fitter.iterate(state, families, cfg), PLAIN)
         mid = dict(state)
-        ll_mid, delta = step(state)
+        ll_mid, delta = fitter.iterate(state, families, cfg)
         yield ll_mid, delta, PLAIN
         point = _extrapolate(start, mid, state)
-        ll, delta = step(point)
+        ll, delta = fitter.iterate(point, families, cfg)
         if ll >= ll_mid:
             state.update(point)
             yield ll, delta, EXTRAPOLATED
         else:
-            yield (*step(state), REJECTED)
+            yield (*fitter.iterate(state, families, cfg), REJECTED)
 
 
 class _Fitter:
@@ -486,126 +477,62 @@ class _DbnFitter(_Fitter):
 _FITTERS = {PBM: _ExamRelFitter, CASCADE: _CascadeFitter, UBM: _ExamRelFitter, DBN: _DbnFitter}
 
 
-class _FitProblem:
-    """One or more partitions (by intent) fitted jointly over shared
-    iterations, and the report of that fit."""
+def _ascend(partitions: dict, families: frozenset, config: EmConfig) -> FitReport:
+    """Up to max_iters accelerated EM steps over every partition in
+    lockstep, each recorded in the returned report and logged at INFO
+    level; ``partitions`` maps each intent to its (fitter, state).
 
-    def __init__(
-        self,
-        model_kind: str,
-        batch: SessionBatch,
-        config: EmConfig | None,
-        intent_aware: bool,
-        max_positions: int | None,
-        init_params: AnyParams | None,
-    ):
-        if model_kind not in _FITTERS:
-            raise ValueError(f"unknown model kind {model_kind!r}")
-        if not batch:
-            raise ValueError("cannot fit on an empty session set")
-        if batch.width == 0:
-            raise DataError("no session shows any document, so there is nothing to fit")
-        self.max_positions = max_positions if max_positions is not None else batch.width
-        if batch.width > self.max_positions:
-            raise ValueError(
-                f"sessions reach position {batch.width} > max_positions {self.max_positions}"
+    Each partition runs its own monotone SQUAREM cycle (``_squarem``) and
+    stops after a step that moves none of its parameters by tol or more;
+    from then on it adds its objective at its final tables. The steps end
+    early once every partition has stopped. The report's final_delta is
+    the largest of the partitions' latest changes, and the fit converged
+    if that is below tol; if not, a warning says it stopped at max_iters.
+    """
+    report = FitReport(iterations=0, final_delta=float("inf"))
+    runs = {
+        key: _squarem(fitter, state, families, config)
+        for key, (fitter, state) in partitions.items()
+    }
+    last_delta = dict.fromkeys(partitions, float("inf"))
+    # A stopped partition's objective, computed when a later step needs it.
+    stopped: dict = {}
+    for _ in range(config.max_iters):
+        if len(stopped) == len(runs):
+            break
+        ll_total, delta, kinds = 0.0, 0.0, []
+        for key, run in runs.items():
+            if key in stopped:
+                if stopped[key] is None:
+                    fitter, state = partitions[key]
+                    stopped[key] = fitter.expect(state, frozenset(), config)[0]
+                ll_total += stopped[key]
+                continue
+            ll, d, kind = next(run)
+            ll_total += ll
+            delta = max(delta, d)
+            kinds.append(kind)
+            last_delta[key] = d
+            if d < config.tol:
+                stopped[key] = None
+        if not np.isfinite(ll_total):
+            raise NumericError(f"log-likelihood became non-finite ({ll_total})")
+        report.iterations += 1
+        report.loglik_trace.append(ll_total)
+        report.extrapolated += kinds.count(EXTRAPOLATED)
+        report.rejected += kinds.count(REJECTED)
+        if logger.isEnabledFor(logging.INFO):
+            marks = "".join(
+                f" {k}={kinds.count(k)}" for k in (EXTRAPOLATED, REJECTED) if k in kinds
             )
-        self.intent_aware = intent_aware
-        self.config = config or EmConfig()
-        fitter_cls = _FITTERS[model_kind]
-        self.model_families = fitter_cls.families
-        self.params_cls = PARAMS_CLASSES[model_kind]
-        if init_params is None:
-            init_params = self.params_cls.prior(self.max_positions)
-
-        # A base fit is one partition, which starts from Unknown's table.
-        if intent_aware:
-            parts = [(intent, batch.take(rows)) for intent, rows in batch.by_intent()]
-        else:
-            parts = [(Intent.UNKNOWN, batch)]
-        self.partitions: dict[Intent, tuple] = {}
-        for intent, part in parts:
-            fitter = fitter_cls(part, self.params_cls, self.max_positions)
-            start = resolve_params(init_params, intent)
-            self.partitions[intent] = (fitter, fitter.state_from(start))
-        self.last_delta = dict.fromkeys(self.partitions, float("inf"))
-        self.report = FitReport(iterations=0, final_delta=float("inf"))
-
-    def ascend(self, phases: tuple, label: str) -> None:
-        """Up to max_iters accelerated steps over every partition in
-        lockstep, each recorded in the report and logged at INFO level
-        after ``label``. A step runs an E-step and an M-step of each family
-        set in ``phases`` in turn: one EM step, or one ECM step.
-
-        Each partition runs its own monotone SQUAREM cycle (``_squarem``)
-        and stops after a step that moves none of its parameters by tol or
-        more; from then on it adds its objective at its final tables. The
-        steps end early once every partition has stopped. ``last_delta``
-        keeps each partition's latest change.
-        """
-        config, report = self.config, self.report
-        runs = {
-            key: _squarem(fitter, state, phases, config)
-            for key, (fitter, state) in self.partitions.items()
-        }
-        # A stopped partition's objective, computed when a later step needs it.
-        stopped: dict = {}
-        for _ in range(config.max_iters):
-            if len(stopped) == len(runs):
-                break
-            ll_total, delta, kinds = 0.0, 0.0, []
-            for key, run in runs.items():
-                if key in stopped:
-                    if stopped[key] is None:
-                        fitter, state = self.partitions[key]
-                        stopped[key] = fitter.expect(state, frozenset(), config)[0]
-                    ll_total += stopped[key]
-                    continue
-                ll, d, kind = next(run)
-                ll_total += ll
-                delta = max(delta, d)
-                kinds.append(kind)
-                self.last_delta[key] = d
-                if d < config.tol:
-                    stopped[key] = None
-            if not np.isfinite(ll_total):
-                raise NumericError(f"log-likelihood became non-finite ({ll_total})")
-            report.iterations += 1
-            report.loglik_trace.append(ll_total)
-            report.extrapolated += kinds.count(EXTRAPOLATED)
-            report.rejected += kinds.count(REJECTED)
-            if logger.isEnabledFor(logging.INFO):
-                marks = "".join(
-                    f" {k}={kinds.count(k)}" for k in (EXTRAPOLATED, REJECTED) if k in kinds
-                )
-                logger.info(
-                    "%siter %d loglik %.6f max_delta %.3e%s",
-                    label, report.iterations, ll_total, delta, marks,
-                )
-
-    def result(self, fit_name: str) -> tuple[AnyParams, FitReport]:
-        """The fitted params and the finished report. Its final_delta is
-        the largest of the partitions' latest changes, and the fit
-        converged if that is below tol; if not, a warning says that
-        ``fit_name`` stopped at max_iters."""
-        report, tol = self.report, self.config.tol
-        report.final_delta = final_delta = max(self.last_delta.values())
-        report.converged = final_delta < tol
-        if not report.converged:
-            logger.warning("%s stopped at max_iters=%d with max delta %.3e >= tol %.1e",
-                           fit_name, self.config.max_iters, final_delta, tol)
-
-        def fitted(key):
-            # A fresh prior per slot, so no two slots share a table.
-            prior = self.params_cls.prior(self.max_positions)
-            if key not in self.partitions:
-                return prior
-            fitter, state = self.partitions[key]
-            return fitter.params_from(state, prior)
-
-        if not self.intent_aware:
-            return fitted(Intent.UNKNOWN), report
-        return IntentAwareParams.build(fitted), report
+            logger.info("iter %d loglik %.6f max_delta %.3e%s",
+                        report.iterations, ll_total, delta, marks)
+    report.final_delta = max(last_delta.values())
+    report.converged = report.final_delta < config.tol
+    if not report.converged:
+        logger.warning("EM stopped at max_iters=%d with max delta %.3e >= tol %.1e",
+                       config.max_iters, report.final_delta, config.tol)
+    return report
 
 
 def em_fit(
@@ -621,13 +548,48 @@ def em_fit(
     """Fit click-model parameters by EM until the largest parameter change
     drops below config.tol or config.max_iters is reached.
 
-    families restricts the M-step to "rel" / "exam" parameter sides (both
-    by default); init_params seeds the starting tables.
+    An intent-aware fit partitions the sessions by intent and fits every
+    partition jointly over shared iterations. families restricts the
+    M-step to "rel" / "exam" parameter sides (both by default);
+    init_params seeds the starting tables.
     """
-    problem = _FitProblem(model_kind, batch, config, intent_aware, max_positions, init_params)
-    update = problem.model_families if families is None else frozenset(families) & problem.model_families
-    problem.ascend((update,), "")
-    return problem.result("EM")
+    if model_kind not in _FITTERS:
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    if not batch:
+        raise ValueError("cannot fit on an empty session set")
+    if batch.width == 0:
+        raise DataError("no session shows any document, so there is nothing to fit")
+    if max_positions is None:
+        max_positions = batch.width
+    if batch.width > max_positions:
+        raise ValueError(f"sessions reach position {batch.width} > max_positions {max_positions}")
+    fitter_cls, params_cls = _FITTERS[model_kind], PARAMS_CLASSES[model_kind]
+    if init_params is None:
+        init_params = params_cls.prior(max_positions)
+
+    # A base fit is one partition, which starts from Unknown's table.
+    if intent_aware:
+        parts = [(intent, batch.take(rows)) for intent, rows in batch.by_intent()]
+    else:
+        parts = [(Intent.UNKNOWN, batch)]
+    partitions: dict[Intent, tuple] = {}
+    for intent, part in parts:
+        fitter = fitter_cls(part, params_cls, max_positions)
+        partitions[intent] = (fitter, fitter.state_from(resolve_params(init_params, intent)))
+    update = fitter_cls.families if families is None else frozenset(families) & fitter_cls.families
+    report = _ascend(partitions, update, config or EmConfig())
+
+    def fitted(key):
+        # A fresh prior per slot, so no two slots share a table.
+        prior = params_cls.prior(max_positions)
+        if key not in partitions:
+            return prior
+        fitter, state = partitions[key]
+        return fitter.params_from(state, prior)
+
+    if not intent_aware:
+        return fitted(Intent.UNKNOWN), report
+    return IntentAwareParams.build(fitted), report
 
 
 def alternating_fit(
@@ -637,16 +599,6 @@ def alternating_fit(
     *,
     max_positions: int | None = None,
 ) -> tuple[AnyParams, FitReport]:
-    """Intent-aware fit by ECM steps: each updates the relevance side with
-    the examination tables held fixed, then, after a fresh E-step, the
-    examination tables with relevance held fixed.
-
-    A step records the objective entering it and the largest change of
-    either M-step. Both ascend the same objective, so the trace is
-    non-decreasing and the fit stops at the joint intent-aware EM's fixed
-    point. Cascade has no examination side, so its fit is the joint one.
-    """
-    problem = _FitProblem(model_kind, batch, config, True, max_positions, None)
-    sides = [side for side in (REL_SIDE, EXAM_SIDE) if side in problem.model_families]
-    problem.ascend(tuple(frozenset((side,)) for side in sides), f"phases {','.join(sides)} ")
-    return problem.result("alternating fit")
+    """``em_fit(..., intent_aware=True)``; ``fit --alternating`` is a
+    synonym of ``--intent-aware``."""
+    return em_fit(model_kind, batch, config, intent_aware=True, max_positions=max_positions)

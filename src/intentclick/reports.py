@@ -169,10 +169,14 @@ def compare_models(base: EvalReport, treatment: EvalReport) -> ModelComparison:
             f"position counts differ: {len(base.per_position)} vs "
             f"{len(treatment.per_position)}"
         )
-    if base.position_counts != treatment.position_counts or base.n_sessions != treatment.n_sessions:
+    if ((base.position_counts, base.n_sessions, base.n_queries)
+            != (treatment.position_counts, treatment.n_sessions, treatment.n_queries)):
         raise ComparabilityError("reports were not evaluated on the same session set")
     if set(base.ndcg) != set(treatment.ndcg):
         raise ComparabilityError("reports use different NDCG cut-off lists")
+    if base.ndcg_queries != treatment.ndcg_queries:
+        raise ComparabilityError(f"NDCG averages over different query counts: "
+                                 f"{base.ndcg_queries} vs {treatment.ndcg_queries}")
     improvements = [
         _improvement_cell(t, b)
         for t, b in zip(treatment.per_position, base.per_position)

@@ -587,7 +587,7 @@ def write_intent_labels(path, labels: Mapping[str, Intent]) -> None:
 
 
 def read_intent_labels(path) -> dict[str, Intent]:
-    """Read query_id<TAB>label records (inf|nav|tra); a repeated query is an error."""
+    """Read query_id<TAB>label records (inf|nav|tra|unk); a repeated query is an error."""
     labels: dict[str, Intent] = {}
     for line_no, (query_id, raw) in _tsv_records(path, 2, LineError):
         if query_id in labels:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import CASCADE, DBN, DEFAULT_INTENT_MIX, DEFAULT_MAX_POSITIONS, MODEL_KINDS, PBM, UBM
+from .common import (CASCADE, DBN, DEFAULT_INTENT_MIX, DEFAULT_MAX_POSITIONS, INTENT_MIX_RULE,
+                     MODEL_KINDS, PBM, UBM, is_intent_mix)
 from .models import (
     AnyParams,
     BaseParams,
@@ -59,11 +60,8 @@ class SimConfig:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
         if self.num_queries < 1 or self.sessions_per_query < 1 or self.positions < 1:
             raise ValueError("num_queries, sessions_per_query and positions must be >= 1")
-        # Written so that NaN fails both checks.
-        if len(self.intent_mix) != 3 or any(not p >= 0 for p in self.intent_mix):
-            raise ValueError("intent_mix needs three non-negative proportions")
-        if not abs(sum(self.intent_mix) - 1.0) <= 1e-9:
-            raise ValueError(f"intent_mix must sum to 1, got {sum(self.intent_mix)}")
+        if not is_intent_mix(self.intent_mix):
+            raise ValueError(f"{INTENT_MIX_RULE}, got {self.intent_mix}")
 
 
 @dataclass

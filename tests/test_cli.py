@@ -26,7 +26,7 @@ from intentclick.common import NumericError
 from intentclick.reports import MIN_IMPROVEMENT, load_report
 from intentclick.models import IntentAwareParams, load_params
 from intentclick.sessions import Intent, read_intent_labels, read_sessions
-from intentclick.simulate import PRESET_SEED
+from intentclick.simulate import PRESET_SEED, SimConfig
 
 AOL_SAMPLE = (
     "AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n"
@@ -106,6 +106,17 @@ class TestUsageErrors:
             code = run(["simulate", "--out-dir", str(tmp_path / "s"), "--intent-mix", mix])
             assert code == EXIT_USAGE, mix
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("mix", [(0.2, 0.2, 0.2), (1.0, 0.0), (math.nan, 0.5, 0.5)])
+    def test_intent_mix_rule_is_the_simulators(self, tmp_path, capsys, mix):
+        # --intent-mix and SimConfig refuse a mix with the same rule text.
+        with pytest.raises(ValueError) as refused:
+            SimConfig(intent_mix=mix)
+        rule = str(refused.value).split(", got ")[0]
+        text = ",".join(map(str, mix))
+        capsys.readouterr()
+        assert run(["simulate", "--out-dir", str(tmp_path / "s"), "--intent-mix", text]) == EXIT_USAGE
+        assert f"{rule}, got {text!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k_list", ["0", "1,0,3", "-2", "1,x"])
     def test_bad_k_list(self, k_list):
@@ -385,6 +396,37 @@ class TestFitEvalCompare:
         assert report["converged"] is False
         assert "stopped at max_iters=1" in caplog.text
         assert "stopped at max iterations after 1 iterations" in capsys.readouterr().out
+
+    def test_alternating_is_a_synonym_of_intent_aware(self, pipeline_inputs, tmp_path):
+        sim = pipeline_inputs / "sim"
+        written = []
+        for flag in ("--intent-aware", "--alternating"):
+            out = tmp_path / f"{flag[2:]}.json"
+            assert run(["fit", "--model", "ubm", flag, "--sessions", str(sim / "sessions.jsonl"),
+                        "--intents", str(sim / "intents.tsv"), "--out", str(out)]) == EXIT_OK
+            written.append((out.read_bytes(), Path(f"{out}.report.json").read_bytes()))
+        assert written[0] == written[1]
+
+    def test_compare_ndcg_over_different_queries_is_a_data_error(self, pipeline_inputs,
+                                                                  tmp_path, capsys):
+        # The same params and sessions, judged by a file and by its first 8
+        # lines: the NDCG means average over different queries.
+        sim = pipeline_inputs / "sim"
+        short = tmp_path / "short.tsv"
+        short.write_text("".join((sim / "judgments.tsv").read_text().splitlines(True)[:8]))
+        reports = [tmp_path / "full.eval.json", tmp_path / "short.eval.json"]
+        for judgments, report in zip((sim / "judgments.tsv", short), reports):
+            assert run(["eval", "--params", str(pipeline_inputs / "p.json"), "--sessions",
+                        str(sim / "sessions.jsonl"), "--judgments", str(judgments),
+                        "--out", str(report)]) == EXIT_OK
+        full, part = (load_report(r) for r in reports)
+        assert full.n_queries == part.n_queries and full.ndcg_queries > part.ndcg_queries > 0
+        capsys.readouterr()
+        code = run(["compare", "--base", str(reports[0]), "--treat", str(reports[1]),
+                    "--out", str(tmp_path / "cmp.txt")])
+        assert code == EXIT_DATA
+        assert "NDCG averages over different query counts" in capsys.readouterr().err
+        assert not (tmp_path / "cmp.txt").exists()
 
     def test_compare_mismatched_sets_is_a_data_error(self, tmp_path):
         sim_a = _simulate(tmp_path, "a")

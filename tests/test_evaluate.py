@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -405,6 +406,14 @@ class TestCompareModels:
     def test_mismatched_session_sets_rejected(self):
         base = self._report([1.5, 1.3])
         treat = self._report([1.5, 1.3], counts=[99, 99])
+        with pytest.raises(ComparabilityError):
+            compare_models(base, treat)
+
+    @pytest.mark.parametrize("count", ["n_queries", "ndcg_queries"])
+    def test_mismatched_query_counts_rejected(self, count):
+        # Equal cut-offs averaged over different queries are no comparison.
+        base = self._report([1.5, 1.3], ndcg={1: 0.5})
+        treat = replace(base, **{count: getattr(base, count) + 1})
         with pytest.raises(ComparabilityError):
             compare_models(base, treat)
 

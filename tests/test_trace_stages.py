@@ -66,6 +66,9 @@ def test_traced_pipeline_spans_its_layers(trace_stages, tmp_path):
         ("fit", ["fit", "--model", "pbm", "--sessions", str(sim / "sessions.jsonl"),
                  "--intents", str(sim / "intents.tsv"), "--intent-aware",
                  "--out", str(out) + ".json"]),
+        ("fit.alt", ["fit", "--model", "pbm", "--sessions", str(sim / "sessions.jsonl"),
+                     "--intents", str(sim / "intents.tsv"), "--alternating",
+                     "--out", str(out) + ".alt.json"]),
         ("eval", ["eval", "--params", str(out) + ".json",
                   "--sessions", str(sim / "sessions.jsonl"),
                   "--judgments", str(sim / "judgments.tsv"), "--out", str(out) + ".eval.json"]),
@@ -81,6 +84,9 @@ def test_traced_pipeline_spans_its_layers(trace_stages, tmp_path):
     assert _under(spans, "sessions.read_sessions", "cli.fit")
     assert _under(spans, "sessions.attach_intents", "cli.fit")
     assert _under(spans, "inference.em_fit", "cli.fit")
+    # perfbench/run.py times a fit as the inference span under its stage.
+    fits = {s["name"] for s in spans if s["name"].startswith("inference.")}
+    assert any(_under(spans, name, "cli.fit.alt") for name in fits)
     assert _under(spans, "sessions.read_sessions", "cli.eval")
     assert _under(spans, "sessions.read_judgments", "cli.eval")
     assert _under(spans, "models.load_params", "cli.eval")
@@ -92,3 +98,10 @@ def test_traced_pipeline_spans_its_layers(trace_stages, tmp_path):
            "intents": str(sim / "intents.tsv"), "intent_aware": True, "alternating": False}
     _, report = trace_stages.probe(fit)()
     assert report.iterations == 1
+    # For an alternating fit the probe takes a relevance-only step, which
+    # leaves every examination table at the prior.
+    params, report = trace_stages.probe({**fit, "alternating": True})()
+    assert report.iterations == 1
+    tables = [*params.per_intent.values(), params.fallback]
+    assert all(set(t.exam.values()) == {0.5} for t in tables)
+    assert any(set(t.rel.values()) != {0.5} for t in tables)
