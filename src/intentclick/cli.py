@@ -317,6 +317,8 @@ def _cmd_eval(args) -> Outputs:
     params = load_params(args.params)
     sessions = _routed_sessions(args, isinstance(params, IntentAwareParams))
     judgments = read_judgments(args.judgments) if args.judgments else None
+    if judgments is not None and not judgments:
+        raise DataError(f"no judgments in {args.judgments}")
     report = evaluate_model(
         params, sessions, judgments=judgments, k_list=args.k_list, label=args.label
     )

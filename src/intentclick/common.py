@@ -1,8 +1,8 @@
 """Definitions shared by every stage that need no numpy.
 
-The error kinds, the model kinds, the probability clamp, the defaults the
-command line states, the one JSON document layout, the one JSON decoder
-and the one position key.
+The error kinds, the one text-line reader, the model kinds, the
+probability clamp, the defaults the command line states, the one JSON
+document layout, the one JSON decoder and the one position key.
 ``compare`` and the command-line parser import this without loading
 numpy or the model code.
 """
@@ -13,14 +13,33 @@ import json
 import math
 from collections import Counter
 from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 
 class DataError(Exception):
     """Input data is malformed or violates a format invariant (exit 2)."""
 
 
+class LineError(DataError):
+    """A malformed record of a line-oriented file, at 1-based line_no if given."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        self.line_no = line_no
+        prefix = f"line {line_no}: " if line_no is not None else ""
+        super().__init__(prefix + message)
+
+
 class NumericError(Exception):
     """A numeric computation produced an unusable result (exit 3)."""
+
+
+def numbered_lines(path, errors: str = "strict") -> Iterator[tuple[int, str]]:
+    """(1-based line number, line) of each line of a UTF-8 text file that
+    holds more than whitespace; a leading byte-order mark is dropped."""
+    with open(path, encoding="utf-8-sig", errors=errors) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isspace():
+                yield line_no, line
 
 
 PBM = "pbm"
@@ -100,27 +119,23 @@ def _write_indented(fh, value, newline: str) -> None:
     fh.write(newline + "}")
 
 
-class RepeatedKeyError(ValueError):
-    """A JSON object that gives one key twice."""
-
-
 def _unique_keys(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         counts = Counter(key for key, _ in pairs)
         key = next(key for key, n in counts.items() if n > 1)
-        raise RepeatedKeyError(f"key {key!r} repeated in one object")
+        raise ValueError(f"key {key!r} repeated in one object")
     return obj
 
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
-# What decode_json raises on a text it refuses.
-JSON_ERRORS = (json.JSONDecodeError, RecursionError, RepeatedKeyError)
+# What decode_json raises on a text it refuses; JSONDecodeError is a ValueError.
+JSON_ERRORS = (ValueError, RecursionError)
 
 
 def decode_json(text: str):
     """json.loads(text), except that an object with a repeated key, which
-    json would read as its last value, raises RepeatedKeyError."""
+    json would read as its last value, raises a ValueError."""
     if text.startswith("\ufeff"):
         # json.loads' own refusal, which the decoder alone does not make.
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -129,8 +144,9 @@ def decode_json(text: str):
 
 def read_json(path, what: str):
     """One JSON document; invalid JSON, JSON nested too deeply to decode,
-    or an object with a repeated key is a DataError naming ``what``."""
-    with open(path, encoding="utf-8") as fh:
+    or an object with a repeated key is a DataError naming ``what``; a
+    leading byte-order mark is dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     try:
         return decode_json(text)

@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .common import DEFAULT_NCS_N, DEFAULT_NRS_N, write_json
-from .sessions import Intent, KNOWN_INTENTS, LineError, SessionBatch, normalize_query
+from .common import DEFAULT_NCS_N, DEFAULT_NRS_N, LineError, numbered_lines, write_json
+from .sessions import Intent, KNOWN_INTENTS, SessionBatch, normalize_query
 
 BOW_DIM = 1024
 
@@ -35,10 +35,6 @@ DEFAULT_TRANSACTIONAL_CUES = frozenset(
 # Rule mode's thresholds: nCS and nRS both this high suggest a navigational goal.
 RULE_NCS_THRESHOLD = 0.7
 RULE_NRS_THRESHOLD = 0.7
-
-
-class DegenerateTrainingError(ValueError):
-    """Training data does not contain at least two distinct classes."""
 
 
 def url_match_ratio(query: str, url: str) -> float:
@@ -116,13 +112,12 @@ def load_lexicon(path) -> frozenset[str]:
     comment. Queries match token by token, so a line of more than one
     token, which could never match, is a LineError."""
     tokens = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            token = normalize_query(line.split("#", 1)[0])
-            if " " in token:
-                raise LineError(f"lexicon entry {token!r} is more than one token", line_no)
-            if token:
-                tokens.add(token)
+    for line_no, line in numbered_lines(path):
+        token = normalize_query(line.split("#", 1)[0])
+        if " " in token:
+            raise LineError(f"lexicon entry {token!r} is more than one token", line_no)
+        if token:
+            tokens.add(token)
     return frozenset(tokens)
 
 
@@ -286,7 +281,7 @@ def train_classifier(
     if any(label is Intent.UNKNOWN for label in labels):
         raise ValueError("Unknown labels cannot be trained on")
     if len(set(labels)) < 2:
-        raise DegenerateTrainingError("training needs at least 2 distinct classes")
+        raise ValueError("training needs at least 2 distinct classes")
 
     x = np.stack([fv.to_array() for fv in features])
     mean = x.mean(axis=0)

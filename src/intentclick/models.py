@@ -30,14 +30,6 @@ DEFAULT_REL = 0.5  # uninformative prior mean: unseen pairs, prior examination c
 PARAMS_FORMAT_VERSION = 1
 
 
-class ModelKindError(ValueError):
-    """Model kind does not match the supplied parameter set."""
-
-
-class PositionRangeError(ValueError):
-    """A position falls outside the parameterized range."""
-
-
 def clamp_probability(p: float) -> float:
     """Clamp into [PROB_CLAMP, 1 - PROB_CLAMP] before taking logs."""
     if p < PROB_CLAMP:
@@ -190,7 +182,7 @@ class _ExamRelParams(_TableParams):
         reaches, are 0."""
         n = self.max_positions
         if width > n:
-            raise PositionRangeError(f"session length {width} exceeds max_positions {n}")
+            raise ValueError(f"session length {width} exceeds max_positions {n}")
         exam = table_values(getattr(self, self.exam_field), self.cells_for(n))
         span = np.arange(width + 1)
         return np.triu(exam[self.cell_of(span[:, None], span, n)], 1)
@@ -374,11 +366,9 @@ def session_prob(params: AnyParams, session: Session) -> float:
 def session_log_likelihood(model_kind: str, params: AnyParams, session: Session) -> float:
     """Natural log of the session probability, clamped away from -inf."""
     if model_kind not in MODEL_KINDS:
-        raise ModelKindError(f"unknown model kind {model_kind!r}")
+        raise ValueError(f"unknown model kind {model_kind!r}")
     if params.kind != model_kind:
-        raise ModelKindError(
-            f"params are for {params.kind!r}, not {model_kind!r}"
-        )
+        raise ValueError(f"params are for {params.kind!r}, not {model_kind!r}")
     return math.log(clamp_probability(session_prob(params, session)))
 
 

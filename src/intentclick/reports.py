@@ -20,10 +20,6 @@ from .common import (JSON_NUMBER_TYPES, PROB_CLAMP, DataError, position_from_jso
 MAX_PERPLEXITY = (1.0 + 1e-9) / PROB_CLAMP
 
 
-class ComparabilityError(DataError):
-    """Two reports were not evaluated on the same data, so cells don't align."""
-
-
 # The lowest improvement cell a comparison holds, in percent: a treatment
 # whose excess perplexity (p - 1) is 10,001 times its baseline's. Lower
 # cells come from baselines all but at 1 and say nothing more; they are
@@ -165,18 +161,16 @@ def compare_models(base: EvalReport, treatment: EvalReport) -> ModelComparison:
     """Improvement of the treatment model over the baseline, cell by cell;
     no cell is below MIN_IMPROVEMENT."""
     if len(base.per_position) != len(treatment.per_position):
-        raise ComparabilityError(
-            f"position counts differ: {len(base.per_position)} vs "
-            f"{len(treatment.per_position)}"
-        )
+        raise DataError(f"position counts differ: {len(base.per_position)} vs "
+                        f"{len(treatment.per_position)}")
     if ((base.position_counts, base.n_sessions, base.n_queries)
             != (treatment.position_counts, treatment.n_sessions, treatment.n_queries)):
-        raise ComparabilityError("reports were not evaluated on the same session set")
+        raise DataError("reports were not evaluated on the same session set")
     if set(base.ndcg) != set(treatment.ndcg):
-        raise ComparabilityError("reports use different NDCG cut-off lists")
+        raise DataError("reports use different NDCG cut-off lists")
     if base.ndcg_queries != treatment.ndcg_queries:
-        raise ComparabilityError(f"NDCG averages over different query counts: "
-                                 f"{base.ndcg_queries} vs {treatment.ndcg_queries}")
+        raise DataError(f"NDCG averages over different query counts: "
+                        f"{base.ndcg_queries} vs {treatment.ndcg_queries}")
     improvements = [
         _improvement_cell(t, b)
         for t, b in zip(treatment.per_position, base.per_position)

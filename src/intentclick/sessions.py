@@ -22,7 +22,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .common import DEFAULT_GAP_MINUTES, DEFAULT_MAX_POSITIONS, JSON_ERRORS, DataError, decode_json
+from .common import (DEFAULT_GAP_MINUTES, DEFAULT_MAX_POSITIONS, JSON_ERRORS, DataError, LineError,
+                     decode_json, numbered_lines)
 
 logger = logging.getLogger(__name__)
 
@@ -45,31 +46,6 @@ KNOWN_INTENTS = (Intent.INFORMATIONAL, Intent.NAVIGATIONAL, Intent.TRANSACTIONAL
 ALL_INTENTS = (*KNOWN_INTENTS, Intent.UNKNOWN)
 
 
-class LineError(DataError):
-    """A malformed record of a line-oriented file, at 1-based line_no if given."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        self.line_no = line_no
-        prefix = f"line {line_no}: " if line_no is not None else ""
-        super().__init__(prefix + message)
-
-
-class MalformedRecordError(LineError):
-    """A raw log line does not have the expected field count."""
-
-
-class MalformedFieldError(MalformedRecordError):
-    """A raw log line has the right shape but an unparseable field."""
-
-
-class SessionFormatError(LineError):
-    """A canonical session record violates the session schema."""
-
-
-class JudgmentError(LineError):
-    """A relevance judgment record is out of range or duplicated."""
-
-
 # ASCII punctuation but the dot, and a dot without an alphanumeric on both
 # sides; [^\W_] matches exactly the characters str.isalnum() accepts.
 _DROPPED_FROM_QUERY = re.compile("[" + re.escape(string.punctuation.replace(".", "")) + "]"
@@ -88,7 +64,8 @@ def normalize_query(raw: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class LogEvent:
-    """One raw log record: a query submission, optionally with a click."""
+    """One raw log record: a query submission, optionally with a click.
+    ``parse_aol_line`` checks the record's rules."""
 
     user_id: str
     query: str
@@ -96,30 +73,20 @@ class LogEvent:
     item_rank: int | None = None
     click_url: str | None = None
 
-    def __post_init__(self):
-        if (self.item_rank is None) != (self.click_url is None):
-            raise MalformedFieldError(
-                "item_rank and click_url must be both present or both absent"
-            )
-        if self.item_rank is not None and self.item_rank < 1:
-            raise MalformedFieldError(f"item_rank must be positive, got {self.item_rank}")
-        if not self.query:
-            raise MalformedFieldError("query is empty after normalization")
-
     @property
     def is_click(self) -> bool:
         return self.item_rank is not None
 
 
 def _check_session(session_id: str, docs: Sequence, clicks: Sequence) -> None:
-    """A SessionFormatError unless docs and clicks are one session's: the
+    """A LineError unless docs and clicks are one session's: the
     two align, clicks are 0/1 and doc ids distinct."""
     if len(docs) != len(clicks):
-        raise SessionFormatError(f"session {session_id}: {len(docs)} docs vs {len(clicks)} clicks")
+        raise LineError(f"session {session_id}: {len(docs)} docs vs {len(clicks)} clicks")
     if not set(clicks) <= {0, 1}:
-        raise SessionFormatError(f"session {session_id}: clicks must be 0/1")
+        raise LineError(f"session {session_id}: clicks must be 0/1")
     if len(set(docs)) != len(docs):
-        raise SessionFormatError(f"session {session_id}: duplicate doc ids")
+        raise LineError(f"session {session_id}: duplicate doc ids")
 
 
 @dataclass(frozen=True)
@@ -293,32 +260,32 @@ def _aol_time(raw_time: str, line_no: int | None) -> datetime:
     try:
         return datetime.strptime(raw_time, AOL_TIME_FORMAT)
     except ValueError as exc:
-        raise MalformedFieldError(f"bad timestamp {raw_time!r}: {exc}", line_no) from None
+        raise LineError(f"bad timestamp {raw_time!r}: {exc}", line_no) from None
 
 
 def _parse_aol_line(line: str, line_no: int | None, normalized: dict[str, str]) -> LogEvent:
     """parse_aol_line, with normalized caching normalize_query by raw query."""
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 5:
-        raise MalformedRecordError(
-            f"expected 5 tab-separated fields, got {len(fields)}", line_no
-        )
+        raise LineError(f"expected 5 tab-separated fields, got {len(fields)}", line_no)
     user_id, raw_query, raw_time, raw_rank, raw_url = map(str.strip, fields)
     query_time = _aol_time(raw_time, line_no)
     rank: int | None = None
-    url: str | None = None
     if raw_rank or raw_url:
         rank = _ascii_int(raw_rank)
         if rank is None:
-            raise MalformedFieldError(f"bad rank {raw_rank!r}", line_no)
-        url = raw_url
+            raise LineError(f"bad rank {raw_rank!r}", line_no)
+        if not raw_url:
+            raise LineError("item_rank and click_url must be both present or both absent",
+                            line_no)
+        if rank < 1:
+            raise LineError(f"item_rank must be positive, got {rank}", line_no)
     query = normalized.get(raw_query)
     if query is None:
         query = normalized[raw_query] = normalize_query(raw_query)
-    try:
-        return LogEvent(user_id, query, query_time, rank, url or None)
-    except MalformedFieldError as exc:
-        raise MalformedFieldError(str(exc), line_no) from None
+    if not query:
+        raise LineError("query is empty after normalization", line_no)
+    return LogEvent(user_id, query, query_time, rank, raw_url or None)
 
 
 def parse_aol_line(line: str, line_no: int | None = None) -> LogEvent:
@@ -341,21 +308,18 @@ def read_aol_log(path) -> Iterator[LogEvent]:
     """
     normalized: dict[str, str] = {}
     parsed = skipped = 0
-    first_error: MalformedRecordError | None = None
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            if line_no == 1 and line.split("\t")[0].strip() == "AnonID":
-                continue
-            try:
-                event = _parse_aol_line(line, line_no, normalized)
-            except MalformedRecordError as exc:
-                skipped += 1
-                first_error = first_error or exc
-                continue
-            parsed += 1
-            yield event
+    first_error: LineError | None = None
+    for line_no, line in numbered_lines(path, errors="replace"):
+        if line_no == 1 and line.split("\t")[0].strip() == "AnonID":
+            continue
+        try:
+            event = _parse_aol_line(line, line_no, normalized)
+        except LineError as exc:
+            skipped += 1
+            first_error = first_error or exc
+            continue
+        parsed += 1
+        yield event
     if skipped and not parsed:
         raise DataError(f"no line of {path} parses: all {skipped} data lines are malformed; "
                         f"the first: {first_error}")
@@ -471,11 +435,11 @@ _INT = frozenset((int,))
 
 def _session_record(line: str) -> tuple[str, int, list, list]:
     """(query_id, intent code, docs, clicks) of one session record; a
-    SessionFormatError without a line number says what is wrong."""
+    LineError without a line number says what is wrong."""
     try:
         record = decode_json(line)
     except JSON_ERRORS as exc:
-        raise SessionFormatError(f"invalid JSON: {exc}") from None
+        raise LineError(f"invalid JSON: {exc}") from None
     try:
         value = record["intent"]
         intent = _INTENT_CODES.get(value) if type(value) is str else None
@@ -484,17 +448,17 @@ def _session_record(line: str) -> tuple[str, int, list, list]:
         session_id, query_id = record["session_id"], record["query_id"]
         docs, clicks = record["docs"], record["clicks"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise SessionFormatError(f"bad session record: {exc}") from None
+        raise LineError(f"bad session record: {exc}") from None
     # _check_session checks clicks are 0/1, which true and 1.0 also pass.
     if not (type(session_id) is str and type(query_id) is str
             and type(docs) is list and type(clicks) is list
             and set(map(type, docs)) <= _STR and set(map(type, clicks)) <= _INT):
-        raise SessionFormatError(
+        raise LineError(
             "session_id and query_id must be strings, docs and clicks arrays, "
             "docs of strings, clicks of 0/1 ints"
         )
     if "\t" in query_id or "\n" in query_id or "\r" in query_id:
-        raise SessionFormatError(
+        raise LineError(
             f"query_id {query_id!r} contains a tab or line break, which parameter "
             "and intent-label files use to separate a query from a doc or a record"
         )
@@ -509,24 +473,20 @@ def read_sessions(path) -> SessionBatch:
     JSON strings and query_id has no tab or line break, intent is a known
     label, docs and clicks are equally long JSON arrays, doc ids are
     distinct strings and every click is the integer 0 or 1. The first
-    record that is not raises a SessionFormatError naming its line.
+    record that is not raises a LineError naming its line.
     """
     columns = _BatchColumns()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                columns.add(*_session_record(line))
-            except SessionFormatError as exc:
-                raise SessionFormatError(str(exc), line_no) from None
+    for line_no, line in numbered_lines(path):
+        try:
+            columns.add(*_session_record(line))
+        except LineError as exc:
+            raise LineError(str(exc), line_no) from None
     return columns.build()
 
 
 def _check_grade(query_id: str, doc_id: str, grade: int, line_no: int | None = None) -> None:
     if not 0 <= grade <= 4:
-        raise JudgmentError(f"grade {grade} out of range [0, 4] for ({query_id}, {doc_id})",
-                            line_no)
+        raise LineError(f"grade {grade} out of range [0, 4] for ({query_id}, {doc_id})", line_no)
 
 
 @dataclass(frozen=True)
@@ -542,7 +502,7 @@ class Judgments:
 
 
 def write_judgments(path, judgments: Judgments) -> None:
-    """Write query_id<TAB>doc_id<TAB>grade records; a grade outside 0..4 is a JudgmentError."""
+    """Write query_id<TAB>doc_id<TAB>grade records; a grade outside 0..4 is a LineError."""
     for (query_id, doc_id), grade in zip(judgments.keys, judgments.grades):
         _check_grade(query_id, doc_id, grade)
     with open(path, "w", encoding="utf-8") as fh:
@@ -550,30 +510,27 @@ def write_judgments(path, judgments: Judgments) -> None:
             fh.write(f"{query_id}\t{doc_id}\t{grade}\n")
 
 
-def _tsv_records(path, n_fields: int, error: type) -> Iterator[tuple[int, list[str]]]:
+def _tsv_records(path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
     """The tab-separated records of a sidecar file with their 1-based line
-    numbers, blank lines skipped; a record without n_fields fields is an ``error``."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != n_fields:
-                raise error(f"expected {n_fields} fields, got {len(fields)}", line_no)
-            yield line_no, fields
+    numbers, blank lines skipped; a record without n_fields fields is a LineError."""
+    for line_no, line in numbered_lines(path):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != n_fields:
+            raise LineError(f"expected {n_fields} fields, got {len(fields)}", line_no)
+        yield line_no, fields
 
 
 def read_judgments(path) -> Judgments:
     """Read query_id<TAB>doc_id<TAB>grade records; ASCII-digit grades, no duplicates."""
     keys: dict[tuple[str, str], None] = {}
     grades = []
-    for line_no, (query_id, doc_id, raw_grade) in _tsv_records(path, 3, JudgmentError):
+    for line_no, (query_id, doc_id, raw_grade) in _tsv_records(path, 3):
         grade = _ascii_int(raw_grade)
         if grade is None:
-            raise JudgmentError(f"bad grade {raw_grade!r}", line_no)
+            raise LineError(f"bad grade {raw_grade!r}", line_no)
         key = (query_id, doc_id)
         if key in keys:
-            raise JudgmentError(f"duplicate judgment for {key}", line_no)
+            raise LineError(f"duplicate judgment for {key}", line_no)
         _check_grade(query_id, doc_id, grade, line_no)
         keys[key] = None
         grades.append(grade)
@@ -589,7 +546,7 @@ def write_intent_labels(path, labels: Mapping[str, Intent]) -> None:
 def read_intent_labels(path) -> dict[str, Intent]:
     """Read query_id<TAB>label records (inf|nav|tra|unk); a repeated query is an error."""
     labels: dict[str, Intent] = {}
-    for line_no, (query_id, raw) in _tsv_records(path, 2, LineError):
+    for line_no, (query_id, raw) in _tsv_records(path, 2):
         if query_id in labels:
             raise LineError(f"duplicate label for query {query_id!r}", line_no)
         try:

@@ -1,5 +1,7 @@
 """End-to-end CLI pipelines, exit codes, and manifests."""
 
+import ast
+import builtins
 import contextlib
 import copy
 import hashlib
@@ -1070,6 +1072,35 @@ class TestImports:
             intentclick.no_such_name
 
 
+class TestErrorKinds:
+    def test_exception_classes_are_the_exit_code_kinds(self):
+        """One exception class per exit code: DataError, its LineError and
+        NumericError in common, UsageError in cli, and none elsewhere; any
+        other failure raises a built-in exception."""
+        classes = {}
+        for path in sorted(Path(intentclick.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef):
+                    classes[path.stem, node.name] = {
+                        base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+                        for base in node.bases}
+        # A class is an exception if a base is a built-in exception, is
+        # named as one, or is a class of the package found to be one.
+        names = {name for name, value in vars(builtins).items()
+                 if isinstance(value, type) and issubclass(value, BaseException)}
+        found: set = set()
+        while True:
+            more = {key for key, bases in classes.items()
+                    if any(base in names or base.endswith(("Error", "Exception", "Warning"))
+                           for base in bases)} - found
+            if not more:
+                break
+            found |= more
+            names |= {name for _, name in more}
+        assert found == {("common", "DataError"), ("common", "LineError"),
+                         ("common", "NumericError"), ("cli", "UsageError")}
+
+
 def _nested_json(depth: int = 100_000) -> str:
     return "[" * depth + "]" * depth
 
@@ -1282,9 +1313,13 @@ class TestReaderErrors:
         # More digits than int() converts: still a malformed line, not a crash.
         ("aol", f"u1\tmapquest\t2006-03-01 07:17:12\t{'9' * 5000}\thttp://www.mapquest.com\n",
          "line 1: bad rank '9999"),
+        # A JSON integer of more digits than int() converts names its line too.
+        ("sessions", '{"session_id": "s", "query_id": "q", "intent": "unk", "docs": ["a"], '
+         f'"clicks": [{"1" * 5000}]}}\n', "line 1: invalid JSON: Exceeds the limit"),
     ], ids=["judgments-field-count", "judgments-grade", "judgments-grade-plus",
             "judgments-grade-arabic-indic", "judgments-grade-trailing-space",
-            "intents-field-count", "intents-label", "aol-rank-zero", "aol-rank-too-long"])
+            "intents-field-count", "intents-label", "aol-rank-zero", "aol-rank-too-long",
+            "sessions-int-too-long"])
     def test_is_a_data_error(self, pipeline_inputs, tmp_path, capsys, reader, text, message):
         path = tmp_path / "input.tsv"
         path.write_text(text)
@@ -1301,6 +1336,14 @@ class TestReaderErrors:
         assert f"no sessions in {empty}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_eval_on_a_file_without_judgments(self, pipeline_inputs, tmp_path, capsys, text):
+        path = tmp_path / "input.tsv"
+        path.write_text(text)
+        assert run(READER_RUNS["judgments"](pipeline_inputs, path, tmp_path)) == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: no judgments in {path}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["input.tsv"]
+
     def test_numeric_failure_exits_3(self, pipeline_inputs, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise NumericError("log-likelihood became non-finite (nan)")
@@ -1311,6 +1354,58 @@ class TestReaderErrors:
                     "--out", str(out)]) == EXIT_NUMERIC
         assert capsys.readouterr().err == "numeric failure: log-likelihood became non-finite (nan)\n"
         assert not out.exists()
+
+
+def _one_class_seed_labels(d, o):
+    (o / "seed.tsv").write_text("mapquest\tnav\nweather\tnav\n")
+    return ["classify", "--sessions", f"{d}/aol.jsonl", "--out", f"{o}/l.tsv",
+            "--train-labels", f"{o}/seed.tsv"]
+
+
+def _eval_on_wider_sessions(d, o):
+    short = _simulate(o, "short", extra=["--positions", "3", "--queries", "2",
+                                         "--sessions-per-query", "5"])
+    assert run(["fit", "--model", "pbm", "--sessions", str(short / "sessions.jsonl"),
+                "--out", f"{o}/p3.json", "--max-iters", "2"]) == EXIT_OK
+    return ["eval", "--params", f"{o}/p3.json", "--sessions", f"{d}/sim/sessions.jsonl",
+            "--out", f"{o}/e.json"]
+
+
+def _judgments_file(text):
+    def argv(d, o):
+        (o / "j.tsv").write_text(text)
+        return READER_RUNS["judgments"](d, o / "j.tsv", o)
+    return argv
+
+
+def _compare_with_fewer_positions(d, o):
+    (o / "three.json").write_text(json.dumps({**GOOD_REPORT, "per_position": [1.5, 1.2, 1.1],
+                                              "position_counts": [2, 3, 1]}))
+    (o / "four.json").write_text(json.dumps({**GOOD_REPORT, "per_position": [1.5, 1.2, 1.1, 1.0],
+                                             "position_counts": [2, 3, 1, 1]}))
+    return ["compare", "--base", f"{o}/four.json", "--treat", f"{o}/three.json",
+            "--out", f"{o}/c.txt"]
+
+
+class TestErrorTexts:
+    """The whole stderr line and the exit code of errors raised as a
+    ValueError or a DataError deep in a stage."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (_one_class_seed_labels, "data error: training needs at least 2 distinct classes"),
+        (_eval_on_wider_sessions, "data error: session length 4 exceeds max_positions 3"),
+        (_judgments_file("q0000\tq0000_d01\t5\n"),
+         "data error: line 1: grade 5 out of range [0, 4] for (q0000, q0000_d01)"),
+        (_judgments_file("q0000\tq0000_d01\t1\nq0000\tq0000_d01\t2\n"),
+         "data error: line 2: duplicate judgment for ('q0000', 'q0000_d01')"),
+        (_compare_with_fewer_positions, "data error: position counts differ: 4 vs 3"),
+    ], ids=["classify-one-class", "eval-wider-sessions", "judgment-grade-range",
+            "judgment-duplicate", "compare-position-counts"])
+    def test_exit_code_and_stderr(self, pipeline_inputs, tmp_path, capsys, argv, line):
+        args = argv(pipeline_inputs, tmp_path)
+        capsys.readouterr()
+        assert run(args) == EXIT_DATA
+        assert capsys.readouterr().err == line + "\n"
 
 
 # Pieces of judgment and intent-label lines: the simulated log's ids and

@@ -22,7 +22,6 @@ from intentclick.evaluate import (
     position_perplexity,
 )
 from intentclick.reports import (
-    ComparabilityError,
     EvalReport,
     compare_models,
     format_comparison_table,
@@ -406,21 +405,24 @@ class TestCompareModels:
     def test_mismatched_session_sets_rejected(self):
         base = self._report([1.5, 1.3])
         treat = self._report([1.5, 1.3], counts=[99, 99])
-        with pytest.raises(ComparabilityError):
+        with pytest.raises(DataError, match="^reports were not evaluated on the same session set$"):
             compare_models(base, treat)
 
-    @pytest.mark.parametrize("count", ["n_queries", "ndcg_queries"])
-    def test_mismatched_query_counts_rejected(self, count):
+    @pytest.mark.parametrize("count, message", [
+        ("n_queries", "^reports were not evaluated on the same session set$"),
+        ("ndcg_queries", "^NDCG averages over different query counts: 0 vs 1$"),
+    ], ids=["n_queries", "ndcg_queries"])
+    def test_mismatched_query_counts_rejected(self, count, message):
         # Equal cut-offs averaged over different queries are no comparison.
         base = self._report([1.5, 1.3], ndcg={1: 0.5})
         treat = replace(base, **{count: getattr(base, count) + 1})
-        with pytest.raises(ComparabilityError):
+        with pytest.raises(DataError, match=message):
             compare_models(base, treat)
 
     def test_mismatched_k_lists_rejected(self):
         base = self._report([1.5], ndcg={1: 0.5})
         treat = self._report([1.5], ndcg={3: 0.5})
-        with pytest.raises(ComparabilityError):
+        with pytest.raises(DataError, match="^reports use different NDCG cut-off lists$"):
             compare_models(base, treat)
 
     def test_published_improvement_row_recomputed(self):

@@ -15,7 +15,6 @@ from intentclick.intent import (
     LEARNING_RATE,
     MAX_ITERS,
     TOL,
-    DegenerateTrainingError,
     FeatureVector,
     classify,
     click_ratio,
@@ -203,6 +202,12 @@ class TestTransactionalRule:
         assert rule_label_transactional("photoshop keygen", lexicon)
         assert not rule_label_transactional("free music", lexicon)
 
+    def test_lexicon_with_byte_order_mark_matches_its_first_cue(self, tmp_path):
+        path = tmp_path / "cues.txt"
+        path.write_text("\ufeffwarez\nkeygen\n", encoding="utf-8")
+        assert load_lexicon(path) == {"warez", "keygen"}
+        assert rule_label_transactional("warez site", load_lexicon(path))
+
 
 class TestRuleLabel:
     @staticmethod
@@ -308,7 +313,7 @@ class TestClassifier:
     def test_single_class_is_degenerate(self):
         features, labels = _separable_dataset(n_per_class=10)
         only_nav = [f for f, l in zip(features, labels) if l is Intent.NAVIGATIONAL]
-        with pytest.raises(DegenerateTrainingError):
+        with pytest.raises(ValueError, match="^training needs at least 2 distinct classes$"):
             train_classifier(only_nav, [Intent.NAVIGATIONAL] * len(only_nav))
 
     def test_mismatched_or_empty_input_rejected(self):

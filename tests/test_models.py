@@ -13,9 +13,7 @@ from intentclick.models import (
     CascadeParams,
     DbnParams,
     IntentAwareParams,
-    ModelKindError,
     PbmParams,
-    PositionRangeError,
     UbmParams,
     load_params,
     resolve_params,
@@ -86,7 +84,7 @@ class TestPbm:
 
     def test_position_out_of_range(self):
         params = _pbm([0.9], [0.5])
-        with pytest.raises(PositionRangeError):
+        with pytest.raises(ValueError, match="^session length 2 exceeds max_positions 1$"):
             session_prob(params, _session((0, 1)))
 
     def test_monotone_in_relevance_and_examination(self):
@@ -251,11 +249,11 @@ class TestSessionLogLikelihood:
         )
 
     def test_kind_mismatch(self):
-        with pytest.raises(ModelKindError):
+        with pytest.raises(ValueError, match="^params are for 'pbm', not 'ubm'$"):
             session_log_likelihood("ubm", _pbm([0.5], [0.5]), _session((0,)))
 
     def test_unknown_kind(self):
-        with pytest.raises(ModelKindError):
+        with pytest.raises(ValueError, match="^unknown model kind 'dcm'$"):
             session_log_likelihood("dcm", _pbm([0.5], [0.5]), _session((0,)))
 
     def test_exp_loglik_sums_to_one_over_vectors(self):
@@ -421,6 +419,13 @@ class TestPersistence:
         path = tmp_path / "ia.json"
         save_params(path, ia)
         assert load_params(path) == ia
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        params = _pbm([0.9, 0.5], [0.25, 0.75])
+        path = tmp_path / "p.json"
+        save_params(path, params)
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        assert load_params(path) == params
 
     @pytest.mark.parametrize(
         "params, doc",

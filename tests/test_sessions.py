@@ -16,19 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from intentclick.common import DataError, write_json
+from intentclick.common import DataError, LineError, write_json
 from intentclick.sessions import (
     ALL_INTENTS,
     AOL_TIME_FORMAT,
     Intent,
-    JudgmentError,
     Judgments,
-    LineError,
     LogEvent,
-    MalformedFieldError,
-    MalformedRecordError,
     Session,
-    SessionFormatError,
     attach_intents,
     encode_sessions,
     group_by_query,
@@ -107,15 +102,15 @@ class TestParseAolLine:
         assert not ev.is_click
 
     def test_four_fields_is_malformed(self):
-        with pytest.raises(MalformedRecordError):
+        with pytest.raises(LineError, match="^line 7: expected 5 tab-separated fields, got 4$"):
             parse_aol_line("u1\tmapquest\t2006-03-01 07:17:12\t", line_no=7)
 
     def test_bad_timestamp(self):
-        with pytest.raises(MalformedFieldError):
+        with pytest.raises(LineError, match="^bad timestamp 'not-a-time': "):
             parse_aol_line("u1\tq\tnot-a-time\t\t")
 
     def test_bad_rank(self):
-        with pytest.raises(MalformedFieldError):
+        with pytest.raises(LineError, match="^bad rank 'first'$"):
             parse_aol_line("u1\tq\t2006-03-01 07:17:12\tfirst\thttp://x.com")
 
     @pytest.mark.parametrize("rank", ["1_0", "+3", "\uff13", "-3", "3.0", "\u00b2", ""],
@@ -123,18 +118,18 @@ class TestParseAolLine:
                                   "superscript", "empty"])
     def test_rank_must_be_ascii_digits(self, rank):
         line = f"u1\tq\t2006-03-01 07:17:12\t{rank}\thttp://x.com"
-        with pytest.raises(MalformedFieldError, match=f"^line 5: bad rank {re.escape(repr(rank))}$"):
+        with pytest.raises(LineError, match=f"^line 5: bad rank {re.escape(repr(rank))}$"):
             parse_aol_line(line, line_no=5)
 
     def test_rank_with_leading_zero(self):
         assert parse_aol_line("u1\tq\t2006-03-01 07:17:12\t03\thttp://x.com").item_rank == 3
 
     def test_error_carries_line_number(self):
-        with pytest.raises(MalformedRecordError, match="line 42"):
+        with pytest.raises(LineError, match="line 42"):
             parse_aol_line("too\tfew", line_no=42)
 
     def test_query_empty_after_normalization(self):
-        with pytest.raises(MalformedFieldError):
+        with pytest.raises(LineError, match="^query is empty after normalization$"):
             parse_aol_line("u1\t???\t2006-03-01 07:17:12\t\t")
 
     def test_queries_are_normalized(self):
@@ -144,7 +139,7 @@ class TestParseAolLine:
 
 def _strptime_outcome(raw_time):
     """What the AOL parser must give for a timestamp field: strptime's
-    value, or the text of the MalformedFieldError it raises."""
+    value, or the text of the LineError it raises."""
     raw_time = raw_time.strip()
     try:
         return datetime.strptime(raw_time, AOL_TIME_FORMAT)
@@ -155,7 +150,7 @@ def _strptime_outcome(raw_time):
 def _parsed_outcome(raw_time):
     try:
         return parse_aol_line(f"u1\tq\t{raw_time}\t\t").query_time
-    except MalformedFieldError as exc:
+    except LineError as exc:
         return str(exc)
 
 
@@ -264,6 +259,45 @@ class TestReadAolLog:
         path.write_text("broken line\nu1\tq\tnot-a-time\t\t\n")
         with pytest.raises(DataError, match="all 2 data lines are malformed.*line 1: expected 5"):
             list(read_aol_log(path))
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is not part of the first line; a
+    U+FEFF after it is text like any other."""
+
+    @pytest.mark.parametrize("read, text", [
+        (read_judgments, "q0000\tq0000_d01\t3\nq0000\tq0000_d02\t0\n"),
+        (read_intent_labels, "q0000\tnav\nq0001\tinf\n"),
+    ], ids=["judgments", "intent-labels"])
+    def test_sidecar_reads_as_without(self, tmp_path, read, text):
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert read(marked) == read(plain)
+
+    def test_aol_header_is_skipped_without_warning(self, tmp_path, caplog):
+        path = tmp_path / "log.tsv"
+        path.write_text("\ufeffAnonID\tQuery\tQueryTime\tItemRank\tClickURL\n"
+                        "u1\tmapquest\t2006-03-01 07:17:12\t\t\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="intentclick.sessions"):
+            [event] = read_aol_log(path)
+        assert not caplog.records
+        assert event.user_id == "u1"
+
+    def test_sessions_read_as_without(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_sessions(path, encode_sessions([Session("s1", "q", Intent.UNKNOWN, ("a",), (1,))]),
+                       ["s1"])
+        marked = tmp_path / "marked.jsonl"
+        marked.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        _assert_same_batch(read_sessions(marked), read_sessions(path))
+
+    def test_mark_after_the_first_is_refused(self, tmp_path):
+        line = '{"session_id": "s", "query_id": "q", "intent": "unk", "docs": [], "clicks": []}\n'
+        path = tmp_path / "s.jsonl"
+        path.write_text("\ufeff" + line + "\ufeff" + line, encoding="utf-8")
+        with pytest.raises(LineError, match="^line 2: invalid JSON: Unexpected UTF-8 BOM"):
+            read_sessions(path)
 
 
 class TestSessionize:
@@ -443,7 +477,7 @@ class TestSessionIo:
             record = {**good, "session_id": "s", "docs": ["x"], "clicks": [0], **fields}
             bad = json.dumps({k: v for k, v in record.items() if v is not _MISSING})
         path.write_text(json.dumps(good) + "\n\n" + bad + "\n" + json.dumps(good) + "\n")
-        with pytest.raises(SessionFormatError, match="^line 3: "):
+        with pytest.raises(LineError, match="^line 3: "):
             read_sessions(path)
 
     def test_first_bad_line_is_reported(self, tmp_path):
@@ -451,7 +485,7 @@ class TestSessionIo:
         lines = ['{"session_id": "s", "query_id": "q", "intent": "unk", "docs": ["a"], '
                  '"clicks": [2]}', "{not json}"]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SessionFormatError, match="^line 1: session s: clicks must be 0/1"):
+        with pytest.raises(LineError, match="^line 1: session s: clicks must be 0/1"):
             read_sessions(path)
 
     def test_tab_in_query_id_is_rejected(self, tmp_path):
@@ -461,7 +495,7 @@ class TestSessionIo:
         sessions = [Session("s1", "a", Intent.UNKNOWN, ("d1",), (1,)),
                     Session("s2", "a\tb", Intent.UNKNOWN, ("d1",), (0,))]
         write_sessions(path, encode_sessions(sessions), ["s1", "s2"])
-        with pytest.raises(SessionFormatError, match=r"^line 2: query_id 'a\\tb' contains a tab"):
+        with pytest.raises(LineError, match=r"^line 2: query_id 'a\\tb' contains a tab"):
             read_sessions(path)
 
     @pytest.mark.parametrize("source", ["simulated", "sessionized"])
@@ -501,7 +535,7 @@ class TestSessionIo:
     def test_invalid_json_line(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text("{not json}\n")
-        with pytest.raises(SessionFormatError):
+        with pytest.raises(LineError, match="^line 1: invalid JSON: "):
             read_sessions(path)
 
     def test_unknown_intent_label(self, tmp_path):
@@ -510,7 +544,8 @@ class TestSessionIo:
             '{"session_id": "s", "query_id": "q", "intent": "xxx", '
             '"docs": [], "clicks": []}\n'
         )
-        with pytest.raises(SessionFormatError):
+        with pytest.raises(LineError,
+                           match="^line 1: bad session record: 'xxx' is not a valid Intent$"):
             read_sessions(path)
 
 
@@ -643,11 +678,11 @@ class TestSessionBatch:
 
 class TestSessionInvariants:
     def test_click_values_must_be_binary(self):
-        with pytest.raises(SessionFormatError):
+        with pytest.raises(LineError, match="^session s: clicks must be 0/1$"):
             Session("s", "q", Intent.UNKNOWN, ("a",), (2,))
 
     def test_docs_must_be_unique(self):
-        with pytest.raises(SessionFormatError):
+        with pytest.raises(LineError, match="^session s: duplicate doc ids$"):
             Session("s", "q", Intent.UNKNOWN, ("a", "a"), (0, 1))
 
     def test_clicked_positions(self):
@@ -665,19 +700,19 @@ class TestJudgments:
         assert read_judgments(path) == Judgments([("q1", "d1"), ("q1", "d2")], [4, 0])
 
     def test_grade_out_of_range(self, tmp_path):
-        with pytest.raises(JudgmentError):
+        with pytest.raises(LineError, match=r"^grade 5 out of range \[0, 4\] for \(q, d\)$"):
             write_judgments(tmp_path / "j.tsv", Judgments([("q", "d")], [5]))
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "j.tsv"
         path.write_text("q\td\t1\nq\td\t2\n")
-        with pytest.raises(JudgmentError, match="duplicate"):
+        with pytest.raises(LineError, match="duplicate"):
             read_judgments(path)
 
     def test_grade_out_of_range_names_its_line(self, tmp_path):
         path = tmp_path / "j.tsv"
         path.write_text("q\td1\t1\nq\td2\t5\n")
-        with pytest.raises(JudgmentError, match="line 2: grade 5 out of range"):
+        with pytest.raises(LineError, match="line 2: grade 5 out of range"):
             read_judgments(path)
 
 
