@@ -243,10 +243,10 @@ def _cmd_simulate(args) -> Outputs:
 
 
 def _cmd_classify(args) -> Outputs:
-    if args.model_out and not args.train_labels:
+    if args.model_out is not None and args.train_labels is None:
         raise UsageError("--model-out needs --train-labels: rule mode trains no classifier")
     by_query = group_by_query(read_sessions(args.sessions))
-    lexicon = load_lexicon(args.lexicon) if args.lexicon else None
+    lexicon = load_lexicon(args.lexicon) if args.lexicon is not None else None
     features = {
         q: extract_features(
             q, members, clicked_url_counts(members), ncs_n=args.ncs_n, nrs_n=args.nrs_n
@@ -254,7 +254,7 @@ def _cmd_classify(args) -> Outputs:
         for q, members in by_query.items()
     }
     outputs = [Path(args.out)]
-    if args.train_labels:
+    if args.train_labels is not None:
         seed_labels = read_intent_labels(args.train_labels)
         # An unk seed label is no label: the query is classified, not trained on.
         train_queries = [q for q in features
@@ -266,7 +266,7 @@ def _cmd_classify(args) -> Outputs:
             [seed_labels[q] for q in train_queries],
         )
         labels = {q: classify(model, fv)[0] for q, fv in features.items()}
-        if args.model_out:
+        if args.model_out is not None:
             outputs.append(Path(args.model_out))
             save_classifier(outputs[1], model)
     else:
@@ -283,7 +283,7 @@ def _routed_sessions(args, intent_aware: bool):
     sessions = read_sessions(args.sessions)
     if not sessions:
         raise DataError(f"no sessions in {args.sessions}")
-    if args.intents:
+    if args.intents is not None:
         sessions = attach_intents(sessions, read_intent_labels(args.intents))
     if intent_aware and all(intent is Intent.UNKNOWN for intent, _ in sessions.by_intent()):
         raise DataError(f"no session has a known intent: an intent-aware {args.subcommand} "
@@ -316,7 +316,7 @@ def _cmd_fit(args) -> Outputs:
 def _cmd_eval(args) -> Outputs:
     params = load_params(args.params)
     sessions = _routed_sessions(args, isinstance(params, IntentAwareParams))
-    judgments = read_judgments(args.judgments) if args.judgments else None
+    judgments = read_judgments(args.judgments) if args.judgments is not None else None
     if judgments is not None and not judgments:
         raise DataError(f"no judgments in {args.judgments}")
     report = evaluate_model(

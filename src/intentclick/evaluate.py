@@ -157,7 +157,9 @@ def evaluate_model(
     of a query carries the same intent.
     """
     report = perplexity_report(params, batch, label=label)
-    if judgments:
+    if judgments is not None:
+        if not judgments:
+            raise DataError("no judgments: NDCG needs at least one judged pair")
         scores = mixture_relevance_scorer(params, batch, judgments.keys)
         report.ndcg, report.ndcg_queries = ndcg_for_scores(scores, judgments, k_list)
         if report.ndcg_queries == 0:
@@ -189,4 +191,5 @@ def mixture_relevance_scorer(
     unknown = np.eye(len(ALL_INTENTS))[ALL_INTENTS.index(Intent.UNKNOWN)]
     weights = np.vstack([intent_distributions(batch), unknown])
     code = {q: i for i, q in enumerate(batch.queries)}
-    return mixed_relevance(params, keys, weights[[code.get(q, batch.n_queries) for q, _ in keys]])
+    unknown_row = batch.n_queries
+    return mixed_relevance(params, keys, weights[[code.get(q, unknown_row) for q, _ in keys]])

@@ -1295,6 +1295,37 @@ class TestUnusablePaths:
         assert "Traceback" not in err
 
 
+class TestEmptyPathFlags:
+    """An optional path flag given as "" names a path that cannot be read
+    or written, a data error; it is not the flag left out."""
+
+    @pytest.mark.parametrize("argv", [
+        lambda d, o: ["eval", "--params", f"{d}/p.json", "--sessions",
+                      f"{d}/sim/sessions.jsonl", "--out", f"{o}/e.json", "--judgments", ""],
+        lambda d, o: ["eval", "--params", f"{d}/p.json", "--sessions",
+                      f"{d}/sim/sessions.jsonl", "--out", f"{o}/e.json", "--intents", ""],
+        lambda d, o: ["fit", "--model", "pbm", "--sessions", f"{d}/sim/sessions.jsonl",
+                      "--out", f"{o}/p.json", "--max-iters", "2", "--intents", ""],
+        lambda d, o: ["classify", "--sessions", f"{d}/aol.jsonl", "--out", f"{o}/l.tsv",
+                      "--lexicon", ""],
+        lambda d, o: ["classify", "--sessions", f"{d}/aol.jsonl", "--out", f"{o}/l.tsv",
+                      "--train-labels", ""],
+        lambda d, o: ["classify", "--sessions", f"{d}/aol.jsonl", "--out", f"{o}/l.tsv",
+                      "--train-labels", f"{d}/seed.tsv", "--model-out", ""],
+    ], ids=["eval-judgments", "eval-intents", "fit-intents", "classify-lexicon",
+            "classify-train-labels", "classify-model-out"])
+    def test_empty_path_is_a_data_error(self, pipeline_inputs, tmp_path, capsys, argv):
+        assert run(argv(pipeline_inputs, tmp_path)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "Traceback" not in err
+
+    def test_empty_model_out_without_train_labels_is_a_usage_error(self, pipeline_inputs,
+                                                                    tmp_path):
+        assert run(["classify", "--sessions", f"{pipeline_inputs}/aol.jsonl",
+                    "--out", f"{tmp_path}/l.tsv", "--model-out", ""]) == EXIT_USAGE
+
+
 class TestReaderErrors:
     """Each malformed input file is a data error naming what is wrong."""
 

@@ -474,6 +474,14 @@ class TestReportIo:
         assert report.ndcg_queries == 1
         assert report.ndcg[1] == 1.0
 
+    def test_empty_judgments_are_a_data_error(self):
+        """Empty judgments are given judgments, not none: NDCG is not skipped."""
+        params = _pbm([0.9, 0.9], [0.8, 0.3])
+        batch = encode_sessions([_session((1, 0))])
+        with pytest.raises(DataError, match="^no judgments"):
+            evaluate_model(params, batch, judgments=Judgments([], []))
+        assert evaluate_model(params, batch).ndcg == {}
+
     def test_dcg_helper(self):
         assert dcg([2, 1], 2) == pytest.approx((2 ** 2 - 1) / 1.0 + 1.0 / math.log2(3))
 

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from intentclick.common import DataError, LineError, write_json
+from intentclick import sessions as sessions_module
+from intentclick.common import DataError, LineError, numbered_lines, write_json
 from intentclick.sessions import (
     ALL_INTENTS,
     AOL_TIME_FORMAT,
@@ -398,9 +399,63 @@ def _assert_same_batch(got, want):
         assert np.array_equal(a, b), name
 
 
+def _program_log(source: str):
+    """A batch and its session ids as the program makes them: a simulated
+    log in shuffled row order, or a sessionized AOL-style log."""
+    if source == "simulated":
+        config = SimConfig(model_kind="dbn", num_queries=7, sessions_per_query=9,
+                           positions=5, seed=3, intent_aware=True, shuffle_serps=True)
+        truth = generate_ground_truth(config)
+        simulated = simulate_sessions(truth, config)
+        rows = np.random.default_rng(4).permutation(len(simulated))
+        return simulated.take(rows), [session_ids(truth, config)[k] for k in rows]
+    events = [
+        _event("u1", "maps", 0, rank=2, url="a.com"),
+        _event("u1", "maps", 1, rank=2, url="b.com"),
+        _event("u1", "news", 2),
+        _event("u1", "maps", 3, rank=1, url="a.com"),
+        _event("u2", "news", 0, rank=3, url="a.com"),
+        _event("u2", "news", 40, rank=1, url="q:news:pos2"),
+        _event("u2", "news", 41, rank=3, url="c.com"),
+    ]
+    result = sessionize(events)
+    return result.sessions, result.session_ids
+
+
 # A key whose value is _MISSING is dropped from the record.
 _MISSING = object()
 
+# Records that are not sessions, by name: a dict of fields overrides a
+# one-doc record, and a string is the whole line.
+_BAD_RECORDS = {
+    "length-mismatch": {"docs": ["a", "b"], "clicks": [1]},
+    "docs-string": {"docs": "xy", "clicks": [0, 1]},
+    "clicks-string": {"docs": ["x", "y"], "clicks": "01"},
+    "click-float": {"docs": ["x", "y"], "clicks": [0, 0.9]},
+    "click-string": {"docs": ["x", "y"], "clicks": [0, "1"]},
+    "click-bool": {"docs": ["x", "y"], "clicks": [True, 0]},
+    "docs-mixed": {"docs": [1, None, [2]], "clicks": [0, 0, 0]},
+    "doc-int": {"docs": ["x", 1], "clicks": [0, 0]},
+    "doc-null": {"docs": ["x", None], "clicks": [0, 0]},
+    "doc-array": {"docs": ["x", ["y"]], "clicks": [0, 0]},
+    "doc-object": {"docs": ["x", {"d": "y"}], "clicks": [0, 0]},
+    "doc-bool": {"docs": ["x", True], "clicks": [0, 0]},
+    "session-id-null": {"session_id": None},
+    "query-id-int": {"query_id": 5},
+    "query-id-array": {"query_id": ["x"]},
+    "invalid-json": "{not json}",
+    "record-array": "[1, 2]",
+    "missing-key": {"docs": _MISSING},
+    "unknown-intent": {"intent": "xxx"},
+    "intent-array": {"intent": ["inf"]},
+    "click-one-float": {"docs": ["x", "y"], "clicks": [0, 1.0]},
+    "click-two": {"docs": ["x", "y"], "clicks": [0, 2]},
+    "click-negative": {"docs": ["x", "y"], "clicks": [0, -1]},
+    "duplicate-docs": {"docs": ["x", "x"], "clicks": [0, 1]},
+    "query-id-tab": {"query_id": "q\tr"},
+    "query-id-newline": {"query_id": "q\nr"},
+    "query-id-cr": {"query_id": "q\rr"},
+}
 
 class TestSessionIo:
     def test_empty_roundtrip(self, tmp_path):
@@ -428,46 +483,12 @@ class TestSessionIo:
         assert batch.queries == ["q1", "q2", "q3"]
         assert batch.query.tolist() == [0, 1, 0, 2, 1]
 
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"docs": ["a", "b"], "clicks": [1]},
-            {"docs": "xy", "clicks": [0, 1]},
-            {"docs": ["x", "y"], "clicks": "01"},
-            {"docs": ["x", "y"], "clicks": [0, 0.9]},
-            {"docs": ["x", "y"], "clicks": [0, "1"]},
-            {"docs": ["x", "y"], "clicks": [True, 0]},
-            {"docs": [1, None, [2]], "clicks": [0, 0, 0]},
-            {"docs": ["x", 1], "clicks": [0, 0]},
-            {"docs": ["x", None], "clicks": [0, 0]},
-            {"docs": ["x", ["y"]], "clicks": [0, 0]},
-            {"docs": ["x", {"d": "y"}], "clicks": [0, 0]},
-            {"docs": ["x", True], "clicks": [0, 0]},
-            {"session_id": None},
-            {"query_id": 5},
-            {"query_id": ["x"]},
-            "{not json}",
-            "[1, 2]",
-            {"docs": _MISSING},
-            {"intent": "xxx"},
-            {"intent": ["inf"]},
-            {"docs": ["x", "y"], "clicks": [0, 1.0]},
-            {"docs": ["x", "y"], "clicks": [0, 2]},
-            {"docs": ["x", "y"], "clicks": [0, -1]},
-            {"docs": ["x", "x"], "clicks": [0, 1]},
-            {"query_id": "q\tr"},
-            {"query_id": "q\nr"},
-            {"query_id": "q\rr"},
-        ],
-        ids=["length-mismatch", "docs-string", "clicks-string", "click-float",
-             "click-string", "click-bool", "docs-mixed", "doc-int", "doc-null",
-             "doc-array", "doc-object", "doc-bool", "session-id-null", "query-id-int",
-             "query-id-array", "invalid-json", "record-array", "missing-key",
-             "unknown-intent", "intent-array", "click-one-float", "click-two",
-             "click-negative", "duplicate-docs", "query-id-tab", "query-id-newline",
-             "query-id-cr"],
-    )
-    def test_malformed_record_is_a_parse_error(self, tmp_path, fields):
+    # Sorted keys put a record in write_sessions' form, which read_sessions
+    # reads without the JSON decoder whenever its strings need no escape.
+    @pytest.mark.parametrize("fields, sort_keys", [
+        pytest.param(fields, sort_keys, id=name + ("-sorted-keys" if sort_keys else ""))
+        for sort_keys in (False, True) for name, fields in _BAD_RECORDS.items()])
+    def test_malformed_record_is_a_parse_error(self, tmp_path, fields, sort_keys):
         """Each bad record names its line; blank lines count."""
         path = tmp_path / "s.jsonl"
         good = {"session_id": "s0", "query_id": "q", "intent": "unk", "docs": [], "clicks": []}
@@ -475,8 +496,10 @@ class TestSessionIo:
             bad = fields
         else:
             record = {**good, "session_id": "s", "docs": ["x"], "clicks": [0], **fields}
-            bad = json.dumps({k: v for k, v in record.items() if v is not _MISSING})
-        path.write_text(json.dumps(good) + "\n\n" + bad + "\n" + json.dumps(good) + "\n")
+            bad = json.dumps({k: v for k, v in record.items() if v is not _MISSING},
+                             sort_keys=sort_keys)
+        good_line = json.dumps(good, sort_keys=sort_keys)
+        path.write_text(good_line + "\n\n" + bad + "\n" + good_line + "\n")
         with pytest.raises(LineError, match="^line 3: "):
             read_sessions(path)
 
@@ -502,30 +525,25 @@ class TestSessionIo:
     def test_written_batch_reads_back_row_for_row(self, tmp_path, source):
         """Query, intent, docs and clicks of every row survive
         write_sessions then read_sessions, whatever the key order."""
-        if source == "simulated":
-            config = SimConfig(model_kind="dbn", num_queries=7, sessions_per_query=9,
-                               positions=5, seed=3, intent_aware=True, shuffle_serps=True)
-            truth = generate_ground_truth(config)
-            simulated = simulate_sessions(truth, config)
-            rows = np.random.default_rng(4).permutation(len(simulated))
-            batch = simulated.take(rows)
-            ids = [session_ids(truth, config)[k] for k in rows]
-        else:
-            events = [
-                _event("u1", "maps", 0, rank=2, url="a.com"),
-                _event("u1", "maps", 1, rank=2, url="b.com"),
-                _event("u1", "news", 2),
-                _event("u1", "maps", 3, rank=1, url="a.com"),
-                _event("u2", "news", 0, rank=3, url="a.com"),
-                _event("u2", "news", 40, rank=1, url="q:news:pos2"),
-                _event("u2", "news", 41, rank=3, url="c.com"),
-            ]
-            result = sessionize(events)
-            batch, ids = result.sessions, result.session_ids
+        batch, ids = _program_log(source)
         path = tmp_path / "s.jsonl"
         write_sessions(path, batch, ids)
         assert list(read_sessions(path).records()) == list(batch.records())
         assert [json.loads(line)["session_id"] for line in path.read_text().splitlines()] == ids
+
+    @pytest.mark.parametrize("source", ["simulated", "sessionized"])
+    def test_written_lines_skip_the_json_decoder(self, tmp_path, monkeypatch, source):
+        """Every line the program writes for ASCII ids is read from its
+        text: none reaches _session_record."""
+        batch, ids = _program_log(source)
+        path = tmp_path / "s.jsonl"
+        write_sessions(path, batch, ids)
+
+        def refuse(line):
+            raise AssertionError(f"decoded as JSON: {line!r}")
+
+        monkeypatch.setattr(sessions_module, "_session_record", refuse)
+        assert list(read_sessions(path).records()) == list(batch.records())
 
     def test_write_needs_one_id_per_row(self, tmp_path):
         batch = encode_sessions([Session("s1", "a", Intent.UNKNOWN, ("d1",), (1,))])
@@ -556,19 +574,24 @@ _ESCAPED = st.text(
     max_size=6)
 
 
+# Strings JSON writes as their own text, with the ", " and "]" that part a
+# session line's doc ids.
+_PLAIN_TEXT = st.text(alphabet=st.sampled_from("ab, ]:"), max_size=4)
+
+
 @st.composite
-def _batches(draw):
-    """A batch of 0 to 6 sessions of distinct escaped doc ids, each query
-    showing at most 4 of them, plus one escaped id per session."""
-    queries = draw(st.lists(_ESCAPED.filter(lambda q: "\t" not in q), min_size=1, max_size=3))
+def _batches(draw, texts=_ESCAPED):
+    """A batch of 0 to 6 sessions of distinct doc ids drawn from texts, each
+    query showing at most 4 of them, plus one id from texts per session."""
+    queries = draw(st.lists(texts.filter(lambda q: "\t" not in q), min_size=1, max_size=3))
     sessions = []
     for k in range(draw(st.integers(0, 6))):
-        docs = draw(st.lists(_ESCAPED, max_size=4, unique=True))
+        docs = draw(st.lists(texts, max_size=4, unique=True))
         sessions.append(Session(f"{k}", draw(st.sampled_from(queries)),
                                 draw(st.sampled_from(ALL_INTENTS)), tuple(docs),
                                 tuple(draw(st.lists(st.integers(0, 1), min_size=len(docs),
                                                     max_size=len(docs))))))
-    ids = draw(st.lists(_ESCAPED, min_size=len(sessions), max_size=len(sessions)))
+    ids = draw(st.lists(texts, min_size=len(sessions), max_size=len(sessions)))
     return encode_sessions(sessions), ids
 
 
@@ -641,6 +664,133 @@ class TestWritersMatchStdlibJson:
         path = tmp_path / "d.json"
         write_json(path, doc)
         assert path.read_text() == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+_SESSION_KEYS = ("clicks", "docs", "intent", "query_id", "session_id")
+
+
+def _session_dicts(batch, ids) -> list[dict]:
+    return [{"session_id": i, "query_id": q, "intent": t.value, "docs": d, "clicks": c}
+            for i, (q, t, d, c) in zip(ids, batch.records())]
+
+
+@st.composite
+def _session_files(draw):
+    """A batch, its session ids and the text of a file of its records: None
+    for write_sessions' own lines, else the records through json.dumps in
+    another key order, with other separators or raw non-ASCII."""
+    batch, ids = draw(_batches(draw(st.sampled_from([_PLAIN_TEXT, _ESCAPED]))))
+    if draw(st.booleans()):
+        return batch, ids, None
+    # Half the time sorted, as written, so that lines of raw non-ASCII
+    # strings can match write_sessions' form.
+    order = draw(st.just(_SESSION_KEYS) | st.permutations(_SESSION_KEYS))
+    separators = draw(st.sampled_from([(", ", ": ")] * 3 + [(",", ":"), (", ", ":"),
+                                                            (" , ", " : ")]))
+    ascii_only = draw(st.booleans())
+    return batch, ids, "".join(
+        json.dumps({key: r[key] for key in order}, separators=separators,
+                   ensure_ascii=ascii_only) + "\n" for r in _session_dicts(batch, ids))
+
+
+@st.composite
+def _changed_lines(draw):
+    """The line write_sessions writes for a session of plain strings (as
+    json.dumps with sorted keys), with one change: a bad click, a repeated,
+    extra or missing key, a duplicate doc, lengths off by one, leading or
+    trailing text, a raw control character in the query id, or a leading
+    U+FEFF."""
+    docs = draw(st.lists(_PLAIN_TEXT, max_size=4, unique=True))
+    clicks = draw(st.lists(st.integers(0, 1), min_size=len(docs), max_size=len(docs)))
+    record = {"clicks": clicks, "docs": docs, "intent": draw(st.sampled_from(ALL_INTENTS)).value,
+              "query_id": draw(_PLAIN_TEXT), "session_id": draw(_PLAIN_TEXT)}
+    kind = draw(st.sampled_from(["click", "repeated-key", "extra-key", "missing-key",
+                                 "duplicate-doc", "length", "leading", "trailing",
+                                 "raw-control", "bom"]))
+    if kind == "click":
+        record["clicks"] = [*clicks[:-1], draw(st.sampled_from([True, 1.0, 2]))]
+    elif kind == "extra-key":
+        record[draw(st.sampled_from(["extra", "clicks2", "a"]))] = 0
+    elif kind == "missing-key":
+        del record[draw(st.sampled_from(_SESSION_KEYS))]
+    elif kind == "duplicate-doc":
+        record["docs"], record["clicks"] = ([*docs, docs[0]], [*clicks, 0]) if docs else (
+            ["d", "d"], [0, 0])
+    elif kind == "length":
+        record["clicks"] = clicks[:-1] if clicks and draw(st.booleans()) else [*clicks, 0]
+    line = json.dumps(record, sort_keys=True)
+    if kind == "repeated-key":
+        key = draw(st.sampled_from(_SESSION_KEYS))
+        repeat = f'"{key}": {json.dumps(record[key])}'
+        line = f"{{{repeat}, {line[1:]}" if draw(st.booleans()) else f"{line[:-1]}, {repeat}}}"
+    elif kind == "leading":
+        line = draw(st.sampled_from([" ", "  ", "\t"])) + line
+    elif kind == "trailing":
+        line += draw(st.sampled_from([" x", ",", "}", " {}", "\x0b", "\u2028", " \t", "  "]))
+    elif kind == "raw-control":
+        # JSON refuses a control character left unescaped in a string.
+        control = draw(st.sampled_from(["\t", "\x00", "\x1f", "\x0c"]))
+        line = line.replace('"query_id": "', '"query_id": "' + control, 1)
+    elif kind == "bom":
+        line = "\ufeff" + line
+    return line
+
+
+def _read_by_decoder(path):
+    """read_sessions with every line decoded as JSON by _session_record."""
+    columns = sessions_module._BatchColumns()
+    for line_no, line in numbered_lines(path):
+        try:
+            columns.add(*sessions_module._session_record(line))
+        except LineError as exc:
+            raise LineError(str(exc), line_no) from None
+    return columns.build()
+
+
+def _outcome(read, path):
+    """The batch read, or the kind and text of the error raised: a
+    LineError, or a UnicodeDecodeError for bytes that are not UTF-8."""
+    try:
+        return read(path)
+    except (DataError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSessionsReadAsDecoded:
+    """read_sessions reads write_sessions' own lines from their text; every
+    file gives the batch, or the error text and line, that decoding each
+    line as JSON gives."""
+
+    @staticmethod
+    def _same_outcome(path):
+        got, want = _outcome(read_sessions, path), _outcome(_read_by_decoder, path)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            _assert_same_batch(got, want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_session_files())
+    def test_written_and_reformatted_files(self, drawn):
+        batch, ids, text = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.jsonl"
+            if text is None:
+                write_sessions(path, batch, ids)
+            else:
+                # Raw lone surrogates become bytes that are not UTF-8.
+                path.write_bytes(text.encode("utf-8", "surrogatepass"))
+            self._same_outcome(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_changed_lines())
+    def test_one_changed_line(self, line):
+        """The changed line is the second of three, after a written one."""
+        good = '{"clicks": [0], "docs": ["a"], "intent": "unk", "query_id": "q", "session_id": "s"}'
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.jsonl"
+            path.write_text(f"{good}\n{line}\n{good}\n", encoding="utf-8")
+            self._same_outcome(path)
 
 
 class TestSessionBatch:
