@@ -20,9 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .common import (DEFAULT_GAP_MINUTES, DEFAULT_INTENT_MIX, DEFAULT_K_LIST, DEFAULT_MAX_ITERS,
-                     DEFAULT_MAX_POSITIONS, DEFAULT_NCS_N, DEFAULT_NRS_N, DEFAULT_TOL,
-                     INTENT_MIX_RULE, MODEL_KINDS, DataError, NumericError, is_intent_mix,
-                     write_json)
+                     DEFAULT_MAX_POSITIONS, DEFAULT_TOL, INTENT_MIX_RULE, MODEL_KINDS, DataError,
+                     NumericError, is_intent_mix, write_json)
 
 # The names the commands take from the package's modules, by module.
 # run() imports only the modules its subcommand needs (see _COMMANDS) and
@@ -159,8 +158,6 @@ def build_parser() -> _Parser:
     mode.add_argument("--train-labels", help="seed labels (tsv) to train a classifier")
     p.add_argument("--model-out", help="where to persist the trained classifier")
     mode.add_argument("--lexicon", help="transactional cue-word lexicon file (rule mode)")
-    p.add_argument("--ncs-n", type=_positive_int, default=DEFAULT_NCS_N)
-    p.add_argument("--nrs-n", type=_positive_int, default=DEFAULT_NRS_N)
 
     p = sub.add_parser("fit", help="estimate click-model parameters by EM")
     p.add_argument("--model", choices=MODEL_KINDS, required=True)
@@ -247,12 +244,8 @@ def _cmd_classify(args) -> Outputs:
         raise UsageError("--model-out needs --train-labels: rule mode trains no classifier")
     by_query = group_by_query(read_sessions(args.sessions))
     lexicon = load_lexicon(args.lexicon) if args.lexicon is not None else None
-    features = {
-        q: extract_features(
-            q, members, clicked_url_counts(members), ncs_n=args.ncs_n, nrs_n=args.nrs_n
-        )
-        for q, members in by_query.items()
-    }
+    features = {q: extract_features(q, members, clicked_url_counts(members))
+                for q, members in by_query.items()}
     outputs = [Path(args.out)]
     if args.train_labels is not None:
         seed_labels = read_intent_labels(args.train_labels)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
@@ -62,9 +63,6 @@ DEFAULT_INTENT_MIX = (1 / 3, 1 / 3, 1 / 3)
 INTENT_MIX_RULE = "intent mix must be three non-negative numbers that sum to 1"
 # The NDCG cut-offs eval reports by default.
 DEFAULT_K_LIST = (1, 3, 5, 7, 10)
-# The n of the nCS and nRS intent features.
-DEFAULT_NCS_N = 2
-DEFAULT_NRS_N = 3
 
 # JSON numbers; bool is excluded because type(True) is bool, not int.
 JSON_NUMBER_TYPES = frozenset((int, float))
@@ -74,6 +72,16 @@ def is_intent_mix(mix) -> bool:
     """Whether mix keeps INTENT_MIX_RULE, to within 1e-9 on the sum;
     written so that NaN fails."""
     return len(mix) == 3 and all(p >= 0 for p in mix) and abs(sum(mix) - 1.0) <= 1e-9
+
+
+def check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer >= 1; a numpy integer is one."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def position_from_json(text: str) -> int:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .common import DEFAULT_K_LIST, PROB_CLAMP, DataError
+from .common import DEFAULT_K_LIST, PROB_CLAMP, DataError, check_count
 from .models import AnyParams, clamp_probability, click_probs, mixed_relevance
 from .reports import EvalReport
 from .sessions import ALL_INTENTS, Intent, Judgments, SessionBatch
@@ -79,8 +79,7 @@ def ndcg_at_k(
     Returns None for all-zero grade sets (no ranking signal); callers
     exclude those queries from averages.
     """
-    if k < 1:
-        raise ValueError(f"K must be >= 1, got {k}")
+    check_count("K", k)
     if sorted(ranked_grades) != sorted(ideal_grades):
         raise DataError("served and ideal grades are not the same multiset")
     if list(ideal_grades) != sorted(ideal_grades, reverse=True):
@@ -117,8 +116,8 @@ def ndcg_for_scores(
     the others are averaged in the order the judgments first name them.
     Returns the averages and the number of queries that counted.
     """
-    if min(k_list) < 1:
-        raise ValueError(f"K must be >= 1, got {min(k_list)}")
+    for k in k_list:
+        check_count("K", k)
     keys = judgments.keys
     first: dict[str, int] = {}
     query = np.array([first.setdefault(q, len(first)) for q, _ in keys], dtype=np.int64)

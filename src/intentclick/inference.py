@@ -1,10 +1,11 @@
 """EM parameter estimation for click models from session logs.
 
 Every Bernoulli parameter is updated as a smoothed posterior mean:
-(alpha + expected successes) / (alpha + beta + expected trials). Sessions
-arrive as one SessionBatch and each fitter reduces it to counts at build
-time. A fitter writes only its E-step, ``expect``, giving expected
-successes and trials per field; ``_Fitter.iterate`` is the one M-step.
+(prior + expected successes) / (2 prior + expected trials). Sessions arrive
+as one SessionBatch and each fitter reduces it to counts at build time. A
+fitter writes only its E-step, ``expect``, giving expected successes and
+trials of every field it fits; ``_Fitter.iterate`` is the one M-step and
+alone reads ``families``, the sides ("rel", "exam") whose fields it updates.
 
 PBM and UBM share one E-step through the exam-cell factorisation
 P(C=1) = exam[cell] * rel[(query, doc)]: they differ only in which
@@ -46,7 +47,7 @@ from typing import Iterator
 import numpy as np
 
 from .common import (CASCADE, DBN, DEFAULT_MAX_ITERS, DEFAULT_TOL, PBM, PROB_CLAMP, UBM,
-                     DataError, NumericError)
+                     DataError, NumericError, check_count)
 from .models import (
     DEFAULT_REL,
     PARAMS_CLASSES,
@@ -63,7 +64,7 @@ logger = logging.getLogger(__name__)
 
 REL_SIDE = "rel"
 EXAM_SIDE = "exam"
-ALL_FAMILIES = frozenset((REL_SIDE, EXAM_SIDE))
+_SIDE_OF = dict(rel=REL_SIDE, sat=REL_SIDE, exam=EXAM_SIDE, beta=EXAM_SIDE, gamma_cont=EXAM_SIDE)
 
 # How a recorded step started: from the EM iterate, from a SQUAREM point,
 # or from the EM iterate after the SQUAREM point lowered the objective.
@@ -74,22 +75,19 @@ REJECTED = "rejected"
 
 @dataclass
 class EmConfig:
-    """Knobs for the EM loop. EM starts from the params class's ``prior``
-    (or init_params) and has no random part, so it takes no seed."""
+    """EM loop knobs; ``prior`` is each outcome's Beta pseudo-count. EM starts
+    from init_params or the params class's ``prior``, with no random part."""
 
     tol: float = DEFAULT_TOL
     max_iters: int = DEFAULT_MAX_ITERS
-    prior_alpha: float = 1.0
-    prior_beta: float = 1.0
+    prior: float = 1.0
 
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not all(p >= 0 and math.isfinite(p) for p in (self.prior_alpha, self.prior_beta)):
-            raise ValueError(f"priors must be non-negative and finite, got "
-                             f"alpha {self.prior_alpha}, beta {self.prior_beta}")
+        check_count("max_iters", self.max_iters)
+        if not (self.prior >= 0 and math.isfinite(self.prior)):
+            raise ValueError(f"priors must be non-negative and finite, got {self.prior}")
 
 
 @dataclass
@@ -101,7 +99,7 @@ class FitReport:
     SQUAREM point. loglik_trace[k] is the objective EM ascends, evaluated
     at the parameters entering step k: the data log-likelihood plus the
     Bernoulli pseudo-count terms
-    alpha*ln(theta) + beta*ln(1-theta) per parameter. With zero priors it
+    prior*(ln(theta) + ln(1-theta)) per parameter. With a zero prior it
     is the plain data log-likelihood. A stopped partition adds its
     objective at its final tables. EM and the monotone acceptance rule make
     the trace non-decreasing.
@@ -145,8 +143,8 @@ def factor_posterior(x, y):
 
 
 def _posterior_mean(succ, trials, cfg: EmConfig):
-    denom = np.asarray(cfg.prior_alpha + cfg.prior_beta + trials, dtype=np.float64)
-    num = cfg.prior_alpha + succ
+    denom = np.asarray(cfg.prior + cfg.prior + trials, dtype=np.float64)
+    num = cfg.prior + succ
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(denom > 0.0, num / np.maximum(denom, PROB_CLAMP), DEFAULT_REL)
     return np.clip(out, 0.0, 1.0)
@@ -171,10 +169,9 @@ def _prior_bonus(cfg: EmConfig, arrays) -> float:
     total = 0.0
     for arr in arrays:
         a = np.atleast_1d(np.asarray(arr, dtype=np.float64))
-        if cfg.prior_alpha > 0.0:
-            total += cfg.prior_alpha * _sum_ll(np.log(np.clip(a, PROB_CLAMP, None)))
-        if cfg.prior_beta > 0.0:
-            total += cfg.prior_beta * _sum_ll(np.log(np.clip(1.0 - a, PROB_CLAMP, None)))
+        if cfg.prior > 0.0:
+            total += cfg.prior * _sum_ll(np.log(np.clip(a, PROB_CLAMP, None)))
+            total += cfg.prior * _sum_ll(np.log(np.clip(1.0 - a, PROB_CLAMP, None)))
     return total
 
 
@@ -267,14 +264,15 @@ class _Fitter:
         return replace(prior, **fitted)
 
     def iterate(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, float]:
-        """One EM step: ``expect``, then each field it counts set to its posterior
-        mean. Returns the objective entering the step and the largest change."""
-        ll, counts = self.expect(state, families, cfg)
+        """One EM step: ``expect``, then each field on a side in ``families`` set to its
+        posterior mean. Returns the objective entering the step and the largest change."""
+        ll, counts = self.expect(state, cfg)
         delta = 0.0
         for name, (succ, trials) in counts.items():
-            new = _posterior_mean(succ, trials, cfg)
-            delta = max(delta, float(np.max(np.abs(new - state[name]), initial=0.0)))
-            state[name] = new
+            if _SIDE_OF[name] in families:
+                new = _posterior_mean(succ, trials, cfg)
+                delta = max(delta, float(np.max(np.abs(new - state[name]), initial=0.0)))
+                state[name] = new
         return ll, delta
 
 
@@ -288,8 +286,6 @@ class _ExamRelFitter(_Fitter):
     posteriors, so the E-step runs once per combination, weighted by its
     click and skip counts; combinations are in (pair, cell) order.
     """
-
-    families = ALL_FAMILIES
 
     def __init__(self, batch: SessionBatch, params_cls: type, max_positions: int):
         cells = params_cls.cells_for(max_positions)
@@ -320,21 +316,19 @@ class _ExamRelFitter(_Fitter):
                 batch.width + 1, max_positions,
             )
 
-    def expect(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, dict]:
+    def expect(self, state: dict, cfg: EmConfig) -> tuple[float, dict]:
         exam = state[self.exam_field]
         g = exam[self.cell]
         r = state["rel"][self.pair]
         ll = _binomial_ll(g * r, self.clicks, self.skips)
         ll += _prior_bonus(cfg, (exam, state["rel"]))
-        counts = {}
-        if REL_SIDE in families:
-            p_rel = self.clicks + self.skips * factor_posterior(r, g)
-            counts["rel"] = (np.bincount(self.pair, p_rel, len(self.keys)), self.rel_trials)
-        if EXAM_SIDE in families:
-            p_exam = self.clicks + self.skips * factor_posterior(g, r)
-            counts[self.exam_field] = (np.bincount(self.cell, p_exam, len(self.exam_trials)),
-                                       self.exam_trials)
-        return ll, counts
+        p_rel = self.clicks + self.skips * factor_posterior(r, g)
+        p_exam = self.clicks + self.skips * factor_posterior(g, r)
+        return ll, {
+            "rel": (np.bincount(self.pair, p_rel, len(self.keys)), self.rel_trials),
+            self.exam_field: (np.bincount(self.cell, p_exam, len(self.exam_trials)),
+                              self.exam_trials),
+        }
 
 
 class _CascadeFitter(_Fitter):
@@ -345,8 +339,6 @@ class _CascadeFitter(_Fitter):
     structurally impossible and contribute a clamped constant to the
     likelihood.
     """
-
-    families = frozenset((REL_SIDE,))
 
     def __init__(self, batch: SessionBatch, params_cls: type, max_positions: int):
         possible = batch.clicks.sum(axis=1) <= 1
@@ -364,11 +356,11 @@ class _CascadeFitter(_Fitter):
                 self.n_impossible,
             )
 
-    def expect(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, dict]:
+    def expect(self, state: dict, cfg: EmConfig) -> tuple[float, dict]:
         ll = _binomial_ll(state["rel"], self.clicks, self.trials - self.clicks)
         ll += self.n_impossible * float(np.log(PROB_CLAMP))
         ll += _prior_bonus(cfg, (state["rel"],))
-        return ll, {"rel": (self.clicks, self.trials)} if REL_SIDE in families else {}
+        return ll, {"rel": (self.clicks, self.trials)}
 
 
 class _DbnFitter(_Fitter):
@@ -387,7 +379,6 @@ class _DbnFitter(_Fitter):
     sorted order.
     """
 
-    families = ALL_FAMILIES
     scalars = ("gamma_cont",)
 
     def __init__(self, batch: SessionBatch, params_cls: type, max_positions: int):
@@ -423,7 +414,7 @@ class _DbnFitter(_Fitter):
             cells = cells[first]
             self.groups.append((cells[:, 0] if has_click else None, cells[:, has_click:], count))
 
-    def expect(self, state: dict, families: frozenset, cfg: EmConfig) -> tuple[float, dict]:
+    def expect(self, state: dict, cfg: EmConfig) -> tuple[float, dict]:
         n_pairs = len(self.keys)
         rel, sat, g = state["rel"], state["sat"], state["gamma_cont"]
 
@@ -466,12 +457,8 @@ class _DbnFitter(_Fitter):
                     cont_trials += float(np.sum(count - sat_post))
                     cont_succ += float(exam[:, 0].sum())
 
-        counts = {}
-        if REL_SIDE in families:
-            counts.update(rel=(self.clicks, rel_trials), sat=(sat_succ, self.clicks))
-        if EXAM_SIDE in families:
-            counts["gamma_cont"] = (cont_succ, cont_trials)
-        return ll, counts
+        return ll, {"rel": (self.clicks, rel_trials), "sat": (sat_succ, self.clicks),
+                    "gamma_cont": (cont_succ, cont_trials)}
 
 
 _FITTERS = {PBM: _ExamRelFitter, CASCADE: _CascadeFitter, UBM: _ExamRelFitter, DBN: _DbnFitter}
@@ -505,7 +492,7 @@ def _ascend(partitions: dict, families: frozenset, config: EmConfig) -> FitRepor
             if key in stopped:
                 if stopped[key] is None:
                     fitter, state = partitions[key]
-                    stopped[key] = fitter.expect(state, frozenset(), config)[0]
+                    stopped[key] = fitter.expect(state, config)[0]
                 ll_total += stopped[key]
                 continue
             ll, d, kind = next(run)
@@ -576,7 +563,7 @@ def em_fit(
     for intent, part in parts:
         fitter = fitter_cls(part, params_cls, max_positions)
         partitions[intent] = (fitter, fitter.state_from(resolve_params(init_params, intent)))
-    update = fitter_cls.families if families is None else frozenset(families) & fitter_cls.families
+    update = frozenset(_SIDE_OF.values() if families is None else families)
     report = _ascend(partitions, update, config or EmConfig())
 
     def fitted(key):

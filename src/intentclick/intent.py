@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .common import DEFAULT_NCS_N, DEFAULT_NRS_N, LineError, numbered_lines, write_json
+from .common import LineError, check_count, numbered_lines, write_json
 from .sessions import Intent, KNOWN_INTENTS, SessionBatch, normalize_query
 
 BOW_DIM = 1024
@@ -32,6 +32,9 @@ DEFAULT_TRANSACTIONAL_CUES = frozenset(
         "download", "downloads", "pdf", "mp3", "mp4", "torrent", "zip", "doc", "ppt",
     }
 )
+# The n of the nCS and nRS features (Liu et al., AIRS 2006).
+NCS_N = 2
+NRS_N = 3
 # Rule mode's thresholds: nCS and nRS both this high suggest a navigational goal.
 RULE_NCS_THRESHOLD = 0.7
 RULE_NRS_THRESHOLD = 0.7
@@ -87,8 +90,7 @@ def n_clicks_satisfied(sessions_of_query: SessionBatch, n: int) -> float:
     """Fraction of the query's sessions with fewer than n clicks."""
     if not sessions_of_query:
         raise ValueError("no sessions supplied")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_count("n", n)
     hits = np.count_nonzero(sessions_of_query.clicks.sum(axis=1) < n)
     return int(hits) / len(sessions_of_query)
 
@@ -100,8 +102,7 @@ def n_results_satisfied(sessions_of_query: SessionBatch, n: int) -> float:
     """
     if not sessions_of_query:
         raise ValueError("no sessions supplied")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_count("n", n)
     clicks = sessions_of_query.clicks
     last = np.max(np.where(clicks > 0, np.arange(1, clicks.shape[1] + 1), 0), axis=1, initial=0)
     return int(np.count_nonzero(last <= n)) / len(sessions_of_query)
@@ -176,11 +177,9 @@ def extract_features(
     query: str,
     sessions_of_query: SessionBatch,
     clicked_urls: Mapping[str, int],
-    ncs_n: int = DEFAULT_NCS_N,
-    nrs_n: int = DEFAULT_NRS_N,
 ) -> FeatureVector:
-    """Feature vector for one query; missing click data degrades to zeros
-    with the missing-data flag set."""
+    """Feature vector for one query, nCS at n = NCS_N and nRS at n = NRS_N;
+    missing click data degrades to zeros with the missing-data flag set."""
     tokens = query.split()
     bow = np.zeros(BOW_DIM)
     for token in tokens:
@@ -192,8 +191,8 @@ def extract_features(
     else:
         urlmr, max_cr, missing = 0.0, 0.0, True
     if sessions_of_query:
-        ncs = n_clicks_satisfied(sessions_of_query, ncs_n)
-        nrs = n_results_satisfied(sessions_of_query, nrs_n)
+        ncs = n_clicks_satisfied(sessions_of_query, NCS_N)
+        nrs = n_results_satisfied(sessions_of_query, NRS_N)
     else:
         ncs, nrs, missing = 0.0, 0.0, True
     return FeatureVector(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import (CASCADE, DBN, DEFAULT_INTENT_MIX, DEFAULT_MAX_POSITIONS, INTENT_MIX_RULE,
-                     MODEL_KINDS, PBM, UBM, is_intent_mix)
+                     MODEL_KINDS, PBM, UBM, check_count, is_intent_mix)
 from .models import (
     AnyParams,
     BaseParams,
@@ -58,8 +58,8 @@ class SimConfig:
     def __post_init__(self):
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        if self.num_queries < 1 or self.sessions_per_query < 1 or self.positions < 1:
-            raise ValueError("num_queries, sessions_per_query and positions must be >= 1")
+        for name in ("num_queries", "sessions_per_query", "positions"):
+            check_count(name, getattr(self, name))
         if not is_intent_mix(self.intent_mix):
             raise ValueError(f"{INTENT_MIX_RULE}, got {self.intent_mix}")
 

@@ -136,8 +136,6 @@ class TestBadFlagValues:
         ["ingest", "--gap-minutes", "x"],
         ["ingest", "--max-positions", "0"],
         ["ingest", "--max-positions", "-1"],
-        ["classify", "--ncs-n", "0"],
-        ["classify", "--nrs-n", "-1"],
         ["simulate", "--queries", "0"],
         ["simulate", "--positions", "0"],
         ["simulate", "--sessions-per-query", "-1"],
@@ -156,7 +154,6 @@ class TestBadFlagValues:
         # Without the flag under test, each of these runs succeeds.
         inputs = {
             "ingest": ["--aol", f"{d}/raw.tsv", "--out", str(out)],
-            "classify": ["--sessions", f"{d}/aol.jsonl", "--out", str(out)],
             "simulate": ["--out-dir", str(out)],
             "fit": ["--model", "pbm", "--sessions", f"{d}/aol.jsonl", "--out", str(out)],
         }

@@ -168,6 +168,10 @@ class TestNdcg:
         judgments = Judgments([("q1", "a"), ("q1", "b")], [1, 0])
         with pytest.raises(ValueError, match="K must be >= 1, got 0"):
             ndcg_for_scores(np.array([0.5, 0.4]), judgments, (1, 0))
+        with pytest.raises(ValueError, match="K must be an integer, got 1.5"):
+            ndcg_at_k([1, 0], [1, 0], 1.5)
+        with pytest.raises(ValueError, match="K must be an integer, got 1.5"):
+            ndcg_for_scores(np.array([0.5, 0.4]), judgments, (1, 1.5))
 
     def test_multiset_mismatch_rejected(self):
         with pytest.raises(DataError):

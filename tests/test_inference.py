@@ -231,7 +231,7 @@ class TestDbnFit:
         rels = dict(zip(keys, rng.uniform(0.05, 0.95, len(keys)).tolist()))
         sats = dict(zip(keys, rng.uniform(0.05, 0.95, len(keys)).tolist()))
         start = DbnParams(rel=rels, sat=sats, gamma_cont=0.7)
-        cfg = EmConfig(max_iters=1, prior_alpha=0.0, prior_beta=0.0)
+        cfg = EmConfig(max_iters=1, prior=0.0)
         params, report = em_fit("dbn", encode_sessions(sessions), cfg, init_params=start)
         assert report.iterations == 1
         rel, sat, gamma = oracles.dbn_em_step(rels, sats, 0.7, sessions)
@@ -358,17 +358,23 @@ class TestIntentAwareFit:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
-        ({"prior_alpha": -1.0}, "priors must be non-negative"),
-        ({"prior_beta": -0.5}, "priors must be non-negative"),
+        ({"prior": -1.0}, "priors must be non-negative"),
         # A NaN prior would return the prior itself as a converged fit.
-        ({"prior_alpha": math.nan}, "priors must be non-negative"),
-        ({"prior_beta": math.nan}, "priors must be non-negative"),
-        ({"prior_alpha": math.inf}, "priors must be non-negative"),
-        ({"prior_beta": math.inf}, "priors must be non-negative"),
+        ({"prior": math.nan}, "priors must be non-negative"),
+        ({"prior": math.inf}, "priors must be non-negative"),
+        # A count that is not an integer would fail only in the middle of a fit.
+        ({"max_iters": 1e3}, "max_iters must be an integer, got 1000.0"),
+        ({"max_iters": "5"}, "max_iters must be an integer, got '5'"),
+        ({"max_iters": None}, "max_iters must be an integer, got None"),
     ])
     def test_bad_config_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             EmConfig(**kwargs)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        batch = encode_sessions([Session("s", "q", Intent.UNKNOWN, ("a", "b"), (1, 0))])
+        _, report = em_fit("pbm", batch, EmConfig(max_iters=np.int64(3), tol=1e-15))
+        assert report.iterations == 3
 
     def test_overflowing_objective_is_a_numeric_error(self):
         # The data terms are clamped, so only a prior near the float range
@@ -376,7 +382,7 @@ class TestIntentAwareFit:
         batch = encode_sessions([Session("s1", "q", Intent.UNKNOWN, ("a", "b", "c"), (1, 0, 0)),
                                  Session("s2", "q", Intent.UNKNOWN, ("b", "a", "c"), (0, 1, 0))])
         with pytest.raises(NumericError, match="log-likelihood became non-finite"):
-            em_fit("pbm", batch, EmConfig(prior_alpha=1e308))
+            em_fit("pbm", batch, EmConfig(prior=1e308))
 
     def test_empty_sessions_rejected(self):
         with pytest.raises(ValueError):
@@ -473,6 +479,36 @@ class TestAlternatingFit:
         assert report.iterations == len(report.loglik_trace) == 1
         assert not report.converged
 
+
+@pytest.mark.parametrize("mode", ["base", "intent_aware"])
+@pytest.mark.parametrize("kind, family, frozen", [
+    ("pbm", "rel", "exam"),
+    ("ubm", "rel", "beta"),
+    ("dbn", "rel", "gamma_cont"),
+    ("cascade", "exam", "rel"),
+])
+def test_m_step_updates_only_the_named_side(kind, family, frozen, mode):
+    # Started at the truth, a fit whose M-step updates one side leaves every
+    # field of the other side exactly where it started. Cascade has no
+    # examination side, so an examination-only fit is its start, converged.
+    intent_aware = mode == "intent_aware"
+    truth, batch, _ = _simulate(kind, seed=36, queries=10, sessions_per_query=60, positions=4,
+                                intent_mix=(0.5, 0.5, 0.0), intent_aware=intent_aware)
+    params, report = em_fit(kind, batch, EmConfig(max_iters=5), intent_aware=intent_aware,
+                            families=frozenset((family,)), init_params=truth.params)
+    intents = [intent for intent, _ in batch.by_intent()] if intent_aware else [Intent.UNKNOWN]
+    for intent in intents:
+        start, fit = resolve_params(truth.params, intent), resolve_params(params, intent)
+        kept = getattr(fit, frozen)
+        if isinstance(kept, dict):
+            assert kept == {k: getattr(start, frozen)[k] for k in kept}
+        else:
+            assert kept == getattr(start, frozen)
+        if kind != "cascade":
+            assert any(v != start.rel[k] for k, v in fit.rel.items())
+    if kind == "cascade":
+        assert report.converged and report.iterations == 1
+    _assert_monotone(report.loglik_trace)
 
 
 def _parameters(params):
@@ -591,7 +627,7 @@ def _initial_params(kind, max_positions):
 
 
 def _no_prior(max_iters):
-    return EmConfig(max_iters=max_iters, tol=1e-15, prior_alpha=0.0, prior_beta=0.0)
+    return EmConfig(max_iters=max_iters, tol=1e-15, prior=0.0)
 
 
 @pytest.mark.parametrize("kind", ["pbm", "ubm", "dbn", "cascade"])

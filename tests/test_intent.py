@@ -178,6 +178,10 @@ class TestClickSatisfaction:
             n_clicks_satisfied(batch, 0)
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             n_results_satisfied(batch, 0)
+        with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+            n_clicks_satisfied(batch, 2.5)
+        with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+            n_results_satisfied(batch, 2.5)
 
 
 class TestTransactionalRule:
@@ -260,6 +264,20 @@ class TestExtractFeatures:
         assert arr.shape == (6 + BOW_DIM,)
         assert arr[0] == fv.urlmr
         assert arr[4] == 2.0  # query length slot
+
+    def test_ncs_and_nrs_use_fixed_n(self):
+        # Each n in 1..4 gives a different nCS and a different nRS here, so
+        # only n = 2 for nCS and n = 3 for nRS give the feature values.
+        batch = encode_sessions([_session(c) for c in [
+            (0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 0, 0),
+            (0, 1, 1, 0, 0), (1, 1, 0, 1, 0), (1, 1, 1, 0, 1),
+        ]])
+        ncs = [n_clicks_satisfied(batch, n) for n in range(1, 5)]
+        nrs = [n_results_satisfied(batch, n) for n in range(1, 5)]
+        assert len(set(ncs)) == len(set(nrs)) == 4
+        fv = extract_features("some query", batch, clicked_url_counts(batch))
+        assert fv.ncs == n_clicks_satisfied(batch, 2)
+        assert fv.nrs == n_results_satisfied(batch, 3)
 
     def test_clicked_url_counts(self):
         sessions = [_session((1, 0)), _session((1, 1))]

@@ -286,6 +286,17 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(num_queries=0)
 
+    @pytest.mark.parametrize("field", ["num_queries", "sessions_per_query", "positions"])
+    def test_non_integer_counts_rejected(self, field):
+        # Accepted, 2.0 would fail later, inside generate_ground_truth.
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got 2.0"):
+            SimConfig(**{field: 2.0})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = SimConfig(num_queries=np.int64(2), sessions_per_query=np.int32(3),
+                           positions=np.int64(4))
+        assert len(simulate_sessions(generate_ground_truth(config), config)) == 6
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             SimConfig(model_kind="dcm")
