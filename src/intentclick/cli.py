@@ -9,6 +9,7 @@ error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import logging
 import sys
@@ -392,7 +393,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run one stage as its own process. Objects alive at either freeze
+    live until exit, so the collector need not walk them: not during the
+    stage (the interpreter, site, this module), nor at shutdown (the
+    stage's data, which the OS frees anyway). run() leaves the caller's
+    collector alone."""
+    gc.freeze()
+    code = run()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

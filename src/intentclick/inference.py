@@ -542,6 +542,8 @@ def em_fit(
     """
     if model_kind not in _FITTERS:
         raise ValueError(f"unknown model kind {model_kind!r}")
+    if max_positions is not None:
+        check_count("max_positions", max_positions)
     if not batch:
         raise ValueError("cannot fit on an empty session set")
     if batch.width == 0:

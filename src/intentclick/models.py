@@ -22,7 +22,8 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 from .common import (CASCADE, DBN, DEFAULT_MAX_POSITIONS, JSON_NUMBER_TYPES, MODEL_KINDS, PBM,
-                     PROB_CLAMP, UBM, DataError, position_from_json, read_json, write_json)
+                     PROB_CLAMP, UBM, DataError, check_count, position_from_json, read_json,
+                     write_json)
 from .sessions import ALL_INTENTS, KNOWN_INTENTS, Intent, Session, SessionBatch, encode_sessions
 
 DEFAULT_REL = 0.5  # uninformative prior mean: unseen pairs, prior examination cells
@@ -153,8 +154,7 @@ class _ExamRelParams(_TableParams):
 
     def __post_init__(self):
         exam, n = getattr(self, self.exam_field), self.max_positions
-        if n < 1:
-            raise ValueError(f"max_positions must be at least 1, got {n}")
+        check_count("max_positions", n)
         # Sizes first, so a huge max_positions builds no cell list.
         if len(exam) != self.cell_count(n):
             raise ValueError(f"{self.exam_field} table has {len(exam)} cells, "

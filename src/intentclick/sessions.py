@@ -364,11 +364,11 @@ def sessionize(
     Consecutive events with the same user and the same normalized query,
     each within gap_timeout of the previous one, form one session, with id
     ``user:n`` for the user's n-th session. Clicked ranks set the click bit
-    and take the clicked URL as doc id; unclicked positions up to the
-    deepest observed rank get placeholder ids ``q:<query>:pos<rank>``. An
-    id that an earlier position of the session already has gets ``#<rank>``
-    appended until it is new. Click events beyond max_positions are
-    dropped and counted.
+    and take the clicked URL as doc id, the first one if a rank was clicked
+    with several; unclicked positions up to the deepest observed rank get
+    placeholder ids ``q:<query>:pos<rank>``. An id that an earlier position
+    of the session already has gets ``#<rank>`` appended until it is new.
+    Click events beyond max_positions are dropped and counted.
     """
     columns = _BatchColumns()
     session_ids: list[str] = []

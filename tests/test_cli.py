@@ -4,6 +4,7 @@ import ast
 import builtins
 import contextlib
 import copy
+import gc
 import hashlib
 import importlib
 import io
@@ -703,7 +704,7 @@ class TestFitEvalCompare:
         code = run(["eval", "--params", str(params), "--sessions", str(sim / "sessions.jsonl"),
                     "--out", str(out)])
         assert code == EXIT_DATA
-        assert ("bad pbm parameter document: max_positions must be at least 1, got -2"
+        assert ("bad pbm parameter document: max_positions must be >= 1, got -2"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -1067,6 +1068,113 @@ class TestImports:
         assert set(intentclick.__all__) <= set(dir(intentclick))
         with pytest.raises(AttributeError):
             intentclick.no_such_name
+
+
+# Runs cli.main() as the console script does, with cli.run wrapped to note
+# the collector's frozen-object count as run() starts and returns, and
+# prints those, the count at exit and whether the collector is on.
+_MAIN_FREEZE_COUNTS = (
+    "import atexit, gc, json, sys\n"
+    "from intentclick import cli\n"
+    "counts, real_run = [], cli.run\n"
+    "def run(argv=None):\n"
+    "    counts.append(gc.get_freeze_count())\n"
+    "    code = real_run(argv)\n"
+    "    counts.append(gc.get_freeze_count())\n"
+    "    return code\n"
+    "cli.run = run\n"
+    "atexit.register(lambda: print(json.dumps([*counts, gc.get_freeze_count(), gc.isenabled()])))\n"
+    "sys.argv[0] = 'intentclick'\n"
+    "cli.main()\n"
+)
+
+
+def _written_files(root: Path) -> dict:
+    """Every file under root by relative path: its bytes, or for a
+    manifest its JSON without the run's duration."""
+    files = {}
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        if path.name.endswith(".manifest.json"):
+            manifest = json.loads(path.read_text())
+            del manifest["duration_seconds"]
+            files[path.relative_to(root)] = manifest
+        else:
+            files[path.relative_to(root)] = path.read_bytes()
+    return files
+
+
+class TestProcessPath:
+    """A stage run as its own process, as ``python -m intentclick.cli`` and
+    the console script run it, against cli.run in-process."""
+
+    def test_process_writes_what_run_writes(self, pipeline_inputs, tmp_path, monkeypatch,
+                                            capsys, caplog):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        # Output paths are relative, so both sides write and print the same text.
+        cases = {name: argv(pipeline_inputs, ".") for name, argv in MANIFEST_RUNS.items()}
+        cases["usage-error"] = ["fit", "--model", "pbm"]
+        cases["data-error"] = ["compare", "--base", "missing.json", "--treat", "missing.json"]
+        procs, codes = {}, {}
+        # One fresh interpreter per case, all started at once; each is
+        # waited for, and its pipes closed, even if an assertion fails.
+        with contextlib.ExitStack() as stack:
+            for name, argv in cases.items():
+                cwd = tmp_path / "process" / name
+                cwd.mkdir(parents=True)
+                procs[name] = stack.enter_context(subprocess.Popen(
+                    [sys.executable, "-m", "intentclick.cli", *argv], cwd=cwd, env=env,
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+            for name, argv in cases.items():
+                cwd = tmp_path / "in-process" / name
+                cwd.mkdir(parents=True)
+                monkeypatch.chdir(cwd)
+                caplog.clear()
+                codes[name] = run(argv)
+                out, err = capsys.readouterr()
+                # A separate process logs to stderr; under pytest the records go to caplog.
+                logged = "".join(f"{r.levelname} {r.name}: {r.getMessage()}\n"
+                                 for r in caplog.records)
+                stdout, stderr = procs[name].communicate(timeout=120)
+                assert procs[name].returncode == codes[name], (name, stderr)
+                assert stdout == out, name
+                assert stderr == logged + err, name
+                assert _written_files(tmp_path / "process" / name) == _written_files(cwd), name
+        assert set(codes.values()) == {EXIT_OK, EXIT_USAGE, EXIT_DATA}
+        assert codes["usage-error"] == EXIT_USAGE and codes["data-error"] == EXIT_DATA
+
+    def test_main_freezes_at_entry_and_before_exit(self, pipeline_inputs, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        argv = MANIFEST_RUNS["compare"](pipeline_inputs, tmp_path)
+        proc = subprocess.run([sys.executable, "-c", _MAIN_FREEZE_COUNTS, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        at_start, at_return, at_exit, enabled = json.loads(proc.stdout.splitlines()[-1])
+        assert at_start > 0
+        # The stage's own objects are frozen too, after run() returned.
+        assert at_exit > at_return
+        assert enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_leaves_the_collector_as_it_found_it(self, pipeline_inputs, tmp_path, enabled):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            frozen = gc.get_freeze_count()
+            assert run(MANIFEST_RUNS["fit"](pipeline_inputs, tmp_path)) == EXIT_OK
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_only_main_calls_the_collector(self):
+        uses = []
+        for path in sorted(Path(intentclick.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for func in ast.walk(tree):
+                if isinstance(func, ast.FunctionDef):
+                    uses += [(path.stem, func.name) for node in ast.walk(func)
+                             if isinstance(node, ast.Name) and node.id == "gc"]
+        assert uses == [("cli", "main"), ("cli", "main")]
 
 
 class TestErrorKinds:

@@ -393,6 +393,43 @@ class TestIntentAwareFit:
             em_fit("dcm", encode_sessions([Session("s", "q", Intent.UNKNOWN, ("a",), (0,))]),
                    EmConfig())
 
+    @pytest.mark.parametrize("kind", ["pbm", "ubm", "dbn", "cascade"])
+    @pytest.mark.parametrize("max_positions, message", [
+        (4.0, "max_positions must be an integer, got 4.0"),
+        ("4", "max_positions must be an integer, got '4'"),
+        (0, "max_positions must be >= 1, got 0"),
+    ])
+    def test_max_positions_must_be_a_count(self, kind, max_positions, message):
+        # Refused at entry for every kind: a float used to die inside the
+        # PBM/UBM cell lists and pass unchecked through DBN and cascade.
+        batch = encode_sessions([Session("s", "q", Intent.UNKNOWN, ("a", "b"), (1, 0))])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            em_fit(kind, batch, EmConfig(), max_positions=max_positions)
+
+    def test_numpy_integer_max_positions_accepted(self):
+        batch = encode_sessions([Session("s", "q", Intent.UNKNOWN, ("a", "b"), (1, 0))])
+        params, _ = em_fit("ubm", batch, EmConfig(max_iters=2), max_positions=np.int64(3))
+        assert params.max_positions == 3
+
+    def test_partition_stopped_at_max_iters_is_not_converged(self):
+        # Each partition runs as it would alone. At the faster partition's
+        # step count that one has converged and the other has not, so the
+        # joint fit reports the slower partition's delta and no convergence.
+        _, batch, _ = _simulate("pbm", seed=27, queries=10, sessions_per_query=40, positions=4,
+                                intent_mix=(0.5, 0.5, 0.0), intent_aware=True)
+        parts = {intent: batch.take(rows) for intent, rows in batch.by_intent()}
+        alone = {intent: em_fit("pbm", part, EmConfig())[1] for intent, part in parts.items()}
+        fast, slow = sorted(alone, key=lambda intent: alone[intent].iterations)
+        assert alone[fast].converged
+        assert alone[fast].iterations < alone[slow].iterations
+        cfg = EmConfig(max_iters=alone[fast].iterations)
+        _, slow_report = em_fit("pbm", parts[slow], cfg)
+        assert not slow_report.converged
+        _, report = em_fit("pbm", batch, cfg, intent_aware=True)
+        assert report.iterations == cfg.max_iters
+        assert not report.converged
+        assert report.final_delta == slow_report.final_delta > alone[fast].final_delta
+
     def test_sessions_deeper_than_max_positions_rejected(self):
         session = Session("s", "q", Intent.UNKNOWN, ("a", "b", "c"), (0, 1, 0))
         with pytest.raises(ValueError):
@@ -653,3 +690,18 @@ def test_loglik_trace_matches_per_session_log_likelihood(kind):
         expected = sum(session_log_likelihood(kind, params, s) for s in sessions)
         assert ll == pytest.approx(expected, abs=1e-9)
 
+
+def test_cascade_trace_floors_each_multi_click_session():
+    # A session with two or more clicks is impossible under the cascade
+    # model: the trace adds log(PROB_CLAMP) for it, which is also its
+    # clamped session_log_likelihood. A PBM log has such sessions.
+    _, simulated, _ = _simulate("pbm", seed=34, queries=8, sessions_per_query=40, positions=5)
+    sessions = _as_sessions(simulated)
+    n_clicks = [sum(s.clicks) for s in sessions]
+    assert n_clicks.count(2) and max(n_clicks) > 2 and min(n_clicks) <= 1
+    one_step, _ = em_fit("cascade", simulated, _no_prior(max_iters=1), max_positions=5)
+    _, report = em_fit("cascade", simulated, _no_prior(max_iters=2), max_positions=5)
+    assert len(report.loglik_trace) == 2
+    for params, ll in zip((_initial_params("cascade", 5), one_step), report.loglik_trace):
+        expected = sum(session_log_likelihood("cascade", params, s) for s in sessions)
+        assert ll == pytest.approx(expected, abs=1e-9)

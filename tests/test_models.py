@@ -137,8 +137,14 @@ class TestCellLookup:
     @pytest.mark.parametrize("max_positions", [0, -1, -3])
     def test_max_positions_below_one_is_refused(self, params_cls, max_positions):
         with pytest.raises(ValueError,
-                           match=f"^max_positions must be at least 1, got {max_positions}$"):
+                           match=f"^max_positions must be >= 1, got {max_positions}$"):
             params_cls(**{params_cls.exam_field: {}}, rel={}, max_positions=max_positions)
+
+    @pytest.mark.parametrize("params_cls", [PbmParams, UbmParams])
+    def test_non_integer_max_positions_is_refused(self, params_cls):
+        # Refused by the count rule, before any cell is counted.
+        with pytest.raises(ValueError, match=r"^max_positions must be an integer, got 2\.0$"):
+            params_cls(**{params_cls.exam_field: {}}, rel={}, max_positions=2.0)
 
     def test_large_max_positions_builds_only_the_batch_block(self):
         exam = dict.fromkeys(range(1, 2001), 0.5)

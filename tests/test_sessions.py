@@ -323,6 +323,23 @@ class TestSessionize:
         result = sessionize(events, gap_timeout=timedelta(minutes=30))
         assert len(result.sessions) == 2
 
+    def test_gap_of_exactly_the_timeout_keeps_one_session(self):
+        # Only a gap longer than the timeout splits a session.
+        events = [_event("u1", "maps", 0), _event("u1", "maps", 30, rank=1, url="a.com")]
+        result = sessionize(events, gap_timeout=timedelta(minutes=30))
+        assert result.session_ids == ["u1:0"]
+
+    def test_first_url_clicked_at_a_rank_is_kept(self):
+        events = [
+            _event("u1", "maps", 0, rank=2, url="first.com"),
+            _event("u1", "maps", 1, rank=2, url="second.com"),
+        ]
+        result = sessionize(events)
+        [(_, _, docs, clicks)] = result.sessions.records()
+        assert docs == ["q:maps:pos1", "first.com"]
+        assert clicks == [0, 1]
+        assert result.retained_clicks == 2
+
     def test_user_change_splits_sessions(self):
         events = [_event("u1", "maps", 0), _event("u2", "maps", 1)]
         assert len(sessionize(events).sessions) == 2
