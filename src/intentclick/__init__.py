@@ -41,7 +41,6 @@ _HOMES = {
     "EmConfig": "inference",
     "FitReport": "inference",
     "em_fit": "inference",
-    "alternating_fit": "inference",
     "SimConfig": "simulate",
     "GroundTruth": "simulate",
     "generate_ground_truth": "simulate",

@@ -165,7 +165,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sessions", required=True)
     p.add_argument("--out", required=True, help="parameter document (json)")
     p.add_argument("--intent-aware", action="store_true")
-    p.add_argument("--alternating", action="store_true",
+    p.add_argument("--alternating", action="store_true", dest="intent_aware",
                    help="a synonym of --intent-aware, kept for older command lines")
     p.add_argument("--intents", help="intent labels (tsv) to attach before fitting")
     p.add_argument("--tol", type=_positive_finite, default=DEFAULT_TOL)
@@ -286,13 +286,12 @@ def _routed_sessions(args, intent_aware: bool):
 
 
 def _cmd_fit(args) -> Outputs:
-    intent_aware = args.intent_aware or args.alternating
-    sessions = _routed_sessions(args, intent_aware)
+    sessions = _routed_sessions(args, args.intent_aware)
     params, report = em_fit(
         args.model,
         sessions,
         EmConfig(tol=args.tol, max_iters=args.max_iters),
-        intent_aware=intent_aware,
+        intent_aware=args.intent_aware,
         max_positions=args.max_positions,
     )
     out = Path(args.out)

@@ -142,9 +142,9 @@ def rule_label(query: str, features: FeatureVector,
     return Intent.INFORMATIONAL
 
 
-def hash_token(token: str, dim: int) -> int:
+def hash_token(token: str) -> int:
     # crc32 is stable across processes, unlike the builtin str hash.
-    return zlib.crc32(token.encode("utf-8")) % dim
+    return zlib.crc32(token.encode("utf-8")) % BOW_DIM
 
 
 @dataclass
@@ -183,7 +183,7 @@ def extract_features(
     tokens = query.split()
     bow = np.zeros(BOW_DIM)
     for token in tokens:
-        bow[hash_token(token, BOW_DIM)] += 1.0
+        bow[hash_token(token)] += 1.0
     missing = False
     if clicked_urls and sum(clicked_urls.values()) > 0:
         urlmr = max_url_match_ratio(query, clicked_urls)

@@ -73,10 +73,6 @@ class LogEvent:
     item_rank: int | None = None
     click_url: str | None = None
 
-    @property
-    def is_click(self) -> bool:
-        return self.item_rank is not None
-
 
 def _check_session(session_id: str, docs: Sequence, clicks: Sequence) -> None:
     """A LineError unless docs and clicks are one session's: the
@@ -398,10 +394,8 @@ def sessionize(
             while doc in docs:
                 doc = f"{doc}#{pos}"
             docs.append(doc)
-        session_id = f"{user}:{seq}"
-        _check_session(session_id, docs, clicks)
         columns.add(query, unknown, docs, clicks)
-        session_ids.append(session_id)
+        session_ids.append(f"{user}:{seq}")
     return SessionizeResult(columns.build(), session_ids, retained, dropped)
 
 

@@ -210,18 +210,12 @@ _SAMPLERS = {PBM: _sample_pbm, CASCADE: _sample_cascade, UBM: _sample_ubm, DBN: 
 
 
 def simulate_sessions(truth: GroundTruth, config: SimConfig) -> SessionBatch:
-    """Sample sessions from the model's generative process, one independent
-    seeded stream per query. Rows are in (query, session index) order and
-    the batch lists each query's (query, doc) pairs in SERP order."""
-    if truth.params.kind != config.model_kind:
-        raise ValueError(
-            f"ground truth is {truth.params.kind!r} but config wants {config.model_kind!r}"
-        )
-    if len(truth.serps) != config.num_queries:
-        raise ValueError(
-            f"ground truth has {len(truth.serps)} queries, config wants {config.num_queries}"
-        )
-    sampler = _SAMPLERS[config.model_kind]
+    """Sample sessions from the truth's model on the truth's SERPs, one
+    independent seeded stream per query. Rows are in (query, session index)
+    order and the batch lists each query's (query, doc) pairs in SERP order.
+    Of ``config`` only ``seed``, ``sessions_per_query``, ``shuffle_serps``
+    and, when the truth has no per-query intents, ``intent_mix`` are read."""
+    sampler = _SAMPLERS[truth.params.kind]
     streams = np.random.SeedSequence(config.seed).spawn(len(truth.serps))
     n = config.sessions_per_query
     lengths = np.repeat(np.array([len(d) for d in truth.serps.values()], dtype=np.int64), n)
@@ -234,7 +228,7 @@ def simulate_sessions(truth: GroundTruth, config: SimConfig) -> SessionBatch:
     tables = [truth.params.per_intent[t] for t in KNOWN_INTENTS] if intent_aware else [truth.params]
     # Each table's values over every SERP key, looked up once.
     rel = [table_values(t.rel, batch_keys) for t in tables]
-    sat = [table_values(t.sat, batch_keys) for t in tables] if config.model_kind == DBN else None
+    sat = [table_values(t.sat, batch_keys) for t in tables] if truth.params.kind == DBN else None
     # The served order of every session, before any shuffle, per SERP length.
     tiled = {m: np.tile(np.arange(m), (n, 1)) for m in set(map(len, truth.serps.values()))}
     every_row = np.arange(n)

@@ -186,6 +186,18 @@ class TestIngest:
         )
         assert code == EXIT_DATA
 
+    def test_gap_zero_keeps_only_shared_timestamps_together(self, tmp_path):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("u1\tfoo\t2006-03-01 07:00:00\t1\thttp://a\n"
+                       "u1\tfoo\t2006-03-01 07:00:00\t2\thttp://b\n"
+                       "u1\tfoo\t2006-03-01 07:01:00\t1\thttp://c\n")
+        out = tmp_path / "sessions.jsonl"
+        assert run(["ingest", "--aol", str(raw), "--out", str(out),
+                    "--gap-minutes", "0"]) == EXIT_OK
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["session_id"], r["docs"]) for r in records] == [
+            ("u1:0", ["http://a", "http://b"]), ("u1:1", ["http://c"])]
+
     @pytest.mark.parametrize("clicks,docs", [
         # The rank-3 rename http://a#3 is already the rank-2 doc.
         ([(1, "http://a"), (2, "http://a#3"), (3, "http://a")],
@@ -399,13 +411,18 @@ class TestFitEvalCompare:
 
     def test_alternating_is_a_synonym_of_intent_aware(self, pipeline_inputs, tmp_path):
         sim = pipeline_inputs / "sim"
-        written = []
+        written, configs = [], []
         for flag in ("--intent-aware", "--alternating"):
             out = tmp_path / f"{flag[2:]}.json"
             assert run(["fit", "--model", "ubm", flag, "--sessions", str(sim / "sessions.jsonl"),
                         "--intents", str(sim / "intents.tsv"), "--out", str(out)]) == EXIT_OK
             written.append((out.read_bytes(), Path(f"{out}.report.json").read_bytes()))
+            config = json.loads(Path(f"{out}.manifest.json").read_text())["config"]
+            configs.append({k: v for k, v in config.items() if k != "out"})
         assert written[0] == written[1]
+        # Both flags parse into the one intent_aware setting.
+        assert configs[0] == configs[1] and configs[0]["intent_aware"] is True
+        assert "alternating" not in configs[0]
 
     def test_compare_ndcg_over_different_queries_is_a_data_error(self, pipeline_inputs,
                                                                   tmp_path, capsys):
@@ -740,6 +757,18 @@ class TestClassify:
             "oak trees": Intent.INFORMATIONAL,
         }
 
+    def test_labels_are_written_in_query_order(self, tmp_path):
+        sessions_path = tmp_path / "sessions.jsonl"
+        sessions_path.write_text("".join(
+            json.dumps({"session_id": f"s{i}", "query_id": query, "intent": "unk",
+                        "docs": ["d1"], "clicks": [1]}) + "\n"
+            for i, query in enumerate(["zebra", "apple", "mango", "apple"])))
+        labels_path = tmp_path / "intents.tsv"
+        assert run(["classify", "--sessions", str(sessions_path),
+                    "--out", str(labels_path)]) == EXIT_OK
+        queries = [line.split("\t")[0] for line in labels_path.read_text().splitlines()]
+        assert queries == ["apple", "mango", "zebra"]
+
     def test_rule_mode_query_nobody_clicked_is_not_nav(self, tmp_path):
         # With no click, nCS and nRS are both 1: no evidence of navigation.
         sessions_path = tmp_path / "sessions.jsonl"
@@ -1020,22 +1049,24 @@ class TestImports:
     def test_each_subcommand_imports_only_what_it_runs(self, pipeline_inputs, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
         procs = {}
-        # One fresh interpreter per subcommand, all started at once.
-        for subcommand in NOT_IMPORTED:
-            out = tmp_path / subcommand
-            out.mkdir()
-            argv = MANIFEST_RUNS[subcommand](pipeline_inputs, out)
-            procs[subcommand] = subprocess.Popen(
-                [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv], env=env,
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        for subcommand, proc in procs.items():
-            stdout, stderr = proc.communicate(timeout=120)
-            assert proc.returncode == 0, stderr
-            code, modules = json.loads(stdout.splitlines()[-1])
-            assert code == EXIT_OK, stderr
-            loaded = {m.removeprefix("intentclick.") for m in modules
-                      if m == "numpy" or m.startswith("intentclick.")}
-            assert not loaded & NOT_IMPORTED[subcommand], subcommand
+        # One fresh interpreter per subcommand, all started at once; each is
+        # waited for, and its pipes closed, even if an assertion fails.
+        with contextlib.ExitStack() as stack:
+            for subcommand in NOT_IMPORTED:
+                out = tmp_path / subcommand
+                out.mkdir()
+                argv = MANIFEST_RUNS[subcommand](pipeline_inputs, out)
+                procs[subcommand] = stack.enter_context(subprocess.Popen(
+                    [sys.executable, "-c", _RUN_AND_LIST_MODULES, *argv], env=env,
+                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+            for subcommand, proc in procs.items():
+                stdout, stderr = proc.communicate(timeout=120)
+                assert proc.returncode == 0, stderr
+                code, modules = json.loads(stdout.splitlines()[-1])
+                assert code == EXIT_OK, stderr
+                loaded = {m.removeprefix("intentclick.") for m in modules
+                          if m == "numpy" or m.startswith("intentclick.")}
+                assert not loaded & NOT_IMPORTED[subcommand], subcommand
 
     def test_lazy_names_bind_when_read_off_cli(self, monkeypatch):
         # Each name read off cli before any run() has bound it, as a wrapper

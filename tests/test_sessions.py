@@ -95,12 +95,10 @@ class TestParseAolLine:
         assert ev.query == "mapquest"
         assert ev.item_rank == 1
         assert ev.click_url == "http://www.mapquest.com"
-        assert ev.is_click
 
     def test_query_only_event(self):
         ev = parse_aol_line("u1\tmapquest\t2006-03-01 07:17:12\t\t")
         assert ev.item_rank is None and ev.click_url is None
-        assert not ev.is_click
 
     def test_four_fields_is_malformed(self):
         with pytest.raises(LineError, match="^line 7: expected 5 tab-separated fields, got 4$"):
@@ -238,6 +236,17 @@ class TestReadAolLog:
         assert record.levelno == logging.WARNING
         assert "skipped 1 malformed line(s)" in record.getMessage()
         assert "line 3: expected 5 tab-separated fields, got 1" in record.getMessage()
+
+    def test_only_line_one_is_a_header(self, tmp_path, caplog):
+        path = tmp_path / "log.tsv"
+        path.write_text(
+            "AnonID\tQuery\tQueryTime\tItemRank\tClickURL\n"
+            "AnonID\tmapquest\t2006-03-01 07:17:12\t1\thttp://www.mapquest.com\n"
+        )
+        with caplog.at_level(logging.WARNING, logger="intentclick.sessions"):
+            [event] = read_aol_log(path)
+        assert (event.user_id, event.query, event.item_rank) == ("AnonID", "mapquest", 1)
+        assert not caplog.records
 
     def test_clean_log_warns_nothing(self, tmp_path, caplog):
         path = tmp_path / "log.tsv"
@@ -397,7 +406,7 @@ class TestSessionize:
                         events.append(_event(user, query, minute, rank, f"u{rank}.com"))
                     else:
                         events.append(_event(user, query, minute))
-            total_clicks = sum(1 for e in events if e.is_click)
+            total_clicks = sum(1 for e in events if e.item_rank is not None)
             result = sessionize(events, max_positions=10)
             assert result.retained_clicks + result.dropped_clicks == total_clicks
             in_sessions = int(result.sessions.clicks.sum())

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,16 +134,18 @@ class TestSimulateSessions:
         for query, _, docs, _ in simulate_sessions(truth, config).records():
             assert tuple(docs) == truth.serps[query]
 
-    def test_kind_mismatch_rejected(self):
-        config = SimConfig(model_kind="pbm", num_queries=2, sessions_per_query=2, seed=14)
-        truth = generate_ground_truth(config)
-        bad = SimConfig(model_kind="dbn", num_queries=2, sessions_per_query=2, seed=14)
-        with pytest.raises(ValueError):
-            simulate_sessions(truth, bad)
-        # The same kind, but not the query count the truth was drawn for.
-        bad = SimConfig(model_kind="pbm", num_queries=3, sessions_per_query=2, seed=14)
-        with pytest.raises(ValueError, match="ground truth has 2 queries, config wants 3"):
-            simulate_sessions(truth, bad)
+    def test_model_and_queries_come_from_the_truth(self):
+        # The config's kind and query count are the truth's to say: a config
+        # naming others samples the same batch as the truth's own.
+        for kind, other in (("pbm", "dbn"), ("dbn", "ubm")):
+            config = SimConfig(model_kind=kind, num_queries=2, sessions_per_query=20, seed=14)
+            truth = generate_ground_truth(config)
+            own = simulate_sessions(truth, config)
+            for stray in (replace(config, model_kind=other), replace(config, num_queries=3)):
+                batch = simulate_sessions(truth, stray)
+                assert batch.keys == own.keys and batch.queries == own.queries
+                for name in ("pair", "clicks", "lengths", "intent", "query"):
+                    assert np.array_equal(getattr(batch, name), getattr(own, name)), name
 
 
 # sha256 over the files `simulate` writes (name, then bytes, in name order;
