@@ -91,12 +91,7 @@ def _flag_type(cast, ok, rule: str, noun: str):
     return parse
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
-    return _flag_type(int, lambda value: value >= low, f"must be at least {low}", "integer")
-
-
-_positive_int = _int_at_least(1)
+_positive_int = _flag_type(int, lambda value: value >= 1, "must be at least 1", "integer")
 # A float above 0 and below infinity, written so that NaN fails too.
 _positive_finite = _flag_type(float, lambda value: 0 < value < float("inf"),
                               "must be positive and finite", "number")
@@ -124,7 +119,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="intentclick", description=__doc__)
     parser.add_argument("--verbose", action="store_true",
                         help="log at INFO level: one line per EM step")
-    sub = parser.add_subparsers(dest="subcommand")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("ingest", help="parse an AOL-style TSV log into sessions")
     p.add_argument("--aol", required=True, help="raw five-field TSV log")
@@ -136,8 +131,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--model", choices=MODEL_KINDS, default="pbm")
     p.add_argument("--queries", type=_positive_int, default=100)
-    # 0 is a count, if an empty one: SimConfig refuses it as a data error.
-    p.add_argument("--sessions-per-query", type=_int_at_least(0), default=None,
+    p.add_argument("--sessions-per-query", type=_positive_int, default=None,
                    help="default 200; also overrides the preset's 50000")
     p.add_argument("--positions", type=_positive_int, default=DEFAULT_MAX_POSITIONS)
     p.add_argument("--intent-mix", type=_intent_mix, default=DEFAULT_INTENT_MIX)
@@ -354,8 +348,6 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.subcommand is None:
-            raise UsageError("a subcommand is required")
     except UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

@@ -538,7 +538,7 @@ def em_fit(
     An intent-aware fit partitions the sessions by intent and fits every
     partition jointly over shared iterations. families restricts the
     M-step to "rel" / "exam" parameter sides (both by default);
-    init_params seeds the starting tables.
+    init_params, which must be of model_kind, seeds the starting tables.
     """
     if model_kind not in _FITTERS:
         raise ValueError(f"unknown model kind {model_kind!r}")
@@ -555,6 +555,8 @@ def em_fit(
     fitter_cls, params_cls = _FITTERS[model_kind], PARAMS_CLASSES[model_kind]
     if init_params is None:
         init_params = params_cls.prior(max_positions)
+    elif init_params.kind != model_kind:
+        raise ValueError(f"init_params are for {init_params.kind!r}, not {model_kind!r}")
 
     # A base fit is one partition, which starts from Unknown's table.
     if intent_aware:

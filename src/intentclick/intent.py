@@ -224,13 +224,13 @@ TOL = 1e-7
 
 @dataclass
 class ClassifierModel:
-    """Linear multiclass model over standardized features."""
+    """Linear multiclass model over standardized features, one row per
+    class of KNOWN_INTENTS in that order."""
 
     weights: np.ndarray  # (n_classes, n_features)
     bias: np.ndarray  # (n_classes,)
     feature_mean: np.ndarray
     feature_scale: np.ndarray
-    classes: tuple[Intent, ...]
     bow_dim: int
     iterations: int
 
@@ -245,7 +245,7 @@ MODEL_FORMAT_VERSION = 1
 def save_classifier(path, model: ClassifierModel) -> None:
     doc = {
         "version": MODEL_FORMAT_VERSION,
-        "classes": [c.value for c in model.classes],
+        "classes": [c.value for c in KNOWN_INTENTS],
         "weights": model.weights.tolist(),
         "bias": model.bias.tolist(),
         "feature_mean": model.feature_mean.tolist(),
@@ -256,10 +256,10 @@ def save_classifier(path, model: ClassifierModel) -> None:
     write_json(path, doc)
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
+def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    z = z - z.max(axis=axis, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=axis, keepdims=True)
 
 
 def train_classifier(
@@ -307,9 +307,7 @@ def train_classifier(
     b = np.zeros((k, 1))
     iterations = 0
     for iterations in range(1, MAX_ITERS + 1):
-        scores = c @ r + b
-        e = np.exp(scores - scores.max(axis=0))
-        err = e / e.sum(axis=0) - targets
+        err = _softmax(c @ r + b, axis=0) - targets
         grad_c = err @ r.T / n + L2_PENALTY * c
         grad_b = err.mean(axis=1, keepdims=True)
         c -= LEARNING_RATE * grad_c
@@ -328,7 +326,6 @@ def train_classifier(
         bias=b[:, 0],
         feature_mean=mean,
         feature_scale=scale,
-        classes=KNOWN_INTENTS,
         bow_dim=int(features[0].bow.shape[0]),
         iterations=iterations,
     )
@@ -349,8 +346,8 @@ def classify(
         )
     x = (x - model.feature_mean) / model.feature_scale
     scores = _softmax(model.weights @ x + model.bias)
-    label = model.classes[int(np.argmax(scores))]
-    return label, {c: float(p) for c, p in zip(model.classes, scores)}
+    label = KNOWN_INTENTS[int(np.argmax(scores))]
+    return label, {c: float(p) for c, p in zip(KNOWN_INTENTS, scores)}
 
 
 @dataclass

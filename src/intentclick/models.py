@@ -363,12 +363,8 @@ def session_prob(params: AnyParams, session: Session) -> float:
     return math.prod(p if c else 1.0 - p for p, c in zip(q, session.clicks))
 
 
-def session_log_likelihood(model_kind: str, params: AnyParams, session: Session) -> float:
+def session_log_likelihood(params: AnyParams, session: Session) -> float:
     """Natural log of the session probability, clamped away from -inf."""
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {model_kind!r}")
-    if params.kind != model_kind:
-        raise ValueError(f"params are for {params.kind!r}, not {model_kind!r}")
     return math.log(clamp_probability(session_prob(params, session)))
 
 

@@ -338,12 +338,7 @@ def click_behavior_preset() -> tuple[GroundTruth, SimConfig]:
             serps[query] = docs
             query_intents[query] = intent
             for i, (doc, rate) in enumerate(zip(docs, _preset_profile(intent, rank))):
-                r = rate / exam[i]
-                if not 0.0 <= r <= 1.0:
-                    raise AssertionError(
-                        f"preset rate {rate} at position {i + 1} exceeds examination {exam[i]}"
-                    )
-                rel_tables[intent][(query, doc)] = r
+                rel_tables[intent][(query, doc)] = rate / exam[i]
 
     params = IntentAwareParams.build(lambda intent: PbmParams(
         exam=dict(enumerate(_PRESET_EXAM[intent], 1)), rel=rel_tables[intent],

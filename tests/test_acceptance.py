@@ -321,8 +321,8 @@ def test_criterion_8_metric_fixed_points():
     for s in sessions:
         for intent in (*KNOWN_INTENTS, Intent.UNKNOWN):
             labeled = Session(s.session_id, s.query_id, intent, s.docs, s.clicks)
-            assert session_log_likelihood("pbm", collapsed, labeled) == (
-                session_log_likelihood("pbm", base, labeled)
+            assert session_log_likelihood(collapsed, labeled) == (
+                session_log_likelihood(base, labeled)
             )
     _passed(8, "perplexity==2.0 on coin flips, NDCG==1.0 on ideal, intent collapse exact")
 

@@ -92,7 +92,10 @@ def _simulate(tmp_path, subdir="sim", extra=()):
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
         assert run([]) == EXIT_USAGE
-        assert "usage" in capsys.readouterr().err.lower()
+        err = capsys.readouterr().err
+        assert err.startswith("usage: intentclick ")
+        assert "error: the following arguments are required: subcommand" in err
+        assert "Traceback" not in err
 
     def test_unknown_subcommand(self):
         assert run(["explode"]) == EXIT_USAGE
@@ -139,6 +142,7 @@ class TestBadFlagValues:
         ["ingest", "--max-positions", "-1"],
         ["simulate", "--queries", "0"],
         ["simulate", "--positions", "0"],
+        ["simulate", "--sessions-per-query", "0"],
         ["simulate", "--sessions-per-query", "-1"],
         ["fit", "--max-iters", "0"],
         ["fit", "--max-positions", "0"],
@@ -319,11 +323,11 @@ class TestSimulate:
         assert manifest["config"]["seed"] == 0
 
     @pytest.mark.parametrize("extra", [[], ["--behavior-preset"]], ids=["plain", "preset"])
-    def test_zero_sessions_per_query_is_a_data_error(self, tmp_path, extra):
+    def test_zero_sessions_per_query_is_a_usage_error(self, tmp_path, extra):
         out_dir = tmp_path / "zero"
         code = run(["simulate", "--out-dir", str(out_dir), "--sessions-per-query", "0", *extra])
-        assert code == EXIT_DATA
-        assert not (out_dir / "sessions.jsonl").exists()
+        assert code == EXIT_USAGE
+        assert not out_dir.exists()
 
 
 # An evaluation report that compares cleanly with itself.

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import oracles
-from intentclick.common import NumericError
+from intentclick.common import MODEL_KINDS, NumericError
 from intentclick.inference import EmConfig, alternating_fit, em_fit, factor_posterior
 from intentclick.models import (
     CascadeParams,
     DbnParams,
     IntentAwareParams,
+    PARAMS_CLASSES,
     PbmParams,
     UbmParams,
     resolve_params,
@@ -393,6 +394,18 @@ class TestIntentAwareFit:
             em_fit("dcm", encode_sessions([Session("s", "q", Intent.UNKNOWN, ("a",), (0,))]),
                    EmConfig())
 
+    @pytest.mark.parametrize("intent_aware", [False, True], ids=["base", "intent-aware"])
+    @pytest.mark.parametrize("kind, init_kind", itertools.permutations(MODEL_KINDS, 2))
+    def test_init_params_of_another_kind_rejected(self, kind, init_kind, intent_aware):
+        # Refused at entry: the other fitters would read a table the init
+        # lacks, and a cascade fit would start from another kind's relevance.
+        init = PARAMS_CLASSES[init_kind].prior(2)
+        if intent_aware:
+            init = IntentAwareParams.build(lambda intent: PARAMS_CLASSES[init_kind].prior(2))
+        batch = encode_sessions([Session("s", "q", Intent.UNKNOWN, ("a", "b"), (1, 0))])
+        with pytest.raises(ValueError, match=f"^init_params are for '{init_kind}', not '{kind}'$"):
+            em_fit(kind, batch, EmConfig(), intent_aware=intent_aware, init_params=init)
+
     @pytest.mark.parametrize("kind", ["pbm", "ubm", "dbn", "cascade"])
     @pytest.mark.parametrize("max_positions, message", [
         (4.0, "max_positions must be an integer, got 4.0"),
@@ -687,7 +700,7 @@ def test_loglik_trace_matches_per_session_log_likelihood(kind):
     _, report = em_fit(kind, encode_sessions(sessions), _no_prior(max_iters=2), max_positions=5)
     assert len(report.loglik_trace) == 2
     for params, ll in zip((_initial_params(kind, 5), one_step), report.loglik_trace):
-        expected = sum(session_log_likelihood(kind, params, s) for s in sessions)
+        expected = sum(session_log_likelihood(params, s) for s in sessions)
         assert ll == pytest.approx(expected, abs=1e-9)
 
 
@@ -703,5 +716,5 @@ def test_cascade_trace_floors_each_multi_click_session():
     _, report = em_fit("cascade", simulated, _no_prior(max_iters=2), max_positions=5)
     assert len(report.loglik_trace) == 2
     for params, ll in zip((_initial_params("cascade", 5), one_step), report.loglik_trace):
-        expected = sum(session_log_likelihood("cascade", params, s) for s in sessions)
+        expected = sum(session_log_likelihood(params, s) for s in sessions)
         assert ll == pytest.approx(expected, abs=1e-9)

@@ -245,22 +245,12 @@ class TestDbn:
 class TestSessionLogLikelihood:
     def test_single_position_log(self):
         params = _pbm([0.5], [0.4])
-        ll = session_log_likelihood("pbm", params, _session((1,)))
+        ll = session_log_likelihood(params, _session((1,)))
         assert ll == pytest.approx(math.log(0.2))
 
     def test_probability_one_gives_zero(self):
         params = _dbn([1.0], [1.0], gamma=0.5)
-        assert session_log_likelihood("dbn", params, _session((1,))) == pytest.approx(
-            0.0, abs=1e-9
-        )
-
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError, match="^params are for 'pbm', not 'ubm'$"):
-            session_log_likelihood("ubm", _pbm([0.5], [0.5]), _session((0,)))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="^unknown model kind 'dcm'$"):
-            session_log_likelihood("dcm", _pbm([0.5], [0.5]), _session((0,)))
+        assert session_log_likelihood(params, _session((1,))) == pytest.approx(0.0, abs=1e-9)
 
     def test_exp_loglik_sums_to_one_over_vectors(self):
         rng = np.random.default_rng(8)
@@ -277,14 +267,14 @@ class TestSessionLogLikelihood:
         }
         for kind, params in models.items():
             total = sum(
-                math.exp(session_log_likelihood(kind, params, _session(clicks)))
+                math.exp(session_log_likelihood(params, _session(clicks)))
                 for clicks in itertools.product((0, 1), repeat=n)
             )
             assert total == pytest.approx(1.0, abs=1e-9), kind
 
     def test_clamping_avoids_minus_infinity(self):
         params = _pbm([1.0], [0.0])
-        ll = session_log_likelihood("pbm", params, _session((1,)))
+        ll = session_log_likelihood(params, _session((1,)))
         assert math.isfinite(ll)
         assert ll == pytest.approx(math.log(1e-12))
 
@@ -386,9 +376,7 @@ class TestIntentAware:
         for intent in (*KNOWN_INTENTS, Intent.UNKNOWN):
             for clicks in itertools.product((0, 1), repeat=3):
                 s = _session(clicks, intent=intent)
-                assert session_log_likelihood("pbm", ia, s) == session_log_likelihood(
-                    "pbm", base, s
-                )
+                assert session_log_likelihood(ia, s) == session_log_likelihood(base, s)
 
     def test_distinct_tables_change_predictions(self):
         ia = self._make_ia()
