@@ -69,12 +69,17 @@ EXIT_NUMERIC = 3
 
 
 class UsageError(Exception):
-    pass
+    """A bad command line. ``usage`` is the usage text of the (sub)parser
+    that refused it, or empty when a command refused its flags."""
+
+    def __init__(self, message: str, usage: str = ""):
+        super().__init__(message)
+        self.usage = usage
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise UsageError(message, self.format_usage())
 
 
 def _flag_type(cast, ok, rule: str, noun: str):
@@ -345,22 +350,16 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        parser.print_usage(sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    # basicConfig does nothing once the root logger has a handler, so the
-    # level is set on the package logger on every run.
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("intentclick").setLevel(logging.INFO if args.verbose else logging.WARNING)
-    command, modules = _COMMANDS[args.subcommand]
-    for module_name in modules:
-        _bind(module_name)
-    started = time.monotonic()
-    try:
+        args = build_parser().parse_args(argv)
+        # basicConfig does nothing once the root logger has a handler, so the
+        # level is set on the package logger on every run.
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("intentclick").setLevel(logging.INFO if args.verbose else logging.WARNING)
+        command, modules = _COMMANDS[args.subcommand]
+        for module_name in modules:
+            _bind(module_name)
+        started = time.monotonic()
         outputs, seed = command(args)
         manifest = {
             "subcommand": args.subcommand,
@@ -372,7 +371,7 @@ def run(argv: list[str] | None = None) -> int:
         }
         write_json(Path(f"{outputs[0]}.manifest.json"), manifest)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{exc.usage}error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

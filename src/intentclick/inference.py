@@ -389,7 +389,7 @@ class _DbnFitter(_Fitter):
         pair[valid] = codes
         clicked = batch.clicks > 0
         positions = np.arange(1, batch.width + 1)
-        last = np.max(np.where(clicked, positions, 0), axis=1, initial=0)
+        last = batch.deepest_click
         prefix = positions < last[:, None]
 
         def per_pair(mask):

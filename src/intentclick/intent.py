@@ -103,9 +103,7 @@ def n_results_satisfied(sessions_of_query: SessionBatch, n: int) -> float:
     if not sessions_of_query:
         raise ValueError("no sessions supplied")
     check_count("n", n)
-    clicks = sessions_of_query.clicks
-    last = np.max(np.where(clicks > 0, np.arange(1, clicks.shape[1] + 1), 0), axis=1, initial=0)
-    return int(np.count_nonzero(last <= n)) / len(sessions_of_query)
+    return int(np.count_nonzero(sessions_of_query.deepest_click <= n)) / len(sessions_of_query)
 
 
 def load_lexicon(path) -> frozenset[str]:

@@ -5,10 +5,11 @@ the cascade model, the user browsing model (UBM), and the dynamic Bayesian
 network model (DBN). Each defines one routine, ``click_probs``, for
 P(C_i = 1 | earlier clicks) in every cell of a SessionBatch; session
 probabilities, log-likelihoods and perplexity follow from it by the chain
-rule. PBM and UBM share it and differ only in their examination cells.
-DBN's forward recursion over the examination chain lives in
-``DbnParams.click_probs`` and is written once; the EM fitter needs none,
-since it works from each session's last click in closed form.
+rule, and the simulator draws its clicks through it. PBM, UBM and cascade
+share it and differ only in their examination cells. DBN's forward
+recursion over the examination chain lives in ``DbnParams.click_probs``
+and is written once; the EM fitter needs none, since it works from each
+session's last click in closed form.
 Intent-aware variants replicate a base parameter set per intent label.
 """
 
@@ -57,6 +58,27 @@ def last_click(clicks: np.ndarray) -> np.ndarray:
     last = np.zeros_like(clicked_at)
     last[:, 1:] = np.maximum.accumulate(clicked_at, axis=1)[:, :-1]
     return last
+
+
+def _clicked(batch: SessionBatch, draws: np.ndarray | None, t: int, p: np.ndarray) -> np.ndarray:
+    """Whether each row clicked position t: the batch's click, or with
+    ``draws`` one drawn as draws[:, t] < p, outside padding, and written
+    into the batch."""
+    if draws is not None:
+        batch.clicks[:, t] = (draws[:, t] < p) & (t < batch.lengths)
+    return batch.clicks[:, t] > 0
+
+
+def _exam_rel_probs(exam: np.ndarray, rel: Mapping, batch: SessionBatch,
+                    draws: np.ndarray | None) -> np.ndarray:
+    """exam[last click, t] * rel[(query, doc)] for each position t in turn."""
+    r = table_values(rel, batch.keys)[batch.pair]
+    out = np.empty(r.shape)
+    last = np.zeros(len(batch), dtype=np.int64)
+    for t in range(batch.width):
+        out[:, t] = exam[last, t + 1] * r[:, t]
+        last = np.where(_clicked(batch, draws, t, out[:, t]), t + 1, last)
+    return out
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -119,7 +141,8 @@ class _TableParams:
     scalars with a default. Validation, the prior and the JSON codec read
     the layout from ``dataclasses.fields``; the EM fitters fill the same
     fields by name. Also here: ``relevance_estimates`` and the one-session
-    view of ``click_probs``.
+    view of ``click_probs``. Every ``click_probs(batch, draws=None)`` keeps
+    the contract that ``models.click_probs`` states, ``draws`` included.
     """
 
     def __post_init__(self):
@@ -187,10 +210,8 @@ class _ExamRelParams(_TableParams):
         span = np.arange(width + 1)
         return np.triu(exam[self.cell_of(span[:, None], span, n)], 1)
 
-    def click_probs(self, batch: SessionBatch) -> np.ndarray:
-        exam = self.exam_matrix(batch.width)
-        rel = table_values(self.rel, batch.keys)
-        return exam[last_click(batch.clicks), np.arange(1, batch.width + 1)] * rel[batch.pair]
+    def click_probs(self, batch: SessionBatch, draws: np.ndarray | None = None) -> np.ndarray:
+        return _exam_rel_probs(self.exam_matrix(batch.width), self.rel, batch, draws)
 
 
 @dataclass
@@ -241,10 +262,12 @@ class CascadeParams(_TableParams):
 
     kind = CASCADE
 
-    def click_probs(self, batch: SessionBatch) -> np.ndarray:
-        """Relevance up to the first click, zero after it."""
-        rel = table_values(self.rel, batch.keys)[batch.pair]
-        return np.where(last_click(batch.clicks) == 0, rel, 0.0)
+    def click_probs(self, batch: SessionBatch, draws: np.ndarray | None = None) -> np.ndarray:
+        """Relevance up to the first click, zero after it: every position is
+        examined until a click, none after one."""
+        exam = np.zeros((batch.width + 1, batch.width + 1))
+        exam[0] = 1.0
+        return _exam_rel_probs(exam, self.rel, batch, draws)
 
 
 @dataclass
@@ -265,27 +288,28 @@ class DbnParams(_TableParams):
         """Unbiased relevance is the chance of a click that satisfies: rel * sat."""
         return table_values(self.rel, keys) * table_values(self.sat, keys)
 
-    def click_probs(self, batch: SessionBatch) -> np.ndarray:
-        """P(E_i = 1 | earlier clicks) * rel, from the forward pass of the
-        examination chain: a0[:, t] and a1[:, t] are P(clicks before t,
-        E_t = 0 / 1), and stay / halt the mass that moves from E_t=1 to
-        E_{t+1}=1 / 0 while emitting c_t."""
+    def click_probs(self, batch: SessionBatch, draws: np.ndarray | None = None) -> np.ndarray:
+        """P(E_t = 1 | earlier clicks) * rel, from the forward pass of the
+        examination chain, one position at a time: a0 and a1 are P(clicks
+        before t, E_t = 0 / 1), and stay / halt the mass that moves from
+        E_t=1 to E_{t+1}=1 / 0 while emitting c_t."""
         r = table_values(self.rel, batch.keys)[batch.pair]
         s = table_values(self.sat, batch.keys)[batch.pair]
         gamma = self.gamma_cont
-        clicked = batch.clicks > 0
-        stay = np.where(clicked, r * (1.0 - s) * gamma, (1.0 - r) * gamma)
-        halt = np.where(clicked, r * (s + (1.0 - s) * (1.0 - gamma)), (1.0 - r) * (1.0 - gamma))
-        a0 = np.zeros(r.shape)
-        a1 = np.zeros(r.shape)
-        a1[:, :1] = 1.0
-        for t in range(r.shape[1] - 1):
+        out = np.empty(r.shape)
+        a0, a1 = np.zeros(len(batch)), np.ones(len(batch))
+        for t in range(batch.width):
+            rt, st, total = r[:, t], s[:, t], a0 + a1
+            with np.errstate(invalid="ignore", divide="ignore"):
+                out[:, t] = np.where(total > 0.0, a1 * rt / total, 0.0)
+            clicked = _clicked(batch, draws, t, out[:, t])
+            stay = np.where(clicked, rt * (1.0 - st) * gamma, (1.0 - rt) * gamma)
+            halt = np.where(clicked, rt * (st + (1.0 - st) * (1.0 - gamma)),
+                            (1.0 - rt) * (1.0 - gamma))
             # E=0 emits only non-clicks; clicks zero out the E=0 branch.
-            a0[:, t + 1] = np.where(clicked[:, t], 0.0, a0[:, t]) + a1[:, t] * halt[:, t]
-            a1[:, t + 1] = a1[:, t] * stay[:, t]
-        total = a0 + a1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(total > 0.0, a1 * r / total, 0.0)
+            a0 = np.where(clicked, 0.0, a0) + a1 * halt
+            a1 = a1 * stay
+        return out
 
 
 BaseParams = Union[PbmParams, CascadeParams, UbmParams, DbnParams]
@@ -332,15 +356,26 @@ def resolve_params(params: AnyParams, intent: Intent = Intent.UNKNOWN) -> BasePa
     return params.per_intent[intent]
 
 
-def click_probs(params: AnyParams, batch: SessionBatch) -> np.ndarray:
-    """P(C_i = 1 | earlier clicks) for every cell of the batch, each session
-    scored by its intent's table; padding cells hold no meaning."""
+def click_probs(params: AnyParams, batch: SessionBatch,
+                draws: np.ndarray | None = None) -> np.ndarray:
+    """P(C_t = 1 | earlier clicks) for every cell of the batch, each session
+    scored by its intent's table; padding cells hold no meaning.
+
+    Without ``draws`` the earlier clicks are the batch's own. ``draws``,
+    uniforms shaped like ``batch.clicks``, draws the clicks instead:
+    position t clicks iff draws[:, t] < P(C_t = 1 | earlier clicks),
+    padding never clicks, and each click is written into ``batch.clicks``
+    before position t + 1 is scored. This is how ``simulate`` samples."""
     if not isinstance(params, IntentAwareParams):
-        return params.click_probs(batch)
+        return params.click_probs(batch, draws)
     out = np.zeros(batch.pair.shape)
     for intent, rows in batch.by_intent():
         part = batch.take(rows)
-        out[rows, : part.width] = resolve_params(params, intent).click_probs(part)
+        part_draws = None if draws is None else draws[rows, :part.width]
+        out[rows, :part.width] = resolve_params(params, intent).click_probs(part, part_draws)
+        if draws is not None:
+            # take copied the clicks; the drawn ones go back into the batch.
+            batch.clicks[rows, :part.width] = part.clicks
     return out
 
 

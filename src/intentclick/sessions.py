@@ -146,6 +146,11 @@ class SessionBatch:
         """Mask of the cells that hold an event, not padding."""
         return np.arange(self.width) < self.lengths[:, None]
 
+    @property
+    def deepest_click(self) -> np.ndarray:
+        """1-based position of each row's last click; 0 for a row without one."""
+        return np.max(np.where(self.clicks > 0, np.arange(1, self.width + 1), 0), axis=1, initial=0)
+
     def take(self, rows: np.ndarray) -> "SessionBatch":
         """The given rows, trimmed to their longest session, with keys and
         queries cut to those the rows show (in this batch's order)."""

@@ -1,9 +1,10 @@
 """Synthetic click-log generation from known ground-truth parameters.
 
-The simulator samples sessions exactly from each model's generative
-process, which makes it the verification oracle for inference and
-evaluation: fitted parameters and predicted click probabilities can be
-compared against the truth that produced the data.
+The simulator draws each session's clicks through the model's own
+``click_probs``, so it samples exactly the model that evaluation scores.
+That makes it the verification oracle for inference and evaluation:
+fitted parameters and predicted click probabilities can be compared
+against the truth that produced the data.
 
 click_behavior_preset() builds an intent-aware PBM whose implied click
 rates hit a small set of reference calibration targets (92% informational
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import (CASCADE, DBN, DEFAULT_INTENT_MIX, DEFAULT_MAX_POSITIONS, INTENT_MIX_RULE,
+from .common import (CASCADE, DEFAULT_INTENT_MIX, DEFAULT_MAX_POSITIONS, INTENT_MIX_RULE,
                      MODEL_KINDS, PBM, UBM, check_count, is_intent_mix)
 from .models import (
     AnyParams,
@@ -29,8 +30,8 @@ from .models import (
     IntentAwareParams,
     PbmParams,
     UbmParams,
+    click_probs,
     mixed_relevance,
-    table_values,
     ubm_cells,
 )
 from .sessions import ALL_INTENTS, Intent, Judgments, KNOWN_INTENTS, SessionBatch
@@ -164,71 +165,22 @@ def generate_ground_truth(config: SimConfig) -> GroundTruth:
     return _truth(params, serps, query_intents, config.intent_mix)
 
 
-def _sample_pbm(rng, params: PbmParams, r_mat: np.ndarray, s_mat) -> np.ndarray:
-    exam = params.exam_matrix(r_mat.shape[1])[0, 1:]
-    return (rng.random(r_mat.shape) < exam * r_mat).astype(np.int8)
-
-
-def _sample_cascade(rng, params: CascadeParams, r_mat: np.ndarray, s_mat) -> np.ndarray:
-    relevant = rng.random(r_mat.shape) < r_mat
-    clicks = np.zeros(r_mat.shape, dtype=np.int8)
-    any_rel = relevant.any(axis=1)
-    first = relevant.argmax(axis=1)
-    clicks[np.nonzero(any_rel)[0], first[any_rel]] = 1
-    return clicks
-
-
-def _sample_ubm(rng, params: UbmParams, r_mat: np.ndarray, s_mat) -> np.ndarray:
-    n, length = r_mat.shape
-    beta = params.exam_matrix(length)
-    # Each position's examination, then click uniforms: a per-position loop's order.
-    u = rng.random((length, 2, n))
-    hit = u[:, 1].T < r_mat
-    clicks = np.zeros((n, length), dtype=np.int8)
-    last = np.zeros(n, dtype=np.int64)
-    for i in range(1, length + 1):
-        clicked = (u[i - 1, 0] < beta[last, i]) & hit[:, i - 1]
-        clicks[:, i - 1] = clicked
-        last = np.where(clicked, i, last)
-    return clicks
-
-
-def _sample_dbn(rng, params: DbnParams, r_mat: np.ndarray, s_mat: np.ndarray) -> np.ndarray:
-    n, length = r_mat.shape
-    # Each position's click, satisfaction, then continuation uniforms: a
-    # per-position loop's order. A row examines position i+1 iff it examined
-    # i and did not stop there: continuation failed or a click satisfied.
-    u_click, u_sat, u_cont = rng.random((length, 3, n)).transpose(1, 2, 0)
-    hit = u_click < r_mat
-    stop = (u_cont >= params.gamma_cont) | (hit & (u_sat < s_mat))
-    examining = np.ones((n, length), dtype=bool)
-    examining[:, 1:] = np.logical_and.accumulate(~stop[:, :-1], axis=1)
-    return (examining & hit).astype(np.int8)
-
-
-_SAMPLERS = {PBM: _sample_pbm, CASCADE: _sample_cascade, UBM: _sample_ubm, DBN: _sample_dbn}
-
-
 def simulate_sessions(truth: GroundTruth, config: SimConfig) -> SessionBatch:
     """Sample sessions from the truth's model on the truth's SERPs, one
     independent seeded stream per query. Rows are in (query, session index)
     order and the batch lists each query's (query, doc) pairs in SERP order.
     Of ``config`` only ``seed``, ``sessions_per_query``, ``shuffle_serps``
-    and, when the truth has no per-query intents, ``intent_mix`` are read."""
-    sampler = _SAMPLERS[truth.params.kind]
+    and, when the truth has no per-query intents, ``intent_mix`` are read.
+    A query's stream gives its intent codes, its shuffle, then one uniform
+    per cell of each intent's rows in KNOWN_INTENTS order (of all its rows
+    for a base truth); ``click_probs`` turns the uniforms into clicks."""
     streams = np.random.SeedSequence(config.seed).spawn(len(truth.serps))
     n = config.sessions_per_query
     lengths = np.repeat(np.array([len(d) for d in truth.serps.values()], dtype=np.int64), n)
     pair = np.zeros((len(lengths), lengths.max()), dtype=np.int64)
-    clicks = np.zeros(pair.shape, dtype=np.int8)
+    draws = np.zeros(pair.shape)
     intents = np.zeros(len(lengths), dtype=np.int8)
-    batch_keys = [(q, d) for q, docs in truth.serps.items() for d in docs]
     intent_aware = isinstance(truth.params, IntentAwareParams)
-    # Table k serves the sessions of intent code k (KNOWN_INTENTS order).
-    tables = [truth.params.per_intent[t] for t in KNOWN_INTENTS] if intent_aware else [truth.params]
-    # Each table's values over every SERP key, looked up once.
-    rel = [table_values(t.rel, batch_keys) for t in tables]
-    sat = [table_values(t.sat, batch_keys) for t in tables] if truth.params.kind == DBN else None
     # The served order of every session, before any shuffle, per SERP length.
     tiled = {m: np.tile(np.arange(m), (n, 1)) for m in set(map(len, truth.serps.values()))}
     every_row = np.arange(n)
@@ -244,19 +196,19 @@ def simulate_sessions(truth: GroundTruth, config: SimConfig) -> SessionBatch:
         perms = tiled[len(docs)]
         if config.shuffle_serps:
             perms = rng.permuted(perms, axis=1)
-        cols = perms + start
-        query_clicks = clicks[rows_of_query, :len(docs)]
-        for k, base in enumerate(tables):
+        query_draws = draws[rows_of_query, :len(docs)]
+        for k in range(len(KNOWN_INTENTS) if intent_aware else 1):
             rows = np.flatnonzero(codes == k) if intent_aware else every_row
-            if rows.size == 0:
-                continue
-            at = cols[rows]
-            query_clicks[rows] = sampler(rng, base, rel[k][at], None if sat is None else sat[k][at])
-        pair[rows_of_query, :len(docs)] = cols
+            query_draws[rows] = rng.random((rows.size, len(docs)))
+        pair[rows_of_query, :len(docs)] = perms + start
         intents[rows_of_query] = codes
         start += len(docs)
     query = np.repeat(np.arange(len(truth.serps), dtype=np.int64), n)
-    return SessionBatch(batch_keys, pair, clicks, lengths, intents, list(truth.serps), query)
+    batch = SessionBatch([(q, d) for q, docs in truth.serps.items() for d in docs], pair,
+                         np.zeros(pair.shape, dtype=np.int8), lengths, intents,
+                         list(truth.serps), query)
+    click_probs(truth.params, batch, draws)
+    return batch
 
 
 def session_ids(truth: GroundTruth, config: SimConfig) -> list[str]:

@@ -153,38 +153,6 @@ def dbn_em_step(rels, sats, gamma, sessions):
     return step["rel"], step["sat"], cont[0] / cont[1]
 
 
-def ubm_sample_loop(rng, beta, r_mat):
-    """UBM clicks of an (n x length) relevance block, position by position:
-    each position draws its n examination uniforms, then its n click
-    uniforms. beta maps (last click, position) to examination and is read
-    one row at a time."""
-    n, length = r_mat.shape
-    clicks = np.zeros((n, length), dtype=np.int8)
-    last = [0] * n
-    for i in range(1, length + 1):
-        examined = rng.random(n) < np.array([beta[(l, i)] for l in last], dtype=np.float64)
-        clicked = examined & (rng.random(n) < r_mat[:, i - 1])
-        clicks[:, i - 1] = clicked
-        last = [i if c else l for c, l in zip(clicked.tolist(), last)]
-    return clicks
-
-
-def dbn_sample_loop(rng, gamma, r_mat, s_mat):
-    """DBN clicks of an (n x length) block, position by position: each
-    position draws its n click, then satisfaction, then continuation
-    uniforms, and a row examines on while it continues unsatisfied."""
-    n, length = r_mat.shape
-    clicks = np.zeros((n, length), dtype=np.int8)
-    examining = np.ones(n, dtype=bool)
-    for i in range(length):
-        clicked = examining & (rng.random(n) < r_mat[:, i])
-        satisfied = clicked & (rng.random(n) < s_mat[:, i])
-        continuing = rng.random(n) < gamma
-        clicks[:, i] = clicked
-        examining = examining & continuing & ~satisfied
-    return clicks
-
-
 def empirical_ctr(batch):
     """Raw click-through rate per (query, doc) pair of a SessionBatch:
     clicks over impressions, counted with np.bincount over the pair codes.

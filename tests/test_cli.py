@@ -97,6 +97,16 @@ class TestUsageErrors:
         assert "error: the following arguments are required: subcommand" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--sessions-per-query", "0", "--out-dir"],
+        ["fit", "--model", "pbm", "--out"],
+    ], ids=["simulate", "fit"])
+    def test_subcommand_error_shows_its_usage(self, tmp_path, capsys, argv):
+        assert run([*argv, str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: intentclick {argv[0]} [-h] ")
+        assert "\nerror: " in err and "Traceback" not in err
+
     def test_unknown_subcommand(self):
         assert run(["explode"]) == EXIT_USAGE
 

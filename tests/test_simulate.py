@@ -1,4 +1,4 @@
-"""Simulator determinism, distributional fidelity, and the calibrated preset."""
+"""Simulator determinism, distributional fidelity, drawn clicks, and the calibrated preset."""
 
 import hashlib
 import itertools
@@ -8,14 +8,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
-from intentclick import simulate
 from intentclick.cli import EXIT_OK, run
-from intentclick.models import DbnParams, IntentAwareParams, UbmParams, session_prob, ubm_cells
-from intentclick.sessions import ALL_INTENTS, Intent, KNOWN_INTENTS, Session
+from intentclick.models import IntentAwareParams, click_probs, resolve_params
+from intentclick.sessions import ALL_INTENTS, Intent, KNOWN_INTENTS, Session, encode_sessions
 from intentclick.simulate import (
     PRESET_NAV_TARGET4_TOTAL_MASS,
     SimConfig,
@@ -150,10 +147,13 @@ class TestSimulateSessions:
 
 # sha256 over the files `simulate` writes (name, then bytes, in name order;
 # the manifest excluded), per configuration. They pin the random stream:
-# any change to the order or shape of the draws, or to how sessions, truth
-# tables, judgments or intents are written, changes a digest. A numpy
-# upgrade that changes the streams of np.random.Generator also changes
-# them; then, and only then, refresh these digests.
+# any change to the order or shape of the draws, to how a model's
+# click_probs turns a draw into a click, or to how sessions, truth tables,
+# judgments or intents are written, changes a digest. Refresh a digest only
+# for a change meant to alter what `simulate` writes (a numpy upgrade that
+# changes np.random.Generator's streams, or a new way of drawing a kind's
+# clicks), only for the configurations it alters, and name them in
+# CHANGES.md.
 _STREAM_FLAGS = {
     "shuffled": ["--shuffle-serps"],
     "mixed": ["--intent-aware", "--intent-mix", "0.5,0.3,0.2"],
@@ -166,12 +166,12 @@ STREAM_DIGESTS = {
     "cascade-shuffled": "cb80e4e83ee7448961c126b9044c889c5556f9fe2b1c7cab03800fbe85ea3454",
     "cascade-mixed": "86f38295155d67f4cda97ada6a5f9736e309982e5d85bf215b54f18e22127343",
     "cascade-pinned": "687598d044522fae915f9ec1592d2512f951007a3bc13bde3b9201e962b77e94",
-    "ubm-shuffled": "66a4cf0f4cbf5a481f0f25225bc13004420d591996fe305bb304f74d4e4b5a9e",
-    "ubm-mixed": "68720f341d64b58af7845657ddabb3bf9b190e8ab4cb187d86d464e2c7f4bc39",
-    "ubm-pinned": "d232e3593be9061d64970a0eaf68450e36ea8a0b33a07929dd2145955357eed2",
-    "dbn-shuffled": "1ad6f6cf8732427d675382662204a3c762f66d959076bd5de3e96a82a2728e71",
-    "dbn-mixed": "c0b7f2d0322451003b9138f86057fb5918213ab14fd23db971ce607deff349af",
-    "dbn-pinned": "322214ec0522ae75ff3240d346ae2e7a225822071799d66bda9ee165c866082c",
+    "ubm-shuffled": "089e4fd96973f4a6f669887ae7bbf7026ba648665c093d710f78230650fe6efe",
+    "ubm-mixed": "1862060f0c84cf1c93cd990ea4efafb2b018260641599331fda8eeb640e59e18",
+    "ubm-pinned": "a4f43a0a8152e83df7d411254830bc6e69a37f49d85ce594a6eee5cad43e34f4",
+    "dbn-shuffled": "6310e5d6e10814641c66b47b985a744be62ebd8d91c2c3b6b438ca70361d7e91",
+    "dbn-mixed": "0487c84c8942a3484c3985c7280635329a35d92fdd46381b7cc75192d4fe33c4",
+    "dbn-pinned": "d6810e3f59aad4dfbe49070d0f1b13cca512093005914dc008bb02e76dcfc63c",
     "preset": "ecd9d03c48e62535404a4c72f352bb9e5e38a14c4d4e98fb2d56cd69f60f18bb",
 }
 
@@ -197,82 +197,66 @@ class TestStreamPin:
         assert digest.hexdigest() == STREAM_DIGESTS[name]
 
 
-# Probabilities with both ends drawn often: at 0 and 1 a comparison with a
-# uniform has only one outcome.
-_PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-SAMPLER_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
-@st.composite
-def _intent_blocks(draw):
-    """A seed, a SERP length, and per-row intent codes with one table per
-    intent; an intent no row has is an empty block."""
-    length = draw(st.integers(1, 6))
-    codes = np.array(draw(st.lists(st.integers(0, 2), min_size=1, max_size=12)))
-    return draw(st.integers(0, 2**32 - 1)), length, codes
-
-
-def _matrix(data, rows, length):
-    return np.array(data.draw(st.lists(st.lists(_PROBS, min_size=length, max_size=length),
-                                       min_size=rows, max_size=rows)), dtype=np.float64)
-
-
-def _blocks_match(seed, codes, sample, reference):
-    """Run the intent blocks in order on two equally seeded generators."""
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    for k in range(3):
-        rows = np.flatnonzero(codes == k)
-        got, want = sample(ours, k, rows), reference(theirs, k, rows)
-        assert got.dtype == np.int8 and np.array_equal(got, want), k
-    assert ours.bit_generator.state == theirs.bit_generator.state
-
-
-class TestSamplersMatchPerPositionLoops:
-    """The one-draw samplers give the clicks of the per-position loops in
-    tests/oracles.py and leave the stream where those loops leave it."""
-
-    @SAMPLER_SETTINGS
-    @given(blocks=_intent_blocks(), data=st.data())
-    def test_dbn(self, blocks, data):
-        seed, length, codes = blocks
-        r, s = _matrix(data, len(codes), length), _matrix(data, len(codes), length)
-        gammas = [data.draw(_PROBS) for _ in range(3)]
-        _blocks_match(
-            seed, codes,
-            lambda rng, k, rows: simulate._sample_dbn(
-                rng, DbnParams(rel={}, sat={}, gamma_cont=gammas[k]), r[rows], s[rows]),
-            lambda rng, k, rows: oracles.dbn_sample_loop(rng, gammas[k], r[rows], s[rows]))
-
-    @SAMPLER_SETTINGS
-    @given(blocks=_intent_blocks(), data=st.data())
-    def test_ubm(self, blocks, data):
-        seed, length, codes = blocks
-        r = _matrix(data, len(codes), length)
-        betas = [{cell: data.draw(_PROBS) for cell in ubm_cells(length)} for _ in range(3)]
-        _blocks_match(
-            seed, codes,
-            lambda rng, k, rows: simulate._sample_ubm(
-                rng, UbmParams(beta=betas[k], rel={}, max_positions=length), r[rows], None),
-            lambda rng, k, rows: oracles.ubm_sample_loop(rng, betas[k], r[rows]))
+def _oracle_session_prob(params, query, docs, clicks):
+    """A base table's probability of one click vector, by brute force."""
+    keys = [(query, d) for d in docs]
+    rels = [params.rel[k] for k in keys]
+    if params.kind == "pbm":
+        return oracles.pbm_session_prob([params.exam[i] for i in range(1, len(docs) + 1)],
+                                        rels, clicks)
+    if params.kind == "cascade":
+        return oracles.cascade_session_prob(rels, clicks)
+    if params.kind == "ubm":
+        return oracles.ubm_session_prob(params.beta, rels, clicks)
+    return oracles.dbn_session_prob(rels, [params.sat[k] for k in keys], params.gamma_cont,
+                                    clicks)
 
 
 class TestDistributionalFidelity:
-    @pytest.mark.parametrize("kind", ["pbm", "cascade", "ubm", "dbn"])
-    def test_click_vector_frequencies_match_analytic_probabilities(self, kind):
+    @pytest.mark.parametrize("kind, flags", [
+        ("pbm", {}), ("cascade", {}), ("ubm", {}), ("dbn", {}),
+        ("dbn", {"intent_aware": True, "intents_per_query": True}),
+    ], ids=["pbm", "cascade", "ubm", "dbn", "dbn-intents-per-query"])
+    def test_click_vector_frequencies_match_analytic_probabilities(self, kind, flags):
         config = SimConfig(model_kind=kind, num_queries=1, sessions_per_query=100_000,
-                           positions=3, seed=15)
+                           positions=3, seed=15, **flags)
         truth = generate_ground_truth(config)
         batch = simulate_sessions(truth, config)
         counts = Counter(tuple(clicks) for _, _, _, clicks in batch.records())
         n = len(batch)
         query = next(iter(truth.serps))
         docs = truth.serps[query]
+        intent = truth.query_intents[query] if truth.query_intents else Intent.UNKNOWN
+        params = resolve_params(truth.params, intent)
         for clicks in itertools.product((0, 1), repeat=3):
-            template = Session("s", query, Intent.UNKNOWN, docs, clicks)
-            p = session_prob(truth.params, template)
+            p = _oracle_session_prob(params, query, docs, clicks)
             se = max((p * (1 - p) / n) ** 0.5, 1e-6)
             observed = counts.get(clicks, 0) / n
             assert abs(observed - p) < 3.0 * se + 1e-4, (kind, clicks, observed, p)
+
+
+class TestDrawnClicks:
+    """click_probs with draws returns the probabilities of the clicks it
+    draws, clicks exactly where a draw falls below its probability, and
+    never clicks in padding."""
+
+    @pytest.mark.parametrize("intent_aware", [False, True], ids=["base", "intent-aware"])
+    @pytest.mark.parametrize("kind", ["pbm", "cascade", "ubm", "dbn"])
+    def test_drawing_returns_the_drawn_batch_probabilities(self, kind, intent_aware):
+        config = SimConfig(model_kind=kind, num_queries=4, positions=5, seed=16,
+                           intent_aware=intent_aware)
+        truth = generate_ground_truth(config)
+        rng = np.random.default_rng(17)
+        # Sessions of every intent, Unknown included, cut to lengths 1..5.
+        batch = encode_sessions(
+            Session("s", q, ALL_INTENTS[t], docs[:m], (0,) * m)
+            for q, docs in truth.serps.items()
+            for m, t in rng.integers([1, 0], [6, 4], size=(40, 2)).tolist())
+        draws = rng.random(batch.pair.shape)
+        drawn = click_probs(truth.params, batch, draws)
+        assert np.array_equal(batch.clicks, (draws < drawn) & batch.valid)
+        assert batch.clicks[batch.valid].any() and not batch.clicks[~batch.valid].any()
+        assert np.array_equal(drawn, click_probs(truth.params, batch))
 
 
 class TestSimConfigValidation:
