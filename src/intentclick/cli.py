@@ -3,7 +3,9 @@
 Every run writes a manifest (the parsed flags, every output, seed, version,
 duration) beside its primary output so deterministic subcommands can be
 reproduced byte-for-byte. Exit codes: 0 success, 1 usage error, 2 data
-error, 3 numeric failure.
+error, 3 numeric failure. A stage that runs out of memory is a data error
+(exit 2), as a full disk is: the input is too large for the memory the
+stage may use.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import replace
 from datetime import timedelta
 from operator import attrgetter
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .common import (DEFAULT_GAP_MINUTES, DEFAULT_INTENT_MIX, DEFAULT_K_LIST, DEFAULT_MAX_ITERS,
@@ -191,10 +194,22 @@ def build_parser() -> _Parser:
 Outputs = tuple[list[Path], int | None]
 
 
+def _handed_over(events: list) -> Iterator:
+    """The events in list order, each removed from the list as it is
+    handed on, so that the caller drops each one once it is done with it."""
+    events.reverse()
+    while events:
+        yield events.pop()
+
+
 def _cmd_ingest(args) -> Outputs:
-    events = sorted(read_aol_log(args.aol), key=attrgetter("user_id", "query_time"))
+    events = list(read_aol_log(args.aol))
+    # Two stable passes give the order of the key (user_id, query_time),
+    # ties in file order, without a key tuple per event.
+    events.sort(key=attrgetter("query_time"))
+    events.sort(key=attrgetter("user_id"))
     result = sessionize(
-        events,
+        _handed_over(events),
         gap_timeout=timedelta(minutes=args.gap_minutes),
         max_positions=args.max_positions,
     )
@@ -243,27 +258,30 @@ def _cmd_classify(args) -> Outputs:
     if args.model_out is not None and args.train_labels is None:
         raise UsageError("--model-out needs --train-labels: rule mode trains no classifier")
     by_query = group_by_query(read_sessions(args.sessions))
-    lexicon = load_lexicon(args.lexicon) if args.lexicon is not None else None
-    features = {q: extract_features(q, members, clicked_url_counts(members))
-                for q, members in by_query.items()}
+
+    # Only the training queries' features are kept: every other query's
+    # are computed when it is labelled and dropped once it is.
+    def features(q):
+        members = by_query[q]
+        return extract_features(q, members, clicked_url_counts(members))
+
     outputs = [Path(args.out)]
     if args.train_labels is not None:
         seed_labels = read_intent_labels(args.train_labels)
         # An unk seed label is no label: the query is classified, not trained on.
-        train_queries = [q for q in features
-                         if seed_labels.get(q, Intent.UNKNOWN) is not Intent.UNKNOWN]
-        if not train_queries:
+        train = {q: features(q) for q in by_query
+                 if seed_labels.get(q, Intent.UNKNOWN) is not Intent.UNKNOWN}
+        if not train:
             raise DataError("no training labels match any query in the sessions")
-        model = train_classifier(
-            [features[q] for q in train_queries],
-            [seed_labels[q] for q in train_queries],
-        )
-        labels = {q: classify(model, fv)[0] for q, fv in features.items()}
+        model = train_classifier(list(train.values()), [seed_labels[q] for q in train])
+        labels = {q: classify(model, train[q] if q in train else features(q))[0]
+                  for q in by_query}
         if args.model_out is not None:
             outputs.append(Path(args.model_out))
             save_classifier(outputs[1], model)
     else:
-        labels = {q: rule_label(q, fv, lexicon) for q, fv in features.items()}
+        lexicon = load_lexicon(args.lexicon) if args.lexicon is not None else None
+        labels = {q: rule_label(q, features(q), lexicon) for q in by_query}
     write_intent_labels(outputs[0], labels)
     print(f"labeled {len(labels)} queries")
     return outputs, None
@@ -370,6 +388,7 @@ def run(argv: list[str] | None = None) -> int:
             "duration_seconds": round(time.monotonic() - started, 6),
         }
         write_json(Path(f"{outputs[0]}.manifest.json"), manifest)
+        return EXIT_OK
     except UsageError as exc:
         print(f"{exc.usage}error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -379,7 +398,12 @@ def run(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    return EXIT_OK
+    except MemoryError:
+        # Reported once this handler is left: that drops the exception and
+        # with it the frames that hold the stage's data.
+        pass
+    print(f"data error: {args.subcommand} ran out of memory", file=sys.stderr)
+    return EXIT_DATA
 
 
 def main() -> None:

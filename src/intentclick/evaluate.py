@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .common import DEFAULT_K_LIST, PROB_CLAMP, DataError, check_count
-from .models import AnyParams, clamp_probability, click_probs, mixed_relevance
+from .models import (AnyParams, IntentAwareParams, clamp_probability, click_probs,
+                     mixed_relevance)
 from .reports import EvalReport
 from .sessions import ALL_INTENTS, Intent, Judgments, SessionBatch
 
@@ -186,6 +187,9 @@ def mixture_relevance_scorer(
     order of the sessions does not matter. A query without sessions is
     scored by the Unknown table.
     """
+    if not isinstance(params, IntentAwareParams):
+        # One table serves every intent, so no weights are built.
+        return params.relevance_estimates(keys)
     # Queries the batch never shows take the last row, Unknown's.
     unknown = np.eye(len(ALL_INTENTS))[ALL_INTENTS.index(Intent.UNKNOWN)]
     weights = np.vstack([intent_distributions(batch), unknown])

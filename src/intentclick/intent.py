@@ -284,7 +284,10 @@ def train_classifier(
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
     scale[scale < 1e-12] = 1.0
-    x = (x - mean) / scale
+    # In place: the same values as (x - mean) / scale, without two more
+    # matrices of x's size.
+    x -= mean
+    x /= scale
     y = np.array([KNOWN_INTENTS.index(label) for label in labels])
     n, d = x.shape
     k = len(KNOWN_INTENTS)

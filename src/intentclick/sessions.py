@@ -264,8 +264,10 @@ def _aol_time(raw_time: str, line_no: int | None) -> datetime:
         raise LineError(f"bad timestamp {raw_time!r}: {exc}", line_no) from None
 
 
-def _parse_aol_line(line: str, line_no: int | None, normalized: dict[str, str]) -> LogEvent:
-    """parse_aol_line, with normalized caching normalize_query by raw query."""
+def _parse_aol_line(line: str, line_no: int | None, normalized: dict[str, str],
+                    shared: dict[str, str]) -> LogEvent:
+    """parse_aol_line, with normalized caching normalize_query by raw query
+    and shared holding the one string kept for each user id and clicked URL."""
     fields = line.rstrip("\n").split("\t")
     if len(fields) != 5:
         raise LineError(f"expected 5 tab-separated fields, got {len(fields)}", line_no)
@@ -286,7 +288,9 @@ def _parse_aol_line(line: str, line_no: int | None, normalized: dict[str, str]) 
         query = normalized[raw_query] = normalize_query(raw_query)
     if not query:
         raise LineError("query is empty after normalization", line_no)
-    return LogEvent(user_id, query, query_time, rank, raw_url or None)
+    user_id = shared.setdefault(user_id, user_id)
+    url = shared.setdefault(raw_url, raw_url) if raw_url else None
+    return LogEvent(user_id, query, query_time, rank, url)
 
 
 def parse_aol_line(line: str, line_no: int | None = None) -> LogEvent:
@@ -295,7 +299,7 @@ def parse_aol_line(line: str, line_no: int | None = None) -> LogEvent:
     Field order: AnonID, Query, QueryTime, ItemRank, ClickURL. Empty
     ItemRank/ClickURL mean a query-only event.
     """
-    return _parse_aol_line(line, line_no, {})
+    return _parse_aol_line(line, line_no, {}, {})
 
 
 def read_aol_log(path) -> Iterator[LogEvent]:
@@ -305,16 +309,19 @@ def read_aol_log(path) -> Iterator[LogEvent]:
     lines; ``parse_aol_line`` names what is wrong with one. Once the file
     is read, skipped lines are logged as one warning with their count and
     the first one's error; a file with data lines but none that parses is
-    a DataError. Each distinct raw query is normalized once per call.
+    a DataError. Each distinct raw query is normalized once per call, and
+    the events of one call share one string per distinct user id and
+    clicked URL, so a long log holds each only once.
     """
     normalized: dict[str, str] = {}
+    shared: dict[str, str] = {}
     parsed = skipped = 0
     first_error: LineError | None = None
     for line_no, line in numbered_lines(path, errors="replace"):
         if line_no == 1 and line.split("\t")[0].strip() == "AnonID":
             continue
         try:
-            event = _parse_aol_line(line, line_no, normalized)
+            event = _parse_aol_line(line, line_no, normalized, shared)
         except LineError as exc:
             skipped += 1
             first_error = first_error or exc

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 from datetime import datetime, timedelta
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,8 @@ from intentclick.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_
 from intentclick.common import NumericError
 from intentclick.reports import MIN_IMPROVEMENT, load_report
 from intentclick.models import IntentAwareParams, load_params
-from intentclick.sessions import Intent, read_intent_labels, read_sessions
+from intentclick.sessions import (Intent, LogEvent, read_aol_log, read_intent_labels,
+                                  read_sessions, sessionize, write_sessions)
 from intentclick.simulate import PRESET_SEED, SimConfig
 
 AOL_SAMPLE = (
@@ -237,6 +239,37 @@ class TestIngest:
         assert run(argv) == EXIT_OK
         assert "ingested 36 sessions (20 clicks kept, 9 dropped)" in capsys.readouterr().out
         assert hashlib.sha256(out.read_bytes()).hexdigest() == INGEST_DIGEST
+
+    def test_shuffled_log_with_ties_is_sessionized_in_user_time_order(self, tmp_path):
+        # Events of one user at one time keep their file order: at a tied
+        # rank the URL read first is the one a session keeps.
+        rng = random.Random(5)
+        lines = [f"{rng.choice(['ann', 'bob', 'cyd'])}\t{rng.choice(['maps', 'news'])}\t"
+                 f"2006-03-01 07:{rng.choice([0, 1, 40]):02d}:00\t{rng.randint(1, 3)}\t"
+                 f"http://site{rng.randint(1, 9)}.com\n" for _ in range(120)]
+        rng.shuffle(lines)
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("".join(lines))
+        events = list(read_aol_log(raw))
+        assert len({(ev.user_id, ev.query_time) for ev in events}) < len(events)
+        want = sessionize(sorted(events, key=attrgetter("user_id", "query_time")))
+        write_sessions(tmp_path / "want.jsonl", want.sessions, want.session_ids)
+        out = tmp_path / "sessions.jsonl"
+        assert run(["ingest", "--aol", str(raw), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    def test_no_event_is_alive_when_the_sessions_are_written(self, tmp_path, monkeypatch):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text(_pinned_aol_log())
+        alive = []
+
+        def write(*args):
+            alive.append(sum(isinstance(o, LogEvent) for o in gc.get_objects()))
+            return write_sessions(*args)
+
+        monkeypatch.setattr(cli, "write_sessions", write)
+        assert run(["ingest", "--aol", str(raw), "--out", str(tmp_path / "s.jsonl")]) == EXIT_OK
+        assert alive == [0]
 
     def test_log_of_only_malformed_lines_is_a_data_error(self, tmp_path, capsys):
         raw = tmp_path / "raw.tsv"
@@ -811,6 +844,42 @@ class TestClassify:
         assert json.loads((tmp_path / "intents.tsv.manifest.json").read_text())["seed"] is None
         assert len(read_intent_labels(labels_path)) == 3
 
+    @pytest.mark.parametrize("mode", ["trained", "rule"])
+    def test_features_are_computed_once_and_only_after_training(self, tmp_path, monkeypatch,
+                                                                 mode):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text(AOL_SAMPLE + "u3\tjazz history\t2006-03-03 09:00:00\t5\thttp://jazz.org\n")
+        sessions_path = tmp_path / "sessions.jsonl"
+        assert run(["ingest", "--aol", str(raw), "--out", str(sessions_path)]) == EXIT_OK
+        seed_path = tmp_path / "seed.tsv"
+        seed_path.write_text("mapquest\tnav\nfree music downloads\ttra\n")
+        extract, train = cli.extract_features, cli.train_classifier
+        calls = []
+
+        def extract_features(query, *args):
+            calls.append(query)
+            return extract(query, *args)
+
+        def train_classifier(*args):
+            model = train(*args)
+            calls.append(None)
+            return model
+
+        monkeypatch.setattr(cli, "extract_features", extract_features)
+        monkeypatch.setattr(cli, "train_classifier", train_classifier)
+        argv = ["classify", "--sessions", str(sessions_path), "--out", str(tmp_path / "l.tsv")]
+        if mode == "trained":
+            argv += ["--train-labels", str(seed_path)]
+        assert run(argv) == EXIT_OK
+        queries = ["free music downloads", "jazz history", "mapquest", "weather"]
+        assert sorted(q for q in calls if q is not None) == queries
+        if mode == "trained":
+            trained = calls.index(None)
+            assert sorted(calls[:trained]) == ["free music downloads", "mapquest"]
+            assert sorted(calls[trained + 1:]) == ["jazz history", "weather"]
+        else:
+            assert None not in calls
+
     def test_model_out_without_train_labels_is_a_usage_error(self, tmp_path):
         sessions_path = self._ingested(tmp_path)
         code = run(["classify", "--sessions", str(sessions_path), "--out",
@@ -1220,6 +1289,57 @@ class TestProcessPath:
                     uses += [(path.stem, func.name) for node in ast.walk(func)
                              if isinstance(node, ast.Name) and node.id == "gc"]
         assert uses == [("cli", "main"), ("cli", "main")]
+
+
+def _large_aol_log(path: Path, lines: int) -> str:
+    path.write_text("".join(
+        f"u{i % 5000}\tquery {i % 3000}\t2006-03-01 07:{i // 60 % 60:02d}:{i % 60:02d}\t"
+        f"{i % 10 + 1}\thttp://d{i % 7000}.com\n" for i in range(lines)))
+    return str(path)
+
+
+# A stage run with more memory than its imports take, for an input that
+# needs more than TestOutOfMemory.MARGIN_MB of it: simulate allocates a
+# 76 MB array first, and ingest holds some 55 MB of events and sessions.
+_OUT_OF_MEMORY_RUNS = {
+    "simulate": lambda d: ["simulate", "--out-dir", f"{d}/sim", "--queries", "1",
+                           "--sessions-per-query", "1000000", "--positions", "10"],
+    "ingest": lambda d: ["ingest", "--aol", _large_aol_log(d / "raw.tsv", 200_000),
+                         "--out", f"{d}/s.jsonl"],
+}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads /proc and relies on Linux enforcing RLIMIT_AS")
+class TestOutOfMemory:
+    """A stage that runs out of memory exits with the data-error code and a
+    line naming the stage, without a traceback. The child's address space is
+    capped (in the child only) at what its imports take plus a margin that
+    the stage's input needs more than."""
+
+    MARGIN_MB = 24
+
+    @pytest.mark.parametrize("subcommand", list(_OUT_OF_MEMORY_RUNS))
+    def test_is_a_data_error_without_traceback(self, tmp_path, subcommand):
+        resource = pytest.importorskip("resource")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        footprint = subprocess.run(
+            [sys.executable, "-c",
+             "from intentclick import cli\n"
+             f"for module in cli._COMMANDS[{subcommand!r}][1]: cli._bind(module)\n"
+             "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+             "           if line.startswith('VmPeak:')))"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        # VmPeak is in kB.
+        cap = int(footprint.stdout) * 1024 + self.MARGIN_MB * 2**20
+        assert cap < os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        proc = subprocess.run(
+            [sys.executable, "-m", "intentclick.cli", *_OUT_OF_MEMORY_RUNS[subcommand](tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == EXIT_DATA, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"data error: {subcommand} ran out of memory\n"
 
 
 class TestErrorKinds:

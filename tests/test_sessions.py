@@ -248,6 +248,18 @@ class TestReadAolLog:
         assert (event.user_id, event.query, event.item_rank) == ("AnonID", "mapquest", 1)
         assert not caplog.records
 
+    def test_events_share_one_string_per_user_id_and_url(self, tmp_path):
+        path = tmp_path / "log.tsv"
+        path.write_text("user7\tmaps\t2006-03-01 07:00:00\t1\thttp://maps.com\n"
+                        "user8\tnews\t2006-03-01 07:05:00\t2\thttp://news.com\n"
+                        "user7\tnews\t2006-03-01 07:06:00\t1\thttp://maps.com\n"
+                        "user8\tmaps\t2006-03-01 08:00:00\t\t\n"
+                        "user7\tmaps\t2006-03-01 08:01:00\t3\thttp://news.com\n")
+        a, b, c, d, e = read_aol_log(path)
+        assert a.user_id is c.user_id is e.user_id and b.user_id is d.user_id
+        assert a.click_url is c.click_url and b.click_url is e.click_url
+        assert a.user_id != b.user_id and a.click_url != b.click_url
+
     def test_clean_log_warns_nothing(self, tmp_path, caplog):
         path = tmp_path / "log.tsv"
         path.write_text("u1\tmapquest\t2006-03-01 07:17:12\t\t\n")
